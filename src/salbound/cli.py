@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -110,8 +111,10 @@ class _Options:
 def _positive(value, flag: str, kind=float, minimum=None, strict=True):
     try:
         value = kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise UsageError(f"--{flag} expects a number, got {value!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise UsageError(f"--{flag} must be finite, got {value}")
     if minimum is not None:
         if strict and not value > minimum:
             raise UsageError(f"--{flag} must be > {minimum}, got {value}")
@@ -420,7 +423,7 @@ def cmd_verify_delta(opt: _Options) -> tuple[dict, int]:
     n = _positive(opt.get("n"), "n", int, 2, strict=False)
     mass = _positive(opt.get("mass"), "mass", float, 0.0, strict=False)
     states = _positive(opt.get("states"), "states", int, 1, strict=False)
-    samples = _positive(opt.get("samples"), "samples", int, 1, strict=False)
+    samples = _positive(opt.get("samples"), "samples", int, 2, strict=False)
     seed = _positive(opt.get("seed"), "seed", int, 0, strict=False)
     shards = _positive(opt.get("shards"), "shards", int, 1, strict=False)
     threads = min(_worker_cap(), shards)

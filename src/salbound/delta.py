@@ -294,8 +294,8 @@ def expectation_delta(
     """
     if mass < 0.0:
         raise ValueError("mass must be nonnegative")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if samples < 2:
+        raise ValueError("need at least two samples for a standard error")
     if shard_count < 1 or shard_count > samples:
         raise ValueError("shard count must be in [1, samples]")
     n = state.n_particles

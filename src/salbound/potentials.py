@@ -8,6 +8,7 @@ are dealing with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,9 +219,12 @@ def parse_potential(text: str) -> PairPotential:
     values = []
     for tok in tokens:
         try:
-            values.append(float(tok))
+            value = float(tok)
         except ValueError:
             raise PotentialParseError(f"bad number {tok!r} in {text!r}") from None
+        if not math.isfinite(value):
+            raise PotentialParseError(f"non-finite number {tok!r} in {text!r}")
+        values.append(value)
     try:
         return cls(*values)
     except ValueError as exc:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .potentials import PairPotential
 from .quadrature import semi_infinite_rule
@@ -118,8 +117,8 @@ def radial_basis(basis_size: int, y: np.ndarray) -> np.ndarray:
         out[1] = (1.5 - t) * out[0]
     for n in range(1, basis_size - 1):
         out[n + 1] = ((2.0 * n + 1.5 - t) * out[n] - (n + 0.5) * out[n - 1]) / (n + 1.0)
-    n = np.arange(basis_size)
-    norms = np.sqrt(2.0 * np.exp(gammaln(n + 1.0) - gammaln(n + 1.5)))
+    log_ratio = np.array([math.lgamma(n + 1.0) - math.lgamma(n + 1.5) for n in range(basis_size)])
+    norms = np.sqrt(2.0 * np.exp(log_ratio))
     return out * norms[:, None]
 
 

@@ -82,6 +82,13 @@ def test_solve_parse_error_exit_code():
     proc = run_cli("solve", "--beta", "nope")
     assert proc.returncode == 2
     assert "--beta" in proc.stderr
+    for flag, value in (("--mass", "inf"), ("--beta", "nan"), ("--gamma", "Infinity")):
+        proc = run_cli("solve", flag, value)
+        assert proc.returncode == 2, (flag, value)
+        assert f"{flag} must be finite" in proc.stderr
+    proc = run_cli("solve", "--potential", "linear:inf")
+    assert proc.returncode == 2
+    assert "non-finite" in proc.stderr
 
 
 def test_unknown_flag_exits_2():
@@ -286,6 +293,27 @@ def test_out_writes_file(tmp_path):
     assert proc.stdout == ""
     report = json.loads(out.read_text())
     assert report["header"]["command"] == "linear-table"
+
+
+def test_verify_delta_one_sample_exits_2():
+    # one sample has no standard error; the report would carry NaN, which is not JSON
+    proc = run_cli("verify-delta", "--states", "1", "--samples", "1", "--format", "json")
+    assert proc.returncode == 2
+    assert "--samples" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_solver_path_never_imports_scipy():
+    code = (
+        "import contextlib, io, sys\n"
+        "from salbound.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['bounds', '--n', '4', '--format', 'json']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_version_flag():

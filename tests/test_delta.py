@@ -376,6 +376,14 @@ def test_expectation_delta_validation():
         sample_momenta(state, 0, seed=0)
 
 
+def test_expectation_delta_needs_two_samples():
+    # the standard error divides by count - 1
+    with pytest.raises(ValueError, match="two samples"):
+        expectation_delta(isotropic_state(3), 0.0, 1, seed=0)
+    stats = expectation_delta(isotropic_state(3), 0.0, 2, seed=0, shard_count=2)
+    assert np.isfinite(stats.stderr)
+
+
 # --- regime classification and findings ------------------------------------------
 
 

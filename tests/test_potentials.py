@@ -107,6 +107,9 @@ def test_parse_errors_name_the_token():
         parse_potential("linear")
     with pytest.raises(PotentialParseError, match="slope must be positive"):
         parse_potential("linear:-1")
+    for text in ("linear:inf", "coulomb:nan", "power:1,-inf", "coulomb+linear:0.5,inf"):
+        with pytest.raises(PotentialParseError, match="non-finite"):
+            parse_potential(text)
 
 
 def test_parse_is_case_insensitive_and_trims():
