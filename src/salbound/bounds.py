@@ -6,17 +6,16 @@ bottom of a reduced one-body operator
 
     sqrt(lam * p^2 + m^2) + (N - 1)/2 * V(r),
 
-so the four bounds differ only in the kinetic rescaling ``lam``:
-
-    pairwise reduction        lam = 1            (any N >= 2)
-    three-body reduction      lam = 4/3          (N >= 3, any mass)
-    four-body reduction       lam = 3/2          (N >= 4, massless only)
-    model-operator reduction  lam = 2(N-1)/N     (conjectured in general)
-
-The model-operator bound is exact at N = 2 and proved for N = 3 (any mass),
-for N = 4 at zero mass, and for harmonic pair potentials; elsewhere it is
-conjectured and reported as such.  The upper bound comes from a product
-Gaussian trial state in relative coordinates, optimized over its scale.
+so the bounds differ only in the kinetic rescaling ``lam``.  The table
+:data:`REDUCTIONS` holds one row per reduction: its ``lam(N)``, the least N
+and the masses it holds for, and its derivation.  Everything below reads
+that table: the solver-path bounds, the closed forms for the massless
+linear potential, the ratio table and its large-N limits, and the proof
+status of the model-operator bound, which is proved exactly where its
+``lam`` equals that of an applicable proved reduction, and for harmonic
+pair potentials; elsewhere it is conjectured and reported as such.  The
+upper bound comes from a product Gaussian trial state in relative
+coordinates, optimized over its scale.
 
 For the massless linear potential V(r) = b r everything reduces to closed
 forms through the one-body scaling law E(a, b) = sqrt(a b) e.
@@ -26,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .potentials import Harmonic, Linear, PairPotential
+from .potentials import Harmonic, PairPotential
 from .quadrature import semi_infinite_rule
 from .solver import (
     LINEAR_GROUND_ENERGY,
@@ -41,6 +41,45 @@ from .solver import (
 )
 
 _E = LINEAR_GROUND_ENERGY
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """One row of the reduction table; ``model_proof`` proves the model-operator
+    bound wherever this row holds with the model's ``lam``."""
+
+    name: str
+    lam: Callable[[int], float]
+    n_min: int
+    massless_only: bool
+    derivation: str
+    ratio: str
+    model_proof: str | None
+
+    def missing(self, n: int, mass: float) -> str | None:
+        """Why the reduction does not hold at (n, mass), or None if it does."""
+        if n < self.n_min:
+            return f"requires n >= {self.n_min}"
+        if self.massless_only and mass != 0.0:
+            return "requires m=0"
+        return None
+
+
+#: The reductions in report order.  The lam expressions are kept in exactly
+#: this form: coinciding rows must give bit-identical floats.
+REDUCTIONS = (
+    Reduction("n2", lambda n: 1.0, 2, False, "pairwise reduction", "R_N/2",
+              "exact two-body reduction at N = 2"),
+    Reduction("n3", lambda n: 4.0 / 3.0, 3, False, "three-body reduction", "R_N/3",
+              "proved for three bosons at any mass"),
+    Reduction("n4", lambda n: 1.5, 4, True, "four-body reduction", "R_N/4",
+              "proved for four massless bosons"),
+    Reduction("conjectured", lambda n: 2.0 * (n - 1) / n, 2, False,
+              "model-operator reduction", "R_c", None),
+)
+
+_ROWS = {row.name: row for row in REDUCTIONS}
+_MODEL = _ROWS["conjectured"]
 
 
 @dataclass(frozen=True)
@@ -72,17 +111,23 @@ class ConjectureStatus:
         return "proven" if self.proven else "conjectured"
 
 
+def model_status(n: int, mass: float) -> ConjectureStatus:
+    """Proof status of the model-operator reduction (and of the delta inequality
+    behind it) at (n, mass), for any potential: it is proved where its ``lam``
+    equals that of a proved reduction that holds at (n, mass)."""
+    lam = _MODEL.lam(n)
+    for row in REDUCTIONS:
+        if row.model_proof and row.missing(n, mass) is None and row.lam(n) == lam:
+            return ConjectureStatus(True, row.model_proof)
+    return ConjectureStatus(False, "no proof known for this particle count and mass")
+
+
 def conjecture_status(spec: ProblemSpec) -> ConjectureStatus:
     """Proof status of the model-operator lower bound for this problem."""
-    if spec.n == 2:
-        return ConjectureStatus(True, "exact two-body reduction at N = 2")
-    if spec.n == 3:
-        return ConjectureStatus(True, "proved for three bosons at any mass")
-    if spec.n == 4 and spec.mass == 0.0:
-        return ConjectureStatus(True, "proved for four massless bosons")
-    if isinstance(spec.potential, Harmonic):
+    status = model_status(spec.n, spec.mass)
+    if not status.proven and isinstance(spec.potential, Harmonic):
         return ConjectureStatus(True, "proved for harmonic pair potentials")
-    return ConjectureStatus(False, "no proof known for this particle count and mass")
+    return status
 
 
 @dataclass
@@ -104,53 +149,36 @@ class UpperBoundResult:
     warnings: list[str]
 
 
-def _reduced(spec: ProblemSpec, lam: float) -> ReducedHamiltonian:
-    return ReducedHamiltonian(
+def _solve(spec: ProblemSpec, lam: float, config) -> SpectrumResult:
+    reduced = ReducedHamiltonian(
         beta=1.0,
         lam=lam,
         gamma=(spec.n - 1) / 2.0,
         mass=spec.mass,
         potential=spec.potential,
     )
+    return ground_energy(reduced, config)
 
 
-def _solve(spec: ProblemSpec, lam: float, derivation: str, config) -> BoundResult:
-    result = ground_energy(_reduced(spec, lam), config)
+def _bound(spec: ProblemSpec, row: Reduction, spectrum: SpectrumResult) -> BoundResult:
     return BoundResult(
-        value=spec.n * result.ground_energy,
-        kinetic_factor=lam,
-        derivation=derivation,
-        spectrum=result,
+        value=spec.n * spectrum.ground_energy,
+        kinetic_factor=row.lam(spec.n),
+        derivation=row.derivation,
+        spectrum=spectrum,
     )
 
 
-def lower_n2(spec: ProblemSpec, config: SolverConfig | None = None) -> BoundResult:
-    """Pairwise-reduction lower bound, valid for every N >= 2 and mass."""
-    return _solve(spec, 1.0, "pairwise reduction", config)
+def lower_bound(spec: ProblemSpec, name: str, config: SolverConfig | None = None) -> BoundResult:
+    """Lower bound from the reduction ``name`` of :data:`REDUCTIONS`.
 
-
-def lower_n3(spec: ProblemSpec, config: SolverConfig | None = None) -> BoundResult:
-    """Three-body-reduction lower bound (kinetic factor 4/3); needs N >= 3."""
-    if spec.n < 3:
-        raise ValueError("three-body reduction requires n >= 3")
-    return _solve(spec, 4.0 / 3.0, "three-body reduction", config)
-
-
-def lower_n4(spec: ProblemSpec, config: SolverConfig | None = None) -> BoundResult:
-    """Four-body-reduction lower bound (kinetic factor 3/2); N >= 4, m = 0 only."""
-    if spec.n < 4:
-        raise ValueError("four-body reduction requires n >= 4")
-    if spec.mass != 0.0:
-        raise ValueError("four-body reduction requires m=0 (massless kinematics)")
-    return _solve(spec, 1.5, "four-body reduction", config)
-
-
-def conjectured_lower(
-    spec: ProblemSpec, config: SolverConfig | None = None
-) -> tuple[BoundResult, ConjectureStatus]:
-    """Model-operator lower bound (kinetic factor 2(N-1)/N) and its status."""
-    lam = 2.0 * (spec.n - 1) / spec.n
-    return _solve(spec, lam, "model-operator reduction", config), conjecture_status(spec)
+    Raises ValueError where the reduction does not hold for ``spec``.
+    """
+    row = _ROWS[name]
+    reason = row.missing(spec.n, spec.mass)
+    if reason:
+        raise ValueError(f"{row.derivation} {reason}")
+    return _bound(spec, row, _solve(spec, row.lam(spec.n), config))
 
 
 def gaussian_upper(
@@ -162,10 +190,10 @@ def gaussian_upper(
     """Variational upper bound from a product Gaussian in relative coordinates.
 
     Boson symmetry collapses the expectation to a single relative pair, with
-    the kinetic term evaluated on sqrt(2(N-1)/N p^2 + m^2).  The bound is
-    minimized over the Gaussian length scale with the same golden-section
-    scheme as the solver.  For the massless linear potential the minimum has
-    the closed form returned by :func:`upper_gaussian_linear`.
+    the kinetic term evaluated on sqrt(lam p^2 + m^2) at the model-operator
+    ``lam``.  The bound is minimized over the Gaussian length scale with the
+    same golden-section scheme as the solver.  For the massless linear
+    potential the minimum has the closed form :func:`upper_gaussian_linear`.
     """
     if quadrature_order < 16:
         raise ValueError("quadrature order must be at least 16")
@@ -174,7 +202,7 @@ def gaussian_upper(
     y = y[keep]
     # |phi_0|^2 y^2 dy weights for the unit Gaussian, normalized on y^2 dy
     rho = (4.0 / math.sqrt(math.pi)) * wy[keep] * y * y * np.exp(-y * y)
-    lam = 2.0 * (spec.n - 1) / spec.n
+    lam = _MODEL.lam(spec.n)
     gamma = float(spec.pair_count)
     mass = spec.mass
     potential = spec.potential
@@ -213,40 +241,49 @@ class BoundSet:
     upper: UpperBoundResult
     reasons: dict[str, str]
 
+    def lower_results(self) -> dict[str, BoundResult | None]:
+        """Every lower bound by reduction name, in table order."""
+        return {row.name: getattr(self, row.name) for row in REDUCTIONS}
+
     def lower_values(self) -> dict[str, float]:
-        out = {"n2": self.n2.value, "conjectured": self.conjectured.value}
-        if self.n3 is not None:
-            out["n3"] = self.n3.value
-        if self.n4 is not None:
-            out["n4"] = self.n4.value
-        return out
+        return {k: r.value for k, r in self.lower_results().items() if r is not None}
+
+
+def _table(n: int, mass: float, bound: Callable[[Reduction], object]):
+    """``bound(row)`` by name for every reduction that holds at (n, mass), else
+    None, with the reasons for the None entries."""
+    values, reasons = {}, {}
+    for row in REDUCTIONS:
+        reason = row.missing(n, mass)
+        if reason:
+            values[row.name], reasons[row.name] = None, reason
+        else:
+            values[row.name] = bound(row)
+    return values, reasons
 
 
 def compute_bounds(spec: ProblemSpec, config: SolverConfig | None = None) -> BoundSet:
     """Evaluate every applicable bound and validate the sandwich.
 
-    The Gaussian upper bound must dominate every lower bound; a violation
-    beyond the solver's own convergence scale indicates an internal error
-    and raises RuntimeError.
+    Reductions with equal ``lam`` share one solve.  The Gaussian upper bound
+    must dominate every lower bound; a violation beyond the solver's own
+    convergence scale indicates an internal error and raises RuntimeError.
     """
-    reasons: dict[str, str] = {}
-    n2 = lower_n2(spec, config)
-    if spec.n >= 3:
-        n3 = lower_n3(spec, config)
-    else:
-        n3, reasons["n3"] = None, "requires n >= 3"
-    if spec.n >= 4 and spec.mass == 0.0:
-        n4 = lower_n4(spec, config)
-    elif spec.n < 4:
-        n4, reasons["n4"] = None, "requires n >= 4"
-    else:
-        n4, reasons["n4"] = None, "requires m=0"
-    conjectured, status = conjectured_lower(spec, config)
+    spectra: dict[float, SpectrumResult] = {}
+
+    def solve(row: Reduction) -> BoundResult:
+        lam = row.lam(spec.n)
+        if lam not in spectra:
+            spectra[lam] = _solve(spec, lam, config)
+        return _bound(spec, row, spectra[lam])
+
+    lower, reasons = _table(spec.n, spec.mass, solve)
     cfg = config if config is not None else SolverConfig()
     upper = gaussian_upper(spec, quadrature_order=cfg.quadrature_order)
 
-    bounds = BoundSet(spec, n2, n3, n4, conjectured, status, upper, reasons)
-    slack = max(1e-9 * max(1.0, abs(upper.value)), 10.0 * conjectured.spectrum.convergence_estimate)
+    bounds = BoundSet(spec, **lower, status=conjecture_status(spec), upper=upper, reasons=reasons)
+    estimate = bounds.conjectured.spectrum.convergence_estimate
+    slack = max(1e-9 * max(1.0, abs(upper.value)), 10.0 * estimate)
     for name, value in bounds.lower_values().items():
         if value > upper.value + slack:
             raise RuntimeError(
@@ -259,26 +296,6 @@ def compute_bounds(spec: ProblemSpec, config: SolverConfig | None = None) -> Bou
 # Closed forms for the massless linear potential V(r) = r.
 
 
-def lower_n2_linear(n: int) -> float:
-    """N ((N-1)/2)^(1/2) e."""
-    return n * math.sqrt((n - 1) / 2.0) * _E
-
-
-def lower_n3_linear(n: int) -> float:
-    """N ((N-1)/sqrt(3))^(1/2) e."""
-    return n * math.sqrt((n - 1) / math.sqrt(3.0)) * _E
-
-
-def lower_n4_linear(n: int) -> float:
-    """N (3 (N-1)^2 / 8)^(1/4) e."""
-    return n * (3.0 * (n - 1) ** 2 / 8.0) ** 0.25 * _E
-
-
-def conjectured_lower_linear(n: int) -> float:
-    """N ((N-1)^3 / (2N))^(1/4) e."""
-    return n * ((n - 1) ** 3 / (2.0 * n)) ** 0.25 * _E
-
-
 def upper_gaussian_linear(n: int) -> float:
     """4N ((N-1)^3 / (2 N pi^2))^(1/4)."""
     return 4.0 * n * ((n - 1) ** 3 / (2.0 * n * math.pi**2)) ** 0.25
@@ -286,53 +303,35 @@ def upper_gaussian_linear(n: int) -> float:
 
 @dataclass(frozen=True)
 class LinearBoundTable:
-    """Closed-form bounds for N massless bosons with V(r) = r."""
+    """Closed-form bounds for N massless bosons with V(r) = r; ``lower`` and
+    ``reasons`` are keyed by reduction name like :class:`BoundSet`'s."""
 
     n: int
-    lower_n2: float
-    lower_n3: float | None
-    lower_n4: float | None
-    conjectured: float
+    lower: dict[str, float | None]
+    reasons: dict[str, str]
     upper: float
 
 
 def linear_bound_table(n: int) -> LinearBoundTable:
-    """Exact evaluation of the five closed forms at particle count n."""
+    """Exact closed forms at particle count n.  By the scaling law each lower
+    bound, N times the bottom of sqrt(lam)|p| + (N-1)/2 r, is
+    N sqrt(sqrt(lam) (N-1)/2) e."""
     if n < 2:
         raise ValueError("need at least two particles")
-    return LinearBoundTable(
-        n=n,
-        lower_n2=lower_n2_linear(n),
-        lower_n3=lower_n3_linear(n) if n >= 3 else None,
-        lower_n4=lower_n4_linear(n) if n >= 4 else None,
-        conjectured=conjectured_lower_linear(n),
-        upper=upper_gaussian_linear(n),
+    lower, reasons = _table(
+        n, 0.0, lambda row: n * math.sqrt(math.sqrt(row.lam(n)) * (n - 1) / 2.0) * _E
     )
+    return LinearBoundTable(n=n, lower=lower, reasons=reasons, upper=upper_gaussian_linear(n))
 
 
-#: Ratio rows in display order; values are upper/lower for the linear case.
-RATIO_ROWS = ("R_N/2", "R_N/3", "R_N/4", "R_c")
-
-_RATIO_LOWER = {
-    "R_N/2": (lower_n2_linear, 2),
-    "R_N/3": (lower_n3_linear, 3),
-    "R_N/4": (lower_n4_linear, 4),
-    "R_c": (conjectured_lower_linear, 2),
-}
-
-
-def ratio_limit(row: str) -> float:
-    """Large-N limit of a ratio row, from the symbolic limit of the formulas."""
-    c = 4.0 / _E
-    if row == "R_N/2":
-        return c * (2.0 / math.pi**2) ** 0.25
-    if row == "R_N/3":
-        return c * (3.0 / (2.0 * math.pi**2)) ** 0.25
-    if row == "R_N/4":
-        return c * (4.0 / (3.0 * math.pi**2)) ** 0.25
-    if row == "R_c":
-        return c / math.sqrt(math.pi)
-    raise ValueError(f"unknown ratio row {row!r}")
+def ratio_limit(label: str) -> float:
+    """Large-N limit (4/e) (2 / (pi^2 lam_inf))^(1/4) of a ratio row."""
+    for row in REDUCTIONS:
+        if row.ratio == label:
+            # N - 1 rounds to N in double precision, so this is lam's N -> inf limit
+            lam_inf = row.lam(2**64)
+            return 4.0 / _E * (2.0 / (math.pi**2 * lam_inf)) ** 0.25
+    raise ValueError(f"unknown ratio row {label!r}")
 
 
 @dataclass(frozen=True)
@@ -353,15 +352,13 @@ class RatioTable:
 
 def ratio_table(n_values: tuple[int, ...] = (2, 3, 4, 5, 6, 10)) -> RatioTable:
     """Ratios upper/lower for each bound and each N, plus the N -> inf column."""
-    rows: dict[str, tuple[float | None, ...]] = {}
-    for row in RATIO_ROWS:
-        lower, n_min = _RATIO_LOWER[row]
+    tables = [linear_bound_table(n) for n in n_values]
+    rows = {}
+    for row in REDUCTIONS:
         values: list[float | None] = []
-        for n in n_values:
-            if n < n_min:
-                values.append(None)
-            else:
-                values.append(upper_gaussian_linear(n) / lower(n))
-        values.append(ratio_limit(row))
-        rows[row] = tuple(values)
+        for table in tables:
+            lower = table.lower[row.name]
+            values.append(None if lower is None else table.upper / lower)
+        values.append(ratio_limit(row.ratio))
+        rows[row.ratio] = tuple(values)
     return RatioTable(n_values=tuple(n_values), rows=rows)

@@ -30,10 +30,10 @@ from .bounds import (
     ProblemSpec,
     compute_bounds,
     linear_bound_table,
+    model_status,
     ratio_table,
 )
 from .delta import (
-    classify_regime,
     expectation_delta,
     finding_document,
     random_state_corpus,
@@ -246,16 +246,9 @@ def cmd_bounds(opt: _Options) -> tuple[dict, int]:
     config = _solver_config(opt)
     bounds = compute_bounds(spec, config)
 
-    def entry(result):
-        return None if result is None else result.value
-
+    lower = bounds.lower_results()
     diagnostics = {}
-    for name, result in (
-        ("n2", bounds.n2),
-        ("n3", bounds.n3),
-        ("n4", bounds.n4),
-        ("conjectured", bounds.conjectured),
-    ):
+    for name, result in lower.items():
         if result is None:
             continue
         diagnostics[name] = {
@@ -276,10 +269,7 @@ def cmd_bounds(opt: _Options) -> tuple[dict, int]:
         "mass": spec.mass,
         "potential": spec.potential.spec(),
         "bounds": {
-            "n2": entry(bounds.n2),
-            "n3": entry(bounds.n3),
-            "n4": entry(bounds.n4),
-            "conjectured": entry(bounds.conjectured),
+            **{name: None if r is None else r.value for name, r in lower.items()},
             "upper": bounds.upper.value,
         },
         "reasons": dict(bounds.reasons),
@@ -290,35 +280,33 @@ def cmd_bounds(opt: _Options) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
+def _bound_rows(report: dict):
+    """(name, value, note) for each row of a bounds or linear-table report."""
+    for name, value in report["bounds"].items():
+        note = report["reasons"].get(name, "")
+        if name == "conjectured" and "status" in report:
+            note = f"{report['status']}: {report['status_reason']}"
+        yield name, value, note
+
+
 def _text_bounds(report: dict) -> list[str]:
-    lines = [
-        f"problem: n={report['n']} mass={_g(report['mass'])} potential={report['potential']}",
-        f"{'bound':<12} {'value':>12}  note",
-    ]
-    for name in ("n2", "n3", "n4", "conjectured", "upper"):
-        value = report["bounds"][name]
-        if value is None:
-            note = report["reasons"].get(name, "")
-            lines.append(f"{name:<12} {'-':>12}  {note}")
-        else:
-            note = ""
-            if name == "conjectured":
-                note = f"{report['status']}: {report['status_reason']}"
-            lines.append(f"{name:<12} {_g(value):>12}  {note}")
+    if report["header"]["command"] == "bounds":
+        lines = [
+            f"problem: n={report['n']} mass={_g(report['mass'])} potential={report['potential']}",
+            f"{'bound':<12} {'value':>12}  note",
+        ]
+    else:
+        lines = [f"closed-form bounds for V(r) = r, m = 0, n = {report['n']}"]
+    for name, value, note in _bound_rows(report):
+        shown = "-" if value is None else _g(value)
+        lines.append(f"{name:<12} {shown:>12}  {note}")
     return lines
 
 
 def _csv_bounds(report: dict, writer) -> None:
     writer.writerow(["bound", "value", "note"])
-    for name in ("n2", "n3", "n4", "conjectured", "upper"):
-        value = report["bounds"][name]
-        if value is None:
-            writer.writerow([name, "", report["reasons"].get(name, "")])
-        else:
-            note = ""
-            if name == "conjectured":
-                note = f"{report['status']}: {report['status_reason']}"
-            writer.writerow([name, repr(value), note])
+    for name, value, note in _bound_rows(report):
+        writer.writerow([name, "" if value is None else repr(value), note])
 
 
 # --- linear-table ----------------------------------------------------------
@@ -332,42 +320,10 @@ def cmd_linear_table(opt: _Options) -> tuple[dict, int]:
     report = {
         "header": _header("linear-table"),
         "n": table.n,
-        "bounds": {
-            "n2": table.lower_n2,
-            "n3": table.lower_n3,
-            "n4": table.lower_n4,
-            "conjectured": table.conjectured,
-            "upper": table.upper,
-        },
-        "reasons": {
-            key: reason
-            for key, value, reason in (
-                ("n3", table.lower_n3, "requires n >= 3"),
-                ("n4", table.lower_n4, "requires n >= 4"),
-            )
-            if value is None
-        },
+        "bounds": {**table.lower, "upper": table.upper},
+        "reasons": dict(table.reasons),
     }
     return report, EXIT_OK
-
-
-def _text_linear_table(report: dict) -> list[str]:
-    lines = [f"closed-form bounds for V(r) = r, m = 0, n = {report['n']}"]
-    for name in ("n2", "n3", "n4", "conjectured", "upper"):
-        value = report["bounds"][name]
-        shown = _g(value) if value is not None else "-"
-        note = report["reasons"].get(name, "")
-        lines.append(f"{name:<12} {shown:>12}  {note}")
-    return lines
-
-
-def _csv_linear_table(report: dict, writer) -> None:
-    writer.writerow(["bound", "value", "note"])
-    for name in ("n2", "n3", "n4", "conjectured", "upper"):
-        value = report["bounds"][name]
-        writer.writerow(
-            [name, "" if value is None else repr(value), report["reasons"].get(name, "")]
-        )
 
 
 # --- table1 ----------------------------------------------------------------
@@ -428,7 +384,7 @@ def cmd_verify_delta(opt: _Options) -> tuple[dict, int]:
     shards = _positive(opt.get("shards"), "shards", int, 1, strict=False)
     threads = min(_worker_cap(), shards)
 
-    regime = classify_regime(n, mass)
+    regime = model_status(n, mass).label
     corpus = random_state_corpus(n, states, seed)
     results = []
     findings = []
@@ -510,7 +466,7 @@ def _csv_verify_delta(report: dict, writer) -> None:
 _TEXT_RENDERERS = {
     "solve": _text_solve,
     "bounds": _text_bounds,
-    "linear-table": _text_linear_table,
+    "linear-table": _text_bounds,
     "table1": _text_table1,
     "verify-delta": _text_verify_delta,
 }
@@ -518,7 +474,7 @@ _TEXT_RENDERERS = {
 _CSV_RENDERERS = {
     "solve": _csv_solve,
     "bounds": _csv_bounds,
-    "linear-table": _csv_linear_table,
+    "linear-table": _csv_bounds,
     "table1": _csv_table1,
     "verify-delta": _csv_verify_delta,
 }

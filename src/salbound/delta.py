@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import model_status
 from .jacobi import from_jacobi, jacobi_matrix, require_zero_total_momentum, to_jacobi
 
 
@@ -226,14 +227,6 @@ class _Moments:
         return np.sqrt(self.m2 / (self.count - 1) / self.count)
 
 
-def classify_regime(n: int, mass: float) -> str:
-    """'proven' where the nonnegativity of the expectation is a theorem
-    (N = 2 identically, N = 3 any mass, N = 4 massless), else 'conjectured'."""
-    if n == 2 or n == 3 or (n == 4 and mass == 0.0):
-        return "proven"
-    return "conjectured"
-
-
 @dataclass
 class DeltaStats:
     """Monte Carlo estimate of the delta expectation for one state.
@@ -413,7 +406,7 @@ def finding_document(state: SymmetrizedGaussianState, stats: DeltaStats) -> dict
     """Serializable record of a negative-mean finding, sufficient to reproduce it."""
     return {
         "type": "negative-delta-expectation",
-        "regime": classify_regime(stats.n, stats.mass),
+        "regime": model_status(stats.n, stats.mass).label,
         "n": stats.n,
         "mass": stats.mass,
         "samples": stats.samples,
@@ -437,7 +430,6 @@ __all__ = [
     "DeltaStats",
     "IdentitiesReport",
     "SymmetrizedGaussianState",
-    "classify_regime",
     "delta_batch",
     "delta_value",
     "expectation_delta",

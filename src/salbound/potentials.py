@@ -36,7 +36,8 @@ class PairPotential:
     """Base class of the potential family.
 
     Subclasses are immutable value objects, safe to share between threads.
-    ``__call__`` evaluates V(r) for scalar or array ``r``.
+    ``__call__`` evaluates V(r) for scalar or array ``r``; it raises
+    ValueError for r < 0, and at r = 0 where V has a Coulomb singularity.
     """
 
     def __call__(self, r):
@@ -173,20 +174,6 @@ class PowerLaw(PairPotential):
 
     def spec(self) -> str:
         return f"power:{_num(self.coefficient)},{_num(self.exponent)}"
-
-
-def evaluate(potential: PairPotential, r):
-    """Evaluate V(r).
-
-    Raises a domain error for r < 0, and for r = 0 when the potential has a
-    Coulomb singularity there.
-    """
-    return potential(r)
-
-
-def homogeneity_degree(potential: PairPotential) -> float | None:
-    """Scaling degree of the potential, absent for genuine sums of degrees."""
-    return potential.homogeneity_degree()
 
 
 _FORMS = {

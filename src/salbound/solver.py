@@ -73,7 +73,6 @@ class SolverConfig:
     scale_interval: tuple[float, float] = (0.05, 20.0)
     scale_tolerance: float = 1e-4
     quadrature_order: int = 400
-    convergence_basis_size: int | None = None
 
     def __post_init__(self):
         if self.basis_size < 2:
@@ -85,10 +84,6 @@ class SolverConfig:
             raise ValueError("scale tolerance must be positive")
         if self.quadrature_order < 16:
             raise ValueError("quadrature order must be at least 16")
-        if self.convergence_basis_size is not None and not (
-            2 <= self.convergence_basis_size < self.basis_size
-        ):
-            raise ValueError("convergence basis size must be in [2, basis_size)")
 
 
 @dataclass
@@ -312,7 +307,7 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
 
     The returned energy is a variational upper bound on the true spectral
     bottom, nonincreasing in the basis size.  ``convergence_estimate`` is the
-    difference against a smaller-basis solve (basis_size // 2 by default) and
+    difference against a solve at basis size max(2, basis_size // 2) and
     bounds the plausible remaining truncation error scale.
     """
     cfg = config if config is not None else SolverConfig()
@@ -337,7 +332,7 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
         coeff = -coeff
     coeff = coeff / np.linalg.norm(coeff)
 
-    small = cfg.convergence_basis_size or max(2, cfg.basis_size // 2)
+    small = max(2, cfg.basis_size // 2)
     small_best = _optimized(h, small, cfg, warnings)
     warnings = list(dict.fromkeys(warnings))
 

@@ -22,16 +22,9 @@ import pytest
 from salbound.bounds import (
     ProblemSpec,
     compute_bounds,
-    conjectured_lower,
-    conjectured_lower_linear,
     gaussian_upper,
     linear_bound_table,
-    lower_n2,
-    lower_n2_linear,
-    lower_n3,
-    lower_n3_linear,
-    lower_n4,
-    lower_n4_linear,
+    lower_bound,
     ratio_table,
     upper_gaussian_linear,
 )
@@ -76,8 +69,8 @@ def test_criterion_1_solver_accuracy():
 
 def test_criterion_2_two_body_exactness():
     spec = ProblemSpec(2, 0.0, Linear(1.0))
-    low = lower_n2(spec).value
-    conj, _ = conjectured_lower(spec)
+    low = lower_bound(spec, "n2").value
+    conj = lower_bound(spec, "conjectured")
     upper = gaussian_upper(spec).value
     ok = (
         abs(low - 3.1568) <= 2e-3
@@ -112,7 +105,7 @@ def test_criterion_3_table_reproduction():
             worst = max(worst, abs(got - expected))
             checked += 1
     constant = [
-        upper_gaussian_linear(n) / conjectured_lower_linear(n) for n in range(2, 51)
+        upper_gaussian_linear(n) / linear_bound_table(n).lower["conjectured"] for n in range(2, 51)
     ]
     spread = max(constant) - min(constant)
     ok = worst <= 1e-4 and spread <= 1e-12
@@ -128,13 +121,14 @@ def test_criterion_4_closed_form_vs_solver():
     worst = 0.0
     for n in range(2, 7):
         spec = ProblemSpec(n, 0.0, Linear(1.0))
-        checks = [(lower_n2(spec).value, lower_n2_linear(n))]
+        forms = linear_bound_table(n).lower
+        checks = [(lower_bound(spec, "n2").value, forms["n2"])]
         if n >= 3:
-            checks.append((lower_n3(spec).value, lower_n3_linear(n)))
+            checks.append((lower_bound(spec, "n3").value, forms["n3"]))
         if n >= 4:
-            checks.append((lower_n4(spec).value, lower_n4_linear(n)))
-        conj, _ = conjectured_lower(spec)
-        checks.append((conj.value, conjectured_lower_linear(n)))
+            checks.append((lower_bound(spec, "n4").value, forms["n4"]))
+        conj = lower_bound(spec, "conjectured")
+        checks.append((conj.value, forms["conjectured"]))
         checks.append((gaussian_upper(spec).value, upper_gaussian_linear(n)))
         for solved, closed in checks:
             worst = max(worst, abs(solved - closed) / closed)
@@ -258,7 +252,7 @@ def test_criterion_9_nonrelativistic_limit():
     for n in (3, 5):
         residuals = []
         for mass in (1e2, 1e3, 1e4):
-            value, _ = conjectured_lower(ProblemSpec(n, mass, Harmonic(1.0)))
+            value = lower_bound(ProblemSpec(n, mass, Harmonic(1.0)), "conjectured")
             oracle = n * mass + 3.0 * (n - 1) * math.sqrt(n / (2.0 * mass))
             residuals.append(abs(value.value - oracle))
         ratios = (residuals[0] / residuals[1], residuals[1] / residuals[2])

@@ -2,20 +2,14 @@ import math
 
 import pytest
 
+import salbound.bounds
 from salbound.bounds import (
     ProblemSpec,
     compute_bounds,
     conjecture_status,
-    conjectured_lower,
-    conjectured_lower_linear,
     gaussian_upper,
     linear_bound_table,
-    lower_n2,
-    lower_n2_linear,
-    lower_n3,
-    lower_n3_linear,
-    lower_n4,
-    lower_n4_linear,
+    lower_bound,
     ratio_limit,
     ratio_table,
     upper_gaussian_linear,
@@ -30,36 +24,58 @@ def linear_spec(n, mass=0.0):
     return ProblemSpec(n, mass, Linear(1.0))
 
 
+def closed_form(name, n):
+    return linear_bound_table(n).lower[name]
+
+
 # --- closed forms --------------------------------------------------------------
 
 
 def test_linear_closed_forms_against_independent_arithmetic():
-    assert lower_n2_linear(2) == pytest.approx(math.sqrt(2.0) * E, rel=1e-14)
-    assert lower_n2_linear(3) == pytest.approx(3.0 * E, rel=1e-14)
-    assert lower_n2_linear(10) == pytest.approx(10.0 * math.sqrt(4.5) * E, rel=1e-14)
-    assert lower_n3_linear(3) == pytest.approx(7.195965005449532, rel=1e-12)
-    assert lower_n3_linear(4) == pytest.approx(11.750961646850216, rel=1e-12)
-    assert lower_n4_linear(4) == pytest.approx(12.102122354747374, rel=1e-12)
-    assert lower_n4_linear(10) == pytest.approx(52.40372699459388, rel=1e-12)
-    assert conjectured_lower_linear(2) == pytest.approx(math.sqrt(2.0) * E, rel=1e-14)
-    assert conjectured_lower_linear(10) == pytest.approx(54.84758210765261, rel=1e-12)
+    assert closed_form("n2", 2) == pytest.approx(math.sqrt(2.0) * E, rel=1e-14)
+    assert closed_form("n2", 3) == pytest.approx(3.0 * E, rel=1e-14)
+    assert closed_form("n2", 10) == pytest.approx(10.0 * math.sqrt(4.5) * E, rel=1e-14)
+    assert closed_form("n3", 3) == pytest.approx(7.195965005449532, rel=1e-12)
+    assert closed_form("n3", 4) == pytest.approx(11.750961646850216, rel=1e-12)
+    assert closed_form("n4", 4) == pytest.approx(12.102122354747374, rel=1e-12)
+    assert closed_form("n4", 10) == pytest.approx(52.40372699459388, rel=1e-12)
+    assert closed_form("conjectured", 2) == pytest.approx(math.sqrt(2.0) * E, rel=1e-14)
+    assert closed_form("conjectured", 10) == pytest.approx(54.84758210765261, rel=1e-12)
     assert upper_gaussian_linear(2) == pytest.approx(8.0 / math.sqrt(2.0 * math.pi), rel=1e-14)
     assert upper_gaussian_linear(3) == pytest.approx(7.27513394794158, rel=1e-12)
 
 
+def test_closed_forms_match_per_row_formulas():
+    # each reduction's own closed form, as written before the shared
+    # N sqrt(sqrt(lam) (N-1)/2) e replaced them
+    reference = {
+        "n2": lambda n: n * math.sqrt((n - 1) / 2.0) * E,
+        "n3": lambda n: n * math.sqrt((n - 1) / math.sqrt(3.0)) * E,
+        "n4": lambda n: n * (3.0 * (n - 1) ** 2 / 8.0) ** 0.25 * E,
+        "conjectured": lambda n: n * ((n - 1) ** 3 / (2.0 * n)) ** 0.25 * E,
+    }
+    worst = 0.0
+    for n in range(2, 10001):
+        table = linear_bound_table(n)
+        for name, formula in reference.items():
+            if table.lower[name] is not None:
+                worst = max(worst, abs(table.lower[name] / formula(n) - 1.0))
+    assert worst <= 1e-15
+
+
 def test_conjectured_equals_four_body_form_at_n4():
-    assert conjectured_lower_linear(4) == pytest.approx(lower_n4_linear(4), rel=1e-14)
+    assert closed_form("conjectured", 4) == pytest.approx(closed_form("n4", 4), rel=1e-14)
 
 
 def test_linear_bound_table_thresholds():
     t2 = linear_bound_table(2)
-    assert t2.lower_n3 is None and t2.lower_n4 is None
-    assert t2.lower_n2 == pytest.approx(3.1568, abs=1e-4)
+    assert t2.lower["n3"] is None and t2.lower["n4"] is None
+    assert t2.lower["n2"] == pytest.approx(3.1568, abs=1e-4)
     assert t2.upper == pytest.approx(3.19154, abs=1e-5)
     t3 = linear_bound_table(3)
-    assert t3.lower_n3 is not None and t3.lower_n4 is None
+    assert t3.lower["n3"] is not None and t3.lower["n4"] is None
     t4 = linear_bound_table(4)
-    assert t4.lower_n4 == pytest.approx(t4.conjectured, rel=1e-14)
+    assert t4.lower["n4"] == pytest.approx(t4.lower["conjectured"], rel=1e-14)
     with pytest.raises(ValueError):
         linear_bound_table(1)
 
@@ -68,37 +84,42 @@ def test_linear_bound_table_thresholds():
 
 
 def test_lower_n2_examples():
-    assert lower_n2(linear_spec(2)).value == pytest.approx(math.sqrt(2.0) * E, abs=2e-3)
-    assert lower_n2(linear_spec(3)).value == pytest.approx(3.0 * E, abs=4e-3)
-    assert lower_n2(linear_spec(10)).value == pytest.approx(lower_n2_linear(10), rel=2e-3)
+    assert lower_bound(linear_spec(2), "n2").value == pytest.approx(math.sqrt(2.0) * E, abs=2e-3)
+    assert lower_bound(linear_spec(3), "n2").value == pytest.approx(3.0 * E, abs=4e-3)
+    value = lower_bound(linear_spec(10), "n2").value
+    assert value == pytest.approx(closed_form("n2", 10), rel=2e-3)
 
 
 def test_lower_n3_examples_and_threshold():
-    assert lower_n3(linear_spec(3)).value == pytest.approx(lower_n3_linear(3), rel=2e-3)
-    assert lower_n3(linear_spec(4)).value == pytest.approx(lower_n3_linear(4), rel=2e-3)
-    assert lower_n3(linear_spec(3)).value > lower_n2(linear_spec(3)).value
+    assert lower_bound(linear_spec(3), "n3").value == pytest.approx(closed_form("n3", 3), rel=2e-3)
+    assert lower_bound(linear_spec(4), "n3").value == pytest.approx(closed_form("n3", 4), rel=2e-3)
+    assert lower_bound(linear_spec(3), "n3").value > lower_bound(linear_spec(3), "n2").value
     with pytest.raises(ValueError, match="n >= 3"):
-        lower_n3(linear_spec(2))
+        lower_bound(linear_spec(2), "n3")
 
 
 def test_lower_n4_examples_and_preconditions():
-    assert lower_n4(linear_spec(4)).value == pytest.approx(lower_n4_linear(4), rel=2e-3)
-    assert lower_n4(linear_spec(10)).value == pytest.approx(lower_n4_linear(10), rel=2e-3)
+    assert lower_bound(linear_spec(4), "n4").value == pytest.approx(closed_form("n4", 4), rel=2e-3)
+    value = lower_bound(linear_spec(10), "n4").value
+    assert value == pytest.approx(closed_form("n4", 10), rel=2e-3)
     with pytest.raises(ValueError, match="m=0"):
-        lower_n4(linear_spec(4, mass=1.0))
+        lower_bound(linear_spec(4, mass=1.0), "n4")
     with pytest.raises(ValueError, match="n >= 4"):
-        lower_n4(linear_spec(3))
+        lower_bound(linear_spec(3), "n4")
 
 
 def test_conjectured_lower_examples():
-    value, status = conjectured_lower(linear_spec(2))
+    value = lower_bound(linear_spec(2), "conjectured")
+    status = conjecture_status(linear_spec(2))
     assert value.value == pytest.approx(math.sqrt(2.0) * E, abs=2e-3)
     assert status.proven
-    value4, status4 = conjectured_lower(linear_spec(4))
-    assert value4.value == pytest.approx(lower_n4(linear_spec(4)).value, rel=1e-6)
+    value4 = lower_bound(linear_spec(4), "conjectured")
+    status4 = conjecture_status(linear_spec(4))
+    assert value4.value == pytest.approx(lower_bound(linear_spec(4), "n4").value, rel=1e-6)
     assert status4.proven
-    value10, status10 = conjectured_lower(linear_spec(10))
-    assert value10.value == pytest.approx(conjectured_lower_linear(10), rel=2e-3)
+    value10 = lower_bound(linear_spec(10), "conjectured")
+    status10 = conjecture_status(linear_spec(10))
+    assert value10.value == pytest.approx(closed_form("conjectured", 10), rel=2e-3)
     assert not status10.proven
 
 
@@ -124,8 +145,8 @@ def test_two_body_exactness_across_potentials():
             direct = ground_energy(
                 ReducedHamiltonian(2.0, 1.0, 1.0, mass, potential)
             ).ground_energy
-            assert lower_n2(spec).value == pytest.approx(two_body, rel=1e-10)
-            value, _ = conjectured_lower(spec)
+            assert lower_bound(spec, "n2").value == pytest.approx(two_body, rel=1e-10)
+            value = lower_bound(spec, "conjectured")
             assert value.value == pytest.approx(two_body, rel=1e-10)
             assert direct == pytest.approx(two_body, rel=1e-9)
 
@@ -170,6 +191,25 @@ def test_compute_bounds_reasons_and_ordering():
     assert bounds3.n3 is None and bounds3.n4 is None
     assert bounds3.reasons["n3"] == "requires n >= 3"
     assert bounds3.reasons["n4"] == "requires n >= 4"
+
+
+@pytest.mark.parametrize(
+    "n, mass, solves", [(2, 0.0, 1), (3, 0.0, 2), (4, 0.0, 3), (4, 1.0, 3), (5, 0.0, 4)]
+)
+def test_compute_bounds_solves_each_kinetic_factor_once(monkeypatch, n, mass, solves):
+    calls = []
+
+    def counting(hamiltonian, config=None):
+        calls.append(hamiltonian.lam)
+        return ground_energy(hamiltonian, config)
+
+    monkeypatch.setattr(salbound.bounds, "ground_energy", counting)
+    bounds = compute_bounds(ProblemSpec(n, mass, Linear(1.0)), SolverConfig(basis_size=16))
+    assert len(calls) == solves
+    if n == 3:
+        assert bounds.n3.value == bounds.conjectured.value
+    if n == 4 and mass == 0.0:
+        assert bounds.n4.value == bounds.conjectured.value
 
 
 def test_sandwich_holds_across_potential_family():
@@ -220,7 +260,7 @@ def test_ratio_table_reproduces_published_values():
 
 def test_conjectured_ratio_is_constant_in_n():
     values = [
-        upper_gaussian_linear(n) / conjectured_lower_linear(n) for n in range(2, 51)
+        upper_gaussian_linear(n) / closed_form("conjectured", n) for n in range(2, 51)
     ]
     reference = 4.0 / (E * math.sqrt(math.pi))
     assert max(abs(v - reference) for v in values) <= 1e-12
@@ -243,7 +283,7 @@ def test_conjectured_bound_reaches_oscillator_limit():
     n, v = 3, 1.0
     residuals = []
     for mass in (1e2, 1e4):
-        value, _ = conjectured_lower(ProblemSpec(n, mass, Harmonic(v)))
+        value = lower_bound(ProblemSpec(n, mass, Harmonic(v)), "conjectured")
         oracle = n * mass + 3.0 * (n - 1) * math.sqrt(n * v / (2.0 * mass))
         residuals.append(abs(value.value - oracle))
     assert residuals[0] / residuals[1] > 2500.0

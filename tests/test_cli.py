@@ -166,6 +166,48 @@ def test_linear_table_json():
     assert report["bounds"]["upper"] == pytest.approx(12.23527, abs=1e-4)
 
 
+# Reports captured before the bounds and linear-table renderers were merged.
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("linear-table_n2.txt", ["linear-table", "--n", "2"]),
+        ("linear-table_n3.txt", ["linear-table", "--n", "3"]),
+        ("linear-table_n10.txt", ["linear-table", "--n", "10"]),
+        ("bounds_n2.txt", ["bounds", "--n", "2"]),
+        ("bounds_n4.txt", ["bounds", "--n", "4"]),
+        ("bounds_n5_m1.txt", ["bounds", "--n", "5", "--mass", "1"]),
+    ],
+)
+def test_text_report_matches_golden(capsys, golden, argv):
+    from salbound.cli import main
+
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_linear_table_csv_matches_golden(capsys, n):
+    from salbound.cli import main
+
+    assert main(["linear-table", "--n", str(n), "--format", "csv"]) == 0
+    got = capsys.readouterr().out.split("\r\n")
+    want = (GOLDEN / f"linear-table_n{n}.csv").read_bytes().decode("utf-8").split("\r\n")
+    assert len(got) == len(want)
+    for got_line, want_line in zip(got, want):
+        got_cells, want_cells = got_line.split(","), want_line.split(",")
+        assert len(got_cells) == len(want_cells)
+        for got_cell, want_cell in zip(got_cells, want_cells):
+            try:
+                expected = float(want_cell)
+            except ValueError:
+                assert got_cell == want_cell
+            else:
+                assert float(got_cell) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
 PAPER_RN2 = [1.011, 1.08639, 1.11886, 1.13706, 1.14872, 1.17104, 1.20229]
 
 

@@ -7,7 +7,6 @@ from scipy import integrate
 from salbound.delta import (
     DeltaStats,
     SymmetrizedGaussianState,
-    classify_regime,
     delta_batch,
     delta_value,
     expectation_delta,
@@ -19,6 +18,7 @@ from salbound.delta import (
     sample_momenta,
     tetrahedron_relations,
 )
+from salbound.bounds import model_status
 from salbound.jacobi import jacobi_matrix
 
 from exact_delta import exact_delta_expectation
@@ -388,12 +388,12 @@ def test_expectation_delta_needs_two_samples():
 
 
 def test_classify_regime():
-    assert classify_regime(2, 5.0) == "proven"
-    assert classify_regime(3, 0.0) == "proven"
-    assert classify_regime(3, 2.0) == "proven"
-    assert classify_regime(4, 0.0) == "proven"
-    assert classify_regime(4, 0.5) == "conjectured"
-    assert classify_regime(5, 0.0) == "conjectured"
+    assert model_status(2, 5.0).label == "proven"
+    assert model_status(3, 0.0).label == "proven"
+    assert model_status(3, 2.0).label == "proven"
+    assert model_status(4, 0.0).label == "proven"
+    assert model_status(4, 0.5).label == "conjectured"
+    assert model_status(5, 0.0).label == "conjectured"
 
 
 def test_finding_document_contents():

@@ -8,18 +8,16 @@ from salbound.potentials import (
     Linear,
     PotentialParseError,
     PowerLaw,
-    evaluate,
-    homogeneity_degree,
     parse_potential,
 )
 
 
 def test_evaluate_definitions():
-    assert evaluate(Linear(1.0), 2.0) == 2.0
-    assert evaluate(Coulomb(1.0), 0.5) == -2.0
-    assert evaluate(CoulombPlusLinear(1.0, 1.0), 1.0) == 0.0
-    assert evaluate(Harmonic(0.5), 3.0) == pytest.approx(4.5)
-    assert evaluate(PowerLaw(2.0, 1.5), 4.0) == pytest.approx(16.0)
+    assert Linear(1.0)(2.0) == 2.0
+    assert Coulomb(1.0)(0.5) == -2.0
+    assert CoulombPlusLinear(1.0, 1.0)(1.0) == 0.0
+    assert Harmonic(0.5)(3.0) == pytest.approx(4.5)
+    assert PowerLaw(2.0, 1.5)(4.0) == pytest.approx(16.0)
 
 
 def test_evaluate_array_input():
@@ -30,14 +28,14 @@ def test_evaluate_array_input():
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        evaluate(Linear(1.0), -1.0)
+        Linear(1.0)(-1.0)
     with pytest.raises(ValueError):
-        evaluate(Coulomb(1.0), 0.0)
+        Coulomb(1.0)(0.0)
     with pytest.raises(ValueError):
-        evaluate(CoulombPlusLinear(0.5, 1.0), 0.0)
+        CoulombPlusLinear(0.5, 1.0)(0.0)
     # a vanishing Coulomb part is finite at the origin
-    assert evaluate(CoulombPlusLinear(0.0, 2.0), 0.0) == 0.0
-    assert evaluate(Linear(1.0), 0.0) == 0.0
+    assert CoulombPlusLinear(0.0, 2.0)(0.0) == 0.0
+    assert Linear(1.0)(0.0) == 0.0
 
 
 def test_parameter_validation():
@@ -59,12 +57,12 @@ def test_parameter_validation():
 
 
 def test_homogeneity_degrees():
-    assert homogeneity_degree(Linear(3.0)) == 1.0
-    assert homogeneity_degree(Coulomb(2.0)) == -1.0
-    assert homogeneity_degree(Harmonic(0.5)) == 2.0
-    assert homogeneity_degree(PowerLaw(1.0, 0.7)) == 0.7
-    assert homogeneity_degree(CoulombPlusLinear(1.0, 1.0)) is None
-    assert homogeneity_degree(CoulombPlusLinear(0.0, 1.0)) == 1.0
+    assert Linear(3.0).homogeneity_degree() == 1.0
+    assert Coulomb(2.0).homogeneity_degree() == -1.0
+    assert Harmonic(0.5).homogeneity_degree() == 2.0
+    assert PowerLaw(1.0, 0.7).homogeneity_degree() == 0.7
+    assert CoulombPlusLinear(1.0, 1.0).homogeneity_degree() is None
+    assert CoulombPlusLinear(0.0, 1.0).homogeneity_degree() == 1.0
 
 
 @pytest.mark.parametrize(

@@ -153,7 +153,7 @@ def test_variational_monotonicity_in_basis_size():
 
 
 def test_convergence_estimate_uses_configured_size():
-    cfg = SolverConfig(basis_size=16, convergence_basis_size=8)
+    cfg = SolverConfig(basis_size=16)
     result = ground_energy(linear_hamiltonian(), cfg)
     small = ground_energy(linear_hamiltonian(), SolverConfig(basis_size=8))
     assert result.convergence_estimate == pytest.approx(
@@ -238,8 +238,6 @@ def test_solver_config_validation():
         SolverConfig(scale_interval=(0.0, 1.0))
     with pytest.raises(ValueError):
         SolverConfig(quadrature_order=8)
-    with pytest.raises(ValueError):
-        SolverConfig(basis_size=10, convergence_basis_size=10)
 
 
 def test_matrix_argument_validation():
