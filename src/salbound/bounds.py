@@ -17,19 +17,25 @@ pair potentials; elsewhere it is conjectured and reported as such.  The
 upper bound comes from a product Gaussian trial state in relative
 coordinates, optimized over its scale.
 
-For the massless linear potential V(r) = b r everything reduces to closed
-forms through the one-body scaling law E(a, b) = sqrt(a b) e.
+A massless single-term potential c r^k with k > 0 (linear, harmonic, power
+law) needs one solve for every row: by the dilation law
+E(a|p| + b r^k) = a^(k/(k+1)) b^(1/(k+1)) E_k each reduction, at any N, is
+read off the canonical operator |p| + r^k.  Which path a problem takes
+depends only on its mass and the terms of its potential.  For the massless
+linear potential V(r) = b r everything reduces to closed forms through the
+k = 1 case E(a, b) = sqrt(a b) e.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .potentials import Harmonic, PairPotential
+from .potentials import Harmonic, PairPotential, PowerLaw
 from .quadrature import semi_infinite_rule
 from .solver import (
     LINEAR_GROUND_ENERGY,
@@ -149,23 +155,58 @@ class UpperBoundResult:
     warnings: list[str]
 
 
-def _solve(spec: ProblemSpec, lam: float, config) -> SpectrumResult:
-    reduced = ReducedHamiltonian(
-        beta=1.0,
-        lam=lam,
-        gamma=(spec.n - 1) / 2.0,
-        mass=spec.mass,
-        potential=spec.potential,
-    )
-    return ground_energy(reduced, config)
+def _bounds(spec: ProblemSpec, config) -> Callable[[Reduction], BoundResult]:
+    """row -> lower bound of ``spec`` from that reduction; rows with equal lam
+    share one solve.
+
+    A massless single-term potential c r^k with k > 0 costs one solve in all.
+    Under the dilation r -> s r, sqrt(lam)|p| + b r^k with b = (N-1)/2 c is
+    a^(k/(k+1)) b^(1/(k+1)) (|p| + r^k) with a = sqrt(lam), so every row is
+    read off the canonical operator |p| + r^k: its energy and convergence
+    estimate times that factor, its basis scale times (b/a)^(1/(k+1)), its
+    coefficients and warnings as they are.  The configured scale interval is
+    then searched for the canonical operator, whose optimal scale is of
+    order 1 at every N.
+    """
+    gamma = (spec.n - 1) / 2.0
+    terms = spec.potential.terms()
+    if spec.mass == 0.0 and len(terms) == 1 and terms[0][1] > 0.0:
+        ((c, k),) = terms
+        canonical = ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, PowerLaw(1.0, k))
+        base = functools.cache(lambda: ground_energy(canonical, config))
+
+        @functools.cache
+        def solve(lam: float) -> SpectrumResult:
+            return _dilated(base(), math.sqrt(lam), gamma * c, k)
+
+    else:
+
+        @functools.cache
+        def solve(lam: float) -> SpectrumResult:
+            return ground_energy(ReducedHamiltonian(1.0, lam, gamma, spec.mass, spec.potential), config)
+
+    def bound(row: Reduction) -> BoundResult:
+        lam = row.lam(spec.n)
+        spectrum = solve(lam)
+        return BoundResult(
+            value=spec.n * spectrum.ground_energy,
+            kinetic_factor=lam,
+            derivation=row.derivation,
+            spectrum=spectrum,
+        )
+
+    return bound
 
 
-def _bound(spec: ProblemSpec, row: Reduction, spectrum: SpectrumResult) -> BoundResult:
-    return BoundResult(
-        value=spec.n * spectrum.ground_energy,
-        kinetic_factor=row.lam(spec.n),
-        derivation=row.derivation,
-        spectrum=spectrum,
+def _dilated(canonical: SpectrumResult, a: float, b: float, k: float) -> SpectrumResult:
+    """Spectrum of a|p| + b r^k from that of |p| + r^k."""
+    factor = a ** (k / (k + 1.0)) * b ** (1.0 / (k + 1.0))
+    return SpectrumResult(
+        ground_energy=factor * canonical.ground_energy,
+        optimal_basis_scale=canonical.optimal_basis_scale * (b / a) ** (1.0 / (k + 1.0)),
+        coefficients=canonical.coefficients,
+        convergence_estimate=factor * canonical.convergence_estimate,
+        warnings=list(canonical.warnings),
     )
 
 
@@ -178,7 +219,7 @@ def lower_bound(spec: ProblemSpec, name: str, config: SolverConfig | None = None
     reason = row.missing(spec.n, spec.mass)
     if reason:
         raise ValueError(f"{row.derivation} {reason}")
-    return _bound(spec, row, _solve(spec, row.lam(spec.n), config))
+    return _bounds(spec, config)(row)
 
 
 def gaussian_upper(
@@ -265,19 +306,13 @@ def _table(n: int, mass: float, bound: Callable[[Reduction], object]):
 def compute_bounds(spec: ProblemSpec, config: SolverConfig | None = None) -> BoundSet:
     """Evaluate every applicable bound and validate the sandwich.
 
-    Reductions with equal ``lam`` share one solve.  The Gaussian upper bound
-    must dominate every lower bound; a violation beyond the solver's own
-    convergence scale indicates an internal error and raises RuntimeError.
+    Reductions with equal ``lam`` share one solve, and a massless single-term
+    power law needs one solve for all of them (see :func:`_bounds`).  The
+    Gaussian upper bound must dominate every lower bound; a violation beyond
+    the solver's own convergence scale indicates an internal error and raises
+    RuntimeError.
     """
-    spectra: dict[float, SpectrumResult] = {}
-
-    def solve(row: Reduction) -> BoundResult:
-        lam = row.lam(spec.n)
-        if lam not in spectra:
-            spectra[lam] = _solve(spec, lam, config)
-        return _bound(spec, row, spectra[lam])
-
-    lower, reasons = _table(spec.n, spec.mass, solve)
+    lower, reasons = _table(spec.n, spec.mass, _bounds(spec, config))
     cfg = config if config is not None else SolverConfig()
     upper = gaussian_upper(spec, quadrature_order=cfg.quadrature_order)
 

@@ -1,9 +1,10 @@
 """Attractive radial pair potentials.
 
 The solver and the bound formulas dispatch on a closed family of potential
-shapes rather than accepting arbitrary callables: the Coulomb singularity,
-the scaling laws and the stability guard all need to know which shape they
-are dealing with.
+shapes rather than accepting arbitrary callables.  Every shape is a sum of
+power terms c r^k, listed by ``terms()``: the solver assembles its matrices
+from them, and the homogeneity degree behind the scaling law and the
+Coulomb strength behind the stability guard are read off them.
 """
 
 from __future__ import annotations
@@ -38,18 +39,24 @@ class PairPotential:
     Subclasses are immutable value objects, safe to share between threads.
     ``__call__`` evaluates V(r) for scalar or array ``r``; it raises
     ValueError for r < 0, and at r = 0 where V has a Coulomb singularity.
+    ``terms()`` gives the same V as its power terms.
     """
 
     def __call__(self, r):
         raise NotImplementedError
 
+    def terms(self) -> tuple[tuple[float, float], ...]:
+        """V as a sum of power terms: ((c, k), ...) with V(r) = sum c r^k."""
+        raise NotImplementedError
+
     def homogeneity_degree(self) -> float | None:
         """Degree k with V(s r) = s^k V(r), or None for inhomogeneous shapes."""
-        return None
+        degrees = {k for _, k in self.terms()}
+        return degrees.pop() if len(degrees) == 1 else None
 
     def coulomb_strength(self) -> float:
         """Coefficient v of an attractive -v/r component (0 if absent)."""
-        return 0.0
+        return sum((-c for c, k in self.terms() if k == -1.0), 0.0)
 
     def spec(self) -> str:
         """Textual form accepted by :func:`parse_potential`."""
@@ -69,8 +76,8 @@ class Linear(PairPotential):
     def __call__(self, r):
         return self.slope * _radius(r, allow_zero=True)
 
-    def homogeneity_degree(self) -> float:
-        return 1.0
+    def terms(self):
+        return ((self.slope, 1.0),)
 
     def spec(self) -> str:
         return f"linear:{_num(self.slope)}"
@@ -89,11 +96,8 @@ class Coulomb(PairPotential):
     def __call__(self, r):
         return -self.strength / _radius(r, allow_zero=False)
 
-    def homogeneity_degree(self) -> float:
-        return -1.0
-
-    def coulomb_strength(self) -> float:
-        return self.strength
+    def terms(self):
+        return ((-self.strength, -1.0),)
 
     def spec(self) -> str:
         return f"coulomb:{_num(self.strength)}"
@@ -113,8 +117,8 @@ class Harmonic(PairPotential):
         r = _radius(r, allow_zero=True)
         return self.strength * r * r
 
-    def homogeneity_degree(self) -> float:
-        return 2.0
+    def terms(self):
+        return ((self.strength, 2.0),)
 
     def spec(self) -> str:
         return f"harmonic:{_num(self.strength)}"
@@ -139,14 +143,10 @@ class CoulombPlusLinear(PairPotential):
             return self.slope * r
         return self.slope * r - self.coulomb / r
 
-    def homogeneity_degree(self) -> float | None:
-        # The two terms scale with different degrees unless one is absent.
+    def terms(self):
         if self.coulomb == 0.0:
-            return 1.0
-        return None
-
-    def coulomb_strength(self) -> float:
-        return self.coulomb
+            return ((self.slope, 1.0),)
+        return ((self.slope, 1.0), (-self.coulomb, -1.0))
 
     def spec(self) -> str:
         return f"coulomb+linear:{_num(self.coulomb)},{_num(self.slope)}"
@@ -169,8 +169,8 @@ class PowerLaw(PairPotential):
         r = _radius(r, allow_zero=True)
         return self.coefficient * r**self.exponent
 
-    def homogeneity_degree(self) -> float:
-        return self.exponent
+    def terms(self):
+        return ((self.coefficient, self.exponent),)
 
     def spec(self) -> str:
         return f"power:{_num(self.coefficient)},{_num(self.exponent)}"

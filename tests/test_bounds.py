@@ -14,7 +14,14 @@ from salbound.bounds import (
     ratio_table,
     upper_gaussian_linear,
 )
-from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
+from salbound.potentials import (
+    Coulomb,
+    CoulombPlusLinear,
+    Harmonic,
+    Linear,
+    PowerLaw,
+    parse_potential,
+)
 from salbound.solver import LINEAR_GROUND_ENERGY, ReducedHamiltonian, SolverConfig, ground_energy
 
 E = LINEAR_GROUND_ENERGY
@@ -193,10 +200,9 @@ def test_compute_bounds_reasons_and_ordering():
     assert bounds3.reasons["n4"] == "requires n >= 4"
 
 
-@pytest.mark.parametrize(
-    "n, mass, solves", [(2, 0.0, 1), (3, 0.0, 2), (4, 0.0, 3), (4, 1.0, 3), (5, 0.0, 4)]
-)
-def test_compute_bounds_solves_each_kinetic_factor_once(monkeypatch, n, mass, solves):
+def count_solves(monkeypatch, spec, solves):
+    """compute_bounds(spec) after checking its ground_energy calls and that
+    every row equals lower_bound's."""
     calls = []
 
     def counting(hamiltonian, config=None):
@@ -204,12 +210,70 @@ def test_compute_bounds_solves_each_kinetic_factor_once(monkeypatch, n, mass, so
         return ground_energy(hamiltonian, config)
 
     monkeypatch.setattr(salbound.bounds, "ground_energy", counting)
-    bounds = compute_bounds(ProblemSpec(n, mass, Linear(1.0)), SolverConfig(basis_size=16))
+    cfg = SolverConfig(basis_size=16)
+    bounds = compute_bounds(spec, cfg)
     assert len(calls) == solves
+    for name, value in bounds.lower_values().items():
+        assert value == lower_bound(spec, name, cfg).value, name
+    return bounds
+
+
+@pytest.mark.parametrize(
+    "n, mass, solves", [(2, 0.0, 1), (3, 0.0, 1), (4, 0.0, 1), (4, 1.0, 3), (5, 0.0, 1)]
+)
+def test_compute_bounds_solves_each_kinetic_factor_once(monkeypatch, n, mass, solves):
+    bounds = count_solves(monkeypatch, linear_spec(n, mass), solves)
     if n == 3:
         assert bounds.n3.value == bounds.conjectured.value
     if n == 4 and mass == 0.0:
         assert bounds.n4.value == bounds.conjectured.value
+
+
+@pytest.mark.parametrize(
+    "potential, n, solves", [("coulomb+linear:0.3,1", 4, 3), ("power:1,1.5", 10**4, 1)]
+)
+def test_compute_bounds_solve_count_by_shape(monkeypatch, potential, n, solves):
+    count_solves(monkeypatch, ProblemSpec(n, 0.0, parse_potential(potential)), solves)
+
+
+@pytest.mark.parametrize(
+    "potential, basis", [("power:1.1,0.5", 24), ("linear:1.3", 24), ("linear:1.3", 40)]
+)
+def test_large_n_massless_power_law_is_not_pinned(potential, basis):
+    # At N = 10^4 the optimal basis scale of the reduced operator lies far
+    # beyond the default interval; a solve pinned at its endpoint overstates
+    # the "lower bound" (by 18.5%, 2.4% and 0.56% for these cases).
+    n = 10**4
+    potential = parse_potential(potential)
+    spec = ProblemSpec(n, 0.0, potential)
+    cfg = SolverConfig(basis_size=basis)
+    wide = SolverConfig(basis_size=basis, scale_interval=(0.05, 1e5))
+    reference = ground_energy(ReducedHamiltonian(1.0, 1.0, (n - 1) / 2.0, 0.0, potential), wide)
+    assert not any("endpoint" in w for w in reference.warnings)
+    n2 = compute_bounds(spec, cfg).n2
+    assert n2.value == pytest.approx(n * reference.ground_energy, rel=1e-12)
+    assert not any("endpoint" in w for w in n2.spectrum.warnings)
+    assert n2.value == pytest.approx(lower_bound(spec, "n2", wide).value, rel=1e-12)
+
+
+def test_massless_power_law_rows_follow_the_dilation_law():
+    # every row of the single canonical solve matches a direct solve of its
+    # own reduced operator
+    cfg = SolverConfig(basis_size=24)
+    for n, potential in ((4, Harmonic(0.7)), (6, PowerLaw(1.4, 1.7)), (3, Linear(0.8))):
+        spec = ProblemSpec(n, 0.0, potential)
+        for name, result in compute_bounds(spec, cfg).lower_results().items():
+            if result is None:
+                continue
+            reduced = ReducedHamiltonian(1.0, result.kinetic_factor, (n - 1) / 2.0, 0.0, potential)
+            direct = ground_energy(reduced, cfg)
+            assert result.value == pytest.approx(n * direct.ground_energy, rel=1e-13), name
+            assert result.spectrum.convergence_estimate == pytest.approx(
+                direct.convergence_estimate, rel=1e-6, abs=1e-13
+            )
+            assert result.spectrum.optimal_basis_scale == pytest.approx(
+                direct.optimal_basis_scale, rel=1e-3
+            )
 
 
 def test_sandwich_holds_across_potential_family():

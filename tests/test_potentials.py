@@ -119,3 +119,35 @@ def test_coulomb_strength_accessor():
     assert Linear(1.0).coulomb_strength() == 0.0
     assert Coulomb(0.7).coulomb_strength() == 0.7
     assert CoulombPlusLinear(0.3, 1.0).coulomb_strength() == 0.3
+    assert CoulombPlusLinear(0.0, 1.0).coulomb_strength() == 0.0
+    assert Harmonic(2.0).coulomb_strength() == 0.0
+    assert PowerLaw(1.0, 1.5).coulomb_strength() == 0.0
+
+
+def test_terms_list_each_power():
+    assert Linear(1.3).terms() == ((1.3, 1.0),)
+    assert Coulomb(0.4).terms() == ((-0.4, -1.0),)
+    assert Harmonic(2.0).terms() == ((2.0, 2.0),)
+    assert PowerLaw(0.9, 1.7).terms() == ((0.9, 1.7),)
+    assert CoulombPlusLinear(0.5, 1.2).terms() == ((1.2, 1.0), (-0.5, -1.0))
+    assert CoulombPlusLinear(0.0, 1.2).terms() == ((1.2, 1.0),)
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [
+        Linear(1.3),
+        Coulomb(0.4),
+        Harmonic(2.0),
+        PowerLaw(0.9, 1.7),
+        PowerLaw(2.0, 0.5),
+        CoulombPlusLinear(0.5, 1.2),
+        CoulombPlusLinear(0.0, 1.2),
+    ],
+)
+def test_terms_sum_to_the_potential(potential):
+    r = np.geomspace(1e-3, 40.0, 301)
+    parts = [c * r**k for c, k in potential.terms()]
+    # relative to the size of the terms: b r - v/r cancels near its zero
+    scale = np.sum(np.abs(parts), axis=0)
+    assert np.all(np.abs(np.sum(parts, axis=0) - potential(r)) <= 1e-15 * scale)

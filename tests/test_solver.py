@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear
+from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
 from salbound.solver import (
     COULOMB_CRITICAL_COUPLING,
     LINEAR_GROUND_ENERGY,
@@ -14,6 +14,7 @@ from salbound.solver import (
     StabilityError,
     ground_energy,
     kinetic_matrix,
+    map_scale,
     minimize_log_golden,
     potential_matrix,
     radial_basis,
@@ -89,6 +90,47 @@ def test_fourier_self_duality_up_to_phase():
     assert np.abs(np.abs(k) - np.abs(u)).max() < 1e-10
     sign = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
     np.testing.assert_allclose(k, u * np.outer(sign, sign), atol=1e-12)
+
+
+def quadrature_build(h, basis_size, sigma, order):
+    """Kinetic plus potential matrix by direct radial quadrature of the
+    operator's own integrands, sign-flipped for the Fourier phases."""
+    y, wy = semi_infinite_rule(order, map_scale(basis_size))
+    keep = y < 38.0
+    y = y[keep]
+    wy2 = wy[keep] * y * y
+    table = radial_basis(basis_size, y)
+    sign = np.where(np.arange(basis_size) % 2 == 0, 1.0, -1.0)
+    f = h.beta * np.sqrt(h.lam * (sigma * y) ** 2 + h.mass**2)
+    kinetic = (table * (wy2 * f)) @ table.T * np.outer(sign, sign)
+    potential = (table * (wy2 * h.gamma * h.potential(y / sigma))) @ table.T
+    return kinetic + potential
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [
+        Linear(1.3),
+        Coulomb(0.3),
+        Harmonic(0.8),
+        PowerLaw(1.1, 1.5),
+        CoulombPlusLinear(0.0, 1.2),
+        CoulombPlusLinear(0.3, 1.2),
+    ],
+)
+@pytest.mark.parametrize("mass", [0.0, 0.7])
+@pytest.mark.parametrize("basis_size, order", [(24, 400), (40, 400), (24, 800), (40, 800)])
+def test_term_matrices_match_quadrature_build(potential, mass, basis_size, order):
+    h = ReducedHamiltonian(1.0, 4.0 / 3.0, 1.5, mass, potential)
+    for sigma in (0.07, 1.0, 9.0):
+        reference = quadrature_build(h, basis_size, sigma, order)
+        mat = kinetic_matrix(h.beta, h.lam, mass, basis_size, sigma, order) + potential_matrix(
+            potential, h.gamma, basis_size, sigma, order
+        )
+        largest = np.abs(reference).max()
+        assert np.abs(mat - reference).max() <= 1e-14 * largest
+        lowest = np.linalg.eigvalsh(mat)[0] - np.linalg.eigvalsh(reference)[0]
+        assert abs(lowest) <= 1e-13 * largest
 
 
 def test_quadrature_self_check_warns_at_low_order():
