@@ -71,16 +71,6 @@ def _g(value: float) -> str:
     return format(value, ".6g")
 
 
-def _worker_cap() -> int:
-    raw = os.environ.get("SALBOUND_THREADS")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"SALBOUND_THREADS must be an integer, got {raw!r}") from None
-
-
 class _Options:
     """Flag values with config-file fallback and hard defaults."""
 
@@ -109,6 +99,13 @@ class _Options:
 
 
 def _positive(value, flag: str, kind=float, minimum=None, strict=True):
+    # a config file can hand over JSON booleans and fractions, which int()
+    # and float() would silently coerce or truncate
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        wanted = "an integer" if kind is int else "a number"
+        raise UsageError(f"--{flag} expects {wanted}, got {value!r}")
     try:
         value = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -382,7 +379,7 @@ def cmd_verify_delta(opt: _Options) -> tuple[dict, int]:
     samples = _positive(opt.get("samples"), "samples", int, 2, strict=False)
     seed = _positive(opt.get("seed"), "seed", int, 0, strict=False)
     shards = _positive(opt.get("shards"), "shards", int, 1, strict=False)
-    threads = min(_worker_cap(), shards)
+    threads = min(shards, os.cpu_count() or 1)
 
     regime = model_status(n, mass).label
     corpus = random_state_corpus(n, states, seed)
@@ -497,8 +494,11 @@ def render(report: dict, fmt: str) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"--out {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

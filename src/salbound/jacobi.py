@@ -31,15 +31,13 @@ def jacobi_matrix(n: int) -> np.ndarray:
 def to_jacobi(vectors: np.ndarray) -> np.ndarray:
     """Apply B along the particle axis of an (..., N, d) array."""
     vectors = np.asarray(vectors, dtype=float)
-    b = jacobi_matrix(vectors.shape[-2])
-    return np.einsum("ij,...jk->...ik", b, vectors)
+    return jacobi_matrix(vectors.shape[-2]) @ vectors
 
 
 def from_jacobi(jacobi_vectors: np.ndarray) -> np.ndarray:
     """Inverse transform, B being orthogonal this is B^T."""
     jacobi_vectors = np.asarray(jacobi_vectors, dtype=float)
-    b = jacobi_matrix(jacobi_vectors.shape[-2])
-    return np.einsum("ji,...jk->...ik", b, jacobi_vectors)
+    return jacobi_matrix(jacobi_vectors.shape[-2]).T @ jacobi_vectors
 
 
 def total_momentum(momenta: np.ndarray) -> np.ndarray:

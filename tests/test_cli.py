@@ -286,16 +286,6 @@ def test_verify_delta_exit_codes_track_regime_and_findings():
     assert proc.returncode == 0  # conjectured regime never signals exit 4
 
 
-def test_verify_delta_thread_cap_does_not_change_results():
-    args = (
-        "verify-delta", "--n", "3", "--mass", "0", "--states", "2",
-        "--samples", "4000", "--seed", "7", "--shards", "4", "--format", "json",
-    )
-    serial = run_cli(*args, env={"SALBOUND_THREADS": "1"})
-    threaded = run_cli(*args, env={"SALBOUND_THREADS": "4"})
-    assert serial.stdout == threaded.stdout
-
-
 def test_verify_delta_text_verdict():
     proc = run_cli(
         "verify-delta", "--n", "4", "--mass", "0.5", "--states", "2",
@@ -326,6 +316,19 @@ def test_bad_config_file_exits_2(tmp_path):
     config.write_text("{not json")
     proc = run_cli("bounds", "--config", str(config))
     assert proc.returncode == 2
+    # integer flags refuse what int() would truncate or coerce
+    for command, values, flag in (
+        ("linear-table", {"n": 3.9}, "--n"),
+        ("verify-delta", {"samples": True}, "--samples"),
+        ("bounds", {"n": False}, "--n"),
+    ):
+        config.write_text(json.dumps(values))
+        proc = run_cli(command, "--config", str(config))
+        assert proc.returncode == 2, values
+        assert f"{flag} expects an integer" in proc.stderr
+        assert proc.stdout == ""
+    config.write_text(json.dumps({"n": 4.0}))
+    assert parse_json(run_cli("linear-table", "--config", str(config), "--format", "json"))["n"] == 4
 
 
 def test_out_writes_file(tmp_path):
@@ -335,6 +338,14 @@ def test_out_writes_file(tmp_path):
     assert proc.stdout == ""
     report = json.loads(out.read_text())
     assert report["header"]["command"] == "linear-table"
+
+
+def test_unwritable_out_exits_2(tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    proc = run_cli("table1", "--out", str(target))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: --out {target}: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_delta_one_sample_exits_2():
