@@ -27,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import model_status
-from .jacobi import from_jacobi, require_zero_total_momentum
+from .jacobi import jacobi_matrix, require_zero_total_momentum
 
-
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+# Samples per block of the sampler and the reduction.  Both work on
+# (3, N, samples) blocks with samples innermost, so every elementwise pass runs
+# over long contiguous rows, and their working memory is O(_CHUNK * N) at any N.
+_CHUNK = 8192
 
 
 def delta_value(mass: float, momenta: np.ndarray) -> float:
@@ -54,14 +55,25 @@ def _kinetic_terms(mass: float, momenta: np.ndarray) -> tuple[np.ndarray, np.nda
     array: sum_i sqrt(p_i^2 + m^2) and
     2/(N-1) sum_{i<j} sqrt((N-1)/(2N) (p_i - p_j)^2 + m^2).  Each is N times
     the sample's mean one-particle or pair term."""
-    n = momenta.shape[1]
-    kinetic = np.sqrt((momenta**2).sum(axis=2) + mass * mass).sum(axis=1)
+    count, n = momenta.shape[:2]
+    m2 = mass * mass
     coef = (n - 1) / (2.0 * n)
-    pair_sum = 0.0
-    for i, j in _pairs(n):
-        d2 = ((momenta[:, i] - momenta[:, j]) ** 2).sum(axis=1)
-        pair_sum = pair_sum + np.sqrt(coef * d2 + mass * mass)
-    return kinetic, (2.0 / (n - 1)) * pair_sum
+    kinetic, pair_sum = np.empty(count), np.zeros(count)
+    for start in range(0, count, _CHUNK):
+        stop = min(start + _CHUNK, count)
+        p = np.ascontiguousarray(momenta[start:stop].transpose(2, 1, 0))
+        x, y, z = p
+        kinetic[start:stop] = np.sqrt(x * x + y * y + z * z + m2).sum(axis=0)
+        # particle i against all its partners j > i in one broadcast
+        for i in range(n - 1):
+            d = p[:, i : i + 1] - p[:, i + 1 :]
+            d *= d
+            d2 = d.sum(axis=0)
+            d2 *= coef
+            d2 += m2
+            pair_sum[start:stop] += np.sqrt(d2, out=d2).sum(axis=0)
+    pair_sum *= 2.0 / (n - 1)
+    return kinetic, pair_sum
 
 
 def delta_batch(mass: float, momenta: np.ndarray) -> np.ndarray:
@@ -178,21 +190,31 @@ def sample_momenta(
 ) -> np.ndarray:
     """Draw (count, N, 3) particle momenta from the state.
 
-    Jacobi momenta are drawn from the mixture (the component first, then
-    its normal deviates), the total-momentum coordinate is pinned to zero,
-    and the inverse Jacobi transform produces particle momenta.
-    Deterministic for a fixed (state, count, seed, shard_index).
+    Jacobi momenta are drawn from the mixture (the components of all samples
+    first, then their normal deviates in sample order), the total-momentum
+    coordinate is pinned to zero, and the inverse Jacobi transform produces
+    particle momenta.  The result is a transposed view of a (3, N, count)
+    array.  Deterministic for a fixed (state, count, seed, shard_index).
     """
     if count < 1:
         raise ValueError("sample count must be at least 1")
     rng = _shard_rng(seed, shard_index)
     n = state.n_particles
     component = rng.choice(state.n_components, size=count, p=state.weights)
-    relative = state.centers[component] + state.widths[component] * rng.normal(
-        size=(count, n - 1, 3)
-    )
-    full = np.concatenate([np.zeros((count, 1, 3)), relative], axis=1)
-    return from_jacobi(full)
+    centers, widths = state.centers.T, state.widths.T
+    # B^T without its total-momentum column maps Jacobi to particle momenta
+    to_particles = jacobi_matrix(n)[1:].T
+    out = np.empty((3, n, count))
+    for start in range(0, count, _CHUNK):
+        stop = min(start + _CHUNK, count)
+        picked = component[start:stop]
+        # sequential draws of (rows, N-1, 3) continue one draw of (count, N-1, 3)
+        deviates = rng.normal(size=(stop - start, n - 1, 3))
+        q = np.take(widths, picked, axis=2)
+        q *= deviates.transpose(2, 1, 0)
+        q += np.take(centers, picked, axis=2)
+        np.matmul(to_particles, q, out=out[:, :, start:stop])
+    return out.transpose(2, 1, 0)
 
 
 @dataclass

@@ -286,6 +286,23 @@ def test_verify_delta_exit_codes_track_regime_and_findings():
     assert proc.returncode == 0  # conjectured regime never signals exit 4
 
 
+def test_verify_delta_at_many_particles():
+    # N = 300: the reduction runs one broadcast per particle; its mean is the
+    # pair loop's over the same draws
+    from salbound.delta import random_state_corpus
+
+    from delta_reference import reference_kinetic_terms, reference_sample_momenta
+
+    proc = run_cli(
+        "verify-delta", "--n", "300", "--states", "1", "--samples", "200", "--format", "json",
+    )
+    assert proc.returncode == 0, proc.stderr
+    mean = json.loads(proc.stdout)["results"][0]["mean"]
+    state = random_state_corpus(300, 1, 42)[0]
+    kinetic, pair_terms = reference_kinetic_terms(0.0, reference_sample_momenta(state, 200, 42))
+    assert mean == pytest.approx(float((kinetic - pair_terms).mean()), rel=1e-12)
+
+
 def test_verify_delta_text_verdict():
     proc = run_cli(
         "verify-delta", "--n", "4", "--mass", "0.5", "--states", "2",

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from salbound.delta import (
+    _CHUNK,
     SymmetrizedGaussianState,
+    _kinetic_terms,
     delta_batch,
     delta_value,
     expectation_delta,
@@ -18,6 +21,7 @@ from salbound.delta import (
 from salbound.bounds import model_status
 from salbound.jacobi import jacobi_matrix
 
+from delta_reference import reference_kinetic_terms, reference_sample_momenta
 from exact_delta import exact_delta_expectation
 
 
@@ -181,6 +185,21 @@ def test_sampling_is_deterministic_and_translation_invariant():
     assert totals.max() <= 1e-12 * max(1.0, np.abs(first).max())
 
 
+@pytest.mark.parametrize("n", (2, 3, 4, 7))
+def test_chunked_sampling_continues_one_draw(n):
+    # the sampler draws its normal deviates in blocks of _CHUNK samples; the
+    # blocks must continue one another exactly, so the momenta agree with one
+    # draw of all deviates (a reordered or skipped draw moves whole samples)
+    state = random_state_corpus(n, 2, master_seed=n)[1]
+    for count in (2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5):
+        for shard_index in (0, 2):
+            momenta = sample_momenta(state, count, seed=13, shard_index=shard_index)
+            reference = reference_sample_momenta(state, count, 13, shard_index)
+            assert momenta.shape == reference.shape
+            scale = np.abs(reference).max()
+            assert np.abs(momenta - reference).max() <= 1e-15 * scale, (count, shard_index)
+
+
 def test_sample_means_vanish_for_centered_state():
     state = isotropic_state(3)
     momenta = sample_momenta(state, 100000, seed=3)
@@ -222,10 +241,51 @@ def test_single_shard_matches_direct_computation():
 
 
 def test_sharded_runs_are_deterministic_and_thread_independent():
-    state = random_state_corpus(3, 1, master_seed=6)[0]
-    a = expectation_delta(state, 0.0, 8000, seed=12, shard_count=4, threads=1)
-    b = expectation_delta(state, 0.0, 8000, seed=12, shard_count=4, threads=4)
-    assert (a.mean, a.stderr, a.k_mean, a.q_mean) == (b.mean, b.stderr, b.k_mean, b.q_mean)
+    # 4 x 9000 samples puts every shard across a block boundary of the sampler
+    for n, samples in ((3, 8000), (4, 36000)):
+        state = random_state_corpus(n, 1, master_seed=6)[0]
+        a = expectation_delta(state, 0.0, samples, seed=12, shard_count=4, threads=1)
+        b = expectation_delta(state, 0.0, samples, seed=12, shard_count=4, threads=4)
+        assert a == b
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 8, 40))
+@pytest.mark.parametrize("mass", (0.0, 0.7))
+def test_reduction_matches_pair_loop(n, mass):
+    # the reduction against a loop over pairs, on the layout sample_momenta
+    # returns (above one block of samples), a C-contiguous copy and a strided
+    # view (below one block)
+    state = random_state_corpus(n, 1, master_seed=50 + n)[0]
+    drawn = sample_momenta(state, _CHUNK + 3, seed=8)
+    kinetic, pair_terms = reference_kinetic_terms(mass, np.ascontiguousarray(drawn))
+    layouts = (
+        (drawn, slice(None)),
+        (np.ascontiguousarray(drawn), slice(None)),
+        (drawn[::2], slice(None, None, 2)),
+    )
+    for momenta, rows in layouts:
+        want_k, want_p = kinetic[rows], pair_terms[rows]
+        got_k, got_p = _kinetic_terms(mass, momenta)
+        np.testing.assert_allclose(got_k, want_k, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(got_p, want_p, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(
+            delta_batch(mass, momenta), want_k - want_p, rtol=0.0, atol=1e-13 * want_k.max()
+        )
+
+
+def test_expectation_delta_working_memory_is_linear():
+    # the peak is the (3, N, samples) buffer of the sampler plus a few
+    # per-sample arrays; full-size (samples, N, 3) temporaries would double it
+    state = random_state_corpus(4, 1, master_seed=29)[0]
+    samples = 200000
+    expectation_delta(state, 0.5, 1000, seed=1)
+    tracemalloc.start()
+    try:
+        expectation_delta(state, 0.5, samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * samples * state.n_particles
 
 
 def anisotropic_analytic_mean(a, b):
