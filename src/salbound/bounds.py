@@ -222,6 +222,26 @@ def lower_bound(spec: ProblemSpec, name: str, config: SolverConfig | None = None
     return _bounds(spec, config)(row)
 
 
+def _pair_moment(k: float) -> float:
+    """<y^k> = Γ((3+k)/2)/Γ(3/2) of the unit Gaussian pair density
+    (4/sqrt(pi)) y^2 e^(-y^2); k = 1 also gives <|p|> sigma = 2/sqrt(pi)."""
+    return math.gamma((3.0 + k) / 2.0) / math.gamma(1.5)
+
+
+def _massless_gaussian(n: int, terms) -> tuple[float, list[tuple[float, float]]]:
+    """(A, [(B_k, k), ...]) with the massless Gaussian bound A/sigma + sum B_k sigma^k."""
+    gamma = n * (n - 1) / 2.0
+    return n * math.sqrt(_MODEL.lam(n)) * _pair_moment(1.0), [
+        (gamma * c * _pair_moment(k), k) for c, k in terms
+    ]
+
+
+def _power_optimum(a: float, b: float, k: float) -> tuple[float, float]:
+    """Minimum and minimizer of a/sigma + b sigma^k over sigma > 0 (a, b, k > 0)."""
+    sigma = (a / (k * b)) ** (1.0 / (k + 1.0))
+    return (1.0 + 1.0 / k) * a / sigma, sigma
+
+
 def gaussian_upper(
     spec: ProblemSpec,
     quadrature_order: int = 400,
@@ -232,26 +252,40 @@ def gaussian_upper(
 
     Boson symmetry collapses the expectation to a single relative pair, with
     the kinetic term evaluated on sqrt(lam p^2 + m^2) at the model-operator
-    ``lam``.  The bound is minimized over the Gaussian length scale with the
-    same golden-section scheme as the solver.  For the massless linear
-    potential the minimum has the closed form :func:`upper_gaussian_linear`.
+    ``lam``.  At m = 0 the energy is A/sigma + sum B_k sigma^k in closed form
+    from the pair moments <|p|> = (2/sqrt(pi))/sigma and
+    <r^k> = sigma^k Γ((3+k)/2)/Γ(3/2); a single term with k > 0 has its
+    optimum in closed form (the massless linear one is
+    :func:`upper_gaussian_linear`), other potentials search that energy over
+    the Gaussian length scale.  At m > 0 the kinetic term is a radial
+    quadrature and the same search applies.
     """
     if quadrature_order < 16:
         raise ValueError("quadrature order must be at least 16")
-    y, wy = semi_infinite_rule(quadrature_order, 2.0)
-    keep = y < 38.0
-    y = y[keep]
-    # |phi_0|^2 y^2 dy weights for the unit Gaussian, normalized on y^2 dy
-    rho = (4.0 / math.sqrt(math.pi)) * wy[keep] * y * y * np.exp(-y * y)
-    lam = _MODEL.lam(spec.n)
-    gamma = float(spec.pair_count)
-    mass = spec.mass
-    potential = spec.potential
+    if spec.mass == 0.0:
+        kinetic, powers = _massless_gaussian(spec.n, spec.potential.terms())
+        if len(powers) == 1 and powers[0][1] > 0.0:
+            value, sigma = _power_optimum(kinetic, *powers[0])
+            return UpperBoundResult(value=value, optimal_scale=sigma, warnings=[])
 
-    def energy(sigma: float) -> float:
-        kinetic = float(rho @ np.sqrt(lam * (y / sigma) ** 2 + mass * mass))
-        pot = float(rho @ np.asarray(potential(sigma * y), dtype=float))
-        return spec.n * kinetic + gamma * pot
+        def energy(sigma: float) -> float:
+            return kinetic / sigma + sum(b * sigma**k for b, k in powers)
+
+    else:
+        y, wy = semi_infinite_rule(quadrature_order, 2.0)
+        keep = y < 38.0
+        y = y[keep]
+        # |phi_0|^2 y^2 dy weights for the unit Gaussian, normalized on y^2 dy
+        rho = (4.0 / math.sqrt(math.pi)) * wy[keep] * y * y * np.exp(-y * y)
+        lam = _MODEL.lam(spec.n)
+        gamma = float(spec.pair_count)
+        mass = spec.mass
+        potential = spec.potential
+
+        def energy(sigma: float) -> float:
+            kinetic = float(rho @ np.sqrt(lam * (y / sigma) ** 2 + mass * mass))
+            pot = float(rho @ np.asarray(potential(sigma * y), dtype=float))
+            return spec.n * kinetic + gamma * pot
 
     lo, hi = scale_interval
     best = minimize_log_golden(energy, lo, hi, scale_tolerance)
@@ -332,8 +366,9 @@ def compute_bounds(spec: ProblemSpec, config: SolverConfig | None = None) -> Bou
 
 
 def upper_gaussian_linear(n: int) -> float:
-    """4N ((N-1)^3 / (2 N pi^2))^(1/4)."""
-    return 4.0 * n * ((n - 1) ** 3 / (2.0 * n * math.pi**2)) ** 0.25
+    """4N ((N-1)^3 / (2 N pi^2))^(1/4), the k = 1 case of the massless Gaussian bound."""
+    kinetic, ((b, k),) = _massless_gaussian(n, ((1.0, 1.0),))
+    return _power_optimum(kinetic, b, k)[0]
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,8 @@ COULOMB_CRITICAL_COUPLING = 2.0 / math.pi
 #: a quadrature warning is recorded.
 QUADRATURE_SELF_CHECK_TOL = 1e-10
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Golden-section step as a fraction of the bracket, (3 - sqrt 5)/2.
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 class StabilityError(ValueError):
@@ -155,9 +156,14 @@ def _node_table(basis_size: int, order: int):
     return y, wy2, table
 
 
-def _symmetrized(product: np.ndarray) -> np.ndarray:
-    upper = np.triu(product)
-    return upper + np.triu(product, 1).T
+def _gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """table diag(weights) table^T for positive weights, exactly symmetric.
+
+    numpy evaluates ``a @ a.T`` as one symmetric rank-k update (BLAS syrk)
+    and mirrors its triangle.
+    """
+    a = table * np.sqrt(weights)
+    return a @ a.T
 
 
 @lru_cache(maxsize=8)
@@ -169,7 +175,7 @@ def _term_matrix(basis_size: int, order: int, k: float) -> np.ndarray:
     every scale of the search.
     """
     y, wy2, table = _node_table(basis_size, order)
-    mat = _symmetrized((table * (wy2 * y**k)) @ table.T)
+    mat = _gram(table, wy2 * y**k)
     mat.setflags(write=False)
     return mat
 
@@ -189,7 +195,7 @@ def _kinetic(beta, lam, mass, basis_size, basis_scale, order):
     else:
         y, wy2, table = _node_table(basis_size, order)
         f = beta * np.sqrt(lam * (basis_scale * y) ** 2 + mass * mass)
-        mat = _symmetrized((table * (wy2 * f)) @ table.T)
+        mat = _gram(table, wy2 * f)
     return mat * _fourier_signs(basis_size)
 
 
@@ -231,7 +237,7 @@ def kinetic_matrix(
     times the term matrix of y; the (-1)^(i+j) factors are the Fourier
     phases of the basis functions.  ``basis_scale`` is the
     momentum-space width of the lowest basis function (units 1/length).
-    The matrix is exactly symmetric (upper triangle mirrored).  When a list
+    The matrix is exactly symmetric (a symmetric rank-k product).  When a list
     is passed as ``diagnostics``, a doubled-order self-check may append a
     non-convergence warning to it.
     """
@@ -279,28 +285,77 @@ class GoldenResult:
 
 
 def minimize_log_golden(f, lo: float, hi: float, rel_tol: float) -> GoldenResult:
-    """Golden-section minimum of a unimodal f over [lo, hi] in log coordinates.
+    """Minimum of a unimodal f over [lo, hi] by Brent's method in log coordinates.
 
-    ``rel_tol`` bounds the relative uncertainty of the returned abscissa.
-    Flags indicate a minimum pinned at an interval endpoint.
+    Golden-section search with parabolic steps (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, in the form of fminbound): each
+    step takes the vertex of the parabola through the three best points when
+    it falls inside the bracket and moves less than half the step before
+    last, and a golden-section step otherwise.  No step is shorter than
+    rel_tol/3.  The search stops once the bracket around the best point is
+    within 2 rel_tol/3 on either side, so for a unimodal f the returned
+    abscissa is within ``rel_tol`` of the minimum in log coordinates (the
+    relative uncertainty of the abscissa).  Flags indicate a minimum pinned
+    at an interval endpoint; where the bracket never left an end and f is
+    no larger there, the end itself is returned.
     """
     a, b = math.log(lo), math.log(hi)
     a0, b0 = a, b
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(math.exp(c)), f(math.exp(d))
-    while (b - a) > rel_tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(math.exp(c))
+    tol1 = rel_tol / 3.0
+    # x: best point so far, w: second best, v: the previous w
+    x = w = v = a + _GOLDEN_STEP * (b - a)
+    fx = fw = fv = f(math.exp(x))
+    step = last = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        if abs(x - xm) <= 2.0 * tol1 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(last) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            before_last, last = last, step
+            if abs(p) < abs(0.5 * q * before_last) and q * (a - x) < p < q * (b - x):
+                golden = False
+                step = p / q
+                if x + step - a < 2.0 * tol1 or b - (x + step) < 2.0 * tol1:
+                    step = tol1 if xm >= x else -tol1
+        if golden:
+            last = (a if x >= xm else b) - x
+            step = _GOLDEN_STEP * last
+        u = x + (step if abs(step) >= tol1 else (tol1 if step >= 0.0 else -tol1))
+        fu = f(math.exp(u))
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(math.exp(d))
-    t, ft = (c, fc) if fc <= fd else (d, fd)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    sigma = math.exp(x)
+    if a == a0 or b == b0:
+        # the bracket still reaches an end, where the minimum may sit: report
+        # the end itself if it is no worse, so that a pinned result does not
+        # depend on how the search approached it
+        end = lo if a == a0 else hi
+        f_end = f(end)
+        if f_end <= fx:
+            sigma, fx, x = end, f_end, math.log(end)
     pad = 2.0 * rel_tol
-    return GoldenResult(math.exp(t), ft, t - a0 <= pad, b0 - t <= pad)
+    return GoldenResult(sigma, fx, x - a0 <= pad, b0 - x <= pad)
 
 
 def check_stability(h: ReducedHamiltonian) -> None:

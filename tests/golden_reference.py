@@ -1,0 +1,35 @@
+"""Reference scale search, for the tests.
+
+Plain golden-section search in log coordinates, as the solver ran it before
+it took parabolic steps: no interpolation, a fixed shrink per evaluation,
+and the same endpoint flags.  Run at a tight tolerance it locates the scale
+optimum independently of ``salbound.solver.minimize_log_golden``.
+"""
+
+from __future__ import annotations
+
+import math
+
+from salbound.solver import GoldenResult
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def reference_minimize_log_golden(f, lo: float, hi: float, rel_tol: float) -> GoldenResult:
+    a, b = math.log(lo), math.log(hi)
+    a0, b0 = a, b
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(math.exp(c)), f(math.exp(d))
+    while (b - a) > rel_tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(math.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(math.exp(d))
+    t, ft = (c, fc) if fc <= fd else (d, fd)
+    pad = 2.0 * rel_tol
+    return GoldenResult(math.exp(t), ft, t - a0 <= pad, b0 - t <= pad)

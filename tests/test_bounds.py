@@ -1,8 +1,12 @@
 import math
+import re
 
+import numpy as np
 import pytest
+from scipy import integrate
 
 import salbound.bounds
+import salbound.solver
 from salbound.bounds import (
     ProblemSpec,
     compute_bounds,
@@ -23,6 +27,8 @@ from salbound.potentials import (
     parse_potential,
 )
 from salbound.solver import LINEAR_GROUND_ENERGY, ReducedHamiltonian, SolverConfig, ground_energy
+
+from golden_reference import reference_minimize_log_golden
 
 E = LINEAR_GROUND_ENERGY
 
@@ -173,11 +179,108 @@ def test_gaussian_upper_matches_closed_form(n):
     assert result.value == pytest.approx(upper_gaussian_linear(n), rel=1e-7)
 
 
+def test_upper_gaussian_linear_is_the_k1_closed_form():
+    worst = max(
+        abs(upper_gaussian_linear(n) / (4.0 * n * ((n - 1) ** 3 / (2.0 * n * math.pi**2)) ** 0.25) - 1.0)
+        for n in range(2, 10001)
+    )
+    assert worst <= 1e-15
+
+
+def gaussian_energy_oracle(spec, sigma):
+    """The massless Gaussian bound at scale sigma by adaptive quadrature over
+    the pair density (4/sqrt(pi)) y^2 e^(-y^2)."""
+
+    def moment(g):
+        value, _ = integrate.quad(lambda y: g(y) * y * y * math.exp(-y * y), 0.0, np.inf,
+                                  epsabs=0.0, epsrel=1e-13)
+        return (4.0 / math.sqrt(math.pi)) * value
+
+    lam = 2.0 * (spec.n - 1) / spec.n
+    kinetic = spec.n * math.sqrt(lam) * moment(lambda y: y) / sigma
+    return kinetic + spec.pair_count * moment(lambda y: float(spec.potential(sigma * y)))
+
+
+@pytest.mark.parametrize(
+    "n, potential",
+    [
+        (2, Linear(1.0)),
+        (7, Harmonic(0.4)),
+        (1000, Linear(2.0)),
+        (10, PowerLaw(1.1, 0.5)),
+        (10, PowerLaw(0.3, 3.0)),
+        (4, CoulombPlusLinear(0.3, 1.0)),
+    ],
+)
+def test_massless_gaussian_upper_against_quadrature(n, potential):
+    spec = ProblemSpec(n, 0.0, potential)
+    result = gaussian_upper(spec)
+    assert result.warnings == []
+    assert result.value == pytest.approx(gaussian_energy_oracle(spec, result.optimal_scale), rel=1e-12)
+    for step in (0.99, 1.01):
+        assert gaussian_energy_oracle(spec, step * result.optimal_scale) > result.value
+
+
+def test_massless_gaussian_upper_is_not_pinned_at_large_n():
+    # the optimal scale 0.0376 lies below the default scale interval (0.05, 20)
+    result = gaussian_upper(ProblemSpec(1000, 0.0, Linear(2.0)))
+    assert result.value == pytest.approx(math.sqrt(2.0) * upper_gaussian_linear(1000), rel=1e-12)
+    assert result.value == pytest.approx(84804.1, abs=0.05)
+    assert result.optimal_scale < 0.05
+    assert result.warnings == []
+
+
 def test_gaussian_upper_dominates_two_body_energy_with_mass():
     spec = ProblemSpec(2, 1.0, Linear(1.0))
     upper = gaussian_upper(spec).value
     exact = 2.0 * ground_energy(ReducedHamiltonian(1.0, 1.0, 0.5, 1.0, Linear(1.0))).ground_energy
     assert upper >= exact
+
+
+# --- scale search against a reference golden section ----------------------------
+
+
+def _endpoint_warnings(bounds):
+    """Every warning of a bound set, with the reported optimum left out: where
+    a scale is pinned the two searches stop at different distances from the
+    same endpoint."""
+    results = [r for r in bounds.lower_results().values() if r is not None]
+    warnings = [w for r in results for w in r.spectrum.warnings] + bounds.upper.warnings
+    return [re.sub(r"optimum \S+", "optimum", w) for w in warnings]
+
+
+@pytest.mark.parametrize("basis_size", [24, 40])
+@pytest.mark.parametrize("n", [2, 4, 10])
+@pytest.mark.parametrize("mass", [0.0, 0.7])
+@pytest.mark.parametrize(
+    "potential",
+    ["linear:1.3", "coulomb:0.1", "harmonic:0.8", "power:1.1,1.5", "coulomb+linear:0.1,1.2"],
+)
+def test_bounds_match_reference_golden_search(monkeypatch, potential, mass, n, basis_size):
+    spec = ProblemSpec(n, mass, parse_potential(potential))
+    cfg = SolverConfig(basis_size=basis_size)
+    got = compute_bounds(spec, cfg)
+
+    def tight(f, lo, hi, rel_tol):
+        return reference_minimize_log_golden(f, lo, hi, 1e-9)
+
+    monkeypatch.setattr(salbound.solver, "minimize_log_golden", tight)
+    monkeypatch.setattr(salbound.bounds, "minimize_log_golden", tight)
+    want = compute_bounds(spec, cfg)
+
+    assert _endpoint_warnings(got) == _endpoint_warnings(want)
+    for name, result in want.lower_results().items():
+        if result is None:
+            assert got.lower_results()[name] is None
+            continue
+        value = got.lower_results()[name].value
+        if result.spectrum.warnings:
+            # pinned (massless Coulomb, whose energy is proportional to
+            # 1/sigma): the solver reports the endpoint itself, the reference
+            # stops within 2e-9 of it
+            assert value == pytest.approx(result.value, rel=1e-8), name
+        else:
+            assert value == pytest.approx(result.value, rel=1e-10), name
 
 
 # --- bound sets -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -142,6 +143,16 @@ def test_bounds_two_body_values():
     assert report["bounds"]["n2"] == pytest.approx(3.1568, abs=2e-3)
     assert report["bounds"]["conjectured"] == pytest.approx(3.1568, abs=2e-3)
     assert report["bounds"]["n3"] is None and report["bounds"]["n4"] is None
+
+
+def test_bounds_large_n_upper_is_the_gaussian_closed_form():
+    proc = run_cli("bounds", "--n", "1000", "--potential", "linear:2.0", "--format", "json")
+    report = parse_json(proc)
+    n = 1000
+    closed_form = 4.0 * n * (2.0 * (n - 1) ** 3 / (n * math.pi**2)) ** 0.25
+    assert report["bounds"]["upper"] == pytest.approx(closed_form, rel=1e-12)
+    assert report["bounds"]["upper"] == pytest.approx(84804.1, abs=0.05)
+    assert report["diagnostics"]["upper"]["warnings"] == []
 
 
 def test_bounds_csv_matches_json():

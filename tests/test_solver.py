@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from salbound import solver
 from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
 from salbound.solver import (
     COULOMB_CRITICAL_COUPLING,
@@ -93,8 +94,9 @@ def test_fourier_self_duality_up_to_phase():
 
 
 def quadrature_build(h, basis_size, sigma, order):
-    """Kinetic plus potential matrix by direct radial quadrature of the
-    operator's own integrands, sign-flipped for the Fourier phases."""
+    """Kinetic and potential matrices by direct radial quadrature of the
+    operator's own integrands, each as ``(table * w) @ table.T``, the kinetic
+    one sign-flipped for the Fourier phases."""
     y, wy = semi_infinite_rule(order, map_scale(basis_size))
     keep = y < 38.0
     y = y[keep]
@@ -104,7 +106,7 @@ def quadrature_build(h, basis_size, sigma, order):
     f = h.beta * np.sqrt(h.lam * (sigma * y) ** 2 + h.mass**2)
     kinetic = (table * (wy2 * f)) @ table.T * np.outer(sign, sign)
     potential = (table * (wy2 * h.gamma * h.potential(y / sigma))) @ table.T
-    return kinetic + potential
+    return kinetic, potential
 
 
 @pytest.mark.parametrize(
@@ -123,10 +125,15 @@ def quadrature_build(h, basis_size, sigma, order):
 def test_term_matrices_match_quadrature_build(potential, mass, basis_size, order):
     h = ReducedHamiltonian(1.0, 4.0 / 3.0, 1.5, mass, potential)
     for sigma in (0.07, 1.0, 9.0):
-        reference = quadrature_build(h, basis_size, sigma, order)
-        mat = kinetic_matrix(h.beta, h.lam, mass, basis_size, sigma, order) + potential_matrix(
-            potential, h.gamma, basis_size, sigma, order
-        )
+        kinetic_ref, potential_ref = quadrature_build(h, basis_size, sigma, order)
+        kinetic = kinetic_matrix(h.beta, h.lam, mass, basis_size, sigma, order)
+        potential_mat = potential_matrix(potential, h.gamma, basis_size, sigma, order)
+        for mat, ref in ((kinetic, kinetic_ref), (potential_mat, potential_ref)):
+            # one symmetric rank-k product: exactly symmetric, unlike the reference
+            assert np.array_equal(mat, mat.T)
+            assert np.abs(mat - ref).max() <= 1e-14 * np.abs(ref).max()
+        reference = kinetic_ref + potential_ref
+        mat = kinetic + potential_mat
         largest = np.abs(reference).max()
         assert np.abs(mat - reference).max() <= 1e-14 * largest
         lowest = np.linalg.eigvalsh(mat)[0] - np.linalg.eigvalsh(reference)[0]
@@ -236,6 +243,65 @@ def test_golden_section_finds_quadratic_minimum():
     assert not (res.at_lower or res.at_upper)
     res = minimize_log_golden(lambda x: x, 0.5, 2.0, 1e-6)
     assert res.at_lower and not res.at_upper
+
+
+def _minimum_grid(lo, hi, rel_tol):
+    """Log-abscissae across (lo, hi), beyond each end, at each end and within
+    a few rel_tol of each end."""
+    a, b = math.log(lo), math.log(hi)
+    near = [s * rel_tol for s in (-5.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 6.0)]
+    return [a + d for d in near] + list(np.linspace(a, b, 15)[1:-1]) + [b - d for d in near]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [lambda d: d * d + 0.25, lambda d: d**4],
+    ids=["quadratic", "quartic"],
+)
+@pytest.mark.parametrize("lo, hi, rel_tol", [(0.05, 20.0, 1e-4), (0.5, 2.0, 1e-6)])
+def test_minimizer_contract_on_log_grid(shape, lo, hi, rel_tol):
+    a, b = math.log(lo), math.log(hi)
+    for t in _minimum_grid(lo, hi, rel_tol):
+        res = minimize_log_golden(lambda x: shape(math.log(x) - t), lo, hi, rel_tol)
+        x = math.log(res.x)
+        assert abs(x - min(max(t, a), b)) <= rel_tol, t
+        assert res.fx == shape(x - t)
+        if t <= a or t >= b:
+            # a minimum at or beyond an end is reported at the end itself
+            assert res.x == (lo if t <= a else hi), t
+        # each flag is set within 2 rel_tol of its end; the abscissa is
+        # within rel_tol of the minimum, so a minimum within rel_tol of an
+        # end sets its flag and one 3 rel_tol or more inside clears it
+        for flag, gap in ((res.at_lower, t - a), (res.at_upper, b - t)):
+            if gap <= rel_tol:
+                assert flag, t
+            elif gap >= 3.0 * rel_tol:
+                assert not flag, t
+
+
+@pytest.mark.parametrize(
+    "potential, mass, basis_size, evaluations",
+    [
+        (Linear(1.0), 0.0, 40, 12),
+        (Harmonic(1.0), 1.0, 8, 34),
+        (CoulombPlusLinear(0.3, 1.0), 0.5, 40, 28),
+    ],
+    ids=["abs-p-plus-r-B40-12evals", "harmonic-m1-B8-34evals", "coulomb+linear-m0.5-B40-28evals"],
+)
+def test_scale_search_evaluation_count(monkeypatch, potential, mass, basis_size, evaluations):
+    # plain golden section takes 25 evaluations per search, two searches per
+    # solve.  The harmonic case runs at B = 8: at B = 40 its objective is flat
+    # to roundoff near the optimum, so the count follows the BLAS kernel.
+    calls = []
+    search = solver.minimize_log_golden
+
+    def counted(f, lo, hi, rel_tol):
+        return search(lambda sigma: calls.append(sigma) or f(sigma), lo, hi, rel_tol)
+
+    monkeypatch.setattr(solver, "minimize_log_golden", counted)
+    h = ReducedHamiltonian(1.0, 1.0, 1.0, mass, potential)
+    ground_energy(h, SolverConfig(basis_size=basis_size))
+    assert len(calls) == evaluations
 
 
 # --- reference constant -------------------------------------------------------
