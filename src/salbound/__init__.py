@@ -1,102 +1,82 @@
 """Rigorous energy bounds for semirelativistic N-boson systems.
 
 Units: hbar = c = 1 throughout.
+
+The public names below are loaded from their submodule on first access
+(PEP 562), so ``import salbound`` loads no submodule and each command of the
+CLI loads only the modules it runs.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    BoundResult,
-    BoundSet,
-    ConjectureStatus,
-    LinearBoundTable,
-    ProblemSpec,
-    RatioTable,
-    UpperBoundResult,
-    compute_bounds,
-    conjecture_status,
-    gaussian_upper,
-    linear_bound_table,
-    lower_bound,
-    model_status,
-    ratio_table,
-)
-from .delta import (
-    DeltaStats,
-    SymmetrizedGaussianState,
-    delta_value,
-    expectation_delta,
-    random_state_corpus,
-    regular_tetrahedron,
-    sample_momenta,
-    tetrahedron_relations,
-)
-from .jacobi import from_jacobi, jacobi_matrix, to_jacobi
-from .potentials import (
-    Coulomb,
-    CoulombPlusLinear,
-    Harmonic,
-    Linear,
-    PairPotential,
-    PotentialParseError,
-    PowerLaw,
-    parse_potential,
-)
-from .solver import (
-    COULOMB_CRITICAL_COUPLING,
-    LINEAR_GROUND_ENERGY,
-    ReducedHamiltonian,
-    SolverConfig,
-    SpectrumResult,
-    StabilityError,
-    ground_energy,
-    kinetic_matrix,
-    potential_matrix,
-    scaled_energy_linear,
-)
+# submodule -> the public names it defines; each name is listed once
+_EXPORTS = {
+    "bounds": (
+        "BoundResult",
+        "BoundSet",
+        "ConjectureStatus",
+        "LinearBoundTable",
+        "ProblemSpec",
+        "RatioTable",
+        "UpperBoundResult",
+        "compute_bounds",
+        "conjecture_status",
+        "gaussian_upper",
+        "linear_bound_table",
+        "lower_bound",
+        "model_status",
+        "ratio_table",
+    ),
+    "delta": (
+        "DeltaStats",
+        "SymmetrizedGaussianState",
+        "delta_value",
+        "expectation_delta",
+        "random_state_corpus",
+        "regular_tetrahedron",
+        "sample_momenta",
+        "tetrahedron_relations",
+    ),
+    "jacobi": ("from_jacobi", "jacobi_matrix", "to_jacobi"),
+    "potentials": (
+        "Coulomb",
+        "CoulombPlusLinear",
+        "Harmonic",
+        "Linear",
+        "PairPotential",
+        "PotentialParseError",
+        "PowerLaw",
+        "parse_potential",
+    ),
+    "solver": (
+        "COULOMB_CRITICAL_COUPLING",
+        "LINEAR_GROUND_ENERGY",
+        "ReducedHamiltonian",
+        "SolverConfig",
+        "SpectrumResult",
+        "StabilityError",
+        "ground_energy",
+        "kinetic_matrix",
+        "potential_matrix",
+        "scaled_energy_linear",
+    ),
+}
 
-__all__ = [
-    "BoundResult",
-    "BoundSet",
-    "COULOMB_CRITICAL_COUPLING",
-    "ConjectureStatus",
-    "Coulomb",
-    "CoulombPlusLinear",
-    "DeltaStats",
-    "Harmonic",
-    "LINEAR_GROUND_ENERGY",
-    "Linear",
-    "LinearBoundTable",
-    "PairPotential",
-    "PotentialParseError",
-    "PowerLaw",
-    "ProblemSpec",
-    "RatioTable",
-    "ReducedHamiltonian",
-    "SolverConfig",
-    "SpectrumResult",
-    "StabilityError",
-    "SymmetrizedGaussianState",
-    "UpperBoundResult",
-    "compute_bounds",
-    "conjecture_status",
-    "delta_value",
-    "expectation_delta",
-    "from_jacobi",
-    "gaussian_upper",
-    "ground_energy",
-    "jacobi_matrix",
-    "kinetic_matrix",
-    "linear_bound_table",
-    "lower_bound",
-    "model_status",
-    "parse_potential",
-    "potential_matrix",
-    "random_state_corpus",
-    "ratio_table",
-    "regular_tetrahedron",
-    "sample_momenta",
-    "scaled_energy_linear",
-    "tetrahedron_relations",
-    "to_jacobi",
-]
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .potentials import Harmonic, PairPotential, PowerLaw
+from .potentials import Harmonic, PairPotential, PowerLaw, require_finite
 from .quadrature import semi_infinite_rule
 from .solver import (
     LINEAR_GROUND_ENERGY,
@@ -97,6 +97,7 @@ class ProblemSpec:
     potential: PairPotential
 
     def __post_init__(self):
+        require_finite(self, "n", "mass")
         if self.n < 2:
             raise ValueError("need at least two particles")
         if self.mass < 0.0:

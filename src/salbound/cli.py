@@ -18,26 +18,16 @@ given on the command line win.  Exit codes: 0 success, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import os
 import sys
 
+# Only the modules every command needs load here; bounds, delta and csv load
+# inside the handlers and renderers that use them, so a cold ``solve`` never
+# pays for them.
 from . import __version__
-from .bounds import (
-    ProblemSpec,
-    compute_bounds,
-    linear_bound_table,
-    model_status,
-    ratio_table,
-)
-from .delta import (
-    expectation_delta,
-    finding_document,
-    random_state_corpus,
-)
 from .potentials import PotentialParseError, parse_potential
 from .solver import (
     ReducedHamiltonian,
@@ -230,6 +220,8 @@ _BOUNDS_DEFAULTS = {
 
 
 def cmd_bounds(opt: _Options) -> tuple[dict, int]:
+    from .bounds import ProblemSpec, compute_bounds
+
     try:
         spec = ProblemSpec(
             n=_positive(opt.get("n"), "n", int, 2, strict=False),
@@ -312,6 +304,8 @@ _LINEAR_TABLE_DEFAULTS = {"n": 2, "format": "text", "out": None}
 
 
 def cmd_linear_table(opt: _Options) -> tuple[dict, int]:
+    from .bounds import linear_bound_table
+
     n = _positive(opt.get("n"), "n", int, 2, strict=False)
     table = linear_bound_table(n)
     report = {
@@ -329,6 +323,8 @@ _TABLE1_DEFAULTS = {"format": "text", "out": None}
 
 
 def cmd_table1(opt: _Options) -> tuple[dict, int]:
+    from .bounds import ratio_table
+
     table = ratio_table()
     report = {
         "header": _header("table1"),
@@ -373,6 +369,9 @@ _VERIFY_DEFAULTS = {
 
 
 def cmd_verify_delta(opt: _Options) -> tuple[dict, int]:
+    from .bounds import model_status
+    from .delta import expectation_delta, finding_document, random_state_corpus
+
     n = _positive(opt.get("n"), "n", int, 2, strict=False)
     mass = _positive(opt.get("mass"), "mass", float, 0.0, strict=False)
     states = _positive(opt.get("states"), "states", int, 1, strict=False)
@@ -460,6 +459,8 @@ def _csv_verify_delta(report: dict, writer) -> None:
 
 # --- rendering and dispatch -------------------------------------------------
 
+_FORMATS = ("text", "json", "csv")
+
 _TEXT_RENDERERS = {
     "solve": _text_solve,
     "bounds": _text_bounds,
@@ -477,19 +478,26 @@ _CSV_RENDERERS = {
 }
 
 
+def _format(value) -> str:
+    if value not in _FORMATS:
+        raise UsageError(f"--format must be text, json or csv, got {value!r}")
+    return value
+
+
 def render(report: dict, fmt: str) -> str:
     command = report["header"]["command"]
+    fmt = _format(fmt)
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
     if fmt == "csv":
+        import csv
+
         buffer = io.StringIO()
         buffer.write(f"# salbound {__version__} | units: {UNITS_NOTE}\r\n")
         _CSV_RENDERERS[command](report, csv.writer(buffer))
         return buffer.getvalue()
-    if fmt == "text":
-        head = f"salbound {__version__} | {command} | units: {UNITS_NOTE}"
-        return "\n".join([head, *_TEXT_RENDERERS[command](report)]) + "\n"
-    raise UsageError(f"--format must be text, json or csv, got {fmt!r}")
+    head = f"salbound {__version__} | {command} | units: {UNITS_NOTE}"
+    return "\n".join([head, *_TEXT_RENDERERS[command](report)]) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -513,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--format", choices=("text", "json", "csv"))
+        p.add_argument("--format", choices=_FORMATS)
         p.add_argument("--out", help="write the report to this path instead of stdout")
         p.add_argument("--config", help="JSON file with default flag values")
 
@@ -572,8 +580,9 @@ def main(argv: list[str] | None = None) -> int:
     run, defaults = _COMMANDS[args.command]
     try:
         opt = _Options(args, defaults)
+        # a bad format from a config file fails before the command runs
+        fmt = _format(opt.get("format"))
         report, code = run(opt)
-        fmt = opt.get("format")
         _emit(render(report, fmt), opt.get("out"))
         return code
     except UsageError as exc:

@@ -21,12 +21,10 @@ reproduced exactly from its serialized state and seed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import model_status
 from .jacobi import jacobi_matrix, require_zero_total_momentum
 
 # Samples per block of the sampler and the reduction.  Both work on
@@ -301,6 +299,9 @@ def expectation_delta(
         return moments, float(kinetic.sum()), float(pair_terms.sum())
 
     if threads > 1 and shard_count > 1:
+        # loaded here so that single-threaded runs skip concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             shards = list(pool.map(run_shard, range(shard_count)))
     else:
@@ -327,6 +328,9 @@ def expectation_delta(
 
 def finding_document(state: SymmetrizedGaussianState, stats: DeltaStats) -> dict:
     """Serializable record of a negative-mean finding, sufficient to reproduce it."""
+    # loaded here so that importing this module loads none of the solver modules
+    from .bounds import model_status
+
     return {
         "type": "negative-delta-expectation",
         "regime": model_status(stats.n, stats.mass).label,

@@ -10,7 +10,7 @@ Coulomb strength behind the stability guard are read off them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,19 @@ def _radius(r, allow_zero: bool):
     return r
 
 
+def require_finite(obj, *names: str) -> None:
+    """Raise ValueError naming the first of the attributes ``names`` of
+    ``obj`` that is infinite, NaN or an integer too large for a float."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _num(x: float) -> str:
     return format(float(x), "g")
 
@@ -39,8 +52,12 @@ class PairPotential:
     Subclasses are immutable value objects, safe to share between threads.
     ``__call__`` evaluates V(r) for scalar or array ``r``; it raises
     ValueError for r < 0, and at r = 0 where V has a Coulomb singularity.
-    ``terms()`` gives the same V as its power terms.
+    ``terms()`` gives the same V as its power terms.  Every parameter must
+    be finite.
     """
+
+    def __post_init__(self):
+        require_finite(self, *(f.name for f in fields(self)))
 
     def __call__(self, r):
         raise NotImplementedError
@@ -70,6 +87,7 @@ class Linear(PairPotential):
     slope: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.slope > 0.0:
             raise ValueError("linear slope must be positive")
 
@@ -90,6 +108,7 @@ class Coulomb(PairPotential):
     strength: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.strength > 0.0:
             raise ValueError("coulomb strength must be positive")
 
@@ -110,6 +129,7 @@ class Harmonic(PairPotential):
     strength: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.strength > 0.0:
             raise ValueError("harmonic strength must be positive")
 
@@ -132,6 +152,7 @@ class CoulombPlusLinear(PairPotential):
     slope: float
 
     def __post_init__(self):
+        super().__post_init__()
         if self.coulomb < 0.0:
             raise ValueError("coulomb part must be nonnegative")
         if not self.slope > 0.0:
@@ -160,6 +181,7 @@ class PowerLaw(PairPotential):
     exponent: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.coefficient > 0.0:
             raise ValueError("power-law coefficient must be positive")
         if not self.exponent > 0.0:

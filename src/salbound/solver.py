@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .potentials import PairPotential
+from .potentials import PairPotential, require_finite
 from .quadrature import semi_infinite_rule
 
 #: Ground energy of H = ||p|| + r in three dimensions
@@ -64,6 +64,7 @@ class ReducedHamiltonian:
     potential: PairPotential
 
     def __post_init__(self):
+        require_finite(self, "beta", "lam", "gamma", "mass")
         if not self.beta > 0.0:
             raise ValueError("beta must be positive")
         if not self.lam > 0.0:

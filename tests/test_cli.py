@@ -406,3 +406,24 @@ def test_version_flag():
 def test_missing_subcommand_exits_2():
     proc = run_cli()
     assert proc.returncode == 2
+
+
+def test_bad_config_format_exits_2_before_the_command_runs(tmp_path, monkeypatch, capsys):
+    import salbound.bounds
+    import salbound.delta
+    from salbound import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran before its format was checked")
+
+    monkeypatch.setattr(cli, "ground_energy", never)
+    monkeypatch.setattr(salbound.bounds, "ground_energy", never)
+    monkeypatch.setattr(salbound.delta, "expectation_delta", never)
+    monkeypatch.setattr(salbound.delta, "sample_momenta", never)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"format": "xml"}))
+    for command in ("solve", "bounds", "verify-delta"):
+        assert cli.main([command, "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --format must be text, json or csv, got 'xml'\n"
+        assert captured.out == ""
