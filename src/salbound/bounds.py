@@ -17,13 +17,15 @@ pair potentials; elsewhere it is conjectured and reported as such.  The
 upper bound comes from a product Gaussian trial state in relative
 coordinates, optimized over its scale.
 
-A massless single-term potential c r^k with k > 0 (linear, harmonic, power
-law) needs one solve for every row: by the dilation law
-E(a|p| + b r^k) = a^(k/(k+1)) b^(1/(k+1)) E_k each reduction, at any N, is
-read off the canonical operator |p| + r^k.  Which path a problem takes
-depends only on its mass and the terms of its potential.  For the massless
-linear potential V(r) = b r everything reduces to closed forms through the
-k = 1 case E(a, b) = sqrt(a b) e.
+Every row is solved in its natural units (``solver.natural_units``): a
+dilation maps its reduced operator to a multiple of the canonical operator
+sqrt(p^2 + mu^2) + r^k - v'/r, and rows with the same canonical operator
+share one solve.  A massless single-term potential c r^k with k > 0
+(linear, harmonic, power law) has the canonical operator |p| + r^k for every
+row at every N, so it needs one solve in all (the dilation law
+E(a|p| + b r^k) = a^(k/(k+1)) b^(1/(k+1)) E_k).  For the massless linear
+potential V(r) = b r everything reduces to closed forms through the k = 1
+case E(a, b) = sqrt(a b) e.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .potentials import Harmonic, PairPotential, PowerLaw, require_finite
+from .potentials import Harmonic, PairPotential, require_finite
 from .quadrature import semi_infinite_rule
 from .solver import (
     LINEAR_GROUND_ENERGY,
@@ -44,6 +46,7 @@ from .solver import (
     SpectrumResult,
     ground_energy,
     minimize_log_golden,
+    natural_units,
 )
 
 _E = LINEAR_GROUND_ENERGY
@@ -157,38 +160,22 @@ class UpperBoundResult:
 
 
 def _bounds(spec: ProblemSpec, config) -> Callable[[Reduction], BoundResult]:
-    """row -> lower bound of ``spec`` from that reduction; rows with equal lam
-    share one solve.
+    """row -> lower bound of ``spec`` from that reduction.
 
-    A massless single-term potential c r^k with k > 0 costs one solve in all.
-    Under the dilation r -> s r, sqrt(lam)|p| + b r^k with b = (N-1)/2 c is
-    a^(k/(k+1)) b^(1/(k+1)) (|p| + r^k) with a = sqrt(lam), so every row is
-    read off the canonical operator |p| + r^k: its energy and convergence
-    estimate times that factor, its basis scale times (b/a)^(1/(k+1)), its
-    coefficients and warnings as they are.  The configured scale interval is
-    then searched for the canonical operator, whose optimal scale is of
-    order 1 at every N.
+    Each row's reduced operator sqrt(lam p^2 + m^2) + (N-1)/2 V is energy
+    times its canonical operator dilated by a length
+    (``solver.natural_units``); rows with the same canonical operator share
+    one solve, read off with their own energy and length.
     """
     gamma = (spec.n - 1) / 2.0
-    terms = spec.potential.terms()
-    if spec.mass == 0.0 and len(terms) == 1 and terms[0][1] > 0.0:
-        ((c, k),) = terms
-        canonical = ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, PowerLaw(1.0, k))
-        base = functools.cache(lambda: ground_energy(canonical, config))
-
-        @functools.cache
-        def solve(lam: float) -> SpectrumResult:
-            return _dilated(base(), math.sqrt(lam), gamma * c, k)
-
-    else:
-
-        @functools.cache
-        def solve(lam: float) -> SpectrumResult:
-            return ground_energy(ReducedHamiltonian(1.0, lam, gamma, spec.mass, spec.potential), config)
+    solve = functools.cache(lambda canonical: ground_energy(canonical, config))
 
     def bound(row: Reduction) -> BoundResult:
         lam = row.lam(spec.n)
-        spectrum = solve(lam)
+        canonical, energy, length = natural_units(
+            ReducedHamiltonian(1.0, lam, gamma, spec.mass, spec.potential)
+        )
+        spectrum = solve(canonical).dilated(energy, length)
         return BoundResult(
             value=spec.n * spectrum.ground_energy,
             kinetic_factor=lam,
@@ -197,18 +184,6 @@ def _bounds(spec: ProblemSpec, config) -> Callable[[Reduction], BoundResult]:
         )
 
     return bound
-
-
-def _dilated(canonical: SpectrumResult, a: float, b: float, k: float) -> SpectrumResult:
-    """Spectrum of a|p| + b r^k from that of |p| + r^k."""
-    factor = a ** (k / (k + 1.0)) * b ** (1.0 / (k + 1.0))
-    return SpectrumResult(
-        ground_energy=factor * canonical.ground_energy,
-        optimal_basis_scale=canonical.optimal_basis_scale * (b / a) ** (1.0 / (k + 1.0)),
-        coefficients=canonical.coefficients,
-        convergence_estimate=factor * canonical.convergence_estimate,
-        warnings=list(canonical.warnings),
-    )
 
 
 def lower_bound(spec: ProblemSpec, name: str, config: SolverConfig | None = None) -> BoundResult:
@@ -243,12 +218,7 @@ def _power_optimum(a: float, b: float, k: float) -> tuple[float, float]:
     return (1.0 + 1.0 / k) * a / sigma, sigma
 
 
-def gaussian_upper(
-    spec: ProblemSpec,
-    quadrature_order: int = 400,
-    scale_interval: tuple[float, float] = (0.05, 20.0),
-    scale_tolerance: float = 1e-4,
-) -> UpperBoundResult:
+def gaussian_upper(spec: ProblemSpec, config: SolverConfig | None = None) -> UpperBoundResult:
     """Variational upper bound from a product Gaussian in relative coordinates.
 
     Boson symmetry collapses the expectation to a single relative pair, with
@@ -259,10 +229,11 @@ def gaussian_upper(
     optimum in closed form (the massless linear one is
     :func:`upper_gaussian_linear`), other potentials search that energy over
     the Gaussian length scale.  At m > 0 the kinetic term is a radial
-    quadrature and the same search applies.
+    quadrature of ``config.quadrature_order`` and the same search applies.
+    The search runs over ``config.scale_interval`` times the natural length
+    of the model operator (``solver.natural_units``).
     """
-    if quadrature_order < 16:
-        raise ValueError("quadrature order must be at least 16")
+    cfg = config if config is not None else SolverConfig()
     if spec.mass == 0.0:
         kinetic, powers = _massless_gaussian(spec.n, spec.potential.terms())
         if len(powers) == 1 and powers[0][1] > 0.0:
@@ -273,7 +244,7 @@ def gaussian_upper(
             return kinetic / sigma + sum(b * sigma**k for b, k in powers)
 
     else:
-        y, wy = semi_infinite_rule(quadrature_order, 2.0)
+        y, wy = semi_infinite_rule(cfg.quadrature_order, 2.0)
         keep = y < 38.0
         y = y[keep]
         # |phi_0|^2 y^2 dy weights for the unit Gaussian, normalized on y^2 dy
@@ -288,8 +259,10 @@ def gaussian_upper(
             pot = float(rho @ np.asarray(potential(sigma * y), dtype=float))
             return spec.n * kinetic + gamma * pot
 
-    lo, hi = scale_interval
-    best = minimize_log_golden(energy, lo, hi, scale_tolerance)
+    model = ReducedHamiltonian(1.0, _MODEL.lam(spec.n), (spec.n - 1) / 2.0, spec.mass, spec.potential)
+    length = natural_units(model)[2]
+    lo, hi = (length * end for end in cfg.scale_interval)
+    best = minimize_log_golden(energy, lo, hi, cfg.scale_tolerance)
     warnings = []
     if best.at_lower or best.at_upper:
         end = lo if best.at_lower else hi
@@ -341,15 +314,14 @@ def _table(n: int, mass: float, bound: Callable[[Reduction], object]):
 def compute_bounds(spec: ProblemSpec, config: SolverConfig | None = None) -> BoundSet:
     """Evaluate every applicable bound and validate the sandwich.
 
-    Reductions with equal ``lam`` share one solve, and a massless single-term
-    power law needs one solve for all of them (see :func:`_bounds`).  The
-    Gaussian upper bound must dominate every lower bound; a violation beyond
-    the solver's own convergence scale indicates an internal error and raises
-    RuntimeError.
+    Reductions with the same canonical operator share one solve, and a
+    massless single-term power law needs one solve for all of them (see
+    :func:`_bounds`).  The Gaussian upper bound must dominate every lower
+    bound; a violation beyond the solver's own convergence scale indicates an
+    internal error and raises RuntimeError.
     """
     lower, reasons = _table(spec.n, spec.mass, _bounds(spec, config))
-    cfg = config if config is not None else SolverConfig()
-    upper = gaussian_upper(spec, quadrature_order=cfg.quadrature_order)
+    upper = gaussian_upper(spec, config)
 
     bounds = BoundSet(spec, **lower, status=conjecture_status(spec), upper=upper, reasons=reasons)
     estimate = bounds.conjectured.spectrum.convergence_estimate

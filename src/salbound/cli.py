@@ -118,13 +118,10 @@ def _potential(value) -> object:
 
 
 def _solver_config(opt: _Options) -> SolverConfig:
-    try:
-        return SolverConfig(
-            basis_size=_positive(opt.get("basis-size"), "basis-size", int, 1),
-            quadrature_order=_positive(opt.get("quadrature-order"), "quadrature-order", int, 15),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return SolverConfig(
+        basis_size=_positive(opt.get("basis-size"), "basis-size", int, 1),
+        quadrature_order=_positive(opt.get("quadrature-order"), "quadrature-order", int, 15),
+    )
 
 
 # --- solve -----------------------------------------------------------------
@@ -143,18 +140,13 @@ _SOLVE_DEFAULTS = {
 
 
 def cmd_solve(opt: _Options) -> tuple[dict, int]:
-    try:
-        hamiltonian = ReducedHamiltonian(
-            beta=_positive(opt.get("beta"), "beta", float, 0.0),
-            lam=_positive(opt.get("lambda"), "lambda", float, 0.0),
-            gamma=_positive(opt.get("gamma"), "gamma", float, 0.0),
-            mass=_positive(opt.get("mass"), "mass", float, 0.0, strict=False),
-            potential=_potential(opt.get("potential")),
-        )
-    except ValueError as exc:
-        if isinstance(exc, UsageError):
-            raise
-        raise UsageError(str(exc)) from None
+    hamiltonian = ReducedHamiltonian(
+        beta=_positive(opt.get("beta"), "beta", float, 0.0),
+        lam=_positive(opt.get("lambda"), "lambda", float, 0.0),
+        gamma=_positive(opt.get("gamma"), "gamma", float, 0.0),
+        mass=_positive(opt.get("mass"), "mass", float, 0.0, strict=False),
+        potential=_potential(opt.get("potential")),
+    )
     config = _solver_config(opt)
     result = ground_energy(hamiltonian, config)
     report = {
@@ -222,16 +214,11 @@ _BOUNDS_DEFAULTS = {
 def cmd_bounds(opt: _Options) -> tuple[dict, int]:
     from .bounds import ProblemSpec, compute_bounds
 
-    try:
-        spec = ProblemSpec(
-            n=_positive(opt.get("n"), "n", int, 2, strict=False),
-            mass=_positive(opt.get("mass"), "mass", float, 0.0, strict=False),
-            potential=_potential(opt.get("potential")),
-        )
-    except ValueError as exc:
-        if isinstance(exc, UsageError):
-            raise
-        raise UsageError(str(exc)) from None
+    spec = ProblemSpec(
+        n=_positive(opt.get("n"), "n", int, 2, strict=False),
+        mass=_positive(opt.get("mass"), "mass", float, 0.0, strict=False),
+        potential=_potential(opt.get("potential")),
+    )
     config = _solver_config(opt)
     bounds = compute_bounds(spec, config)
 
@@ -527,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="ground state of the reduced one-body operator")
     p.add_argument("--beta")
-    p.add_argument("--lambda", dest="lambda_")
+    p.add_argument("--lambda")
     p.add_argument("--gamma")
     p.add_argument("--mass")
     p.add_argument("--potential", help="e.g. linear:1, coulomb:0.5, power:1,1.5")
@@ -574,9 +561,6 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # argparse stores --lambda under lambda_; normalize for _Options lookup
-    if hasattr(args, "lambda_"):
-        setattr(args, "lambda", getattr(args, "lambda_"))
     run, defaults = _COMMANDS[args.command]
     try:
         opt = _Options(args, defaults)
@@ -585,9 +569,6 @@ def main(argv: list[str] | None = None) -> int:
         report, code = run(opt)
         _emit(render(report, fmt), opt.get("out"))
         return code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except StabilityError as exc:
         print(f"stability error: {exc}", file=sys.stderr)
         return EXIT_STABILITY

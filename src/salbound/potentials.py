@@ -3,8 +3,8 @@
 The solver and the bound formulas dispatch on a closed family of potential
 shapes rather than accepting arbitrary callables.  Every shape is a sum of
 power terms c r^k, listed by ``terms()``: the solver assembles its matrices
-from them, and the homogeneity degree behind the scaling law and the
-Coulomb strength behind the stability guard are read off them.
+from them, and reads off them the confining term that sets an operator's
+natural length and the Coulomb strength behind the stability guard.
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ class PairPotential:
     def terms(self) -> tuple[tuple[float, float], ...]:
         """V as a sum of power terms: ((c, k), ...) with V(r) = sum c r^k."""
         raise NotImplementedError
-
-    def homogeneity_degree(self) -> float | None:
-        """Degree k with V(s r) = s^k V(r), or None for inhomogeneous shapes."""
-        degrees = {k for _, k in self.terms()}
-        return degrees.pop() if len(degrees) == 1 else None
 
     def coulomb_strength(self) -> float:
         """Coefficient v of an attractive -v/r component (0 if absent)."""

@@ -20,6 +20,12 @@ built once by quadrature.  At m = 0 the kinetic matrix is
 beta sqrt(lam) sigma U_1 with the Fourier signs, so a step of the scale
 search is one ``eigvalsh`` of a scaled sum; at m > 0 it is one kinetic
 quadrature plus the ``eigvalsh``.
+
+Every operator is solved in its natural units (:func:`natural_units`): a
+dilation r -> s r maps H to beta sqrt(lam)/s times the canonical operator
+sqrt(p^2 + mu^2) + r^k - v'/r, whose optimal basis scale is of order 1 for
+every coupling, mass and particle count.  The scale search runs on that
+operator, and the result is scaled back.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .potentials import PairPotential, require_finite
+from .potentials import Coulomb, CoulombPlusLinear, PairPotential, PowerLaw, require_finite
 from .quadrature import semi_infinite_rule
 
 #: Ground energy of H = ||p|| + r in three dimensions
@@ -77,7 +83,11 @@ class ReducedHamiltonian:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs for :func:`ground_energy`."""
+    """Numerical knobs for :func:`ground_energy`.
+
+    ``scale_interval`` bounds the basis scale in natural units, that is for
+    the canonical operator of :func:`natural_units`.
+    """
 
     basis_size: int = 40
     scale_interval: tuple[float, float] = (0.05, 20.0)
@@ -112,6 +122,18 @@ class SpectrumResult:
     coefficients: np.ndarray
     convergence_estimate: float
     warnings: list[str] = field(default_factory=list)
+
+    def dilated(self, energy: float, length: float) -> SpectrumResult:
+        """This spectrum, of a canonical operator, as that of ``energy`` times
+        it dilated by r -> ``length`` r: energies times ``energy``, basis scale
+        over ``length``, coefficients and warnings as they are."""
+        return SpectrumResult(
+            ground_energy=energy * self.ground_energy,
+            optimal_basis_scale=self.optimal_basis_scale / length,
+            coefficients=self.coefficients,
+            convergence_estimate=energy * self.convergence_estimate,
+            warnings=list(self.warnings),
+        )
 
 
 def radial_basis(basis_size: int, y: np.ndarray) -> np.ndarray:
@@ -359,23 +381,47 @@ def minimize_log_golden(f, lo: float, hi: float, rel_tol: float) -> GoldenResult
     return GoldenResult(sigma, fx, x - a0 <= pad, b0 - x <= pad)
 
 
-def check_stability(h: ReducedHamiltonian) -> None:
-    """Reject couplings for which H has no finite spectral bottom.
+def natural_units(h: ReducedHamiltonian) -> tuple[ReducedHamiltonian, float, float]:
+    """(canonical, energy, length) with H = energy times the canonical operator
+    sqrt(p^2 + mu^2) + r^k - v'/r under the dilation r -> length r.
 
-    The effective Coulomb coupling seen by the scaled kinetic term is
-    gamma * v / (beta * sqrt(lam)); at or beyond 2/pi the operator is
-    unbounded below for every mass, since the collapse happens at short
-    distance where the mass and any confining tail are negligible.
+    The length s is
+    - with a confining term c r^k (k > 0): (beta sqrt(lam)/(gamma c))^(1/(k+1)),
+      and the canonical coefficient of r^k is exactly 1;
+    - for pure Coulomb at m > 0: the Bohr radius beta lam/(m gamma v) of the
+      non-relativistic limit;
+    - for massless pure Coulomb, which is scale-free: 1.
+    Then mu = m s/sqrt(lam), v' = gamma v/(beta sqrt(lam)) and
+    energy = beta sqrt(lam)/s.  A canonical operator is its own canonical
+    form, with energy and length exactly 1.
+
+    Raises StabilityError where the effective Coulomb coupling v' reaches
+    2/pi: the operator is then unbounded below for every mass, since the
+    collapse happens at short distance where the mass and any confining tail
+    are negligible.
     """
-    v = h.potential.coulomb_strength()
-    if v <= 0.0:
-        return
-    effective = h.gamma * v / (h.beta * math.sqrt(h.lam))
-    if effective >= COULOMB_CRITICAL_COUPLING:
+    root = math.sqrt(h.lam)
+    coupling = h.gamma * h.potential.coulomb_strength() / (h.beta * root)
+    if coupling >= COULOMB_CRITICAL_COUPLING:
         raise StabilityError(
-            f"effective Coulomb coupling {effective:.6g} >= 2/pi "
+            f"effective Coulomb coupling {coupling:.6g} >= 2/pi "
             f"({COULOMB_CRITICAL_COUPLING:.6g}); the operator is unbounded below"
         )
+    confining = [(c, k) for c, k in h.potential.terms() if k > 0.0]
+    if confining:
+        ((c, k),) = confining
+        length = (h.beta * root / (h.gamma * c)) ** (1.0 / (k + 1.0))
+        mu = h.mass * length / root
+        # the family's only shape with a confining and a Coulomb term has k = 1
+        potential = CoulombPlusLinear(coupling, 1.0) if coupling > 0.0 else PowerLaw(1.0, k)
+    elif h.mass > 0.0:
+        # mu = 1/v' in closed form keeps the canonical operator's length at 1
+        mu = 1.0 / coupling
+        length = root * mu / h.mass
+        potential = Coulomb(coupling)
+    else:
+        mu, length, potential = 0.0, 1.0, Coulomb(coupling)
+    return ReducedHamiltonian(1.0, 1.0, 1.0, mu, potential), h.beta * root / length, length
 
 
 def _lowest_eigenvalue(h, basis_size, sigma, order):
@@ -404,13 +450,15 @@ def _optimized(h, basis_size, cfg, warnings):
 def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
     """Bottom of the spectrum of H by Rayleigh-Ritz with basis-scale search.
 
-    The returned energy is a variational upper bound on the true spectral
-    bottom, nonincreasing in the basis size.  ``convergence_estimate`` is the
+    The search and the solve run on the canonical operator of
+    :func:`natural_units`, and the result is scaled back to H.  The returned
+    energy is a variational upper bound on the true spectral bottom,
+    nonincreasing in the basis size.  ``convergence_estimate`` is the
     difference against a solve at basis size max(2, basis_size // 2) and
     bounds the plausible remaining truncation error scale.
     """
     cfg = config if config is not None else SolverConfig()
-    check_stability(h)
+    h, energy, length = natural_units(h)
     warnings: list[str] = []
 
     best = _optimized(h, cfg.basis_size, cfg, warnings)
@@ -441,7 +489,7 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
         coefficients=coeff,
         convergence_estimate=abs(float(small_best.fx) - float(energies[0])),
         warnings=warnings,
-    )
+    ).dilated(energy, length)
 
 
 def scaled_energy_linear(a: float, b: float) -> float:

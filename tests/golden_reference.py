@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 
-from salbound.solver import GoldenResult
+import numpy as np
+
+from salbound.solver import GoldenResult, kinetic_matrix, potential_matrix
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -33,3 +35,16 @@ def reference_minimize_log_golden(f, lo: float, hi: float, rel_tol: float) -> Go
     t, ft = (c, fc) if fc <= fd else (d, fd)
     pad = 2.0 * rel_tol
     return GoldenResult(math.exp(t), ft, t - a0 <= pad, b0 - t <= pad)
+
+
+def reference_ground_energy(h, basis_size: int, lo: float, hi: float, order: int = 400) -> GoldenResult:
+    """Lowest eigenvalue of ``h`` in its own units, with no change of units:
+    the basis scale is searched over [lo, hi] by the reference golden section
+    at tolerance 1e-9."""
+
+    def lowest(sigma):
+        kin = kinetic_matrix(h.beta, h.lam, h.mass, basis_size, sigma, order)
+        pot = potential_matrix(h.potential, h.gamma, basis_size, sigma, order)
+        return np.linalg.eigvalsh(kin + pot)[0]
+
+    return reference_minimize_log_golden(lowest, lo, hi, 1e-9)

@@ -26,9 +26,15 @@ from salbound.potentials import (
     PowerLaw,
     parse_potential,
 )
-from salbound.solver import LINEAR_GROUND_ENERGY, ReducedHamiltonian, SolverConfig, ground_energy
+from salbound.solver import (
+    COULOMB_CRITICAL_COUPLING,
+    LINEAR_GROUND_ENERGY,
+    ReducedHamiltonian,
+    SolverConfig,
+    ground_energy,
+)
 
-from golden_reference import reference_minimize_log_golden
+from golden_reference import reference_ground_energy, reference_minimize_log_golden
 
 E = LINEAR_GROUND_ENERGY
 
@@ -210,6 +216,7 @@ def gaussian_energy_oracle(spec, sigma):
         (10, PowerLaw(1.1, 0.5)),
         (10, PowerLaw(0.3, 3.0)),
         (4, CoulombPlusLinear(0.3, 1.0)),
+        (1000, CoulombPlusLinear(0.001, 2.0)),
     ],
 )
 def test_massless_gaussian_upper_against_quadrature(n, potential):
@@ -226,6 +233,15 @@ def test_massless_gaussian_upper_is_not_pinned_at_large_n():
     result = gaussian_upper(ProblemSpec(1000, 0.0, Linear(2.0)))
     assert result.value == pytest.approx(math.sqrt(2.0) * upper_gaussian_linear(1000), rel=1e-12)
     assert result.value == pytest.approx(84804.1, abs=0.05)
+    assert result.optimal_scale < 0.05
+    assert result.warnings == []
+
+
+def test_massless_coulomb_plus_linear_gaussian_upper_at_large_n():
+    # the optimal scale 0.0302 lies below the interval (0.05, 20); searched
+    # there, the bound was 76989.45
+    result = gaussian_upper(ProblemSpec(1000, 0.0, CoulombPlusLinear(0.001, 2.0)))
+    assert result.value == pytest.approx(68193.407, abs=1e-3)
     assert result.optimal_scale < 0.05
     assert result.warnings == []
 
@@ -304,28 +320,29 @@ def test_compute_bounds_reasons_and_ordering():
 
 
 def count_solves(monkeypatch, spec, solves):
-    """compute_bounds(spec) after checking its ground_energy calls and that
-    every row equals lower_bound's."""
+    """compute_bounds(spec) after checking its ground_energy calls, each on a
+    distinct canonical operator, and that every row equals lower_bound's."""
     calls = []
 
     def counting(hamiltonian, config=None):
-        calls.append(hamiltonian.lam)
+        calls.append(hamiltonian)
         return ground_energy(hamiltonian, config)
 
     monkeypatch.setattr(salbound.bounds, "ground_energy", counting)
     cfg = SolverConfig(basis_size=16)
     bounds = compute_bounds(spec, cfg)
     assert len(calls) == solves
+    assert len(set(calls)) == solves
     for name, value in bounds.lower_values().items():
         assert value == lower_bound(spec, name, cfg).value, name
-    return bounds
+    return calls, bounds
 
 
 @pytest.mark.parametrize(
     "n, mass, solves", [(2, 0.0, 1), (3, 0.0, 1), (4, 0.0, 1), (4, 1.0, 3), (5, 0.0, 1)]
 )
 def test_compute_bounds_solves_each_kinetic_factor_once(monkeypatch, n, mass, solves):
-    bounds = count_solves(monkeypatch, linear_spec(n, mass), solves)
+    _, bounds = count_solves(monkeypatch, linear_spec(n, mass), solves)
     if n == 3:
         assert bounds.n3.value == bounds.conjectured.value
     if n == 4 and mass == 0.0:
@@ -337,6 +354,24 @@ def test_compute_bounds_solves_each_kinetic_factor_once(monkeypatch, n, mass, so
 )
 def test_compute_bounds_solve_count_by_shape(monkeypatch, potential, n, solves):
     count_solves(monkeypatch, ProblemSpec(n, 0.0, parse_potential(potential)), solves)
+
+
+@pytest.mark.parametrize(
+    "potential, n, mass, solves",
+    [
+        ("linear:1", 2, 1.0, 1),
+        ("harmonic:0.8", 3, 0.5, 2),
+        ("coulomb:0.1", 3, 1.0, 2),
+        ("power:1.1,0.5", 4, 2.0, 3),
+        ("coulomb+linear:0.1,1.2", 10, 2.0, 3),
+        ("linear:1.3", 10**4, 1.0, 3),
+    ],
+)
+def test_massive_solve_count_is_one_per_distinct_mu(monkeypatch, potential, n, mass, solves):
+    # at m > 0 each row's canonical operator has its own mu = m s/sqrt(lam);
+    # rows with equal lam share it and its solve
+    calls, _ = count_solves(monkeypatch, ProblemSpec(n, mass, parse_potential(potential)), solves)
+    assert len({h.mass for h in calls}) == solves
 
 
 @pytest.mark.parametrize(
@@ -357,6 +392,74 @@ def test_large_n_massless_power_law_is_not_pinned(potential, basis):
     assert n2.value == pytest.approx(n * reference.ground_energy, rel=1e-12)
     assert not any("endpoint" in w for w in n2.spectrum.warnings)
     assert n2.value == pytest.approx(lower_bound(spec, "n2", wide).value, rel=1e-12)
+
+
+def test_large_n_massive_bounds_are_not_pinned():
+    # With the basis scale searched over (0.05, 20) in the problem's own units,
+    # n2 was 1.84386e+06 (2.45% high, scale pinned at 20) and the Gaussian
+    # upper bound 3.99e6 (scale pinned at 0.05).
+    n = 10**4
+    spec = ProblemSpec(n, 1.0, Linear(1.3))
+    bounds = compute_bounds(spec, SolverConfig(basis_size=24))
+    reduced = ReducedHamiltonian(1.0, 1.0, (n - 1) / 2.0, 1.0, Linear(1.3))
+    reference = reference_ground_energy(reduced, 24, 0.05, 1e5)
+    assert not (reference.at_lower or reference.at_upper)
+    assert reference.x > 20.0
+    assert bounds.n2.value == pytest.approx(n * reference.fx, rel=1e-12)
+    assert bounds.n2.value == pytest.approx(1799716.55109814, rel=1e-12)
+    assert bounds.upper.value == pytest.approx(2163607.45, abs=0.005)
+    assert bounds.upper.optimal_scale < 0.05
+    for result in bounds.lower_results().values():
+        if result is not None:
+            assert result.spectrum.warnings == []
+    assert bounds.upper.warnings == []
+
+
+def test_massive_coulomb_gaussian_optimum_beyond_twenty():
+    # a bench-grid problem whose Gaussian optimum 25.78 lies past the old
+    # interval end 20, where the bound was pinned at 2.49125
+    spec = ProblemSpec(5, 0.5015, Coulomb(0.0813))
+    bounds = compute_bounds(spec, SolverConfig(basis_size=24))
+    assert bounds.upper.warnings == []
+    assert bounds.upper.optimal_scale == pytest.approx(25.78, abs=0.01)
+    assert bounds.upper.value == pytest.approx(2.48981115, rel=1e-8)
+    for name, result in bounds.lower_results().items():
+        if result is not None:
+            assert result.spectrum.warnings == [], name
+            assert result.value <= bounds.upper.value, name
+
+
+def _family(n):
+    """One potential per shape; the Coulomb parts have 0.4 of the critical
+    effective coupling in the n2 row, the largest of all rows."""
+    v = 0.4 * COULOMB_CRITICAL_COUPLING / ((n - 1) / 2.0)
+    return {
+        "linear": Linear(1.3),
+        "harmonic": Harmonic(0.8),
+        "power": PowerLaw(1.1, 0.5),
+        "coulomb": Coulomb(v),
+        "coulomb+linear": CoulombPlusLinear(v, 1.2),
+    }
+
+
+@pytest.mark.parametrize(
+    "shape, n, mass",
+    [
+        (shape, n, mass)
+        for shape in ("linear", "harmonic", "power", "coulomb", "coulomb+linear")
+        for n in (2, 10, 10**4)
+        for mass in (0.0, 0.5, 2.0)
+        # massless pure Coulomb is scale-free: its energy falls towards 0 at
+        # the largest scale, and it pins by design
+        if not (shape == "coulomb" and mass == 0.0)
+    ],
+)
+def test_no_row_pins_outside_massless_coulomb(shape, n, mass):
+    bounds = compute_bounds(ProblemSpec(n, mass, _family(n)[shape]), SolverConfig(basis_size=24))
+    for name, result in bounds.lower_results().items():
+        if result is not None:
+            assert result.spectrum.warnings == [], name
+    assert bounds.upper.warnings == []
 
 
 def test_massless_power_law_rows_follow_the_dilation_law():

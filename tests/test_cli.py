@@ -155,6 +155,20 @@ def test_bounds_large_n_upper_is_the_gaussian_closed_form():
     assert report["diagnostics"]["upper"]["warnings"] == []
 
 
+def test_bounds_large_n_massive_rows_are_not_pinned():
+    # n2 was 1.84386e+06 with its basis scale pinned at 20, upper 3.99e6 with
+    # the Gaussian scale pinned at 0.05
+    proc = run_cli(
+        "bounds", "--n", "10000", "--mass", "1", "--potential", "linear:1.3",
+        "--basis-size", "24", "--format", "json",
+    )
+    report = parse_json(proc)
+    assert report["bounds"]["n2"] == pytest.approx(1799716.55109814, rel=1e-12)
+    assert report["bounds"]["upper"] == pytest.approx(2163607.45, abs=0.005)
+    for name, diagnostics in report["diagnostics"].items():
+        assert diagnostics["warnings"] == [], name
+
+
 def test_bounds_csv_matches_json():
     args = ("bounds", "--n", "3", "--mass", "0", "--potential", "linear:1")
     report = parse_json(run_cli(*args, "--format", "json"))

@@ -56,21 +56,12 @@ def test_parameter_validation():
     CoulombPlusLinear(0.0, 1.0)
 
 
-def test_homogeneity_degrees():
-    assert Linear(3.0).homogeneity_degree() == 1.0
-    assert Coulomb(2.0).homogeneity_degree() == -1.0
-    assert Harmonic(0.5).homogeneity_degree() == 2.0
-    assert PowerLaw(1.0, 0.7).homogeneity_degree() == 0.7
-    assert CoulombPlusLinear(1.0, 1.0).homogeneity_degree() is None
-    assert CoulombPlusLinear(0.0, 1.0).homogeneity_degree() == 1.0
-
-
 @pytest.mark.parametrize(
     "potential",
     [Linear(1.3), Coulomb(0.4), Harmonic(2.0), PowerLaw(0.9, 1.7)],
 )
 def test_homogeneous_scaling(potential):
-    k = potential.homogeneity_degree()
+    ((_, k),) = potential.terms()
     r = np.array([0.3, 1.0, 2.5, 7.0])
     for s in (0.25, 1.0, 3.0, 10.0):
         np.testing.assert_allclose(

@@ -17,11 +17,14 @@ from salbound.solver import (
     kinetic_matrix,
     map_scale,
     minimize_log_golden,
+    natural_units,
     potential_matrix,
     radial_basis,
     scaled_energy_linear,
 )
 from salbound.quadrature import semi_infinite_rule
+
+from golden_reference import reference_ground_energy
 
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -234,6 +237,72 @@ def test_massless_subcritical_coulomb_hits_interval_endpoint():
     result = ground_energy(ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Coulomb(0.3)))
     assert any("endpoint" in w for w in result.warnings)
     assert abs(result.ground_energy) < 0.05
+
+
+# --- natural units -------------------------------------------------------------
+
+
+def _random_hamiltonians(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        beta, lam, gamma = np.exp(rng.uniform(-3.0, 3.0, 3))
+        mass = float(rng.choice([0.0, np.exp(rng.uniform(-4.0, 4.0))]))
+        v = rng.uniform(0.01, 0.99) * COULOMB_CRITICAL_COUPLING * beta * math.sqrt(lam) / gamma
+        c = float(np.exp(rng.uniform(-3.0, 3.0)))
+        potential = [
+            Linear(c), Harmonic(c), PowerLaw(c, rng.uniform(0.2, 3.0)),
+            Coulomb(v), CoulombPlusLinear(v, c),
+        ][rng.integers(5)]
+        yield ReducedHamiltonian(float(beta), float(lam), float(gamma), mass, potential)
+
+
+def test_natural_units_is_idempotent():
+    for h in _random_hamiltonians(300, seed=11):
+        canonical, energy, length = natural_units(h)
+        assert (canonical.beta, canonical.lam, canonical.gamma) == (1.0, 1.0, 1.0)
+        assert natural_units(canonical) == (canonical, 1.0, 1.0), h
+
+
+def test_natural_units_lengths():
+    beta, lam, gamma, mass = 0.7, 1.9, 2.5, 0.3
+    a = beta * math.sqrt(lam)
+    # a confining term c r^k sets s = (a/(gamma c))^(1/(k+1)), canonical coefficient 1
+    canonical, energy, length = natural_units(ReducedHamiltonian(beta, lam, gamma, mass, Harmonic(0.8)))
+    s = (a / (gamma * 0.8)) ** (1.0 / 3.0)
+    assert length == pytest.approx(s, rel=1e-15)
+    assert energy == pytest.approx(a / s, rel=1e-15)
+    assert canonical.mass == pytest.approx(mass * s / math.sqrt(lam), rel=1e-15)
+    assert canonical.potential.terms() == ((1.0, 2.0),)
+    # the Coulomb part keeps its effective coupling gamma v/(beta sqrt(lam))
+    canonical, _, length = natural_units(ReducedHamiltonian(beta, lam, gamma, mass, CoulombPlusLinear(0.1, 1.2)))
+    assert length == pytest.approx(math.sqrt(a / (gamma * 1.2)), rel=1e-15)
+    assert canonical.potential.terms() == ((1.0, 1.0), (-gamma * 0.1 / a, -1.0))
+    # pure Coulomb at m > 0: the non-relativistic Bohr radius beta lam/(m gamma v)
+    canonical, energy, length = natural_units(ReducedHamiltonian(beta, lam, gamma, mass, Coulomb(0.1)))
+    assert length == pytest.approx(beta * lam / (mass * gamma * 0.1), rel=1e-15)
+    assert canonical.mass == pytest.approx(a / (gamma * 0.1), rel=1e-15)
+    # massless pure Coulomb is scale-free: s = 1
+    canonical, energy, length = natural_units(ReducedHamiltonian(beta, lam, gamma, 0.0, Coulomb(0.1)))
+    assert (length, energy, canonical.mass) == (1.0, a, 0.0)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        ReducedHamiltonian(0.7, 1.9, 2.5, 0.3, Harmonic(0.8)),
+        ReducedHamiltonian(1.0, 1.5, 40.0, 2.0, PowerLaw(1.1, 0.5)),
+        ReducedHamiltonian(1.3, 0.8, 0.2, 0.0, CoulombPlusLinear(0.4, 3.0)),
+        ReducedHamiltonian(1.0, 1.6, 2.0, 0.5015, Coulomb(0.0813)),
+    ],
+    ids=["harmonic", "power", "coulomb+linear-m0", "coulomb"],
+)
+def test_natural_units_solve_matches_direct_solve(h):
+    # the same Rayleigh-Ritz problem searched in the operator's own units
+    reference = reference_ground_energy(h, 24, 1e-3, 1e3)
+    assert not (reference.at_lower or reference.at_upper)
+    result = ground_energy(h, SolverConfig(basis_size=24))
+    assert result.warnings == []
+    assert result.ground_energy == pytest.approx(reference.fx, rel=1e-12)
 
 
 def test_golden_section_finds_quadratic_minimum():
