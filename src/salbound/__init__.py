@@ -16,18 +16,12 @@ _EXPORTS = {
     "bounds": (
         "BoundResult",
         "BoundSet",
-        "ConjectureStatus",
-        "LinearBoundTable",
         "ProblemSpec",
-        "RatioTable",
         "UpperBoundResult",
         "compute_bounds",
         "conjecture_status",
         "gaussian_upper",
-        "linear_bound_table",
         "lower_bound",
-        "model_status",
-        "ratio_table",
     ),
     "delta": (
         "DeltaStats",
@@ -50,17 +44,25 @@ _EXPORTS = {
         "PowerLaw",
         "parse_potential",
     ),
-    "solver": (
+    "reductions": (
         "COULOMB_CRITICAL_COUPLING",
+        "ConjectureStatus",
         "LINEAR_GROUND_ENERGY",
+        "LinearBoundTable",
+        "RatioTable",
         "ReducedHamiltonian",
         "SolverConfig",
-        "SpectrumResult",
         "StabilityError",
+        "linear_bound_table",
+        "model_status",
+        "ratio_table",
+        "scaled_energy_linear",
+    ),
+    "solver": (
+        "SpectrumResult",
         "ground_energy",
         "kinetic_matrix",
         "potential_matrix",
-        "scaled_energy_linear",
     ),
 }
 

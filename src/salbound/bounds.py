@@ -1,31 +1,21 @@
-"""Energy bounds for semirelativistic N-boson systems.
+"""Energy bounds for semirelativistic N-boson systems, by the solver.
 
-For N identical bosons with Hamiltonian sum_i sqrt(p_i^2 + m^2)
-+ sum_{i<j} V(r_ij), every lower bound used here is N times the spectral
-bottom of a reduced one-body operator
-
-    sqrt(lam * p^2 + m^2) + (N - 1)/2 * V(r),
-
-so the bounds differ only in the kinetic rescaling ``lam``.  The table
-:data:`REDUCTIONS` holds one row per reduction: its ``lam(N)``, the least N
-and the masses it holds for, and its derivation.  Everything below reads
-that table: the solver-path bounds, the closed forms for the massless
-linear potential, the ratio table and its large-N limits, and the proof
-status of the model-operator bound, which is proved exactly where its
-``lam`` equals that of an applicable proved reduction, and for harmonic
-pair potentials; elsewhere it is conjectured and reported as such.  The
+Every lower bound is N times the spectral bottom of a reduced one-body
+operator sqrt(lam * p^2 + m^2) + (N - 1)/2 * V(r), one per row of the
+reduction table ``reductions.REDUCTIONS``; that module also holds the proof
+status of the model-operator bound, the natural units and the closed forms
+for the massless linear potential.  Here each row is solved numerically, the
+model-operator bound is also proved for harmonic pair potentials, and the
 upper bound comes from a product Gaussian trial state in relative
 coordinates, optimized over its scale.
 
-Every row is solved in its natural units (``solver.natural_units``): a
+Every row is solved in its natural units (``reductions.natural_units``): a
 dilation maps its reduced operator to a multiple of the canonical operator
 sqrt(p^2 + mu^2) + r^k - v'/r, and rows with the same canonical operator
 share one solve.  A massless single-term potential c r^k with k > 0
 (linear, harmonic, power law) has the canonical operator |p| + r^k for every
 row at every N, so it needs one solve in all (the dilation law
-E(a|p| + b r^k) = a^(k/(k+1)) b^(1/(k+1)) E_k).  For the massless linear
-potential V(r) = b r everything reduces to closed forms through the k = 1
-case E(a, b) = sqrt(a b) e.
+E(a|p| + b r^k) = a^(k/(k+1)) b^(1/(k+1)) E_k).
 """
 
 from __future__ import annotations
@@ -39,56 +29,21 @@ import numpy as np
 
 from .potentials import Harmonic, PairPotential, require_finite
 from .quadrature import semi_infinite_rule
-from .solver import (
-    LINEAR_GROUND_ENERGY,
+from .reductions import (
+    _MODEL,
+    _ROWS,
+    REDUCTIONS,
+    ConjectureStatus,
     ReducedHamiltonian,
+    Reduction,
     SolverConfig,
-    SpectrumResult,
-    ground_energy,
-    minimize_log_golden,
+    _massless_gaussian,
+    _power_optimum,
+    _table,
+    model_status,
     natural_units,
 )
-
-_E = LINEAR_GROUND_ENERGY
-
-
-@dataclass(frozen=True)
-class Reduction:
-    """One row of the reduction table; ``model_proof`` proves the model-operator
-    bound wherever this row holds with the model's ``lam``."""
-
-    name: str
-    lam: Callable[[int], float]
-    n_min: int
-    massless_only: bool
-    derivation: str
-    ratio: str
-    model_proof: str | None
-
-    def missing(self, n: int, mass: float) -> str | None:
-        """Why the reduction does not hold at (n, mass), or None if it does."""
-        if n < self.n_min:
-            return f"requires n >= {self.n_min}"
-        if self.massless_only and mass != 0.0:
-            return "requires m=0"
-        return None
-
-
-#: The reductions in report order.  The lam expressions are kept in exactly
-#: this form: coinciding rows must give bit-identical floats.
-REDUCTIONS = (
-    Reduction("n2", lambda n: 1.0, 2, False, "pairwise reduction", "R_N/2",
-              "exact two-body reduction at N = 2"),
-    Reduction("n3", lambda n: 4.0 / 3.0, 3, False, "three-body reduction", "R_N/3",
-              "proved for three bosons at any mass"),
-    Reduction("n4", lambda n: 1.5, 4, True, "four-body reduction", "R_N/4",
-              "proved for four massless bosons"),
-    Reduction("conjectured", lambda n: 2.0 * (n - 1) / n, 2, False,
-              "model-operator reduction", "R_c", None),
-)
-
-_ROWS = {row.name: row for row in REDUCTIONS}
-_MODEL = _ROWS["conjectured"]
+from .solver import SpectrumResult, ground_energy, minimize_log_golden
 
 
 @dataclass(frozen=True)
@@ -109,27 +64,6 @@ class ProblemSpec:
     @property
     def pair_count(self) -> int:
         return self.n * (self.n - 1) // 2
-
-
-@dataclass(frozen=True)
-class ConjectureStatus:
-    proven: bool
-    reason: str
-
-    @property
-    def label(self) -> str:
-        return "proven" if self.proven else "conjectured"
-
-
-def model_status(n: int, mass: float) -> ConjectureStatus:
-    """Proof status of the model-operator reduction (and of the delta inequality
-    behind it) at (n, mass), for any potential: it is proved where its ``lam``
-    equals that of a proved reduction that holds at (n, mass)."""
-    lam = _MODEL.lam(n)
-    for row in REDUCTIONS:
-        if row.model_proof and row.missing(n, mass) is None and row.lam(n) == lam:
-            return ConjectureStatus(True, row.model_proof)
-    return ConjectureStatus(False, "no proof known for this particle count and mass")
 
 
 def conjecture_status(spec: ProblemSpec) -> ConjectureStatus:
@@ -164,8 +98,8 @@ def _bounds(spec: ProblemSpec, config) -> Callable[[Reduction], BoundResult]:
 
     Each row's reduced operator sqrt(lam p^2 + m^2) + (N-1)/2 V is energy
     times its canonical operator dilated by a length
-    (``solver.natural_units``); rows with the same canonical operator share
-    one solve, read off with their own energy and length.
+    (``reductions.natural_units``); rows with the same canonical operator
+    share one solve, read off with their own energy and length.
     """
     gamma = (spec.n - 1) / 2.0
     solve = functools.cache(lambda canonical: ground_energy(canonical, config))
@@ -198,26 +132,6 @@ def lower_bound(spec: ProblemSpec, name: str, config: SolverConfig | None = None
     return _bounds(spec, config)(row)
 
 
-def _pair_moment(k: float) -> float:
-    """<y^k> = Γ((3+k)/2)/Γ(3/2) of the unit Gaussian pair density
-    (4/sqrt(pi)) y^2 e^(-y^2); k = 1 also gives <|p|> sigma = 2/sqrt(pi)."""
-    return math.gamma((3.0 + k) / 2.0) / math.gamma(1.5)
-
-
-def _massless_gaussian(n: int, terms) -> tuple[float, list[tuple[float, float]]]:
-    """(A, [(B_k, k), ...]) with the massless Gaussian bound A/sigma + sum B_k sigma^k."""
-    gamma = n * (n - 1) / 2.0
-    return n * math.sqrt(_MODEL.lam(n)) * _pair_moment(1.0), [
-        (gamma * c * _pair_moment(k), k) for c, k in terms
-    ]
-
-
-def _power_optimum(a: float, b: float, k: float) -> tuple[float, float]:
-    """Minimum and minimizer of a/sigma + b sigma^k over sigma > 0 (a, b, k > 0)."""
-    sigma = (a / (k * b)) ** (1.0 / (k + 1.0))
-    return (1.0 + 1.0 / k) * a / sigma, sigma
-
-
 def gaussian_upper(spec: ProblemSpec, config: SolverConfig | None = None) -> UpperBoundResult:
     """Variational upper bound from a product Gaussian in relative coordinates.
 
@@ -227,11 +141,11 @@ def gaussian_upper(spec: ProblemSpec, config: SolverConfig | None = None) -> Upp
     from the pair moments <|p|> = (2/sqrt(pi))/sigma and
     <r^k> = sigma^k Γ((3+k)/2)/Γ(3/2); a single term with k > 0 has its
     optimum in closed form (the massless linear one is
-    :func:`upper_gaussian_linear`), other potentials search that energy over
-    the Gaussian length scale.  At m > 0 the kinetic term is a radial
+    ``reductions.upper_gaussian_linear``), other potentials search that
+    energy over the Gaussian length scale.  At m > 0 the kinetic term is a radial
     quadrature of ``config.quadrature_order`` and the same search applies.
     The search runs over ``config.scale_interval`` times the natural length
-    of the model operator (``solver.natural_units``).
+    of the model operator (``reductions.natural_units``).
     """
     cfg = config if config is not None else SolverConfig()
     if spec.mass == 0.0:
@@ -298,19 +212,6 @@ class BoundSet:
         return {k: r.value for k, r in self.lower_results().items() if r is not None}
 
 
-def _table(n: int, mass: float, bound: Callable[[Reduction], object]):
-    """``bound(row)`` by name for every reduction that holds at (n, mass), else
-    None, with the reasons for the None entries."""
-    values, reasons = {}, {}
-    for row in REDUCTIONS:
-        reason = row.missing(n, mass)
-        if reason:
-            values[row.name], reasons[row.name] = None, reason
-        else:
-            values[row.name] = bound(row)
-    return values, reasons
-
-
 def compute_bounds(spec: ProblemSpec, config: SolverConfig | None = None) -> BoundSet:
     """Evaluate every applicable bound and validate the sandwich.
 
@@ -333,75 +234,3 @@ def compute_bounds(spec: ProblemSpec, config: SolverConfig | None = None) -> Bou
                 f"Gaussian upper bound {upper.value!r}"
             )
     return bounds
-
-
-# Closed forms for the massless linear potential V(r) = r.
-
-
-def upper_gaussian_linear(n: int) -> float:
-    """4N ((N-1)^3 / (2 N pi^2))^(1/4), the k = 1 case of the massless Gaussian bound."""
-    kinetic, ((b, k),) = _massless_gaussian(n, ((1.0, 1.0),))
-    return _power_optimum(kinetic, b, k)[0]
-
-
-@dataclass(frozen=True)
-class LinearBoundTable:
-    """Closed-form bounds for N massless bosons with V(r) = r; ``lower`` and
-    ``reasons`` are keyed by reduction name like :class:`BoundSet`'s."""
-
-    n: int
-    lower: dict[str, float | None]
-    reasons: dict[str, str]
-    upper: float
-
-
-def linear_bound_table(n: int) -> LinearBoundTable:
-    """Exact closed forms at particle count n.  By the scaling law each lower
-    bound, N times the bottom of sqrt(lam)|p| + (N-1)/2 r, is
-    N sqrt(sqrt(lam) (N-1)/2) e."""
-    if n < 2:
-        raise ValueError("need at least two particles")
-    lower, reasons = _table(
-        n, 0.0, lambda row: n * math.sqrt(math.sqrt(row.lam(n)) * (n - 1) / 2.0) * _E
-    )
-    return LinearBoundTable(n=n, lower=lower, reasons=reasons, upper=upper_gaussian_linear(n))
-
-
-def ratio_limit(label: str) -> float:
-    """Large-N limit (4/e) (2 / (pi^2 lam_inf))^(1/4) of a ratio row."""
-    for row in REDUCTIONS:
-        if row.ratio == label:
-            # N - 1 rounds to N in double precision, so this is lam's N -> inf limit
-            lam_inf = row.lam(2**64)
-            return 4.0 / _E * (2.0 / (math.pi**2 * lam_inf)) ** 0.25
-    raise ValueError(f"unknown ratio row {label!r}")
-
-
-@dataclass(frozen=True)
-class RatioTable:
-    """Upper-to-lower bound ratios for the massless linear potential.
-
-    ``rows`` maps a row label to one value per entry of ``n_values`` (None
-    below the row's particle-count threshold) followed by the large-N limit.
-    """
-
-    n_values: tuple[int, ...]
-    rows: dict[str, tuple[float | None, ...]]
-
-    @property
-    def columns(self) -> tuple[object, ...]:
-        return self.n_values + ("inf",)
-
-
-def ratio_table(n_values: tuple[int, ...] = (2, 3, 4, 5, 6, 10)) -> RatioTable:
-    """Ratios upper/lower for each bound and each N, plus the N -> inf column."""
-    tables = [linear_bound_table(n) for n in n_values]
-    rows = {}
-    for row in REDUCTIONS:
-        values: list[float | None] = []
-        for table in tables:
-            lower = table.lower[row.name]
-            values.append(None if lower is None else table.upper / lower)
-        values.append(ratio_limit(row.ratio))
-        rows[row.ratio] = tuple(values)
-    return RatioTable(n_values=tuple(n_values), rows=rows)

@@ -19,21 +19,23 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import os
 import sys
 
-# Only the modules every command needs load here; bounds, delta and csv load
-# inside the handlers and renderers that use them, so a cold ``solve`` never
-# pays for them.
+# Only numpy-free modules load here; solver, bounds, delta, csv and json load
+# inside the handlers and renderers that use them, so the closed-form commands,
+# the stability refusal and usage errors never load numpy.
 from . import __version__
 from .potentials import PotentialParseError, parse_potential
-from .solver import (
+from .reductions import (
     ReducedHamiltonian,
     SolverConfig,
     StabilityError,
-    ground_energy,
+    linear_bound_table,
+    model_status,
+    natural_units,
+    ratio_table,
 )
 
 EXIT_OK = 0
@@ -70,6 +72,8 @@ class _Options:
         self.config = {}
         path = self.args.get("config")
         if path:
+            import json
+
             try:
                 with open(path, encoding="utf-8") as fh:
                     self.config = json.load(fh)
@@ -148,6 +152,10 @@ def cmd_solve(opt: _Options) -> tuple[dict, int]:
         potential=_potential(opt.get("potential")),
     )
     config = _solver_config(opt)
+    # refuse an unbounded or out-of-range operator before numpy loads
+    natural_units(hamiltonian)
+    from .solver import ground_energy
+
     result = ground_energy(hamiltonian, config)
     report = {
         "header": _header("solve"),
@@ -291,8 +299,6 @@ _LINEAR_TABLE_DEFAULTS = {"n": 2, "format": "text", "out": None}
 
 
 def cmd_linear_table(opt: _Options) -> tuple[dict, int]:
-    from .bounds import linear_bound_table
-
     n = _positive(opt.get("n"), "n", int, 2, strict=False)
     table = linear_bound_table(n)
     report = {
@@ -310,8 +316,6 @@ _TABLE1_DEFAULTS = {"format": "text", "out": None}
 
 
 def cmd_table1(opt: _Options) -> tuple[dict, int]:
-    from .bounds import ratio_table
-
     table = ratio_table()
     report = {
         "header": _header("table1"),
@@ -356,7 +360,6 @@ _VERIFY_DEFAULTS = {
 
 
 def cmd_verify_delta(opt: _Options) -> tuple[dict, int]:
-    from .bounds import model_status
     from .delta import expectation_delta, finding_document, random_state_corpus
 
     n = _positive(opt.get("n"), "n", int, 2, strict=False)
@@ -475,6 +478,8 @@ def render(report: dict, fmt: str) -> str:
     command = report["header"]["command"]
     fmt = _format(fmt)
     if fmt == "json":
+        import json
+
         return json.dumps(report, indent=2) + "\n"
     if fmt == "csv":
         import csv

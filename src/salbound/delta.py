@@ -328,8 +328,8 @@ def expectation_delta(
 
 def finding_document(state: SymmetrizedGaussianState, stats: DeltaStats) -> dict:
     """Serializable record of a negative-mean finding, sufficient to reproduce it."""
-    # loaded here so that importing this module loads none of the solver modules
-    from .bounds import model_status
+    # loaded here so that importing this module loads no potentials
+    from .reductions import model_status
 
     return {
         "type": "negative-delta-expectation",

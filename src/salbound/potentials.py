@@ -12,14 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 
 class PotentialParseError(ValueError):
     """A textual potential spec could not be parsed."""
 
 
 def _radius(r, allow_zero: bool):
+    # loaded here so that the closed forms and the stability refusal, which
+    # build potentials but never evaluate one, run without numpy
+    import numpy as np
+
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("radius must be nonnegative")

@@ -1,0 +1,340 @@
+"""The reductions of the N-boson problem, and what follows from them in closed form.
+
+For N identical bosons with Hamiltonian sum_i sqrt(p_i^2 + m^2)
++ sum_{i<j} V(r_ij), every lower bound used here is N times the spectral
+bottom of a reduced one-body operator
+
+    sqrt(lam * p^2 + m^2) + (N - 1)/2 * V(r),
+
+so the bounds differ only in the kinetic rescaling ``lam``.  The table
+:data:`REDUCTIONS` holds one row per reduction: its ``lam(N)``, the least N
+and the masses it holds for, and its derivation.  Everything else reads that
+table: the solver-path bounds of ``bounds``, the closed forms for the
+massless linear potential, the ratio table and its large-N limits, and the
+proof status of the model-operator bound, which is proved exactly where its
+``lam`` equals that of an applicable proved reduction.
+
+:func:`natural_units` maps every reduced operator, by a dilation, to a
+multiple of the canonical operator sqrt(p^2 + mu^2) + r^k - v'/r, and
+refuses operators that are unbounded below (:class:`StabilityError`).  For
+the massless linear potential V(r) = b r everything reduces to closed forms
+through the k = 1 case E(a|p| + b r) = sqrt(a b) e.
+
+This module needs only the standard library: the closed forms, the tables
+and the stability refusal run without numpy.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+from .potentials import Coulomb, CoulombPlusLinear, PairPotential, PowerLaw, require_finite
+
+#: Ground energy of H = ||p|| + r in three dimensions
+#: (Boukraa and Basdevant 1989).
+LINEAR_GROUND_ENERGY = 2.2322
+
+#: Critical coupling of the Coulomb-Salpeter operator (Herbst 1977):
+#: sqrt(p^2 + m^2) - v/r is unbounded below for v >= 2/pi.
+COULOMB_CRITICAL_COUPLING = 2.0 / math.pi
+
+_E = LINEAR_GROUND_ENERGY
+
+#: Canonical masses mu from 2^512 on overflow mu^2 in sqrt(p^2 + mu^2).
+_MU_MAX = 2.0**512
+
+
+class StabilityError(ValueError):
+    """The requested operator is unbounded below."""
+
+
+@dataclass(frozen=True)
+class ReducedHamiltonian:
+    """Parameters of beta * sqrt(lam * p^2 + mass^2) + gamma * V(r)."""
+
+    beta: float
+    lam: float
+    gamma: float
+    mass: float
+    potential: PairPotential
+
+    def __post_init__(self):
+        require_finite(self, "beta", "lam", "gamma", "mass")
+        if not self.beta > 0.0:
+            raise ValueError("beta must be positive")
+        if not self.lam > 0.0:
+            raise ValueError("lam must be positive")
+        if not self.gamma > 0.0:
+            raise ValueError("gamma must be positive")
+        if self.mass < 0.0:
+            raise ValueError("mass must be nonnegative")
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Numerical knobs for ``solver.ground_energy``.
+
+    ``scale_interval`` bounds the basis scale in natural units, that is for
+    the canonical operator of :func:`natural_units`.
+    """
+
+    basis_size: int = 40
+    scale_interval: tuple[float, float] = (0.05, 20.0)
+    scale_tolerance: float = 1e-4
+    quadrature_order: int = 400
+
+    def __post_init__(self):
+        if self.basis_size < 2:
+            raise ValueError("basis size must be at least 2")
+        lo, hi = self.scale_interval
+        if not (0.0 < lo < hi):
+            raise ValueError("scale interval must be positive and ordered")
+        if not self.scale_tolerance > 0.0:
+            raise ValueError("scale tolerance must be positive")
+        if self.quadrature_order < 16:
+            raise ValueError("quadrature order must be at least 16")
+
+
+def _in_range(name: str, value: float, limit: float = math.inf) -> float:
+    """``value`` if it is positive and below ``limit``, else ValueError naming it."""
+    if not 0.0 < value < limit:
+        raise ValueError(f"{name} {value:g} is outside the floating-point range")
+    return value
+
+
+def natural_units(h: ReducedHamiltonian) -> tuple[ReducedHamiltonian, float, float]:
+    """(canonical, energy, length) with H = energy times the canonical operator
+    sqrt(p^2 + mu^2) + r^k - v'/r under the dilation r -> length r.
+
+    The length s is
+    - with a confining term c r^k (k > 0): (beta sqrt(lam)/(gamma c))^(1/(k+1)),
+      and the canonical coefficient of r^k is exactly 1;
+    - for pure Coulomb at m > 0: the Bohr radius beta lam/(m gamma v) of the
+      non-relativistic limit;
+    - for massless pure Coulomb, which is scale-free: 1.
+    Then mu = m s/sqrt(lam), v' = gamma v/(beta sqrt(lam)) and
+    energy = beta sqrt(lam)/s.  A canonical operator is its own canonical
+    form, with energy and length exactly 1.
+
+    Raises StabilityError where the effective Coulomb coupling v' reaches
+    2/pi: the operator is then unbounded below for every mass, since the
+    collapse happens at short distance where the mass and any confining tail
+    are negligible.  Raises ValueError where beta sqrt(lam), gamma c, v', s,
+    the energy or, at m > 0, mu or mu^2 falls outside the floating-point
+    range.
+    """
+    root = math.sqrt(h.lam)
+    kinetic = _in_range("kinetic coefficient beta sqrt(lam)", h.beta * root)
+    coupling = h.gamma * h.potential.coulomb_strength() / kinetic
+    if coupling >= COULOMB_CRITICAL_COUPLING:
+        raise StabilityError(
+            f"effective Coulomb coupling {coupling:.6g} >= 2/pi "
+            f"({COULOMB_CRITICAL_COUPLING:.6g}); the operator is unbounded below"
+        )
+    confining = [(c, k) for c, k in h.potential.terms() if k > 0.0]
+    if confining:
+        ((c, k),) = confining
+        strength = _in_range("confining coefficient gamma c", h.gamma * c)
+        length = (kinetic / strength) ** (1.0 / (k + 1.0))
+        mu = h.mass * length / root
+        # the family's only shape with a confining and a Coulomb term has k = 1
+        potential = CoulombPlusLinear(coupling, 1.0) if coupling > 0.0 else PowerLaw(1.0, k)
+    else:
+        _in_range("effective Coulomb coupling", coupling)
+        if h.mass > 0.0:
+            # mu = 1/v' in closed form keeps the canonical operator's length at 1
+            mu = 1.0 / coupling
+            length = root * mu / h.mass
+        else:
+            mu, length = 0.0, 1.0
+        potential = Coulomb(coupling)
+    _in_range("natural length", length)
+    if h.mass > 0.0:
+        _in_range("natural mass mu", mu, _MU_MAX)
+    energy = _in_range("energy factor", kinetic / length)
+    return ReducedHamiltonian(1.0, 1.0, 1.0, mu, potential), energy, length
+
+
+def scaled_energy_linear(a: float, b: float) -> float:
+    """Ground energy of a ||p|| + b r from the scaling law E(a, b) = sqrt(a b) e.
+
+    The operator is homogeneous of degree -1 in length under the dilation
+    that trades a for b, which pins the whole family to the single accurate
+    constant e = LINEAR_GROUND_ENERGY.
+    """
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError("both coefficients must be positive")
+    return math.sqrt(a * b) * LINEAR_GROUND_ENERGY
+
+
+# --- the reduction table ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """One row of the reduction table; ``model_proof`` proves the model-operator
+    bound wherever this row holds with the model's ``lam``."""
+
+    name: str
+    lam: Callable[[int], float]
+    n_min: int
+    massless_only: bool
+    derivation: str
+    ratio: str
+    model_proof: str | None
+
+    def missing(self, n: int, mass: float) -> str | None:
+        """Why the reduction does not hold at (n, mass), or None if it does."""
+        if n < self.n_min:
+            return f"requires n >= {self.n_min}"
+        if self.massless_only and mass != 0.0:
+            return "requires m=0"
+        return None
+
+
+#: The reductions in report order.  The lam expressions are kept in exactly
+#: this form: coinciding rows must give bit-identical floats.
+REDUCTIONS = (
+    Reduction("n2", lambda n: 1.0, 2, False, "pairwise reduction", "R_N/2",
+              "exact two-body reduction at N = 2"),
+    Reduction("n3", lambda n: 4.0 / 3.0, 3, False, "three-body reduction", "R_N/3",
+              "proved for three bosons at any mass"),
+    Reduction("n4", lambda n: 1.5, 4, True, "four-body reduction", "R_N/4",
+              "proved for four massless bosons"),
+    Reduction("conjectured", lambda n: 2.0 * (n - 1) / n, 2, False,
+              "model-operator reduction", "R_c", None),
+)
+
+_ROWS = {row.name: row for row in REDUCTIONS}
+_MODEL = _ROWS["conjectured"]
+
+
+@dataclass(frozen=True)
+class ConjectureStatus:
+    proven: bool
+    reason: str
+
+    @property
+    def label(self) -> str:
+        return "proven" if self.proven else "conjectured"
+
+
+def model_status(n: int, mass: float) -> ConjectureStatus:
+    """Proof status of the model-operator reduction (and of the delta inequality
+    behind it) at (n, mass), for any potential: it is proved where its ``lam``
+    equals that of a proved reduction that holds at (n, mass)."""
+    lam = _MODEL.lam(n)
+    for row in REDUCTIONS:
+        if row.model_proof and row.missing(n, mass) is None and row.lam(n) == lam:
+            return ConjectureStatus(True, row.model_proof)
+    return ConjectureStatus(False, "no proof known for this particle count and mass")
+
+
+def _table(n: int, mass: float, bound: Callable[[Reduction], object]):
+    """``bound(row)`` by name for every reduction that holds at (n, mass), else
+    None, with the reasons for the None entries."""
+    values, reasons = {}, {}
+    for row in REDUCTIONS:
+        reason = row.missing(n, mass)
+        if reason:
+            values[row.name], reasons[row.name] = None, reason
+        else:
+            values[row.name] = bound(row)
+    return values, reasons
+
+
+# --- the massless Gaussian trial state ----------------------------------------
+
+
+def _pair_moment(k: float) -> float:
+    """<y^k> = Γ((3+k)/2)/Γ(3/2) of the unit Gaussian pair density
+    (4/sqrt(pi)) y^2 e^(-y^2); k = 1 also gives <|p|> sigma = 2/sqrt(pi)."""
+    return math.gamma((3.0 + k) / 2.0) / math.gamma(1.5)
+
+
+def _massless_gaussian(n: int, terms) -> tuple[float, list[tuple[float, float]]]:
+    """(A, [(B_k, k), ...]) with the massless Gaussian bound A/sigma + sum B_k sigma^k."""
+    gamma = n * (n - 1) / 2.0
+    return n * math.sqrt(_MODEL.lam(n)) * _pair_moment(1.0), [
+        (gamma * c * _pair_moment(k), k) for c, k in terms
+    ]
+
+
+def _power_optimum(a: float, b: float, k: float) -> tuple[float, float]:
+    """Minimum and minimizer of a/sigma + b sigma^k over sigma > 0 (a, b, k > 0)."""
+    sigma = (a / (k * b)) ** (1.0 / (k + 1.0))
+    return (1.0 + 1.0 / k) * a / sigma, sigma
+
+
+# --- closed forms for the massless linear potential V(r) = r -------------------
+
+
+def upper_gaussian_linear(n: int) -> float:
+    """4N ((N-1)^3 / (2 N pi^2))^(1/4), the k = 1 case of the massless Gaussian bound."""
+    kinetic, ((b, k),) = _massless_gaussian(n, ((1.0, 1.0),))
+    return _power_optimum(kinetic, b, k)[0]
+
+
+@dataclass(frozen=True)
+class LinearBoundTable:
+    """Closed-form bounds for N massless bosons with V(r) = r; ``lower`` and
+    ``reasons`` are keyed by reduction name like ``bounds.BoundSet``'s."""
+
+    n: int
+    lower: dict[str, float | None]
+    reasons: dict[str, str]
+    upper: float
+
+
+def linear_bound_table(n: int) -> LinearBoundTable:
+    """Exact closed forms at particle count n.  By the scaling law each lower
+    bound, N times the bottom of sqrt(lam)|p| + (N-1)/2 r, is
+    N sqrt(sqrt(lam) (N-1)/2) e."""
+    if n < 2:
+        raise ValueError("need at least two particles")
+    lower, reasons = _table(
+        n, 0.0, lambda row: n * math.sqrt(math.sqrt(row.lam(n)) * (n - 1) / 2.0) * _E
+    )
+    return LinearBoundTable(n=n, lower=lower, reasons=reasons, upper=upper_gaussian_linear(n))
+
+
+def ratio_limit(label: str) -> float:
+    """Large-N limit (4/e) (2 / (pi^2 lam_inf))^(1/4) of a ratio row."""
+    for row in REDUCTIONS:
+        if row.ratio == label:
+            # N - 1 rounds to N in double precision, so this is lam's N -> inf limit
+            lam_inf = row.lam(2**64)
+            return 4.0 / _E * (2.0 / (math.pi**2 * lam_inf)) ** 0.25
+    raise ValueError(f"unknown ratio row {label!r}")
+
+
+@dataclass(frozen=True)
+class RatioTable:
+    """Upper-to-lower bound ratios for the massless linear potential.
+
+    ``rows`` maps a row label to one value per entry of ``n_values`` (None
+    below the row's particle-count threshold) followed by the large-N limit.
+    """
+
+    n_values: tuple[int, ...]
+    rows: dict[str, tuple[float | None, ...]]
+
+    @property
+    def columns(self) -> tuple[object, ...]:
+        return self.n_values + ("inf",)
+
+
+def ratio_table(n_values: tuple[int, ...] = (2, 3, 4, 5, 6, 10)) -> RatioTable:
+    """Ratios upper/lower for each bound and each N, plus the N -> inf column."""
+    tables = [linear_bound_table(n) for n in n_values]
+    rows = {}
+    for row in REDUCTIONS:
+        values: list[float | None] = []
+        for table in tables:
+            lower = table.lower[row.name]
+            values.append(None if lower is None else table.upper / lower)
+        values.append(ratio_limit(row.ratio))
+        rows[row.ratio] = tuple(values)
+    return RatioTable(n_values=tuple(n_values), rows=rows)

@@ -21,11 +21,14 @@ beta sqrt(lam) sigma U_1 with the Fourier signs, so a step of the scale
 search is one ``eigvalsh`` of a scaled sum; at m > 0 it is one kinetic
 quadrature plus the ``eigvalsh``.
 
-Every operator is solved in its natural units (:func:`natural_units`): a
-dilation r -> s r maps H to beta sqrt(lam)/s times the canonical operator
+Every operator is solved in its natural units (``reductions.natural_units``,
+which also refuses operators that are unbounded below): a dilation r -> s r
+maps H to beta sqrt(lam)/s times the canonical operator
 sqrt(p^2 + mu^2) + r^k - v'/r, whose optimal basis scale is of order 1 for
 every coupling, mass and particle count.  The scale search runs on that
-operator, and the result is scaled back.
+operator, and the result is scaled back.  The operator, the solver knobs and
+the closed forms of the massless linear case are in ``reductions``; this
+module holds only the numerics.
 """
 
 from __future__ import annotations
@@ -36,16 +39,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .potentials import Coulomb, CoulombPlusLinear, PairPotential, PowerLaw, require_finite
+from .potentials import PairPotential
 from .quadrature import semi_infinite_rule
-
-#: Ground energy of H = ||p|| + r in three dimensions
-#: (Boukraa and Basdevant 1989).
-LINEAR_GROUND_ENERGY = 2.2322
-
-#: Critical coupling of the Coulomb-Salpeter operator (Herbst 1977):
-#: sqrt(p^2 + m^2) - v/r is unbounded below for v >= 2/pi.
-COULOMB_CRITICAL_COUPLING = 2.0 / math.pi
+from .reductions import ReducedHamiltonian, SolverConfig, natural_units
 
 #: Relative change between a rule and its doubled-order version above which
 #: a quadrature warning is recorded.
@@ -53,57 +49,6 @@ QUADRATURE_SELF_CHECK_TOL = 1e-10
 
 #: Golden-section step as a fraction of the bracket, (3 - sqrt 5)/2.
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-class StabilityError(ValueError):
-    """The requested operator is unbounded below."""
-
-
-@dataclass(frozen=True)
-class ReducedHamiltonian:
-    """Parameters of beta * sqrt(lam * p^2 + mass^2) + gamma * V(r)."""
-
-    beta: float
-    lam: float
-    gamma: float
-    mass: float
-    potential: PairPotential
-
-    def __post_init__(self):
-        require_finite(self, "beta", "lam", "gamma", "mass")
-        if not self.beta > 0.0:
-            raise ValueError("beta must be positive")
-        if not self.lam > 0.0:
-            raise ValueError("lam must be positive")
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
-        if self.mass < 0.0:
-            raise ValueError("mass must be nonnegative")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Numerical knobs for :func:`ground_energy`.
-
-    ``scale_interval`` bounds the basis scale in natural units, that is for
-    the canonical operator of :func:`natural_units`.
-    """
-
-    basis_size: int = 40
-    scale_interval: tuple[float, float] = (0.05, 20.0)
-    scale_tolerance: float = 1e-4
-    quadrature_order: int = 400
-
-    def __post_init__(self):
-        if self.basis_size < 2:
-            raise ValueError("basis size must be at least 2")
-        lo, hi = self.scale_interval
-        if not (0.0 < lo < hi):
-            raise ValueError("scale interval must be positive and ordered")
-        if not self.scale_tolerance > 0.0:
-            raise ValueError("scale tolerance must be positive")
-        if self.quadrature_order < 16:
-            raise ValueError("quadrature order must be at least 16")
 
 
 @dataclass
@@ -381,49 +326,6 @@ def minimize_log_golden(f, lo: float, hi: float, rel_tol: float) -> GoldenResult
     return GoldenResult(sigma, fx, x - a0 <= pad, b0 - x <= pad)
 
 
-def natural_units(h: ReducedHamiltonian) -> tuple[ReducedHamiltonian, float, float]:
-    """(canonical, energy, length) with H = energy times the canonical operator
-    sqrt(p^2 + mu^2) + r^k - v'/r under the dilation r -> length r.
-
-    The length s is
-    - with a confining term c r^k (k > 0): (beta sqrt(lam)/(gamma c))^(1/(k+1)),
-      and the canonical coefficient of r^k is exactly 1;
-    - for pure Coulomb at m > 0: the Bohr radius beta lam/(m gamma v) of the
-      non-relativistic limit;
-    - for massless pure Coulomb, which is scale-free: 1.
-    Then mu = m s/sqrt(lam), v' = gamma v/(beta sqrt(lam)) and
-    energy = beta sqrt(lam)/s.  A canonical operator is its own canonical
-    form, with energy and length exactly 1.
-
-    Raises StabilityError where the effective Coulomb coupling v' reaches
-    2/pi: the operator is then unbounded below for every mass, since the
-    collapse happens at short distance where the mass and any confining tail
-    are negligible.
-    """
-    root = math.sqrt(h.lam)
-    coupling = h.gamma * h.potential.coulomb_strength() / (h.beta * root)
-    if coupling >= COULOMB_CRITICAL_COUPLING:
-        raise StabilityError(
-            f"effective Coulomb coupling {coupling:.6g} >= 2/pi "
-            f"({COULOMB_CRITICAL_COUPLING:.6g}); the operator is unbounded below"
-        )
-    confining = [(c, k) for c, k in h.potential.terms() if k > 0.0]
-    if confining:
-        ((c, k),) = confining
-        length = (h.beta * root / (h.gamma * c)) ** (1.0 / (k + 1.0))
-        mu = h.mass * length / root
-        # the family's only shape with a confining and a Coulomb term has k = 1
-        potential = CoulombPlusLinear(coupling, 1.0) if coupling > 0.0 else PowerLaw(1.0, k)
-    elif h.mass > 0.0:
-        # mu = 1/v' in closed form keeps the canonical operator's length at 1
-        mu = 1.0 / coupling
-        length = root * mu / h.mass
-        potential = Coulomb(coupling)
-    else:
-        mu, length, potential = 0.0, 1.0, Coulomb(coupling)
-    return ReducedHamiltonian(1.0, 1.0, 1.0, mu, potential), h.beta * root / length, length
-
-
 def _lowest_eigenvalue(h, basis_size, sigma, order):
     k = _kinetic(h.beta, h.lam, h.mass, basis_size, sigma, order)
     u = _potential(h.potential, h.gamma, basis_size, sigma, order)
@@ -451,9 +353,9 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
     """Bottom of the spectrum of H by Rayleigh-Ritz with basis-scale search.
 
     The search and the solve run on the canonical operator of
-    :func:`natural_units`, and the result is scaled back to H.  The returned
-    energy is a variational upper bound on the true spectral bottom,
-    nonincreasing in the basis size.  ``convergence_estimate`` is the
+    ``reductions.natural_units``, and the result is scaled back to H.  The
+    returned energy is a variational upper bound on the true spectral
+    bottom, nonincreasing in the basis size.  ``convergence_estimate`` is the
     difference against a solve at basis size max(2, basis_size // 2) and
     bounds the plausible remaining truncation error scale.
     """
@@ -490,15 +392,3 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
         convergence_estimate=abs(float(small_best.fx) - float(energies[0])),
         warnings=warnings,
     ).dilated(energy, length)
-
-
-def scaled_energy_linear(a: float, b: float) -> float:
-    """Ground energy of a ||p|| + b r from the scaling law E(a, b) = sqrt(a b) e.
-
-    The operator is homogeneous of degree -1 in length under the dilation
-    that trades a for b, which pins the whole family to the single accurate
-    constant e = LINEAR_GROUND_ENERGY.
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError("both coefficients must be positive")
-    return math.sqrt(a * b) * LINEAR_GROUND_ENERGY

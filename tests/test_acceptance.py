@@ -19,15 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from salbound.bounds import (
-    ProblemSpec,
-    compute_bounds,
-    gaussian_upper,
-    linear_bound_table,
-    lower_bound,
-    ratio_table,
-    upper_gaussian_linear,
-)
+from salbound.bounds import ProblemSpec, compute_bounds, gaussian_upper, lower_bound
 from salbound.delta import (
     delta_value,
     expectation_delta,
@@ -36,12 +28,15 @@ from salbound.delta import (
 )
 from salbound.jacobi import to_jacobi
 from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
-from salbound.solver import (
+from salbound.reductions import (
     LINEAR_GROUND_ENERGY,
     ReducedHamiltonian,
     SolverConfig,
-    ground_energy,
+    linear_bound_table,
+    ratio_table,
+    upper_gaussian_linear,
 )
+from salbound.solver import ground_energy
 
 from exact_delta import exact_delta_expectation
 

@@ -12,11 +12,7 @@ from salbound.bounds import (
     compute_bounds,
     conjecture_status,
     gaussian_upper,
-    linear_bound_table,
     lower_bound,
-    ratio_limit,
-    ratio_table,
-    upper_gaussian_linear,
 )
 from salbound.potentials import (
     Coulomb,
@@ -26,13 +22,17 @@ from salbound.potentials import (
     PowerLaw,
     parse_potential,
 )
-from salbound.solver import (
+from salbound.reductions import (
     COULOMB_CRITICAL_COUPLING,
     LINEAR_GROUND_ENERGY,
     ReducedHamiltonian,
     SolverConfig,
-    ground_energy,
+    linear_bound_table,
+    ratio_limit,
+    ratio_table,
+    upper_gaussian_linear,
 )
+from salbound.solver import ground_energy
 
 from golden_reference import reference_ground_energy, reference_minimize_log_golden
 

@@ -92,6 +92,32 @@ def test_solve_parse_error_exit_code():
     assert "non-finite" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--potential", "coulomb:1e-310", "--mass", "1"], "natural length inf"),
+        (["solve", "--potential", "coulomb:1e-200", "--mass", "1e-200"], "natural length inf"),
+        (["solve", "--potential", "coulomb:1e-300", "--mass", "1"], "natural mass mu 1e+300"),
+        (["bounds", "--n", "2", "--potential", "linear:1e-300", "--mass", "1e300"],
+         "natural mass mu inf"),
+        (["solve", "--gamma", "1e-200", "--potential", "linear:1e-200"],
+         "confining coefficient gamma c 0"),
+        (["solve", "--beta", "1e-200", "--lambda", "1e-300"],
+         "kinetic coefficient beta sqrt(lam) 0"),
+        (["solve", "--beta", "1e-300", "--potential", "linear:1e300"], "natural length 0"),
+    ],
+)
+def test_out_of_range_natural_units_exit_2(capsys, argv, message):
+    # each of these overflowed or underflowed into a misleading error, a
+    # LAPACK failure or a traceback before the natural units were checked
+    from salbound.cli import main
+
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message} is outside the floating-point range\n"
+    assert captured.out == ""
+
+
 def test_unknown_flag_exits_2():
     proc = run_cli("solve", "--frobnicate", "1")
     assert proc.returncode == 2
@@ -204,6 +230,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("bounds_n2.txt", ["bounds", "--n", "2"]),
         ("bounds_n4.txt", ["bounds", "--n", "4"]),
         ("bounds_n5_m1.txt", ["bounds", "--n", "5", "--mass", "1"]),
+        ("table1.txt", ["table1"]),
     ],
 )
 def test_text_report_matches_golden(capsys, golden, argv):
@@ -425,12 +452,13 @@ def test_missing_subcommand_exits_2():
 def test_bad_config_format_exits_2_before_the_command_runs(tmp_path, monkeypatch, capsys):
     import salbound.bounds
     import salbound.delta
+    import salbound.solver
     from salbound import cli
 
     def never(*args, **kwargs):
         raise AssertionError("the command ran before its format was checked")
 
-    monkeypatch.setattr(cli, "ground_energy", never)
+    monkeypatch.setattr(salbound.solver, "ground_energy", never)
     monkeypatch.setattr(salbound.bounds, "ground_energy", never)
     monkeypatch.setattr(salbound.delta, "expectation_delta", never)
     monkeypatch.setattr(salbound.delta, "sample_momenta", never)

@@ -18,7 +18,7 @@ from salbound.delta import (
     sample_momenta,
     tetrahedron_relations,
 )
-from salbound.bounds import model_status
+from salbound.reductions import model_status
 from salbound.jacobi import jacobi_matrix
 
 from delta_reference import reference_kinetic_terms, reference_sample_momenta

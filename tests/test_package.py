@@ -12,7 +12,7 @@ import pytest
 import salbound
 from salbound.bounds import ProblemSpec
 from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
-from salbound.solver import ReducedHamiltonian
+from salbound.reductions import ReducedHamiltonian
 
 # --- import footprint ---------------------------------------------------------------
 
@@ -39,9 +39,54 @@ def test_import_salbound_loads_no_submodule():
 
 def test_import_cli_loads_only_what_every_command_needs():
     loaded = new_modules("import salbound.cli")
-    assert "salbound.solver" in loaded
-    lazy = {"salbound.bounds", "salbound.delta", "salbound.jacobi", "concurrent.futures", "csv"}
+    assert "salbound.reductions" in loaded
+    lazy = {"numpy", "salbound.solver", "salbound.quadrature", "salbound.bounds",
+            "salbound.delta", "salbound.jacobi", "concurrent.futures", "csv", "json"}
     assert not loaded & lazy
+
+
+def run_main(argv: list[str], prelude: str = "") -> tuple[int, set[str]]:
+    """Exit code of ``cli.main(argv)`` in a fresh interpreter that first runs
+    ``prelude``, and the salbound modules loaded by then."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        f"{prelude}\n"
+        "from salbound.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        f"        code = main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('salbound.'))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["linear-table", "--n", "10"], 0),
+        (["table1"], 0),
+        (["solve", "--potential", "coulomb:0.8"], 3),
+        (["solve", "--format", "bogus"], 2),
+    ],
+    ids=["linear-table", "table1", "stability-refusal", "usage-error"],
+)
+def test_closed_forms_refusals_and_usage_errors_run_without_numpy(argv, code):
+    # with numpy blocked, any import of it fails the command
+    assert run_main(argv, prelude='sys.modules["numpy"] = None')[0] == code
+
+
+def test_verify_delta_loads_none_of_the_solver_modules():
+    # seed 42 flags a state, so the finding document is built too
+    argv = ["verify-delta", "--n", "3", "--states", "3", "--samples", "4000", "--seed", "42"]
+    code, loaded = run_main(argv)
+    assert code == 4
+    assert "salbound.delta" in loaded
+    assert not loaded & {"salbound.bounds", "salbound.solver", "salbound.quadrature"}
 
 
 def test_import_delta_does_not_load_the_solver_modules():

@@ -6,21 +6,23 @@ from scipy import integrate
 
 from salbound import solver
 from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
-from salbound.solver import (
+from salbound.reductions import (
     COULOMB_CRITICAL_COUPLING,
     LINEAR_GROUND_ENERGY,
     ReducedHamiltonian,
     SolverConfig,
-    SpectrumResult,
     StabilityError,
+    natural_units,
+    scaled_energy_linear,
+)
+from salbound.solver import (
+    SpectrumResult,
     ground_energy,
     kinetic_matrix,
     map_scale,
     minimize_log_golden,
-    natural_units,
     potential_matrix,
     radial_basis,
-    scaled_energy_linear,
 )
 from salbound.quadrature import semi_infinite_rule
 
