@@ -7,7 +7,9 @@ status of the model-operator bound, the natural units and the closed forms
 for the massless linear potential.  Here each row is solved numerically, the
 model-operator bound is also proved for harmonic pair potentials, and the
 upper bound comes from a product Gaussian trial state in relative
-coordinates, optimized over its scale.
+coordinates, optimized over its scale: N times the solver's one-function
+scale search on the model operator (:func:`gaussian_upper`).  This module
+runs no quadrature and no search of its own.
 
 Every row is solved in its natural units (``reductions.natural_units``): a
 dilation maps its reduced operator to a multiple of the canonical operator
@@ -21,14 +23,10 @@ E(a|p| + b r^k) = a^(k/(k+1)) b^(1/(k+1)) E_k).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .potentials import Harmonic, PairPotential, require_finite
-from .quadrature import semi_infinite_rule
 from .reductions import (
     _MODEL,
     _ROWS,
@@ -43,7 +41,7 @@ from .reductions import (
     model_status,
     natural_units,
 )
-from .solver import SpectrumResult, ground_energy, minimize_log_golden
+from .solver import SpectrumResult, ground_energy, scale_search
 
 
 @dataclass(frozen=True)
@@ -135,56 +133,26 @@ def lower_bound(spec: ProblemSpec, name: str, config: SolverConfig | None = None
 def gaussian_upper(spec: ProblemSpec, config: SolverConfig | None = None) -> UpperBoundResult:
     """Variational upper bound from a product Gaussian in relative coordinates.
 
-    Boson symmetry collapses the expectation to a single relative pair, with
-    the kinetic term evaluated on sqrt(lam p^2 + m^2) at the model-operator
-    ``lam``.  At m = 0 the energy is A/sigma + sum B_k sigma^k in closed form
-    from the pair moments <|p|> = (2/sqrt(pi))/sigma and
-    <r^k> = sigma^k Γ((3+k)/2)/Γ(3/2); a single term with k > 0 has its
-    optimum in closed form (the massless linear one is
-    ``reductions.upper_gaussian_linear``), other potentials search that
-    energy over the Gaussian length scale.  At m > 0 the kinetic term is a radial
-    quadrature of ``config.quadrature_order`` and the same search applies.
-    The search runs over ``config.scale_interval`` times the natural length
-    of the model operator (``reductions.natural_units``).
+    Boson symmetry collapses the expectation to a single relative pair: the
+    energy at Gaussian length sigma is N times the expectation of the model
+    operator sqrt(lam p^2 + m^2) + (N-1)/2 V (``lam`` of the model-operator
+    reduction) in the first oscillator function at basis scale 1/sigma.  So
+    the bound is N times the solver's basis-size-1 scale search on that
+    operator (``solver.scale_search``), over ``config.scale_interval`` in
+    its natural units, and ``optimal_scale`` is the length sigma.  A massless
+    single term c r^k with k > 0 has its optimum in closed form instead, from
+    the pair moments <|p|> = (2/sqrt(pi))/sigma and
+    <r^k> = sigma^k Γ((3+k)/2)/Γ(3/2) (the linear one is
+    ``reductions.upper_gaussian_linear``).
     """
-    cfg = config if config is not None else SolverConfig()
-    if spec.mass == 0.0:
-        kinetic, powers = _massless_gaussian(spec.n, spec.potential.terms())
-        if len(powers) == 1 and powers[0][1] > 0.0:
-            value, sigma = _power_optimum(kinetic, *powers[0])
-            return UpperBoundResult(value=value, optimal_scale=sigma, warnings=[])
-
-        def energy(sigma: float) -> float:
-            return kinetic / sigma + sum(b * sigma**k for b, k in powers)
-
-    else:
-        y, wy = semi_infinite_rule(cfg.quadrature_order, 2.0)
-        keep = y < 38.0
-        y = y[keep]
-        # |phi_0|^2 y^2 dy weights for the unit Gaussian, normalized on y^2 dy
-        rho = (4.0 / math.sqrt(math.pi)) * wy[keep] * y * y * np.exp(-y * y)
-        lam = _MODEL.lam(spec.n)
-        gamma = float(spec.pair_count)
-        mass = spec.mass
-        potential = spec.potential
-
-        def energy(sigma: float) -> float:
-            kinetic = float(rho @ np.sqrt(lam * (y / sigma) ** 2 + mass * mass))
-            pot = float(rho @ np.asarray(potential(sigma * y), dtype=float))
-            return spec.n * kinetic + gamma * pot
-
+    terms = spec.potential.terms()
+    if spec.mass == 0.0 and len(terms) == 1 and terms[0][1] > 0.0:
+        kinetic, (power,) = _massless_gaussian(spec.n, terms)
+        value, sigma = _power_optimum(kinetic, *power)
+        return UpperBoundResult(value=value, optimal_scale=sigma, warnings=[])
     model = ReducedHamiltonian(1.0, _MODEL.lam(spec.n), (spec.n - 1) / 2.0, spec.mass, spec.potential)
-    length = natural_units(model)[2]
-    lo, hi = (length * end for end in cfg.scale_interval)
-    best = minimize_log_golden(energy, lo, hi, cfg.scale_tolerance)
-    warnings = []
-    if best.at_lower or best.at_upper:
-        end = lo if best.at_lower else hi
-        warnings.append(
-            f"Gaussian-scale optimum {best.x:.6g} sits at the search-interval "
-            f"endpoint {end:g}; widen scale_interval"
-        )
-    return UpperBoundResult(value=best.fx, optimal_scale=best.x, warnings=warnings)
+    search = scale_search(model, 1, config)
+    return UpperBoundResult(spec.n * search.energy, 1.0 / search.scale, search.warnings)
 
 
 @dataclass

@@ -26,9 +26,11 @@ which also refuses operators that are unbounded below): a dilation r -> s r
 maps H to beta sqrt(lam)/s times the canonical operator
 sqrt(p^2 + mu^2) + r^k - v'/r, whose optimal basis scale is of order 1 for
 every coupling, mass and particle count.  The scale search runs on that
-operator, and the result is scaled back.  The operator, the solver knobs and
-the closed forms of the massless linear case are in ``reductions``; this
-module holds only the numerics.
+operator, and the result is scaled back.  :func:`scale_search` is that search
+at any basis size; ``ground_energy`` runs it at the full and the half basis,
+and the Gaussian upper bound of ``bounds`` at basis size 1.  The operator, the
+solver knobs and the closed forms of the massless linear case are in
+``reductions``; this module holds only the numerics.
 """
 
 from __future__ import annotations
@@ -332,21 +334,40 @@ def _lowest_eigenvalue(h, basis_size, sigma, order):
     return np.linalg.eigvalsh(k + u)[0]
 
 
-def _optimized(h, basis_size, cfg, warnings):
+@dataclass(frozen=True)
+class ScaleSearch:
+    """Lowest Rayleigh-Ritz eigenvalue of an operator at its best basis scale,
+    both in the operator's own units."""
+
+    energy: float
+    scale: float
+    warnings: list[str]
+
+
+def scale_search(h: ReducedHamiltonian, basis_size: int, config: SolverConfig | None = None) -> ScaleSearch:
+    """Lowest eigenvalue of H in the first ``basis_size`` oscillator functions,
+    minimized over their basis scale.
+
+    The search runs on the canonical operator of ``reductions.natural_units``
+    over ``config.scale_interval``; energy and scale are scaled back to H.
+    Each end of the interval that the optimum sits at gets one warning, which
+    names the end and no scale, so that it holds in any units.
+    """
+    cfg = config if config is not None else SolverConfig()
+    canonical, energy, length = natural_units(h)
     lo, hi = cfg.scale_interval
     best = minimize_log_golden(
-        lambda sigma: _lowest_eigenvalue(h, basis_size, sigma, cfg.quadrature_order),
+        lambda sigma: _lowest_eigenvalue(canonical, basis_size, sigma, cfg.quadrature_order),
         lo,
         hi,
         cfg.scale_tolerance,
     )
-    if best.at_lower or best.at_upper:
-        end = lo if best.at_lower else hi
-        warnings.append(
-            f"basis-scale optimum {best.x:.6g} sits at the search-interval "
-            f"endpoint {end:g}; widen scale_interval (endpoint value returned)"
-        )
-    return best
+    warnings = [
+        f"scale optimum sits at the {end} endpoint of scale_interval; widen scale_interval"
+        for end, pinned in (("lower", best.at_lower), ("upper", best.at_upper))
+        if pinned
+    ]
+    return ScaleSearch(energy * float(best.fx), best.x / length, warnings)
 
 
 def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
@@ -361,10 +382,9 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
     """
     cfg = config if config is not None else SolverConfig()
     h, energy, length = natural_units(h)
-    warnings: list[str] = []
-
-    best = _optimized(h, cfg.basis_size, cfg, warnings)
-    sigma = best.x
+    # h is canonical now, so the searches report in natural units
+    best = scale_search(h, cfg.basis_size, cfg)
+    sigma = best.scale
 
     diagnostics: list[str] = []
     kin = kinetic_matrix(
@@ -373,7 +393,6 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
     pot = potential_matrix(
         h.potential, h.gamma, cfg.basis_size, sigma, cfg.quadrature_order, diagnostics
     )
-    warnings.extend(diagnostics)
     energies, vectors = np.linalg.eigh(kin + pot)
     coeff = vectors[:, 0]
     pivot = np.flatnonzero(np.abs(coeff) > 1e-12)
@@ -381,14 +400,12 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
         coeff = -coeff
     coeff = coeff / np.linalg.norm(coeff)
 
-    small = max(2, cfg.basis_size // 2)
-    small_best = _optimized(h, small, cfg, warnings)
-    warnings = list(dict.fromkeys(warnings))
+    half = scale_search(h, max(2, cfg.basis_size // 2), cfg)
 
     return SpectrumResult(
         ground_energy=float(energies[0]),
         optimal_basis_scale=float(sigma),
         coefficients=coeff,
-        convergence_estimate=abs(float(small_best.fx) - float(energies[0])),
-        warnings=warnings,
+        convergence_estimate=abs(half.energy - float(energies[0])),
+        warnings=list(dict.fromkeys(best.warnings + diagnostics + half.warnings)),
     ).dilated(energy, length)

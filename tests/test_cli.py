@@ -118,6 +118,21 @@ def test_out_of_range_natural_units_exit_2(capsys, argv, message):
     assert captured.out == ""
 
 
+def test_pinned_scale_gets_one_warning_without_a_scale(capsys):
+    # both the main and the half-basis search pin at the upper end of the
+    # interval, which is 20 in natural units but 56.57 in the reported units;
+    # the main search returns an interior scale, not the endpoint
+    from salbound.cli import main
+
+    assert main(["solve", "--mass", "1e5", "--potential", "linear:8", "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["optimal_basis_scale"] == pytest.approx(56.562, abs=1e-3)
+    (warning,) = result["warnings"]
+    assert "upper endpoint" in warning
+    assert not any(ch.isdigit() for ch in warning)
+    assert "value returned" not in warning
+
+
 def test_unknown_flag_exits_2():
     proc = run_cli("solve", "--frobnicate", "1")
     assert proc.returncode == 2
