@@ -10,9 +10,15 @@ verify-delta  Monte Carlo suite for the kinetic-difference expectation
 
 Reports render as text (6 significant digits), JSON or CSV (both full double
 precision) and carry the unit convention hbar = c = 1 in their header.  A
-JSON config file (same keys as the long flag names) supplies defaults; flags
-given on the command line win.  Exit codes: 0 success, 2 usage error,
+JSON config file supplies defaults; flags given on the command line win.  Its
+keys are the long flag names of any subcommand, with dashes or underscores, so
+one file can serve several commands; a key that names no flag, or an ``out``
+that is not a string, is a usage error.  Exit codes: 0 success, 2 usage error,
 3 solver stability error, 4 negative-mean finding in a proven regime.
+
+Each flag is declared once in ``_FLAGS`` (its check and help text) and each
+subcommand once in ``_COMMANDS``; the parser, the config rules, the report
+header and the CSV cells all follow from these two tables.
 """
 
 from __future__ import annotations
@@ -50,27 +56,94 @@ class UsageError(ValueError):
     """Invalid flag or config value; maps to exit code 2."""
 
 
-def _header(command: str) -> dict:
-    return {
-        "tool": "salbound",
-        "version": __version__,
-        "units": UNITS_NOTE,
-        "command": command,
-    }
-
-
 def _g(value: float) -> str:
     return format(value, ".6g")
 
 
+# --- flag checks: each takes the raw value and the flag name -----------------
+
+
+def _number(kind, minimum, strict=True):
+    """Check for a flag of type ``kind`` above ``minimum``, or at it if not ``strict``."""
+    wanted = "an integer" if kind is int else "a number"
+
+    def check(value, flag):
+        # a config file can hand over JSON booleans and fractions, which int()
+        # and float() would silently coerce or truncate
+        if isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()
+        ):
+            raise UsageError(f"--{flag} expects {wanted}, got {value!r}")
+        try:
+            value = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise UsageError(f"--{flag} expects {wanted}, got {value!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise UsageError(f"--{flag} must be finite, got {value}")
+        if strict and not value > minimum:
+            raise UsageError(f"--{flag} must be > {minimum}, got {value}")
+        if not strict and not value >= minimum:
+            raise UsageError(f"--{flag} must be >= {minimum}, got {value}")
+        return value
+
+    return check
+
+
+def _potential(value, flag):
+    try:
+        return parse_potential(str(value))
+    except PotentialParseError as exc:
+        raise UsageError(f"--{flag}: {exc}") from None
+
+
+_FORMATS = ("text", "json", "csv")
+
+
+def _format(value, flag):
+    if value not in _FORMATS:
+        raise UsageError(f"--{flag} must be text, json or csv, got {value!r}")
+    return value
+
+
+def _path(value, flag):
+    # open() would take a JSON true or 2 from a config file as a file descriptor
+    if value is not None and not isinstance(value, str):
+        raise UsageError(f"--{flag} expects a path, got {value!r}")
+    return value
+
+
+# Every flag of every subcommand: its check and its --help text.
+_FLAGS = {
+    "beta": (_number(float, 0.0), None),
+    "lambda": (_number(float, 0.0), None),
+    "gamma": (_number(float, 0.0), None),
+    "n": (_number(int, 2, strict=False), None),
+    "mass": (_number(float, 0.0, strict=False), None),
+    "potential": (_potential, "e.g. linear:1, coulomb:0.5, power:1,1.5"),
+    "basis-size": (_number(int, 1), None),
+    "quadrature-order": (_number(int, 15), None),
+    "states": (_number(int, 1, strict=False), None),
+    "samples": (_number(int, 2, strict=False), None),
+    "seed": (_number(int, 0, strict=False), None),
+    "shards": (_number(int, 1, strict=False), None),
+    "format": (_format, None),
+    "out": (_path, "write the report to this path instead of stdout"),
+    "config": (_path, "JSON file with default flag values"),
+}
+
+# Flags every subcommand takes after its own, with their defaults.
+_COMMON = {"format": "text", "out": None, "config": None}
+
+
 class _Options:
-    """Flag values with config-file fallback and hard defaults."""
+    """One command's flag values: the command line, else the config file, else
+    the command's default, checked when a handler reads one (``opt["mass"]``)."""
 
     def __init__(self, args: argparse.Namespace, defaults: dict):
         self.args = vars(args)
-        self.defaults = defaults
+        self.defaults = {**defaults, **_COMMON}
         self.config = {}
-        path = self.args.get("config")
+        path = self.args["config"]
         if path:
             import json
 
@@ -81,75 +154,29 @@ class _Options:
                 raise UsageError(f"--config {path}: {exc}") from None
             if not isinstance(self.config, dict):
                 raise UsageError(f"--config {path}: expected a JSON object")
+            # keys of other subcommands are allowed, so one file serves several
+            for key in self.config:
+                if key.replace("_", "-") not in _FLAGS:
+                    raise UsageError(f"--config {path}: {key!r} is not a flag of any command")
 
-    def get(self, key: str):
-        value = self.args.get(key.replace("-", "_"))
-        if value is not None:
-            return value
-        for alias in (key, key.replace("-", "_")):
-            if alias in self.config:
-                return self.config[alias]
-        return self.defaults[key]
-
-
-def _positive(value, flag: str, kind=float, minimum=None, strict=True):
-    # a config file can hand over JSON booleans and fractions, which int()
-    # and float() would silently coerce or truncate
-    if isinstance(value, bool) or (
-        kind is int and isinstance(value, float) and not value.is_integer()
-    ):
-        wanted = "an integer" if kind is int else "a number"
-        raise UsageError(f"--{flag} expects {wanted}, got {value!r}")
-    try:
-        value = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"--{flag} expects a number, got {value!r}") from None
-    if kind is float and not math.isfinite(value):
-        raise UsageError(f"--{flag} must be finite, got {value}")
-    if minimum is not None:
-        if strict and not value > minimum:
-            raise UsageError(f"--{flag} must be > {minimum}, got {value}")
-        if not strict and not value >= minimum:
-            raise UsageError(f"--{flag} must be >= {minimum}, got {value}")
-    return value
-
-
-def _potential(value) -> object:
-    try:
-        return parse_potential(str(value))
-    except PotentialParseError as exc:
-        raise UsageError(f"--potential: {exc}") from None
+    def __getitem__(self, flag: str):
+        value = self.args[flag.replace("-", "_")]
+        if value is None:
+            aliases = [key for key in (flag, flag.replace("-", "_")) if key in self.config]
+            value = self.config[aliases[0]] if aliases else self.defaults[flag]
+        return _FLAGS[flag][0](value, flag)
 
 
 def _solver_config(opt: _Options) -> SolverConfig:
-    return SolverConfig(
-        basis_size=_positive(opt.get("basis-size"), "basis-size", int, 1),
-        quadrature_order=_positive(opt.get("quadrature-order"), "quadrature-order", int, 15),
-    )
+    return SolverConfig(basis_size=opt["basis-size"], quadrature_order=opt["quadrature-order"])
 
 
 # --- solve -----------------------------------------------------------------
 
-_SOLVE_DEFAULTS = {
-    "beta": 1.0,
-    "lambda": 1.0,
-    "gamma": 1.0,
-    "mass": 0.0,
-    "potential": "linear:1",
-    "basis-size": 40,
-    "quadrature-order": 400,
-    "format": "text",
-    "out": None,
-}
-
-
 def cmd_solve(opt: _Options) -> tuple[dict, int]:
     hamiltonian = ReducedHamiltonian(
-        beta=_positive(opt.get("beta"), "beta", float, 0.0),
-        lam=_positive(opt.get("lambda"), "lambda", float, 0.0),
-        gamma=_positive(opt.get("gamma"), "gamma", float, 0.0),
-        mass=_positive(opt.get("mass"), "mass", float, 0.0, strict=False),
-        potential=_potential(opt.get("potential")),
+        beta=opt["beta"], lam=opt["lambda"], gamma=opt["gamma"], mass=opt["mass"],
+        potential=opt["potential"],
     )
     config = _solver_config(opt)
     # refuse an unbounded or out-of-range operator before numpy loads
@@ -157,8 +184,7 @@ def cmd_solve(opt: _Options) -> tuple[dict, int]:
     from .solver import ground_energy
 
     result = ground_energy(hamiltonian, config)
-    report = {
-        "header": _header("solve"),
+    return {
         "problem": {
             "beta": hamiltonian.beta,
             "lambda": hamiltonian.lam,
@@ -177,8 +203,7 @@ def cmd_solve(opt: _Options) -> tuple[dict, int]:
             "coefficients": result.coefficients.tolist(),
             "warnings": list(result.warnings),
         },
-    }
-    return report, EXIT_OK
+    }, EXIT_OK
 
 
 def _text_solve(report: dict) -> list[str]:
@@ -197,37 +222,22 @@ def _text_solve(report: dict) -> list[str]:
     return lines
 
 
-def _csv_solve(report: dict, writer) -> None:
+def _csv_solve(report: dict):
     res = report["result"]
-    writer.writerow(["key", "value"])
+    yield ["key", "value"]
     for key in ("ground_energy", "optimal_basis_scale", "convergence_estimate"):
-        writer.writerow([key, repr(res[key])])
+        yield [key, res[key]]
     for i, c in enumerate(res["coefficients"]):
-        writer.writerow([f"coefficient_{i}", repr(c)])
+        yield [f"coefficient_{i}", c]
 
 
 # --- bounds ----------------------------------------------------------------
 
-_BOUNDS_DEFAULTS = {
-    "n": 2,
-    "mass": 0.0,
-    "potential": "linear:1",
-    "basis-size": 40,
-    "quadrature-order": 400,
-    "format": "text",
-    "out": None,
-}
-
-
 def cmd_bounds(opt: _Options) -> tuple[dict, int]:
+    n, mass, potential, config = opt["n"], opt["mass"], opt["potential"], _solver_config(opt)
     from .bounds import ProblemSpec, compute_bounds
 
-    spec = ProblemSpec(
-        n=_positive(opt.get("n"), "n", int, 2, strict=False),
-        mass=_positive(opt.get("mass"), "mass", float, 0.0, strict=False),
-        potential=_potential(opt.get("potential")),
-    )
-    config = _solver_config(opt)
+    spec = ProblemSpec(n=n, mass=mass, potential=potential)
     bounds = compute_bounds(spec, config)
 
     lower = bounds.lower_results()
@@ -247,8 +257,7 @@ def cmd_bounds(opt: _Options) -> tuple[dict, int]:
         "optimal_scale": bounds.upper.optimal_scale,
         "warnings": list(bounds.upper.warnings),
     }
-    report = {
-        "header": _header("bounds"),
+    return {
         "n": spec.n,
         "mass": spec.mass,
         "potential": spec.potential.spec(),
@@ -260,8 +269,7 @@ def cmd_bounds(opt: _Options) -> tuple[dict, int]:
         "status": bounds.status.label,
         "status_reason": bounds.status.reason,
         "diagnostics": diagnostics,
-    }
-    return report, EXIT_OK
+    }, EXIT_OK
 
 
 def _bound_rows(report: dict):
@@ -287,43 +295,31 @@ def _text_bounds(report: dict) -> list[str]:
     return lines
 
 
-def _csv_bounds(report: dict, writer) -> None:
-    writer.writerow(["bound", "value", "note"])
-    for name, value, note in _bound_rows(report):
-        writer.writerow([name, "" if value is None else repr(value), note])
+def _csv_bounds(report: dict):
+    yield ["bound", "value", "note"]
+    yield from _bound_rows(report)
 
 
 # --- linear-table ----------------------------------------------------------
 
-_LINEAR_TABLE_DEFAULTS = {"n": 2, "format": "text", "out": None}
-
-
 def cmd_linear_table(opt: _Options) -> tuple[dict, int]:
-    n = _positive(opt.get("n"), "n", int, 2, strict=False)
-    table = linear_bound_table(n)
-    report = {
-        "header": _header("linear-table"),
+    table = linear_bound_table(opt["n"])
+    return {
         "n": table.n,
         "bounds": {**table.lower, "upper": table.upper},
         "reasons": dict(table.reasons),
-    }
-    return report, EXIT_OK
+    }, EXIT_OK
 
 
 # --- table1 ----------------------------------------------------------------
 
-_TABLE1_DEFAULTS = {"format": "text", "out": None}
-
-
 def cmd_table1(opt: _Options) -> tuple[dict, int]:
     table = ratio_table()
-    report = {
-        "header": _header("table1"),
+    return {
         "title": "ratios of upper to lower energy bounds, V(r) = r, m = 0",
         "columns": [*table.n_values, "inf"],
         "rows": {label: list(values) for label, values in table.rows.items()},
-    }
-    return report, EXIT_OK
+    }, EXIT_OK
 
 
 def _text_table1(report: dict) -> list[str]:
@@ -336,38 +332,25 @@ def _text_table1(report: dict) -> list[str]:
     return lines
 
 
-def _csv_table1(report: dict, writer) -> None:
-    writer.writerow(["row_label", "n", "value"])
+def _csv_table1(report: dict):
+    yield ["row_label", "n", "value"]
     for label, values in report["rows"].items():
         for column, value in zip(report["columns"], values):
-            if value is None:
-                continue
-            writer.writerow([label, column, repr(value)])
+            if value is not None:
+                yield [label, column, value]
 
 
 # --- verify-delta ----------------------------------------------------------
 
-_VERIFY_DEFAULTS = {
-    "n": 3,
-    "mass": 0.0,
-    "states": 100,
-    "samples": 100000,
-    "seed": 42,
-    "shards": 1,
-    "format": "text",
-    "out": None,
-}
-
-
 def cmd_verify_delta(opt: _Options) -> tuple[dict, int]:
+    n = opt["n"]
+    mass = opt["mass"]
+    states = opt["states"]
+    samples = opt["samples"]
+    seed = opt["seed"]
+    shards = opt["shards"]
     from .delta import expectation_delta, finding_document, random_state_corpus
 
-    n = _positive(opt.get("n"), "n", int, 2, strict=False)
-    mass = _positive(opt.get("mass"), "mass", float, 0.0, strict=False)
-    states = _positive(opt.get("states"), "states", int, 1, strict=False)
-    samples = _positive(opt.get("samples"), "samples", int, 2, strict=False)
-    seed = _positive(opt.get("seed"), "seed", int, 0, strict=False)
-    shards = _positive(opt.get("shards"), "shards", int, 1, strict=False)
     threads = min(shards, os.cpu_count() or 1)
 
     regime = model_status(n, mass).label
@@ -393,7 +376,6 @@ def cmd_verify_delta(opt: _Options) -> tuple[dict, int]:
             findings.append(finding_document(state, stats))
     verdict = "all-nonnegative" if not findings else "findings"
     report = {
-        "header": _header("verify-delta"),
         "n": n,
         "mass": mass,
         "states": states,
@@ -432,64 +414,68 @@ def _text_verify_delta(report: dict) -> list[str]:
     return lines
 
 
-def _csv_verify_delta(report: dict, writer) -> None:
-    writer.writerow(["state", "mean", "stderr", "k_mean", "q_mean", "negative_beyond_3se"])
+def _csv_verify_delta(report: dict):
+    # one row per state, with the keys of its JSON result as the columns
+    yield list(report["results"][0])
     for row in report["results"]:
-        writer.writerow(
-            [
-                row["state"],
-                repr(row["mean"]),
-                repr(row["stderr"]),
-                repr(row["k_mean"]),
-                repr(row["q_mean"]),
-                int(row["negative_beyond_3se"]),
-            ]
-        )
+        yield list(row.values())
 
 
-# --- rendering and dispatch -------------------------------------------------
+# --- the command table, rendering and dispatch --------------------------------
 
-_FORMATS = ("text", "json", "csv")
-
-_TEXT_RENDERERS = {
-    "solve": _text_solve,
-    "bounds": _text_bounds,
-    "linear-table": _text_bounds,
-    "table1": _text_table1,
-    "verify-delta": _text_verify_delta,
+# name: (help, handler, flag defaults in --help order, text view, CSV rows)
+_COMMANDS = {
+    "solve": (
+        "ground state of the reduced one-body operator", cmd_solve,
+        {"beta": 1.0, "lambda": 1.0, "gamma": 1.0, "mass": 0.0, "potential": "linear:1",
+         "basis-size": 40, "quadrature-order": 400},
+        _text_solve, _csv_solve,
+    ),
+    "bounds": (
+        "all N-boson bounds for one problem", cmd_bounds,
+        {"n": 2, "mass": 0.0, "potential": "linear:1", "basis-size": 40, "quadrature-order": 400},
+        _text_bounds, _csv_bounds,
+    ),
+    "linear-table": (
+        "closed-form bounds for V(r) = r, m = 0", cmd_linear_table, {"n": 2},
+        _text_bounds, _csv_bounds,
+    ),
+    "table1": ("bound-ratio table for V(r) = r, m = 0", cmd_table1, {}, _text_table1, _csv_table1),
+    "verify-delta": (
+        "Monte Carlo delta-expectation suite", cmd_verify_delta,
+        {"n": 3, "mass": 0.0, "states": 100, "samples": 100000, "seed": 42, "shards": 1},
+        _text_verify_delta, _csv_verify_delta,
+    ),
 }
 
-_CSV_RENDERERS = {
-    "solve": _csv_solve,
-    "bounds": _csv_bounds,
-    "linear-table": _csv_bounds,
-    "table1": _csv_table1,
-    "verify-delta": _csv_verify_delta,
-}
 
-
-def _format(value) -> str:
-    if value not in _FORMATS:
-        raise UsageError(f"--format must be text, json or csv, got {value!r}")
+def _cell(value):
+    """One CSV cell: None is empty, a bool 0 or 1, a float its full repr."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return repr(value)
     return value
 
 
 def render(report: dict, fmt: str) -> str:
     command = report["header"]["command"]
-    fmt = _format(fmt)
     if fmt == "json":
         import json
 
         return json.dumps(report, indent=2) + "\n"
+    *_, text_view, csv_rows = _COMMANDS[command]
     if fmt == "csv":
         import csv
 
         buffer = io.StringIO()
         buffer.write(f"# salbound {__version__} | units: {UNITS_NOTE}\r\n")
-        _CSV_RENDERERS[command](report, csv.writer(buffer))
+        csv.writer(buffer).writerows([_cell(c) for c in row] for row in csv_rows(report))
         return buffer.getvalue()
     head = f"salbound {__version__} | {command} | units: {UNITS_NOTE}"
-    return "\n".join([head, *_TEXT_RENDERERS[command](report)]) + "\n"
+    return "\n".join([head, *text_view(report)]) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -511,68 +497,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"salbound {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=_FORMATS)
-        p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--config", help="JSON file with default flag values")
-
-    p = sub.add_parser("solve", help="ground state of the reduced one-body operator")
-    p.add_argument("--beta")
-    p.add_argument("--lambda")
-    p.add_argument("--gamma")
-    p.add_argument("--mass")
-    p.add_argument("--potential", help="e.g. linear:1, coulomb:0.5, power:1,1.5")
-    p.add_argument("--basis-size")
-    p.add_argument("--quadrature-order")
-    common(p)
-
-    p = sub.add_parser("bounds", help="all N-boson bounds for one problem")
-    p.add_argument("--n")
-    p.add_argument("--mass")
-    p.add_argument("--potential")
-    p.add_argument("--basis-size")
-    p.add_argument("--quadrature-order")
-    common(p)
-
-    p = sub.add_parser("linear-table", help="closed-form bounds for V(r) = r, m = 0")
-    p.add_argument("--n")
-    common(p)
-
-    p = sub.add_parser("table1", help="bound-ratio table for V(r) = r, m = 0")
-    common(p)
-
-    p = sub.add_parser("verify-delta", help="Monte Carlo delta-expectation suite")
-    p.add_argument("--n")
-    p.add_argument("--mass")
-    p.add_argument("--states")
-    p.add_argument("--samples")
-    p.add_argument("--seed")
-    p.add_argument("--shards")
-    common(p)
-
+    for command, (text, _, defaults, *_) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag in (*defaults, *_COMMON):
+            choices = _FORMATS if flag == "format" else None
+            p.add_argument(f"--{flag}", choices=choices, help=_FLAGS[flag][1])
     return parser
 
 
-_COMMANDS = {
-    "solve": (cmd_solve, _SOLVE_DEFAULTS),
-    "bounds": (cmd_bounds, _BOUNDS_DEFAULTS),
-    "linear-table": (cmd_linear_table, _LINEAR_TABLE_DEFAULTS),
-    "table1": (cmd_table1, _TABLE1_DEFAULTS),
-    "verify-delta": (cmd_verify_delta, _VERIFY_DEFAULTS),
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    run, defaults = _COMMANDS[args.command]
+    args = build_parser().parse_args(argv)
+    _, run, defaults, *_ = _COMMANDS[args.command]
     try:
         opt = _Options(args, defaults)
-        # a bad format from a config file fails before the command runs
-        fmt = _format(opt.get("format"))
-        report, code = run(opt)
-        _emit(render(report, fmt), opt.get("out"))
+        # a bad format or out from a config file fails before the command runs
+        fmt, out = opt["format"], opt["out"]
+        body, code = run(opt)
+        header = {"tool": "salbound", "version": __version__, "units": UNITS_NOTE,
+                  "command": args.command}
+        _emit(render({"header": header, **body}, fmt), out)
         return code
     except StabilityError as exc:
         print(f"stability error: {exc}", file=sys.stderr)

@@ -147,7 +147,10 @@ def test_solve_csv_matches_json():
     table = {row[0]: row[1] for row in rows[1:]}
     assert float(table["ground_energy"]) == report["result"]["ground_energy"]
     assert float(table["convergence_estimate"]) == report["result"]["convergence_estimate"]
-    assert float(table["coefficient_0"]) == report["result"]["coefficients"][0]
+    coefficients = report["result"]["coefficients"]
+    assert len(coefficients) == report["config"]["basis_size"]
+    assert [float(table[f"coefficient_{i}"]) for i in range(len(coefficients))] == coefficients
+    assert len(table) == 3 + len(coefficients)
 
 
 # --- bounds ----------------------------------------------------------------------
@@ -370,6 +373,33 @@ def test_verify_delta_at_many_particles():
     assert mean == pytest.approx(float((kinetic - pair_terms).mean()), rel=1e-12)
 
 
+def test_verify_delta_csv_and_text_carry_the_json_values(capsys):
+    # seed 42 flags one of the three states, so both flag values appear
+    from salbound.cli import _g, main
+
+    argv = ["verify-delta", "--n", "3", "--states", "3", "--samples", "4000", "--seed", "42"]
+    reports = {}
+    for fmt in ("json", "csv", "text"):
+        assert main([*argv, "--format", fmt]) == 4
+        reports[fmt] = capsys.readouterr().out
+    results = json.loads(reports["json"])["results"]
+    assert {row["negative_beyond_3se"] for row in results} == {True, False}
+    columns = ["state", "mean", "stderr", "k_mean", "q_mean", "negative_beyond_3se"]
+    rows = read_csv(reports["csv"])
+    assert rows[0] == columns
+    assert len(rows) == 1 + len(results)
+    for cells, row in zip(rows[1:], results):
+        assert int(cells[0]) == row["state"]
+        assert [float(cell) for cell in cells[1:5]] == [row[c] for c in columns[1:5]]
+        assert cells[5] == ("1" if row["negative_beyond_3se"] else "0")
+    lines = reports["text"].splitlines()
+    assert lines[3].split() == [*columns[:5], "flag"]
+    for line, row in zip(lines[4:], results):
+        want = [str(row["state"]), *(_g(row[c]) for c in columns[1:5])]
+        assert line.split() == want + (["NEGATIVE"] if row["negative_beyond_3se"] else [])
+    assert lines[4 + len(results)].startswith("verdict: findings")
+
+
 def test_verify_delta_text_verdict():
     proc = run_cli(
         "verify-delta", "--n", "4", "--mass", "0.5", "--states", "2",
@@ -413,6 +443,55 @@ def test_bad_config_file_exits_2(tmp_path):
         assert proc.stdout == ""
     config.write_text(json.dumps({"n": 4.0}))
     assert parse_json(run_cli("linear-table", "--config", str(config), "--format", "json"))["n"] == 4
+
+
+def test_config_keys_must_name_a_flag_and_integers_must_parse(tmp_path, capsys):
+    from salbound.cli import main
+
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"mas": 1.0}))
+    assert main(["bounds", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --config ") and "'mas'" in captured.err
+    # a config file shared between commands: keys of other commands and the
+    # underscore spellings are accepted
+    config.write_text(json.dumps({"n": 3, "seed": 7, "basis_size": 12, "beta": 2.0}))
+    assert main(["linear-table", "--config", str(config), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 3
+    assert main(["bounds", "--n", "1e3"]) == 2
+    assert capsys.readouterr().err == "error: --n expects an integer, got '1e3'\n"
+
+
+@pytest.mark.parametrize("out", [True, 2], ids=["true", "two"])
+def test_config_out_must_be_a_path(tmp_path, capfd, out):
+    # open() takes a bool or an int as a file descriptor: the report went to
+    # fd 1 or 2, which was then closed
+    import os
+
+    from salbound.cli import main
+
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"out": out}))
+    saved = {fd: os.dup(fd) for fd in (1, 2)}
+    try:
+        code = main(["linear-table", "--config", str(config)])
+        closed = []
+        for fd in (1, 2):
+            try:
+                os.fstat(fd)
+            except OSError:
+                closed.append(fd)
+    finally:
+        for fd, copy in saved.items():
+            if fd in closed:
+                os.dup2(copy, fd)
+            os.close(copy)
+    assert closed == []
+    assert code == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out expects a path, got {out!r}\n"
 
 
 def test_out_writes_file(tmp_path):

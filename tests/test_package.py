@@ -72,8 +72,12 @@ def run_main(argv: list[str], prelude: str = "") -> tuple[int, set[str]]:
         (["table1"], 0),
         (["solve", "--potential", "coulomb:0.8"], 3),
         (["solve", "--format", "bogus"], 2),
+        (["solve", "--beta", "0"], 2),
+        (["bounds", "--n", "1"], 2),
+        (["verify-delta", "--samples", "1"], 2),
     ],
-    ids=["linear-table", "table1", "stability-refusal", "usage-error"],
+    ids=["linear-table", "table1", "stability-refusal", "usage-error", "flag-check",
+         "bounds-flag-check", "verify-delta-flag-check"],
 )
 def test_closed_forms_refusals_and_usage_errors_run_without_numpy(argv, code):
     # with numpy blocked, any import of it fails the command
