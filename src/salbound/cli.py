@@ -235,6 +235,9 @@ def _csv_solve(report: dict):
 
 def cmd_bounds(opt: _Options) -> tuple[dict, int]:
     n, mass, potential, config = opt["n"], opt["mass"], opt["potential"], _solver_config(opt)
+    # refuse an unbounded or out-of-range operator before numpy loads: the n2
+    # row comes first in the table and its lam = 1 gives the largest coupling
+    natural_units(ReducedHamiltonian(1.0, 1.0, (n - 1) / 2.0, mass, potential))
     from .bounds import ProblemSpec, compute_bounds
 
     spec = ProblemSpec(n=n, mass=mass, potential=potential)

@@ -27,10 +27,14 @@ maps H to beta sqrt(lam)/s times the canonical operator
 sqrt(p^2 + mu^2) + r^k - v'/r, whose optimal basis scale is of order 1 for
 every coupling, mass and particle count.  The scale search runs on that
 operator, and the result is scaled back.  :func:`scale_search` is that search
-at any basis size; ``ground_energy`` runs it at the full and the half basis,
-and the Gaussian upper bound of ``bounds`` at basis size 1.  The operator, the
-solver knobs and the closed forms of the massless linear case are in
-``reductions``; this module holds only the numerics.
+at any basis size, and the Gaussian upper bound of ``bounds`` runs it at basis
+size 1.  ``ground_energy`` brings its operator to natural units once and runs
+two searches on it: the half basis over the whole scale interval, then the
+full basis on a bracket of e^(+-1/2) around the half-basis optimum, the
+distance the two optima keep in practice.  The search stops where its bracket
+is within the scale tolerance or flat to roundoff (:data:`FLAT_TOL`).  The
+operator, the solver knobs and the closed forms of the massless linear case
+are in ``reductions``; this module holds only the numerics.
 """
 
 from __future__ import annotations
@@ -48,6 +52,16 @@ from .reductions import ReducedHamiltonian, SolverConfig, natural_units
 #: Relative change between a rule and its doubled-order version above which
 #: a quadrature warning is recorded.
 QUADRATURE_SELF_CHECK_TOL = 1e-10
+
+#: Relative spread of the objective across the search bracket below which the
+#: scale search stops: about the roundoff of an ``eigvalsh`` at B <= 40, so
+#: the objective carries no more information about the scale.
+FLAT_TOL = 1e-13
+
+#: Half-width, in log scale, of the full-basis search bracket around the
+#: half-basis optimum.  Over 631 solves of the bounds benchmark (seeds 7 and 8)
+#: the two optima differed by 0.16-0.18 in median and 0.27 at most.
+_LOCAL_HALF_WIDTH = 0.5
 
 #: Golden-section step as a fraction of the bracket, (3 - sqrt 5)/2.
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
@@ -265,9 +279,12 @@ def minimize_log_golden(f, lo: float, hi: float, rel_tol: float) -> GoldenResult
     rel_tol/3.  The search stops once the bracket around the best point is
     within 2 rel_tol/3 on either side, so for a unimodal f the returned
     abscissa is within ``rel_tol`` of the minimum in log coordinates (the
-    relative uncertainty of the abscissa).  Flags indicate a minimum pinned
-    at an interval endpoint; where the bracket never left an end and f is
-    no larger there, the end itself is returned.
+    relative uncertainty of the abscissa).  It also stops once f has been
+    evaluated at both ends of the bracket and neither exceeds f at the best
+    point by more than :data:`FLAT_TOL` relative: the bracket is then flat to
+    roundoff, and the abscissa may lie anywhere in it.  Flags indicate a
+    minimum pinned at an interval endpoint; where the bracket never left an
+    end and f is no larger there, the end itself is returned.
     """
     a, b = math.log(lo), math.log(hi)
     a0, b0 = a, b
@@ -275,10 +292,14 @@ def minimize_log_golden(f, lo: float, hi: float, rel_tol: float) -> GoldenResult
     # x: best point so far, w: second best, v: the previous w
     x = w = v = a + _GOLDEN_STEP * (b - a)
     fx = fw = fv = f(math.exp(x))
+    # f at the bracket ends, infinite until the end has moved to a point of f
+    fa = fb = math.inf
     step = last = 0.0
     while True:
         xm = 0.5 * (a + b)
         if abs(x - xm) <= 2.0 * tol1 - 0.5 * (b - a):
+            break
+        if max(fa, fb) - fx <= FLAT_TOL * abs(fx):
             break
         golden = True
         if abs(last) > tol1:
@@ -302,15 +323,15 @@ def minimize_log_golden(f, lo: float, hi: float, rel_tol: float) -> GoldenResult
         fu = f(math.exp(u))
         if fu <= fx:
             if u >= x:
-                a = x
+                a, fa = x, fx
             else:
-                b = x
+                b, fb = x, fx
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
             if u < x:
-                a = u
+                a, fa = u, fu
             else:
-                b = u
+                b, fb = u, fu
             if fu <= fw or w == x:
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
@@ -344,47 +365,79 @@ class ScaleSearch:
     warnings: list[str]
 
 
+def _search(canonical, basis_size, cfg, lo, hi) -> GoldenResult:
+    """Scale search of a canonical operator over [lo, hi] at ``basis_size``."""
+    return minimize_log_golden(
+        lambda sigma: _lowest_eigenvalue(canonical, basis_size, sigma, cfg.quadrature_order),
+        lo,
+        hi,
+        cfg.scale_tolerance,
+    )
+
+
+def _pin_warnings(best: GoldenResult) -> list[str]:
+    """One warning per end of the scale interval that the optimum sits at; it
+    names the end and no scale, so that it holds in any units."""
+    return [
+        f"scale optimum sits at the {end} endpoint of scale_interval; widen scale_interval"
+        for end, pinned in (("lower", best.at_lower), ("upper", best.at_upper))
+        if pinned
+    ]
+
+
 def scale_search(h: ReducedHamiltonian, basis_size: int, config: SolverConfig | None = None) -> ScaleSearch:
     """Lowest eigenvalue of H in the first ``basis_size`` oscillator functions,
     minimized over their basis scale.
 
     The search runs on the canonical operator of ``reductions.natural_units``
     over ``config.scale_interval``; energy and scale are scaled back to H.
-    Each end of the interval that the optimum sits at gets one warning, which
-    names the end and no scale, so that it holds in any units.
+    Each end of the interval that the optimum sits at gets one warning.
     """
     cfg = config if config is not None else SolverConfig()
     canonical, energy, length = natural_units(h)
+    best = _search(canonical, basis_size, cfg, *cfg.scale_interval)
+    return ScaleSearch(energy * float(best.fx), best.x / length, _pin_warnings(best))
+
+
+def _full_search(canonical, cfg, half: GoldenResult) -> GoldenResult:
+    """Full-basis scale search, seeded by the half-basis result ``half``.
+
+    Unless ``half`` is pinned, the search runs on e^(+-1/2) around its
+    optimum, cut to the scale interval; where it pins at an end of that
+    bracket that is not an end of the interval, and whenever ``half`` is
+    pinned, it runs over the whole interval.  So the flags of the result
+    refer to the ends of the scale interval only.
+    """
     lo, hi = cfg.scale_interval
-    best = minimize_log_golden(
-        lambda sigma: _lowest_eigenvalue(canonical, basis_size, sigma, cfg.quadrature_order),
-        lo,
-        hi,
-        cfg.scale_tolerance,
-    )
-    warnings = [
-        f"scale optimum sits at the {end} endpoint of scale_interval; widen scale_interval"
-        for end, pinned in (("lower", best.at_lower), ("upper", best.at_upper))
-        if pinned
-    ]
-    return ScaleSearch(energy * float(best.fx), best.x / length, warnings)
+    if not (half.at_lower or half.at_upper):
+        width = math.exp(_LOCAL_HALF_WIDTH)
+        local_lo, local_hi = max(lo, half.x / width), min(hi, half.x * width)
+        best = _search(canonical, cfg.basis_size, cfg, local_lo, local_hi)
+        if not ((best.at_lower and local_lo > lo) or (best.at_upper and local_hi < hi)):
+            return best
+    return _search(canonical, cfg.basis_size, cfg, lo, hi)
 
 
 def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
     """Bottom of the spectrum of H by Rayleigh-Ritz with basis-scale search.
 
-    The search and the solve run on the canonical operator of
+    The searches and the solve run on the canonical operator of
     ``reductions.natural_units``, and the result is scaled back to H.  The
     returned energy is a variational upper bound on the true spectral
     bottom, nonincreasing in the basis size.  ``convergence_estimate`` is the
     difference against a solve at basis size max(2, basis_size // 2) and
-    bounds the plausible remaining truncation error scale.
+    bounds the plausible remaining truncation error scale.  That solve runs
+    first, over the whole scale interval, and the full-basis search starts
+    from its optimum (:func:`_full_search`).  ``optimal_basis_scale`` is
+    within ``scale_tolerance`` of the optimum, or anywhere in a bracket over
+    which the energy is flat to :data:`FLAT_TOL`.
     """
     cfg = config if config is not None else SolverConfig()
     h, energy, length = natural_units(h)
     # h is canonical now, so the searches report in natural units
-    best = scale_search(h, cfg.basis_size, cfg)
-    sigma = best.scale
+    half = _search(h, max(2, cfg.basis_size // 2), cfg, *cfg.scale_interval)
+    best = _full_search(h, cfg, half)
+    sigma = best.x
 
     diagnostics: list[str] = []
     kin = kinetic_matrix(
@@ -400,12 +453,10 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
         coeff = -coeff
     coeff = coeff / np.linalg.norm(coeff)
 
-    half = scale_search(h, max(2, cfg.basis_size // 2), cfg)
-
     return SpectrumResult(
         ground_energy=float(energies[0]),
         optimal_basis_scale=float(sigma),
         coefficients=coeff,
-        convergence_estimate=abs(half.energy - float(energies[0])),
-        warnings=list(dict.fromkeys(best.warnings + diagnostics + half.warnings)),
+        convergence_estimate=abs(float(half.fx) - float(energies[0])),
+        warnings=list(dict.fromkeys(_pin_warnings(best) + diagnostics + _pin_warnings(half))),
     ).dilated(energy, length)

@@ -75,9 +75,10 @@ def run_main(argv: list[str], prelude: str = "") -> tuple[int, set[str]]:
         (["solve", "--beta", "0"], 2),
         (["bounds", "--n", "1"], 2),
         (["verify-delta", "--samples", "1"], 2),
+        (["bounds", "--potential", "coulomb:3"], 3),
     ],
     ids=["linear-table", "table1", "stability-refusal", "usage-error", "flag-check",
-         "bounds-flag-check", "verify-delta-flag-check"],
+         "bounds-flag-check", "verify-delta-flag-check", "bounds-stability-refusal"],
 )
 def test_closed_forms_refusals_and_usage_errors_run_without_numpy(argv, code):
     # with numpy blocked, any import of it fails the command

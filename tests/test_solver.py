@@ -350,29 +350,92 @@ def test_minimizer_contract_on_log_grid(shape, lo, hi, rel_tol):
                 assert not flag, t
 
 
+def _counted_searches(monkeypatch):
+    """Record, per call of the solver's scale search, its interval and the
+    abscissae it evaluates."""
+    searches = []
+    search = solver.minimize_log_golden
+
+    def counted(f, lo, hi, rel_tol):
+        calls = []
+        searches.append((lo, hi, calls))
+        return search(lambda sigma: calls.append(sigma) or f(sigma), lo, hi, rel_tol)
+
+    monkeypatch.setattr(solver, "minimize_log_golden", counted)
+    return searches
+
+
 @pytest.mark.parametrize(
     "potential, mass, basis_size, evaluations",
     [
         (Linear(1.0), 0.0, 40, 12),
-        (Harmonic(1.0), 1.0, 8, 34),
-        (CoulombPlusLinear(0.3, 1.0), 0.5, 40, 28),
+        (Harmonic(1.0), 1.0, 8, 26),
+        (CoulombPlusLinear(0.3, 1.0), 0.5, 40, 24),
     ],
-    ids=["abs-p-plus-r-B40-12evals", "harmonic-m1-B8-34evals", "coulomb+linear-m0.5-B40-28evals"],
+    ids=["abs-p-plus-r-B40-12evals", "harmonic-m1-B8-26evals", "coulomb+linear-m0.5-B40-24evals"],
 )
 def test_scale_search_evaluation_count(monkeypatch, potential, mass, basis_size, evaluations):
-    # plain golden section takes 25 evaluations per search, two searches per
-    # solve.  The harmonic case runs at B = 8: at B = 40 its objective is flat
-    # to roundoff near the optimum, so the count follows the BLAS kernel.
-    calls = []
-    search = solver.minimize_log_golden
-
-    def counted(f, lo, hi, rel_tol):
-        return search(lambda sigma: calls.append(sigma) or f(sigma), lo, hi, rel_tol)
-
-    monkeypatch.setattr(solver, "minimize_log_golden", counted)
+    # plain golden section takes 25 evaluations per search over the whole
+    # interval, two searches per solve; the full-basis search now runs on a
+    # bracket around the half-basis optimum
+    searches = _counted_searches(monkeypatch)
     h = ReducedHamiltonian(1.0, 1.0, 1.0, mass, potential)
     ground_energy(h, SolverConfig(basis_size=basis_size))
-    assert len(calls) == evaluations
+    assert sum(len(calls) for _, _, calls in searches) == evaluations
+
+
+def test_flat_objective_stops_early(monkeypatch):
+    # at B = 40 the harmonic objective is flat to roundoff near its optimum,
+    # so the count may follow the BLAS kernel: bound it.  It was 19 on seven
+    # OpenBLAS kernels, and 33-48 before the search stopped on a flat bracket
+    searches = _counted_searches(monkeypatch)
+    h = ReducedHamiltonian(1.0, 1.0, 1.0, 1.0, Harmonic(1.0))
+    result = ground_energy(h, SolverConfig(basis_size=40))
+    assert sum(len(calls) for _, _, calls in searches) <= 24
+    assert result.warnings == []
+    canonical, _, _ = natural_units(h)
+    reference = reference_ground_energy(canonical, 40, 0.05, 20.0)
+    assert result.ground_energy == pytest.approx(reference.fx, rel=1e-12)
+
+
+def test_local_search_pinned_inside_the_interval_falls_back(monkeypatch):
+    # a local bracket far narrower than the distance between the half- and
+    # full-basis optima pins the local search at one of its own ends, which
+    # are not ends of the scale interval; then the whole interval is searched
+    h = ReducedHamiltonian(1.0, 1.0, 1.0, 0.5, CoulombPlusLinear(0.3, 1.0))
+    cfg = SolverConfig(basis_size=40)
+    whole = solver.scale_search(h, cfg.basis_size, cfg)
+    monkeypatch.setattr(solver, "_LOCAL_HALF_WIDTH", 1e-3)
+    searches = _counted_searches(monkeypatch)
+    result = ground_energy(h, cfg)
+    lo, hi = cfg.scale_interval
+    (half_lo, half_hi, _), (local_lo, local_hi, _), (full_lo, full_hi, _) = searches
+    assert (half_lo, half_hi) == (full_lo, full_hi) == (lo, hi)
+    assert lo < local_lo < local_hi < hi
+    assert result.optimal_basis_scale == whole.scale
+    assert result.warnings == []
+
+
+def test_flat_bottom_stops_the_search_early(monkeypatch):
+    # exactly flat (up to 1e-15 of ripple) within 0.5 of t = 0.3 in log
+    # scale, quadratic outside; the least value is at least 1 - 1e-15
+    def f(x):
+        d = abs(math.log(x) - 0.3)
+        return 1.0 + max(0.0, d - 0.5) ** 2 + 1e-15 * math.sin(1e4 * d)
+
+    def run():
+        calls = []
+        res = minimize_log_golden(lambda x: calls.append(x) or f(x), 0.05, 20.0, 1e-4)
+        return res, len(calls)
+
+    res, evaluations = run()
+    assert res.fx - (1.0 - 1e-15) <= solver.FLAT_TOL * abs(res.fx)
+    assert abs(math.log(res.x) - 0.3) <= 0.5
+    assert not (res.at_lower or res.at_upper)
+    # without the flat stop the search narrows the plateau down to rel_tol
+    monkeypatch.setattr(solver, "FLAT_TOL", -1.0)
+    _, full = run()
+    assert evaluations < full
 
 
 # --- reference constant -------------------------------------------------------
