@@ -16,10 +16,12 @@ basis size.
 The potential is a sum of terms c r^k (``PairPotential.terms``), so its
 matrix is gamma sum c sigma^-k U_k, where the term matrix U_k of y^k in the
 dimensionless basis depends only on (basis size, quadrature order, k) and is
-built once by quadrature.  At m = 0 the kinetic matrix is
-beta sqrt(lam) sigma U_1 with the Fourier signs, so a step of the scale
-search is one ``eigvalsh`` of a scaled sum; at m > 0 it is one kinetic
-quadrature plus the ``eigvalsh``.
+built once by quadrature.  The kinetic term is a quadrature over the
+momentum-space table (-1)^n R_n, which carries the Fourier phases: at m = 0
+it is beta sqrt(lam) sigma times that table's term matrix of y, so a step of
+the scale search is one ``eigvalsh`` of a scaled sum; at m > 0 it is one
+kinetic quadrature plus the ``eigvalsh``.  Each step adds its terms into one
+matrix in place.
 
 Every operator is solved in its natural units (``reductions.natural_units``,
 which also refuses operators that are unbounded below): a dilation r -> s r
@@ -33,15 +35,17 @@ two searches on it: the half basis over the whole scale interval, then the
 full basis on a bracket of e^(+-1/2) around the half-basis optimum, the
 distance the two optima keep in practice.  The search stops where its bracket
 is within the scale tolerance or flat to roundoff (:data:`FLAT_TOL`).  The
-operator, the solver knobs and the closed forms of the massless linear case
-are in ``reductions``; this module holds only the numerics.
+reported energy is the search's own ``eigvalsh`` value at the reported scale;
+the eigenvector is computed only when ``SpectrumResult.coefficients`` is read.
+The operator, the solver knobs and the closed forms of the massless linear
+case are in ``reductions``; this module holds only the numerics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -71,27 +75,44 @@ _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 class SpectrumResult:
     """Variational ground state with convergence diagnostics.
 
-    ``ground_energy`` is stable to roundoff.  ``optimal_basis_scale`` and
-    ``coefficients`` are fixed only up to the flatness of the scale-search
-    objective: where the lowest eigenvalue barely depends on the scale, a
-    change in the last bits of the matrices can move the scale by tens of
-    percent while the energy moves by 1e-14.
+    ``matrix`` is the read-only Rayleigh-Ritz matrix at the optimal scale, of
+    the canonical operator in natural units.  ``ground_energy`` is its lowest
+    eigenvalue in the operator's own units, stable to roundoff.
+    ``coefficients``, its lowest eigenvector, is computed by ``eigh`` on first
+    read and is read-only.  ``optimal_basis_scale`` and ``coefficients`` are
+    fixed only up to the flatness of the scale-search objective: where the
+    lowest eigenvalue barely depends on the scale, a change in the last bits
+    of the matrices can move the scale by tens of percent while the energy
+    moves by 1e-14.
     """
 
     ground_energy: float
     optimal_basis_scale: float
-    coefficients: np.ndarray
+    matrix: np.ndarray = field(repr=False, compare=False)
     convergence_estimate: float
     warnings: list[str] = field(default_factory=list)
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """Lowest eigenvector of ``matrix``, of unit norm, with its first entry
+        above 1e-12 in magnitude positive; read-only."""
+        _, vectors = np.linalg.eigh(self.matrix)
+        coeff = vectors[:, 0]
+        pivot = np.flatnonzero(np.abs(coeff) > 1e-12)
+        if pivot.size and coeff[pivot[0]] < 0.0:
+            coeff = -coeff
+        coeff = coeff / np.linalg.norm(coeff)
+        coeff.setflags(write=False)
+        return coeff
 
     def dilated(self, energy: float, length: float) -> SpectrumResult:
         """This spectrum, of a canonical operator, as that of ``energy`` times
         it dilated by r -> ``length`` r: energies times ``energy``, basis scale
-        over ``length``, coefficients and warnings as they are."""
+        over ``length``, matrix (so coefficients) and warnings as they are."""
         return SpectrumResult(
             ground_energy=energy * self.ground_energy,
             optimal_basis_scale=self.optimal_basis_scale / length,
-            coefficients=self.coefficients,
+            matrix=self.matrix,
             convergence_estimate=energy * self.convergence_estimate,
             warnings=list(self.warnings),
         )
@@ -124,70 +145,77 @@ def map_scale(basis_size: int) -> float:
 
 @lru_cache(maxsize=32)
 def _node_table(basis_size: int, order: int):
-    """Nodes, weights (already including y^2) and basis table, read-only.
+    """Nodes, weights (already including y^2), basis table and momentum-space
+    table, read-only.
 
-    Nodes beyond the support of the Gaussian envelope (where exp(-y^2/2)
-    underflows) contribute exactly zero and are dropped; this also keeps
-    steeply rising potentials finite at every retained node.
+    The momentum-space table (-1)^n R_n carries the Fourier phases of the
+    basis functions.  Nodes beyond the support of the Gaussian envelope (where
+    exp(-y^2/2) underflows) contribute exactly zero and are dropped; this also
+    keeps steeply rising potentials finite at every retained node.
     """
     y, wy = semi_infinite_rule(order, map_scale(basis_size))
     keep = y < 38.0
     y = y[keep]
     wy2 = wy[keep] * y * y
     table = radial_basis(basis_size, y)
-    for arr in (y, wy2, table):
+    momentum = table * np.where(np.arange(basis_size) % 2 == 0, 1.0, -1.0)[:, None]
+    for arr in (y, wy2, table, momentum):
         arr.setflags(write=False)
-    return y, wy2, table
+    return y, wy2, table, momentum
 
 
-def _gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """table diag(weights) table^T for positive weights, exactly symmetric.
+def _gram(table: np.ndarray, root_weights: np.ndarray) -> np.ndarray:
+    """table diag(root_weights^2) table^T, exactly symmetric.
 
     numpy evaluates ``a @ a.T`` as one symmetric rank-k update (BLAS syrk)
     and mirrors its triangle.
     """
-    a = table * np.sqrt(weights)
+    a = table * root_weights
     return a @ a.T
 
 
-@lru_cache(maxsize=8)
-def _term_matrix(basis_size: int, order: int, k: float) -> np.ndarray:
-    """Term matrix table diag(wy2 y^k) table^T of y^k, read-only.
+# A problem's working set is its kinetic and potential terms at the full basis
+# (two quadrature orders), the half basis and basis size 1; 64 entries hold it
+# for problems that alternate two basis sizes, at most about 0.8 MB at B = 40
+@lru_cache(maxsize=64)
+def _term_matrix(basis_size: int, order: int, k: float, momentum: bool) -> np.ndarray:
+    """Term matrix table diag(wy2 y^k) table^T of y^k, read-only, on the
+    coordinate-space table or, with ``momentum``, the momentum-space one.
 
     Every potential is a sum of terms c r^k and the massless kinetic term is
-    the Fourier image of |r|, so these few matrices per (basis, order) serve
-    every scale of the search.
+    |p|, so these few matrices per (basis, order) serve every scale of the
+    search.
     """
-    y, wy2, table = _node_table(basis_size, order)
-    mat = _gram(table, wy2 * y**k)
+    y, wy2, table, momentum_table = _node_table(basis_size, order)
+    mat = _gram(momentum_table if momentum else table, np.sqrt(wy2 * y**k))
     mat.setflags(write=False)
     return mat
 
 
-@lru_cache(maxsize=8)
-def _fourier_signs(basis_size: int) -> np.ndarray:
-    """The (-1)^(i+j) Fourier phases of the basis functions, read-only."""
-    sign = np.where(np.arange(basis_size) % 2 == 0, 1.0, -1.0)
-    signs = np.outer(sign, sign)
-    signs.setflags(write=False)
-    return signs
-
-
 def _kinetic(beta, lam, mass, basis_size, basis_scale, order):
+    """A new kinetic matrix.  At m > 0 the quadrature weights
+    sqrt(wy2 beta sqrt(lam (sigma y)^2 + m^2)) are built in one array."""
     if mass == 0.0:
-        mat = (beta * math.sqrt(lam) * basis_scale) * _term_matrix(basis_size, order, 1.0)
-    else:
-        y, wy2, table = _node_table(basis_size, order)
-        f = beta * np.sqrt(lam * (basis_scale * y) ** 2 + mass * mass)
-        mat = _gram(table, wy2 * f)
-    return mat * _fourier_signs(basis_size)
+        return (beta * math.sqrt(lam) * basis_scale) * _term_matrix(basis_size, order, 1.0, True)
+    y, wy2, _, momentum = _node_table(basis_size, order)
+    w = basis_scale * y
+    np.square(w, out=w)
+    w *= lam
+    w += mass * mass
+    np.sqrt(w, out=w)
+    w *= beta
+    w *= wy2
+    np.sqrt(w, out=w)
+    return _gram(momentum, w)
 
 
 def _potential(potential, gamma, basis_size, basis_scale, order):
-    return sum(
-        (gamma * c * basis_scale**-k) * _term_matrix(basis_size, order, k)
-        for c, k in potential.terms()
-    )
+    """A new potential matrix, its terms added in place in ``terms()`` order."""
+    (c, k), *rest = potential.terms()
+    mat = (gamma * c * basis_scale**-k) * _term_matrix(basis_size, order, k, False)
+    for c, k in rest:
+        mat += (gamma * c * basis_scale**-k) * _term_matrix(basis_size, order, k, False)
+    return mat
 
 
 def _self_check(build, order, label, diagnostics):
@@ -217,9 +245,9 @@ def kinetic_matrix(
 ) -> np.ndarray:
     """Matrix of beta * sqrt(lam p^2 + mass^2) in the oscillator basis.
 
-    Computed by radial momentum-space quadrature, at mass 0 as basis_scale
-    times the term matrix of y; the (-1)^(i+j) factors are the Fourier
-    phases of the basis functions.  ``basis_scale`` is the
+    Computed by radial quadrature over the momentum-space table (-1)^n R_n,
+    whose signs are the Fourier phases of the basis functions, at mass 0 as
+    basis_scale times that table's term matrix of y.  ``basis_scale`` is the
     momentum-space width of the lowest basis function (units 1/length).
     The matrix is exactly symmetric (a symmetric rank-k product).  When a list
     is passed as ``diagnostics``, a doubled-order self-check may append a
@@ -350,9 +378,11 @@ def minimize_log_golden(f, lo: float, hi: float, rel_tol: float) -> GoldenResult
 
 
 def _lowest_eigenvalue(h, basis_size, sigma, order):
-    k = _kinetic(h.beta, h.lam, h.mass, basis_size, sigma, order)
-    u = _potential(h.potential, h.gamma, basis_size, sigma, order)
-    return np.linalg.eigvalsh(k + u)[0]
+    # the kinetic matrix added into the potential one is bit for bit the sum
+    # kinetic_matrix + potential_matrix that ground_energy builds
+    mat = _potential(h.potential, h.gamma, basis_size, sigma, order)
+    mat += _kinetic(h.beta, h.lam, h.mass, basis_size, sigma, order)
+    return np.linalg.eigvalsh(mat)[0]
 
 
 @dataclass(frozen=True)
@@ -430,7 +460,10 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
     first, over the whole scale interval, and the full-basis search starts
     from its optimum (:func:`_full_search`).  ``optimal_basis_scale`` is
     within ``scale_tolerance`` of the optimum, or anywhere in a bracket over
-    which the energy is flat to :data:`FLAT_TOL`.
+    which the energy is flat to :data:`FLAT_TOL`.  The energy is the
+    full-basis search's ``eigvalsh`` value there; the matrix at that scale is
+    built once more, with the quadrature self-checks, and kept on the result,
+    whose ``coefficients`` run ``eigh`` only when read.
     """
     cfg = config if config is not None else SolverConfig()
     h, energy, length = natural_units(h)
@@ -440,23 +473,17 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
     sigma = best.x
 
     diagnostics: list[str] = []
-    kin = kinetic_matrix(
+    matrix = kinetic_matrix(
         h.beta, h.lam, h.mass, cfg.basis_size, sigma, cfg.quadrature_order, diagnostics
     )
-    pot = potential_matrix(
+    matrix += potential_matrix(
         h.potential, h.gamma, cfg.basis_size, sigma, cfg.quadrature_order, diagnostics
     )
-    energies, vectors = np.linalg.eigh(kin + pot)
-    coeff = vectors[:, 0]
-    pivot = np.flatnonzero(np.abs(coeff) > 1e-12)
-    if pivot.size and coeff[pivot[0]] < 0.0:
-        coeff = -coeff
-    coeff = coeff / np.linalg.norm(coeff)
-
+    matrix.setflags(write=False)
     return SpectrumResult(
-        ground_energy=float(energies[0]),
+        ground_energy=float(best.fx),
         optimal_basis_scale=float(sigma),
-        coefficients=coeff,
-        convergence_estimate=abs(float(half.fx) - float(energies[0])),
+        matrix=matrix,
+        convergence_estimate=abs(float(half.fx) - float(best.fx)),
         warnings=list(dict.fromkeys(_pin_warnings(best) + diagnostics + _pin_warnings(half))),
     ).dilated(energy, length)

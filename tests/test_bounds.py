@@ -592,3 +592,75 @@ def test_conjectured_bound_reaches_oscillator_limit():
         oracle = n * mass + 3.0 * (n - 1) * math.sqrt(n * v / (2.0 * mass))
         residuals.append(abs(value.value - oracle))
     assert residuals[0] / residuals[1] > 2500.0
+
+
+# --- work a bounds row does not read -------------------------------------------
+
+
+@pytest.mark.parametrize("basis_size", [24, 40])
+@pytest.mark.parametrize(
+    "n, mass, potential",
+    [
+        (5, 0.0, "linear:1.3"),
+        (3, 0.0, "harmonic:0.8"),
+        (4, 0.0, "power:1.1,1.7"),
+        (6, 0.7, "linear:1.2"),
+        (4, 1.3, "power:0.9,0.6"),
+        (3, 1.0, "coulomb:0.3"),
+        (4, 0.0, "coulomb+linear:0.2,1"),
+        (4, 0.5, "coulomb+linear:0.2,1"),
+        (200, 0.0, "linear:0.01"),
+        (200, 1.1, "harmonic:0.5"),
+    ],
+    ids=[
+        "linear-m0",
+        "harmonic-m0",
+        "power-m0",
+        "linear-m",
+        "confining-m",
+        "coulomb-m",
+        "coulomb+linear-m0",
+        "coulomb+linear-m",
+        "large-n-m0",
+        "large-n-m",
+    ],
+)
+def test_bounds_computes_no_eigenvector(monkeypatch, n, mass, potential, basis_size):
+    # every bound is an energy: the solver's eigenvector is computed only
+    # when a caller reads coefficients
+    def eigh(*args, **kwargs):
+        raise AssertionError("compute_bounds ran numpy.linalg.eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    bounds = compute_bounds(ProblemSpec(n, mass, parse_potential(potential)), SolverConfig(basis_size=basis_size))
+    assert bounds.lower_values()
+
+
+def test_rows_sharing_a_solve_cannot_write_each_others_coefficients():
+    # n2, n3 and the conjectured row of massless linear N = 4 share one
+    # canonical solve, so they share its matrix
+    bounds = compute_bounds(ProblemSpec(4, 0.0, parse_potential("linear:1")))
+    before = bounds.n3.spectrum.coefficients.copy()
+    for name, row in bounds.lower_results().items():
+        with pytest.raises(ValueError):
+            row.spectrum.coefficients[0] = 99.0
+        with pytest.raises(ValueError):
+            row.spectrum.matrix[0, 0] = 99.0
+    assert np.array_equal(bounds.n3.spectrum.coefficients, before)
+
+
+def test_term_matrix_cache_holds_a_problem_working_set():
+    # per problem the searches use the term matrices at the full basis (two
+    # quadrature orders), the half basis and basis size 1; alternating basis
+    # sizes must not evict them
+    problems = [
+        (ProblemSpec(4, 0.8, parse_potential(potential)), SolverConfig(basis_size=basis_size))
+        for potential in ("linear:1", "harmonic:0.7", "coulomb+linear:0.2,1")
+        for basis_size in (24, 40)
+    ]
+    for spec, cfg in problems:
+        compute_bounds(spec, cfg)
+    misses = salbound.solver._term_matrix.cache_info().misses
+    for spec, cfg in problems:
+        compute_bounds(spec, cfg)
+    assert salbound.solver._term_matrix.cache_info().misses == misses

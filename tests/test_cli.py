@@ -563,3 +563,21 @@ def test_bad_config_format_exits_2_before_the_command_runs(tmp_path, monkeypatch
         captured = capsys.readouterr()
         assert captured.err == "error: --format must be text, json or csv, got 'xml'\n"
         assert captured.out == ""
+
+
+def test_solve_json_coefficients_come_from_one_eigh(capsys, monkeypatch):
+    import numpy as np
+
+    from salbound.cli import main
+
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    assert main(["solve", "--potential", "coulomb+linear:0.2,1", "--mass", "0.5",
+                 "--basis-size", "24", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    coefficients = np.array(report["result"]["coefficients"])
+    assert len(calls) == 1
+    assert coefficients.shape == (report["config"]["basis_size"],) == (24,)
+    assert np.linalg.norm(coefficients) == pytest.approx(1.0, rel=1e-12)
+    assert coefficients[np.flatnonzero(np.abs(coefficients) > 1e-12)[0]] > 0.0

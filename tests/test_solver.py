@@ -495,3 +495,48 @@ def test_spectrum_result_fields():
     assert result.coefficients.shape == (10,)
     assert result.optimal_basis_scale > 0.0
     assert COULOMB_CRITICAL_COUPLING == pytest.approx(2.0 / math.pi)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Linear(1.0)),
+        ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, CoulombPlusLinear(0.3, 1.0)),
+        ReducedHamiltonian(1.0, 1.0, 1.0, 0.8, Harmonic(1.0)),
+        ReducedHamiltonian(1.0, 1.0, 1.0, 0.5, CoulombPlusLinear(0.3, 1.0)),
+        ReducedHamiltonian(1.0, 1.0, 1.0, 2.0, Coulomb(0.5)),
+    ],
+    ids=["linear-m0", "coulomb+linear-m0", "harmonic-m0.8", "coulomb+linear-m0.5", "coulomb-m2"],
+)
+@pytest.mark.parametrize("basis_size", [24, 40])
+def test_reported_energy_is_the_rayleigh_ritz_value_at_the_reported_scale(h, basis_size):
+    # the energy is the search's own eigvalsh value, and the search assembles
+    # bit for bit the matrix that the public builders give at that scale
+    canonical, energy, length = natural_units(h)
+    assert natural_units(canonical)[1:] == (1.0, 1.0)
+    cfg = SolverConfig(basis_size=basis_size)
+    result = ground_energy(canonical, cfg)
+    sigma, order = result.optimal_basis_scale, cfg.quadrature_order
+    kin = kinetic_matrix(canonical.beta, canonical.lam, canonical.mass, basis_size, sigma, order)
+    pot = potential_matrix(canonical.potential, canonical.gamma, basis_size, sigma, order)
+    assert np.array_equal(result.matrix, kin + pot)
+    assert result.ground_energy == np.linalg.eigvalsh(kin + pot)[0]
+
+
+def test_coefficients_are_computed_on_first_read_and_read_only(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    result = ground_energy(linear_hamiltonian(mass=0.5), SolverConfig(basis_size=12))
+    dilated = result.dilated(2.0, 3.0)
+    assert calls == []
+    coefficients = result.coefficients
+    assert result.coefficients is coefficients
+    assert len(calls) == 1
+    assert np.array_equal(dilated.coefficients, coefficients)
+    assert len(calls) == 2
+    for array in (coefficients, result.matrix, dilated.matrix):
+        with pytest.raises(ValueError):
+            array[0] = 99.0
+    assert np.linalg.norm(coefficients) == pytest.approx(1.0, rel=1e-12)
+    assert coefficients[np.flatnonzero(np.abs(coefficients) > 1e-12)[0]] > 0.0
