@@ -279,7 +279,9 @@ def expectation_delta(
     The sample stream splits into ``shard_count`` independently seeded
     shards whose moments are merged in shard order, so the result is
     deterministic for a fixed (state, samples, seed, shard_count) and
-    independent of ``threads``.
+    independent of ``threads``.  Shards run on up to ``threads`` threads
+    once each holds at least one sampling block (8192 samples), and inline
+    below that.
     """
     if mass < 0.0:
         raise ValueError("mass must be nonnegative")
@@ -298,8 +300,9 @@ def expectation_delta(
         moments.add_batch(kinetic - pair_terms)
         return moments, float(kinetic.sum()), float(pair_terms.sum())
 
-    if threads > 1 and shard_count > 1:
-        # loaded here so that single-threaded runs skip concurrent.futures
+    # a shard below one block of samples finishes sooner than a thread starts
+    if threads > 1 and shard_count > 1 and counts[0] >= _CHUNK:
+        # loaded here so that inline runs skip concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:

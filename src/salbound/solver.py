@@ -31,12 +31,17 @@ every coupling, mass and particle count.  The scale search runs on that
 operator, and the result is scaled back.  :func:`scale_search` is that search
 at any basis size, and the Gaussian upper bound of ``bounds`` runs it at basis
 size 1.  ``ground_energy`` brings its operator to natural units once and runs
-two searches on it: the half basis over the whole scale interval, then the
-full basis on a bracket of e^(+-1/2) around the half-basis optimum, the
-distance the two optima keep in practice.  The search stops where its bracket
-is within the scale tolerance or flat to roundoff (:data:`FLAT_TOL`).  The
-reported energy is the search's own ``eigvalsh`` value at the reported scale;
-the eigenvector is computed only when ``SpectrumResult.coefficients`` is read.
+two searches on it: the half basis on a bracket of e^(+-1) around scale 1,
+then the full basis on a bracket of e^(+-1/2) around the half-basis optimum,
+the distance the two optima keep in practice; either search spans the whole
+scale interval where it pins at an end of its bracket inside the interval.
+A search resolves the operator's term matrices, coefficients and node
+tables once, and each step assembles its matrix with the same builders as
+:func:`kinetic_matrix` and :func:`potential_matrix`.  The search stops
+where its bracket is within the scale tolerance or flat to roundoff
+(:data:`FLAT_TOL`).  The reported energy is the search's own ``eigvalsh``
+value at the reported scale; the eigenvector is computed only when
+``SpectrumResult.coefficients`` is read.
 The operator, the solver knobs and the closed forms of the massless linear
 case are in ``reductions``; this module holds only the numerics.
 """
@@ -61,6 +66,12 @@ QUADRATURE_SELF_CHECK_TOL = 1e-10
 #: scale search stops: about the roundoff of an ``eigvalsh`` at B <= 40, so
 #: the objective carries no more information about the scale.
 FLAT_TOL = 1e-13
+
+#: Half-width, in log scale, of the half-basis search bracket around scale 1,
+#: where natural units put the optimum.  Over 1263 solves of the bounds
+#: benchmark (seeds 7 and 8) the half-basis optima lay in ln s in
+#: [-0.30, 1.11]; e^(+-0.7) and e^(+-1.5) took more evaluations.
+_NATURAL_HALF_WIDTH = 1.0
 
 #: Half-width, in log scale, of the full-basis search bracket around the
 #: half-basis optimum.  Over 631 solves of the bounds benchmark (seeds 7 and 8)
@@ -192,30 +203,46 @@ def _term_matrix(basis_size: int, order: int, k: float, momentum: bool) -> np.nd
     return mat
 
 
-def _kinetic(beta, lam, mass, basis_size, basis_scale, order):
-    """A new kinetic matrix.  At m > 0 the quadrature weights
+def _kinetic_builder(beta, lam, mass, basis_size, order):
+    """sigma -> a new kinetic matrix, with its term matrix or node table
+    resolved once.  At m > 0 the quadrature weights
     sqrt(wy2 beta sqrt(lam (sigma y)^2 + m^2)) are built in one array."""
     if mass == 0.0:
-        return (beta * math.sqrt(lam) * basis_scale) * _term_matrix(basis_size, order, 1.0, True)
+        slope = beta * math.sqrt(lam)
+        unit = _term_matrix(basis_size, order, 1.0, True)
+        return lambda sigma: (slope * sigma) * unit
     y, wy2, _, momentum = _node_table(basis_size, order)
-    w = basis_scale * y
-    np.square(w, out=w)
-    w *= lam
-    w += mass * mass
-    np.sqrt(w, out=w)
-    w *= beta
-    w *= wy2
-    np.sqrt(w, out=w)
-    return _gram(momentum, w)
+    mass2 = mass * mass
+
+    def build(sigma):
+        w = sigma * y
+        np.square(w, out=w)
+        w *= lam
+        w += mass2
+        np.sqrt(w, out=w)
+        w *= beta
+        w *= wy2
+        np.sqrt(w, out=w)
+        return _gram(momentum, w)
+
+    return build
 
 
-def _potential(potential, gamma, basis_size, basis_scale, order):
-    """A new potential matrix, its terms added in place in ``terms()`` order."""
-    (c, k), *rest = potential.terms()
-    mat = (gamma * c * basis_scale**-k) * _term_matrix(basis_size, order, k, False)
-    for c, k in rest:
-        mat += (gamma * c * basis_scale**-k) * _term_matrix(basis_size, order, k, False)
-    return mat
+def _potential_builder(potential, gamma, basis_size, order):
+    """sigma -> a new potential matrix, its terms added in place in
+    ``terms()`` order, with their coefficients and term matrices resolved
+    once."""
+    (c0, k0, u0), *rest = [
+        (gamma * c, k, _term_matrix(basis_size, order, k, False)) for c, k in potential.terms()
+    ]
+
+    def build(sigma):
+        mat = (c0 * sigma**-k0) * u0
+        for c, k, u in rest:
+            mat += (c * sigma**-k) * u
+        return mat
+
+    return build
 
 
 def _self_check(build, order, label, diagnostics):
@@ -256,7 +283,7 @@ def kinetic_matrix(
     if not (beta > 0.0 and lam > 0.0 and mass >= 0.0 and basis_scale > 0.0):
         raise ValueError("kinetic matrix parameters out of range")
     return _self_check(
-        lambda order: _kinetic(beta, lam, mass, basis_size, basis_scale, order),
+        lambda order: _kinetic_builder(beta, lam, mass, basis_size, order)(basis_scale),
         quadrature_order,
         "kinetic",
         diagnostics,
@@ -281,7 +308,7 @@ def potential_matrix(
     if not (gamma > 0.0 and basis_scale > 0.0):
         raise ValueError("potential matrix parameters out of range")
     return _self_check(
-        lambda order: _potential(potential, gamma, basis_size, basis_scale, order),
+        lambda order: _potential_builder(potential, gamma, basis_size, order)(basis_scale),
         quadrature_order,
         "potential",
         diagnostics,
@@ -377,12 +404,20 @@ def minimize_log_golden(f, lo: float, hi: float, rel_tol: float) -> GoldenResult
     return GoldenResult(sigma, fx, x - a0 <= pad, b0 - x <= pad)
 
 
-def _lowest_eigenvalue(h, basis_size, sigma, order):
-    # the kinetic matrix added into the potential one is bit for bit the sum
-    # kinetic_matrix + potential_matrix that ground_energy builds
-    mat = _potential(h.potential, h.gamma, basis_size, sigma, order)
-    mat += _kinetic(h.beta, h.lam, h.mass, basis_size, sigma, order)
-    return np.linalg.eigvalsh(mat)[0]
+def _objective(h, basis_size, order):
+    """sigma -> lowest Rayleigh-Ritz eigenvalue of h at basis scale sigma,
+    with the operator's terms resolved once for the whole search."""
+    potential = _potential_builder(h.potential, h.gamma, basis_size, order)
+    kinetic = _kinetic_builder(h.beta, h.lam, h.mass, basis_size, order)
+
+    def lowest(sigma):
+        # the kinetic matrix added into the potential one is bit for bit the
+        # sum kinetic_matrix + potential_matrix that ground_energy builds
+        mat = potential(sigma)
+        mat += kinetic(sigma)
+        return np.linalg.eigvalsh(mat)[0]
+
+    return lowest
 
 
 @dataclass(frozen=True)
@@ -393,16 +428,6 @@ class ScaleSearch:
     energy: float
     scale: float
     warnings: list[str]
-
-
-def _search(canonical, basis_size, cfg, lo, hi) -> GoldenResult:
-    """Scale search of a canonical operator over [lo, hi] at ``basis_size``."""
-    return minimize_log_golden(
-        lambda sigma: _lowest_eigenvalue(canonical, basis_size, sigma, cfg.quadrature_order),
-        lo,
-        hi,
-        cfg.scale_tolerance,
-    )
 
 
 def _pin_warnings(best: GoldenResult) -> list[str]:
@@ -425,27 +450,31 @@ def scale_search(h: ReducedHamiltonian, basis_size: int, config: SolverConfig | 
     """
     cfg = config if config is not None else SolverConfig()
     canonical, energy, length = natural_units(h)
-    best = _search(canonical, basis_size, cfg, *cfg.scale_interval)
+    f = _objective(canonical, basis_size, cfg.quadrature_order)
+    best = minimize_log_golden(f, *cfg.scale_interval, cfg.scale_tolerance)
     return ScaleSearch(energy * float(best.fx), best.x / length, _pin_warnings(best))
 
 
-def _full_search(canonical, cfg, half: GoldenResult) -> GoldenResult:
-    """Full-basis scale search, seeded by the half-basis result ``half``.
+def _local_search(canonical, basis_size, cfg, center, half_width) -> GoldenResult:
+    """Scale search of a canonical operator at ``basis_size`` on
+    e^(+-``half_width``) around ``center``, cut to the scale interval.
 
-    Unless ``half`` is pinned, the search runs on e^(+-1/2) around its
-    optimum, cut to the scale interval; where it pins at an end of that
-    bracket that is not an end of the interval, and whenever ``half`` is
-    pinned, it runs over the whole interval.  So the flags of the result
-    refer to the ends of the scale interval only.
+    Where it pins at an end of that bracket that is not an end of the
+    interval, it runs again over the whole interval, so the flags of the
+    result refer to the ends of the scale interval only.  Both runs share one
+    objective.
     """
+    f = _objective(canonical, basis_size, cfg.quadrature_order)
     lo, hi = cfg.scale_interval
-    if not (half.at_lower or half.at_upper):
-        width = math.exp(_LOCAL_HALF_WIDTH)
-        local_lo, local_hi = max(lo, half.x / width), min(hi, half.x * width)
-        best = _search(canonical, cfg.basis_size, cfg, local_lo, local_hi)
-        if not ((best.at_lower and local_lo > lo) or (best.at_upper and local_hi < hi)):
-            return best
-    return _search(canonical, cfg.basis_size, cfg, lo, hi)
+    # a center outside the interval (scale 1 outside a narrow configured
+    # one) moves to its nearer end, so that the bracket is never empty
+    center = min(max(center, lo), hi)
+    width = math.exp(half_width)
+    local_lo, local_hi = max(lo, center / width), min(hi, center * width)
+    best = minimize_log_golden(f, local_lo, local_hi, cfg.scale_tolerance)
+    if (best.at_lower and local_lo > lo) or (best.at_upper and local_hi < hi):
+        best = minimize_log_golden(f, lo, hi, cfg.scale_tolerance)
+    return best
 
 
 def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
@@ -457,8 +486,9 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
     bottom, nonincreasing in the basis size.  ``convergence_estimate`` is the
     difference against a solve at basis size max(2, basis_size // 2) and
     bounds the plausible remaining truncation error scale.  That solve runs
-    first, over the whole scale interval, and the full-basis search starts
-    from its optimum (:func:`_full_search`).  ``optimal_basis_scale`` is
+    first, around scale 1, and the full-basis search starts from its optimum
+    (:func:`_local_search`); a pinned half-basis optimum sends the full-basis
+    search over the whole scale interval.  ``optimal_basis_scale`` is
     within ``scale_tolerance`` of the optimum, or anywhere in a bracket over
     which the energy is flat to :data:`FLAT_TOL`.  The energy is the
     full-basis search's ``eigvalsh`` value there; the matrix at that scale is
@@ -468,8 +498,11 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
     cfg = config if config is not None else SolverConfig()
     h, energy, length = natural_units(h)
     # h is canonical now, so the searches report in natural units
-    half = _search(h, max(2, cfg.basis_size // 2), cfg, *cfg.scale_interval)
-    best = _full_search(h, cfg, half)
+    half = _local_search(h, max(2, cfg.basis_size // 2), cfg, 1.0, _NATURAL_HALF_WIDTH)
+    # a pinned half-basis optimum does not place the full-basis one, so that
+    # search then spans the whole interval (an infinite half-width)
+    pinned = half.at_lower or half.at_upper
+    best = _local_search(h, cfg.basis_size, cfg, half.x, math.inf if pinned else _LOCAL_HALF_WIDTH)
     sigma = best.x
 
     diagnostics: list[str] = []

@@ -94,6 +94,20 @@ def test_verify_delta_loads_none_of_the_solver_modules():
     assert not loaded & {"salbound.bounds", "salbound.solver", "salbound.quadrature"}
 
 
+def test_verify_delta_runs_shards_below_one_block_inline():
+    # two shards of 2000 samples each, under one 8192-sample block
+    statement = (
+        "import contextlib, io\n"
+        "from salbound.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify-delta', '--n', '4', '--mass', '1', '--states', '2',"
+        " '--samples', '4000', '--shards', '2']) == 0"
+    )
+    loaded = new_modules(statement)
+    assert "salbound.delta" in loaded
+    assert "concurrent.futures" not in loaded
+
+
 def test_import_delta_does_not_load_the_solver_modules():
     loaded = new_modules("import salbound.delta")
     assert "salbound.jacobi" in loaded

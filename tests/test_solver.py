@@ -265,6 +265,32 @@ def test_natural_units_is_idempotent():
         assert natural_units(canonical) == (canonical, 1.0, 1.0), h
 
 
+@pytest.mark.parametrize(
+    "canonical",
+    [
+        ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, PowerLaw(1.0, 1.0)),
+        ReducedHamiltonian(1.0, 1.0, 1.0, 2.5, PowerLaw(1.0, 0.4)),
+        ReducedHamiltonian(1.0, 1.0, 1.0, 0.7, CoulombPlusLinear(0.3, 1.0)),
+        ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Coulomb(0.3)),
+        ReducedHamiltonian(1.0, 1.0, 1.0, 1.0 / 0.3, Coulomb(0.3)),
+    ],
+    ids=["power-m0", "power-m2.5", "coulomb+linear", "coulomb-m0", "coulomb-bohr"],
+)
+def test_natural_units_returns_a_canonical_operator_unchanged(canonical):
+    got, energy, length = natural_units(canonical)
+    assert got is canonical
+    assert (energy, length) == (1.0, 1.0)
+
+
+def test_natural_units_refuses_canonical_operators_out_of_range():
+    with pytest.raises(StabilityError):
+        natural_units(ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Coulomb(0.7)))
+    with pytest.raises(StabilityError):
+        natural_units(ReducedHamiltonian(1.0, 1.0, 1.0, 1.0, CoulombPlusLinear(0.7, 1.0)))
+    with pytest.raises(ValueError, match="natural mass mu"):
+        natural_units(ReducedHamiltonian(1.0, 1.0, 1.0, 2.0**512, PowerLaw(1.0, 1.0)))
+
+
 def test_natural_units_lengths():
     beta, lam, gamma, mass = 0.7, 1.9, 2.5, 0.3
     a = beta * math.sqrt(lam)
@@ -369,15 +395,16 @@ def _counted_searches(monkeypatch):
     "potential, mass, basis_size, evaluations",
     [
         (Linear(1.0), 0.0, 40, 12),
-        (Harmonic(1.0), 1.0, 8, 26),
-        (CoulombPlusLinear(0.3, 1.0), 0.5, 40, 24),
+        (Harmonic(1.0), 1.0, 8, 20),
+        (CoulombPlusLinear(0.3, 1.0), 0.5, 40, 21),
     ],
-    ids=["abs-p-plus-r-B40-12evals", "harmonic-m1-B8-26evals", "coulomb+linear-m0.5-B40-24evals"],
+    ids=["abs-p-plus-r-B40-12evals", "harmonic-m1-B8-20evals", "coulomb+linear-m0.5-B40-21evals"],
 )
 def test_scale_search_evaluation_count(monkeypatch, potential, mass, basis_size, evaluations):
     # plain golden section takes 25 evaluations per search over the whole
-    # interval, two searches per solve; the full-basis search now runs on a
-    # bracket around the half-basis optimum
+    # interval, two searches per solve; the half-basis search now runs on a
+    # bracket around scale 1 and the full-basis one on a bracket around the
+    # half-basis optimum
     searches = _counted_searches(monkeypatch)
     h = ReducedHamiltonian(1.0, 1.0, 1.0, mass, potential)
     ground_energy(h, SolverConfig(basis_size=basis_size))
@@ -410,10 +437,41 @@ def test_local_search_pinned_inside_the_interval_falls_back(monkeypatch):
     result = ground_energy(h, cfg)
     lo, hi = cfg.scale_interval
     (half_lo, half_hi, _), (local_lo, local_hi, _), (full_lo, full_hi, _) = searches
-    assert (half_lo, half_hi) == (full_lo, full_hi) == (lo, hi)
+    assert (half_lo, half_hi) == (1.0 / math.e, math.e)
     assert lo < local_lo < local_hi < hi
+    assert (full_lo, full_hi) == (lo, hi)
     assert result.optimal_basis_scale == whole.scale
     assert result.warnings == []
+
+
+def test_half_search_pinned_inside_the_interval_falls_back(monkeypatch):
+    # the half-basis optimum of this heavy mass lies beyond e, so the
+    # half-basis search pins the upper end of its bracket around scale 1 and
+    # runs again over the whole interval, where it pins at 20; the full-basis
+    # search then spans the whole interval too
+    h = ReducedHamiltonian(1.0, 1.0, 1.0, 1e5, Linear(8.0))
+    cfg = SolverConfig()
+    searches = _counted_searches(monkeypatch)
+    result = ground_energy(h, cfg)
+    lo, hi = cfg.scale_interval
+    assert [(a, b) for a, b, _ in searches] == [(1.0 / math.e, math.e), (lo, hi), (lo, hi)]
+    assert result.warnings == [
+        "scale optimum sits at the upper endpoint of scale_interval; widen scale_interval"
+    ]
+
+
+def test_half_search_bracket_outside_scale_1_starts_at_the_nearer_end(monkeypatch):
+    # scale 1 lies below this interval, so the half-basis bracket starts at
+    # its lower end; the optimum of |p| + r near 1 then pins there
+    h = ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Linear(1.0))
+    cfg = SolverConfig(basis_size=24, scale_interval=(2.0, 50.0))
+    pinned = solver.scale_search(h, cfg.basis_size, cfg)
+    searches = _counted_searches(monkeypatch)
+    result = ground_energy(h, cfg)
+    assert [(a, b) for a, b, _ in searches] == [(2.0, 2.0 * math.e), (2.0, 50.0)]
+    assert result.warnings == pinned.warnings
+    assert "lower endpoint" in result.warnings[0]
+    assert (result.optimal_basis_scale, result.ground_energy) == (pinned.scale, pinned.energy)
 
 
 def test_flat_bottom_stops_the_search_early(monkeypatch):
