@@ -21,19 +21,15 @@ _EXPORTS = {
         "compute_bounds",
         "conjecture_status",
         "gaussian_upper",
-        "lower_bound",
     ),
     "delta": (
         "DeltaStats",
         "SymmetrizedGaussianState",
-        "delta_value",
         "expectation_delta",
+        "jacobi_matrix",
         "random_state_corpus",
-        "regular_tetrahedron",
         "sample_momenta",
-        "tetrahedron_relations",
     ),
-    "jacobi": ("from_jacobi", "jacobi_matrix", "to_jacobi"),
     "potentials": (
         "Coulomb",
         "CoulombPlusLinear",
@@ -56,7 +52,6 @@ _EXPORTS = {
         "linear_bound_table",
         "model_status",
         "ratio_table",
-        "scaled_energy_linear",
     ),
     "solver": (
         "SpectrumResult",

@@ -29,7 +29,6 @@ from typing import Callable
 from .potentials import Harmonic, PairPotential, require_finite
 from .reductions import (
     _MODEL,
-    _ROWS,
     REDUCTIONS,
     ConjectureStatus,
     ReducedHamiltonian,
@@ -58,10 +57,6 @@ class ProblemSpec:
             raise ValueError("need at least two particles")
         if self.mass < 0.0:
             raise ValueError("mass must be nonnegative")
-
-    @property
-    def pair_count(self) -> int:
-        return self.n * (self.n - 1) // 2
 
 
 def conjecture_status(spec: ProblemSpec) -> ConjectureStatus:
@@ -116,18 +111,6 @@ def _bounds(spec: ProblemSpec, config) -> Callable[[Reduction], BoundResult]:
         )
 
     return bound
-
-
-def lower_bound(spec: ProblemSpec, name: str, config: SolverConfig | None = None) -> BoundResult:
-    """Lower bound from the reduction ``name`` of :data:`REDUCTIONS`.
-
-    Raises ValueError where the reduction does not hold for ``spec``.
-    """
-    row = _ROWS[name]
-    reason = row.missing(spec.n, spec.mass)
-    if reason:
-        raise ValueError(f"{row.derivation} {reason}")
-    return _bounds(spec, config)(row)
 
 
 def gaussian_upper(spec: ProblemSpec, config: SolverConfig | None = None) -> UpperBoundResult:

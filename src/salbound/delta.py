@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-
-from .jacobi import jacobi_matrix, require_zero_total_momentum
 
 # Samples per block of the sampler and the reduction.  Both work on
 # (3, N, samples) blocks with samples innermost, so every elementwise pass runs
@@ -33,19 +32,25 @@ from .jacobi import jacobi_matrix, require_zero_total_momentum
 _CHUNK = 8192
 
 
-def delta_value(mass: float, momenta: np.ndarray) -> float:
-    """delta(m, [p]) for one configuration of N three-vectors.
+@lru_cache(maxsize=None)
+def jacobi_matrix(n: int) -> np.ndarray:
+    """Orthogonal N x N Jacobi matrix B of relative coordinates (read-only).
 
-    Rejects configurations off the zero-total-momentum plane; the quantity
-    is only meaningful for translation-invariant states.
+    Its first row is uniform, 1/sqrt(N), so the first new coordinate carries
+    the total (center-of-mass) component and the remaining N-1 coordinates
+    are translation invariant; row two realizes (x_1 - x_2)/sqrt(2).  Being
+    orthogonal, B^T is the inverse transform.
     """
-    if mass < 0.0:
-        raise ValueError("mass must be nonnegative")
-    momenta = np.asarray(momenta, dtype=float)
-    if momenta.ndim != 2 or momenta.shape[1] != 3 or momenta.shape[0] < 2:
-        raise ValueError("momenta must have shape (N, 3) with N >= 2")
-    require_zero_total_momentum(momenta)
-    return float(delta_batch(mass, momenta[None, :, :])[0])
+    if n < 2:
+        raise ValueError("need at least two particles")
+    b = np.zeros((n, n))
+    b[0] = 1.0 / np.sqrt(n)
+    for k in range(2, n + 1):
+        norm = 1.0 / np.sqrt(k * (k - 1))
+        b[k - 1, : k - 1] = norm
+        b[k - 1, k - 1] = -(k - 1) * norm
+    b.setflags(write=False)
+    return b
 
 
 def _kinetic_terms(mass: float, momenta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,30 +77,6 @@ def _kinetic_terms(mass: float, momenta: np.ndarray) -> tuple[np.ndarray, np.nda
             pair_sum[start:stop] += np.sqrt(d2, out=d2).sum(axis=0)
     pair_sum *= 2.0 / (n - 1)
     return kinetic, pair_sum
-
-
-def delta_batch(mass: float, momenta: np.ndarray) -> np.ndarray:
-    """Vectorized delta over a (samples, N, 3) array; no validation."""
-    kinetic, pair_terms = _kinetic_terms(mass, momenta)
-    return kinetic - pair_terms
-
-
-def tetrahedron_relations(q: float) -> tuple[float, float]:
-    """Height h = sqrt(2/3) q and centroid-to-vertex distance k = sqrt(3/8) q
-    of a regular tetrahedron with edge length q."""
-    if not q > 0.0:
-        raise ValueError("edge length must be positive")
-    return math.sqrt(2.0 / 3.0) * q, math.sqrt(3.0 / 8.0) * q
-
-
-def regular_tetrahedron(edge: float) -> np.ndarray:
-    """Vertices of a regular tetrahedron with the given edge, centered at 0."""
-    if not edge > 0.0:
-        raise ValueError("edge length must be positive")
-    vertices = np.array(
-        [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
-    )
-    return vertices * (edge / (2.0 * math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -127,6 +108,8 @@ class SymmetrizedGaussianState:
             raise ValueError("need one weight per mixture component")
         if np.any(weights < 0.0) or not np.isclose(weights.sum(), 1.0, atol=1e-9):
             raise ValueError("weights must be nonnegative and sum to 1")
+        if not (np.isfinite(centers).all() and np.isfinite(widths).all()):
+            raise ValueError("centers and widths must be finite")
         if not np.all(widths > 0.0):
             raise ValueError("widths must be strictly positive")
         weights = weights / weights.sum()
@@ -347,17 +330,3 @@ def finding_document(state: SymmetrizedGaussianState, stats: DeltaStats) -> dict
         "state": state.to_dict(),
     }
 
-
-__all__ = [
-    "DeltaStats",
-    "SymmetrizedGaussianState",
-    "delta_batch",
-    "delta_value",
-    "expectation_delta",
-    "finding_document",
-    "random_state",
-    "random_state_corpus",
-    "regular_tetrahedron",
-    "sample_momenta",
-    "tetrahedron_relations",
-]

@@ -17,19 +17,6 @@ class PotentialParseError(ValueError):
     """A textual potential spec could not be parsed."""
 
 
-def _radius(r, allow_zero: bool):
-    # loaded here so that the closed forms and the stability refusal, which
-    # build potentials but never evaluate one, run without numpy
-    import numpy as np
-
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
-        raise ValueError("radius must be nonnegative")
-    if not allow_zero and np.any(r == 0.0):
-        raise ValueError("potential is singular at r = 0")
-    return r
-
-
 def require_finite(obj, *names: str) -> None:
     """Raise ValueError naming the first of the attributes ``names`` of
     ``obj`` that is infinite, NaN or an integer too large for a float."""
@@ -52,17 +39,11 @@ class PairPotential:
     """Base class of the potential family.
 
     Subclasses are immutable value objects, safe to share between threads.
-    ``__call__`` evaluates V(r) for scalar or array ``r``; it raises
-    ValueError for r < 0, and at r = 0 where V has a Coulomb singularity.
-    ``terms()`` gives the same V as its power terms.  Every parameter must
-    be finite.
+    ``terms()`` gives V as its power terms.  Every parameter must be finite.
     """
 
     def __post_init__(self):
         require_finite(self, *(f.name for f in fields(self)))
-
-    def __call__(self, r):
-        raise NotImplementedError
 
     def terms(self) -> tuple[tuple[float, float], ...]:
         """V as a sum of power terms: ((c, k), ...) with V(r) = sum c r^k."""
@@ -88,9 +69,6 @@ class Linear(PairPotential):
         if not self.slope > 0.0:
             raise ValueError("linear slope must be positive")
 
-    def __call__(self, r):
-        return self.slope * _radius(r, allow_zero=True)
-
     def terms(self):
         return ((self.slope, 1.0),)
 
@@ -109,9 +87,6 @@ class Coulomb(PairPotential):
         if not self.strength > 0.0:
             raise ValueError("coulomb strength must be positive")
 
-    def __call__(self, r):
-        return -self.strength / _radius(r, allow_zero=False)
-
     def terms(self):
         return ((-self.strength, -1.0),)
 
@@ -129,10 +104,6 @@ class Harmonic(PairPotential):
         super().__post_init__()
         if not self.strength > 0.0:
             raise ValueError("harmonic strength must be positive")
-
-    def __call__(self, r):
-        r = _radius(r, allow_zero=True)
-        return self.strength * r * r
 
     def terms(self):
         return ((self.strength, 2.0),)
@@ -154,12 +125,6 @@ class CoulombPlusLinear(PairPotential):
             raise ValueError("coulomb part must be nonnegative")
         if not self.slope > 0.0:
             raise ValueError("linear slope must be positive")
-
-    def __call__(self, r):
-        r = _radius(r, allow_zero=self.coulomb == 0.0)
-        if self.coulomb == 0.0:
-            return self.slope * r
-        return self.slope * r - self.coulomb / r
 
     def terms(self):
         if self.coulomb == 0.0:
@@ -183,10 +148,6 @@ class PowerLaw(PairPotential):
             raise ValueError("power-law coefficient must be positive")
         if not self.exponent > 0.0:
             raise ValueError("power-law exponent must be positive")
-
-    def __call__(self, r):
-        r = _radius(r, allow_zero=True)
-        return self.coefficient * r**self.exponent
 
     def terms(self):
         return ((self.coefficient, self.exponent),)

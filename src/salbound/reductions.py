@@ -77,7 +77,8 @@ class SolverConfig:
     """Numerical knobs for ``solver.ground_energy``.
 
     ``scale_interval`` bounds the basis scale in natural units, that is for
-    the canonical operator of :func:`natural_units`.
+    the canonical operator of :func:`natural_units`.  Every number must be
+    finite.
     """
 
     basis_size: int = 40
@@ -86,11 +87,12 @@ class SolverConfig:
     quadrature_order: int = 400
 
     def __post_init__(self):
+        require_finite(self, "basis_size", "scale_tolerance", "quadrature_order")
         if self.basis_size < 2:
             raise ValueError("basis size must be at least 2")
         lo, hi = self.scale_interval
-        if not (0.0 < lo < hi):
-            raise ValueError("scale interval must be positive and ordered")
+        if not (0.0 < lo < hi < math.inf):
+            raise ValueError("scale interval must be positive, finite and ordered")
         if not self.scale_tolerance > 0.0:
             raise ValueError("scale tolerance must be positive")
         if self.quadrature_order < 16:
@@ -174,18 +176,6 @@ def natural_units(h: ReducedHamiltonian) -> tuple[ReducedHamiltonian, float, flo
         _in_range("natural mass mu", mu, _MU_MAX)
     energy = _in_range("energy factor", kinetic / length)
     return ReducedHamiltonian(1.0, 1.0, 1.0, mu, potential), energy, length
-
-
-def scaled_energy_linear(a: float, b: float) -> float:
-    """Ground energy of a ||p|| + b r from the scaling law E(a, b) = sqrt(a b) e.
-
-    The operator is homogeneous of degree -1 in length under the dilation
-    that trades a for b, which pins the whole family to the single accurate
-    constant e = LINEAR_GROUND_ENERGY.
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError("both coefficients must be positive")
-    return math.sqrt(a * b) * LINEAR_GROUND_ENERGY
 
 
 # --- the reduction table ------------------------------------------------------
@@ -339,10 +329,6 @@ class RatioTable:
 
     n_values: tuple[int, ...]
     rows: dict[str, tuple[float | None, ...]]
-
-    @property
-    def columns(self) -> tuple[object, ...]:
-        return self.n_values + ("inf",)
 
 
 def ratio_table(n_values: tuple[int, ...] = (2, 3, 4, 5, 6, 10)) -> RatioTable:

@@ -1,17 +1,49 @@
-"""Reference delta sampler and reduction, for the tests.
+"""Reference delta sampler, reduction and geometry, for the tests.
 
 Written the plain way on (samples, N, 3) arrays, independent of how
 ``salbound.delta`` lays out and chunks its work: the sampler draws the
 mixture components, then all normal deviates in one call, pads the
 total-momentum Jacobi coordinate with zeros and applies the inverse Jacobi
-transform; the reduction loops over particle pairs.
+transform; the reduction loops over particle pairs.  The Jacobi transforms
+apply the shipped ``salbound.delta.jacobi_matrix``, and ``delta_value`` runs
+the shipped reduction on one configuration, so the checks built on them test
+the code that ``verify-delta`` runs.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from salbound.jacobi import from_jacobi
+from salbound.delta import _kinetic_terms, jacobi_matrix
+
+
+def to_jacobi(momenta: np.ndarray) -> np.ndarray:
+    """Jacobi coordinates B p along the particle axis of an (..., N, 3) array."""
+    return jacobi_matrix(momenta.shape[-2]) @ momenta
+
+
+def from_jacobi(jacobi: np.ndarray) -> np.ndarray:
+    """Particle momenta B^T pi of an (..., N, 3) array of Jacobi momenta."""
+    return jacobi_matrix(jacobi.shape[-2]).T @ jacobi
+
+
+def delta_value(mass: float, momenta) -> float:
+    """delta(m, [p]) of one (N, 3) configuration on the zero-total-momentum
+    plane, as k - q of ``salbound.delta._kinetic_terms``."""
+    kinetic, pair_terms = _kinetic_terms(mass, np.asarray(momenta, dtype=float)[None])
+    return float(kinetic[0] - pair_terms[0])
+
+
+def regular_tetrahedron(edge: float) -> np.ndarray:
+    """Vertices of a regular tetrahedron with the given edge, centered at 0."""
+    vertices = np.array(
+        [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
+    ) * (edge / (2.0 * math.sqrt(2.0)))
+    edges = [np.linalg.norm(vertices[i] - vertices[j]) for i in range(4) for j in range(i + 1, 4)]
+    np.testing.assert_allclose(edges, edge, rtol=1e-14)
+    return vertices
 
 
 def reference_sample_momenta(state, count: int, seed: int, shard_index: int = 0) -> np.ndarray:

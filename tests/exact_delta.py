@@ -26,7 +26,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from salbound.jacobi import jacobi_matrix
+from salbound.delta import jacobi_matrix
 
 
 def _term_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,12 @@
-"""Reference scale search, for the tests.
+"""Reference scale search and pair potentials, for the tests.
 
 Plain golden-section search in log coordinates, as the solver ran it before
 it took parabolic steps: no interpolation, a fixed shrink per evaluation,
 and the same endpoint flags.  Run at a tight tolerance it locates the scale
 optimum independently of ``salbound.solver.minimize_log_golden``.
+
+``potential_value`` evaluates V(r) of each shape from its named fields, so
+that it stays independent of the power terms the solver assembles from.
 """
 
 from __future__ import annotations
@@ -12,9 +15,24 @@ import math
 
 import numpy as np
 
+from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
 from salbound.solver import GoldenResult, kinetic_matrix, potential_matrix
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+_V = {
+    Linear: lambda v, r: v.slope * r,
+    Coulomb: lambda v, r: -v.strength / r,
+    Harmonic: lambda v, r: v.strength * r * r,
+    # a vanishing Coulomb part is finite at the origin
+    CoulombPlusLinear: lambda v, r: v.slope * r - v.coulomb / r if v.coulomb else v.slope * r,
+    PowerLaw: lambda v, r: v.coefficient * r**v.exponent,
+}
+
+
+def potential_value(potential, r):
+    """V(r) of ``potential`` for scalar or array r > 0."""
+    return _V[type(potential)](potential, np.asarray(r, dtype=float))
 
 
 def reference_minimize_log_golden(f, lo: float, hi: float, rel_tol: float) -> GoldenResult:

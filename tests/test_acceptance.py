@@ -19,14 +19,8 @@ import time
 import numpy as np
 import pytest
 
-from salbound.bounds import ProblemSpec, compute_bounds, gaussian_upper, lower_bound
-from salbound.delta import (
-    delta_value,
-    expectation_delta,
-    random_state_corpus,
-    regular_tetrahedron,
-)
-from salbound.jacobi import to_jacobi
+from salbound.bounds import ProblemSpec, compute_bounds
+from salbound.delta import expectation_delta, random_state_corpus
 from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
 from salbound.reductions import (
     LINEAR_GROUND_ENERGY,
@@ -38,6 +32,7 @@ from salbound.reductions import (
 )
 from salbound.solver import ground_energy
 
+from delta_reference import delta_value, regular_tetrahedron, to_jacobi
 from exact_delta import exact_delta_expectation
 
 
@@ -63,10 +58,10 @@ def test_criterion_1_solver_accuracy():
 
 
 def test_criterion_2_two_body_exactness():
-    spec = ProblemSpec(2, 0.0, Linear(1.0))
-    low = lower_bound(spec, "n2").value
-    conj = lower_bound(spec, "conjectured")
-    upper = gaussian_upper(spec).value
+    bounds = compute_bounds(ProblemSpec(2, 0.0, Linear(1.0)))
+    low = bounds.n2.value
+    conj = bounds.conjectured
+    upper = bounds.upper.value
     ok = (
         abs(low - 3.1568) <= 2e-3
         and abs(conj.value - 3.1568) <= 2e-3
@@ -115,16 +110,15 @@ def test_criterion_3_table_reproduction():
 def test_criterion_4_closed_form_vs_solver():
     worst = 0.0
     for n in range(2, 7):
-        spec = ProblemSpec(n, 0.0, Linear(1.0))
+        bounds = compute_bounds(ProblemSpec(n, 0.0, Linear(1.0)))
         forms = linear_bound_table(n).lower
-        checks = [(lower_bound(spec, "n2").value, forms["n2"])]
+        checks = [(bounds.n2.value, forms["n2"])]
         if n >= 3:
-            checks.append((lower_bound(spec, "n3").value, forms["n3"]))
+            checks.append((bounds.n3.value, forms["n3"]))
         if n >= 4:
-            checks.append((lower_bound(spec, "n4").value, forms["n4"]))
-        conj = lower_bound(spec, "conjectured")
-        checks.append((conj.value, forms["conjectured"]))
-        checks.append((gaussian_upper(spec).value, upper_gaussian_linear(n)))
+            checks.append((bounds.n4.value, forms["n4"]))
+        checks.append((bounds.conjectured.value, forms["conjectured"]))
+        checks.append((bounds.upper.value, upper_gaussian_linear(n)))
         for solved, closed in checks:
             worst = max(worst, abs(solved - closed) / closed)
     ok = worst <= 2e-3
@@ -247,7 +241,7 @@ def test_criterion_9_nonrelativistic_limit():
     for n in (3, 5):
         residuals = []
         for mass in (1e2, 1e3, 1e4):
-            value = lower_bound(ProblemSpec(n, mass, Harmonic(1.0)), "conjectured")
+            value = compute_bounds(ProblemSpec(n, mass, Harmonic(1.0))).conjectured
             oracle = n * mass + 3.0 * (n - 1) * math.sqrt(n / (2.0 * mass))
             residuals.append(abs(value.value - oracle))
         ratios = (residuals[0] / residuals[1], residuals[1] / residuals[2])

@@ -12,7 +12,6 @@ from salbound.bounds import (
     compute_bounds,
     conjecture_status,
     gaussian_upper,
-    lower_bound,
 )
 from salbound.potentials import (
     Coulomb,
@@ -25,6 +24,7 @@ from salbound.potentials import (
 from salbound.reductions import (
     COULOMB_CRITICAL_COUPLING,
     LINEAR_GROUND_ENERGY,
+    REDUCTIONS,
     ReducedHamiltonian,
     SolverConfig,
     linear_bound_table,
@@ -34,7 +34,11 @@ from salbound.reductions import (
 )
 from salbound.solver import ground_energy
 
-from golden_reference import reference_ground_energy, reference_minimize_log_golden
+from golden_reference import (
+    potential_value,
+    reference_ground_energy,
+    reference_minimize_log_golden,
+)
 
 E = LINEAR_GROUND_ENERGY
 
@@ -103,40 +107,41 @@ def test_linear_bound_table_thresholds():
 
 
 def test_lower_n2_examples():
-    assert lower_bound(linear_spec(2), "n2").value == pytest.approx(math.sqrt(2.0) * E, abs=2e-3)
-    assert lower_bound(linear_spec(3), "n2").value == pytest.approx(3.0 * E, abs=4e-3)
-    value = lower_bound(linear_spec(10), "n2").value
+    assert compute_bounds(linear_spec(2)).n2.value == pytest.approx(math.sqrt(2.0) * E, abs=2e-3)
+    assert compute_bounds(linear_spec(3)).n2.value == pytest.approx(3.0 * E, abs=4e-3)
+    value = compute_bounds(linear_spec(10)).n2.value
     assert value == pytest.approx(closed_form("n2", 10), rel=2e-3)
 
 
 def test_lower_n3_examples_and_threshold():
-    assert lower_bound(linear_spec(3), "n3").value == pytest.approx(closed_form("n3", 3), rel=2e-3)
-    assert lower_bound(linear_spec(4), "n3").value == pytest.approx(closed_form("n3", 4), rel=2e-3)
-    assert lower_bound(linear_spec(3), "n3").value > lower_bound(linear_spec(3), "n2").value
-    with pytest.raises(ValueError, match="n >= 3"):
-        lower_bound(linear_spec(2), "n3")
+    three = compute_bounds(linear_spec(3))
+    assert three.n3.value == pytest.approx(closed_form("n3", 3), rel=2e-3)
+    assert compute_bounds(linear_spec(4)).n3.value == pytest.approx(closed_form("n3", 4), rel=2e-3)
+    assert three.n3.value > three.n2.value
+    two = compute_bounds(linear_spec(2))
+    assert two.n3 is None and two.reasons["n3"] == "requires n >= 3"
 
 
 def test_lower_n4_examples_and_preconditions():
-    assert lower_bound(linear_spec(4), "n4").value == pytest.approx(closed_form("n4", 4), rel=2e-3)
-    value = lower_bound(linear_spec(10), "n4").value
+    assert compute_bounds(linear_spec(4)).n4.value == pytest.approx(closed_form("n4", 4), rel=2e-3)
+    value = compute_bounds(linear_spec(10)).n4.value
     assert value == pytest.approx(closed_form("n4", 10), rel=2e-3)
-    with pytest.raises(ValueError, match="m=0"):
-        lower_bound(linear_spec(4, mass=1.0), "n4")
-    with pytest.raises(ValueError, match="n >= 4"):
-        lower_bound(linear_spec(3), "n4")
+    massive = compute_bounds(linear_spec(4, mass=1.0))
+    assert massive.n4 is None and massive.reasons["n4"] == "requires m=0"
+    three = compute_bounds(linear_spec(3))
+    assert three.n4 is None and three.reasons["n4"] == "requires n >= 4"
 
 
 def test_conjectured_lower_examples():
-    value = lower_bound(linear_spec(2), "conjectured")
+    value = compute_bounds(linear_spec(2)).conjectured
     status = conjecture_status(linear_spec(2))
     assert value.value == pytest.approx(math.sqrt(2.0) * E, abs=2e-3)
     assert status.proven
-    value4 = lower_bound(linear_spec(4), "conjectured")
+    four = compute_bounds(linear_spec(4))
     status4 = conjecture_status(linear_spec(4))
-    assert value4.value == pytest.approx(lower_bound(linear_spec(4), "n4").value, rel=1e-6)
+    assert four.conjectured.value == pytest.approx(four.n4.value, rel=1e-6)
     assert status4.proven
-    value10 = lower_bound(linear_spec(10), "conjectured")
+    value10 = compute_bounds(linear_spec(10)).conjectured
     status10 = conjecture_status(linear_spec(10))
     assert value10.value == pytest.approx(closed_form("conjectured", 10), rel=2e-3)
     assert not status10.proven
@@ -164,9 +169,9 @@ def test_two_body_exactness_across_potentials():
             direct = ground_energy(
                 ReducedHamiltonian(2.0, 1.0, 1.0, mass, potential)
             ).ground_energy
-            assert lower_bound(spec, "n2").value == pytest.approx(two_body, rel=1e-10)
-            value = lower_bound(spec, "conjectured")
-            assert value.value == pytest.approx(two_body, rel=1e-10)
+            bounds = compute_bounds(spec)
+            assert bounds.n2.value == pytest.approx(two_body, rel=1e-10)
+            assert bounds.conjectured.value == pytest.approx(two_body, rel=1e-10)
             assert direct == pytest.approx(two_body, rel=1e-9)
 
 
@@ -205,7 +210,8 @@ def gaussian_energy_oracle(spec, sigma):
 
     lam = 2.0 * (spec.n - 1) / spec.n
     kinetic = spec.n * moment(lambda y: math.sqrt(lam * (y / sigma) ** 2 + spec.mass**2))
-    return kinetic + spec.pair_count * moment(lambda y: float(spec.potential(sigma * y)))
+    pairs = spec.n * (spec.n - 1) // 2
+    return kinetic + pairs * moment(lambda y: float(potential_value(spec.potential, sigma * y)))
 
 
 def check_against_oracle(spec):
@@ -356,7 +362,8 @@ def test_compute_bounds_reasons_and_ordering():
 
 def count_solves(monkeypatch, spec, solves):
     """compute_bounds(spec) after checking its ground_energy calls, each on a
-    distinct canonical operator, and that every row equals lower_bound's."""
+    distinct canonical operator, and that every row equals N times an unshared
+    solve of its own reduced operator."""
     calls = []
 
     def counting(hamiltonian, config=None):
@@ -368,8 +375,12 @@ def count_solves(monkeypatch, spec, solves):
     bounds = compute_bounds(spec, cfg)
     assert len(calls) == solves
     assert len(set(calls)) == solves
-    for name, value in bounds.lower_values().items():
-        assert value == lower_bound(spec, name, cfg).value, name
+    gamma = (spec.n - 1) / 2.0
+    for row in REDUCTIONS:
+        result = bounds.lower_results()[row.name]
+        if result is not None:
+            reduced = ReducedHamiltonian(1.0, row.lam(spec.n), gamma, spec.mass, spec.potential)
+            assert result.value == spec.n * ground_energy(reduced, cfg).ground_energy, row.name
     return calls, bounds
 
 
@@ -426,7 +437,7 @@ def test_large_n_massless_power_law_is_not_pinned(potential, basis):
     n2 = compute_bounds(spec, cfg).n2
     assert n2.value == pytest.approx(n * reference.ground_energy, rel=1e-12)
     assert not any("endpoint" in w for w in n2.spectrum.warnings)
-    assert n2.value == pytest.approx(lower_bound(spec, "n2", wide).value, rel=1e-12)
+    assert n2.value == pytest.approx(compute_bounds(spec, wide).n2.value, rel=1e-12)
 
 
 def test_large_n_massive_bounds_are_not_pinned():
@@ -534,12 +545,11 @@ def test_sandwich_holds_across_potential_family():
             assert bounds.upper.value >= value, (n, mass, potential.spec(), name)
 
 
-def test_problem_spec_validation_and_pair_count():
+def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(1, 0.0, Linear(1.0))
     with pytest.raises(ValueError):
         ProblemSpec(3, -1.0, Linear(1.0))
-    assert ProblemSpec(6, 0.0, Linear(1.0)).pair_count == 15
 
 
 # --- ratio table ----------------------------------------------------------------
@@ -588,7 +598,7 @@ def test_conjectured_bound_reaches_oscillator_limit():
     n, v = 3, 1.0
     residuals = []
     for mass in (1e2, 1e4):
-        value = lower_bound(ProblemSpec(n, mass, Harmonic(v)), "conjectured")
+        value = compute_bounds(ProblemSpec(n, mass, Harmonic(v))).conjectured
         oracle = n * mass + 3.0 * (n - 1) * math.sqrt(n * v / (2.0 * mass))
         residuals.append(abs(value.value - oracle))
     assert residuals[0] / residuals[1] > 2500.0

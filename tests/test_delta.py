@@ -9,19 +9,20 @@ from salbound.delta import (
     _CHUNK,
     SymmetrizedGaussianState,
     _kinetic_terms,
-    delta_batch,
-    delta_value,
     expectation_delta,
     finding_document,
+    jacobi_matrix,
     random_state_corpus,
-    regular_tetrahedron,
     sample_momenta,
-    tetrahedron_relations,
 )
 from salbound.reductions import model_status
-from salbound.jacobi import jacobi_matrix
 
-from delta_reference import reference_kinetic_terms, reference_sample_momenta
+from delta_reference import (
+    delta_value,
+    reference_kinetic_terms,
+    reference_sample_momenta,
+    regular_tetrahedron,
+)
 from exact_delta import exact_delta_expectation
 
 
@@ -76,13 +77,19 @@ def test_two_body_delta_is_identically_zero():
 
 
 def test_tetrahedron_relations_values():
-    h, k = tetrahedron_relations(1.0)
+    # height h = sqrt(2/3) q and centroid-to-vertex distance k = sqrt(3/8) q
+    # of a regular tetrahedron with edge q
+    def relations(edge):
+        vertices = regular_tetrahedron(edge)
+        normal = np.cross(vertices[2] - vertices[1], vertices[3] - vertices[1])
+        height = abs(np.dot(vertices[0] - vertices[1], normal)) / np.linalg.norm(normal)
+        return height, np.linalg.norm(vertices[0])
+
+    h, k = relations(1.0)
     assert h == pytest.approx(0.81650, abs=1e-5)
     assert k == pytest.approx(0.61237, abs=1e-5)
-    h2, k2 = tetrahedron_relations(2.0)
+    h2, k2 = relations(2.0)
     assert (h2, k2) == (2.0 * h, 2.0 * k)
-    with pytest.raises(ValueError):
-        tetrahedron_relations(0.0)
 
 
 def test_tetrahedron_coordinate_construction():
@@ -92,9 +99,8 @@ def test_tetrahedron_coordinate_construction():
     for i in range(4):
         for j in range(i + 1, 4):
             assert np.linalg.norm(vertices[i] - vertices[j]) == pytest.approx(edge, abs=1e-12)
-    _, k = tetrahedron_relations(edge)
     for i in range(4):
-        assert np.linalg.norm(vertices[i]) == pytest.approx(k, abs=1e-12)
+        assert np.linalg.norm(vertices[i]) == pytest.approx(math.sqrt(3.0 / 8.0) * edge, abs=1e-12)
 
 
 # --- invariances -----------------------------------------------------------------
@@ -129,17 +135,6 @@ def test_massless_degree_one_homogeneity():
         assert delta_value(0.0, s * config) == pytest.approx(s * base, rel=1e-12)
 
 
-def test_delta_value_validation():
-    with pytest.raises(ValueError, match="total momentum"):
-        delta_value(0.0, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        delta_value(-1.0, np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        delta_value(0.0, np.zeros((1, 3)))
-    with pytest.raises(ValueError):
-        delta_value(0.0, np.zeros((3, 2)))
-
-
 # --- states and sampling ----------------------------------------------------------
 
 
@@ -150,6 +145,20 @@ def test_state_validation():
         SymmetrizedGaussianState(np.ones(1), np.zeros((1, 2, 3)), np.zeros((1, 2, 3)))
     with pytest.raises(ValueError):
         SymmetrizedGaussianState(np.array([0.7, 0.7]), np.zeros((2, 2, 3)), np.ones((2, 2, 3)))
+    # a non-finite center or width would give a NaN mean that nothing flags
+    for bad in (math.nan, math.inf, -math.inf):
+        centers, widths = np.zeros((1, 2, 3)), np.ones((1, 2, 3))
+        centers[0, 1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SymmetrizedGaussianState(np.ones(1), centers, widths)
+        with pytest.raises(ValueError, match="finite"):
+            SymmetrizedGaussianState.from_dict(
+                {"weights": [1.0], "centers": centers.tolist(), "widths": widths.tolist()}
+            )
+    widths = np.ones((1, 2, 3))
+    widths[0, 0, 1] = math.inf
+    with pytest.raises(ValueError, match="finite"):
+        SymmetrizedGaussianState(np.ones(1), np.zeros((1, 2, 3)), widths)
     state = isotropic_state(3)
     assert state.n_particles == 3
     assert state.n_components == 1
@@ -231,9 +240,8 @@ def test_single_shard_matches_direct_computation():
     for state, mass, shard_count in cases:
         stats = expectation_delta(state, mass, 10000, seed=9, shard_count=shard_count)
         counts = [10000 // shard_count + (k < 10000 % shard_count) for k in range(shard_count)]
-        deltas = np.concatenate(
-            [delta_batch(mass, sample_momenta(state, c, 9, k)) for k, c in enumerate(counts)]
-        )
+        terms = [_kinetic_terms(mass, sample_momenta(state, c, 9, k)) for k, c in enumerate(counts)]
+        deltas = np.concatenate([kinetic - pair_terms for kinetic, pair_terms in terms])
         assert stats.mean == pytest.approx(float(deltas.mean()), rel=1e-12)
         assert stats.stderr == pytest.approx(
             float(deltas.std(ddof=1)) / math.sqrt(10000), rel=1e-12
@@ -269,7 +277,7 @@ def test_reduction_matches_pair_loop(n, mass):
         np.testing.assert_allclose(got_k, want_k, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(got_p, want_p, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(
-            delta_batch(mass, momenta), want_k - want_p, rtol=0.0, atol=1e-13 * want_k.max()
+            got_k - got_p, want_k - want_p, rtol=0.0, atol=1e-13 * want_k.max()
         )
 
 

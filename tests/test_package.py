@@ -12,7 +12,7 @@ import pytest
 import salbound
 from salbound.bounds import ProblemSpec
 from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
-from salbound.reductions import ReducedHamiltonian
+from salbound.reductions import ReducedHamiltonian, SolverConfig
 
 # --- import footprint ---------------------------------------------------------------
 
@@ -41,7 +41,7 @@ def test_import_cli_loads_only_what_every_command_needs():
     loaded = new_modules("import salbound.cli")
     assert "salbound.reductions" in loaded
     lazy = {"numpy", "salbound.solver", "salbound.quadrature", "salbound.bounds",
-            "salbound.delta", "salbound.jacobi", "concurrent.futures", "csv", "json"}
+            "salbound.delta", "concurrent.futures", "csv", "json"}
     assert not loaded & lazy
 
 
@@ -110,14 +110,27 @@ def test_verify_delta_runs_shards_below_one_block_inline():
 
 def test_import_delta_does_not_load_the_solver_modules():
     loaded = new_modules("import salbound.delta")
-    assert "salbound.jacobi" in loaded
-    assert not loaded & {"salbound.bounds", "salbound.solver", "salbound.potentials",
-                         "salbound.quadrature", "concurrent.futures"}
+    assert {m for m in loaded if m.startswith("salbound")} == {"salbound", "salbound.delta"}
+    assert "concurrent.futures" not in loaded
 
 
 def test_package_attribute_loads_only_its_submodule():
     loaded = new_modules("import salbound; salbound.jacobi_matrix")
-    assert {m for m in loaded if m.startswith("salbound.")} == {"salbound.jacobi"}
+    assert {m for m in loaded if m.startswith("salbound.")} == {"salbound.delta"}
+
+
+def test_potentials_run_without_numpy():
+    # with numpy blocked, any import of it fails the statement
+    statement = (
+        'sys.modules["numpy"] = None\n'
+        "from salbound.potentials import parse_potential\n"
+        "for text in ('linear:1', 'coulomb:0.5', 'harmonic:2', 'coulomb+linear:0.5,1', 'power:2,0.5'):\n"
+        "    v = parse_potential(text)\n"
+        "    assert parse_potential(v.spec()) == v\n"
+        "    v.terms(), v.coulomb_strength()"
+    )
+    loaded = new_modules(statement)
+    assert {m for m in loaded if m.startswith("salbound")} == {"salbound", "salbound.potentials"}
 
 
 # --- public API -----------------------------------------------------------------------
@@ -152,6 +165,7 @@ def test_unknown_attribute_raises_attribute_error():
 VALID = (
     ReducedHamiltonian(1.0, 1.0, 1.0, 0.5, Linear(1.0)),
     ProblemSpec(3, 0.5, Linear(1.0)),
+    SolverConfig(),
     Linear(1.0),
     Coulomb(0.5),
     Harmonic(1.0),
@@ -163,7 +177,8 @@ NUMERIC_FIELDS = [
     pytest.param(obj, field.name, id=f"{type(obj).__name__}.{field.name}")
     for obj in VALID
     for field in dataclasses.fields(obj)
-    if field.name != "potential"
+    # the potential and the scale interval are checked by their own tests
+    if isinstance(getattr(obj, field.name), (int, float))
 ]
 
 

@@ -13,7 +13,6 @@ from salbound.reductions import (
     SolverConfig,
     StabilityError,
     natural_units,
-    scaled_energy_linear,
 )
 from salbound.solver import (
     SpectrumResult,
@@ -26,7 +25,7 @@ from salbound.solver import (
 )
 from salbound.quadrature import semi_infinite_rule
 
-from golden_reference import reference_ground_energy
+from golden_reference import potential_value, reference_ground_energy
 
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -110,7 +109,7 @@ def quadrature_build(h, basis_size, sigma, order):
     sign = np.where(np.arange(basis_size) % 2 == 0, 1.0, -1.0)
     f = h.beta * np.sqrt(h.lam * (sigma * y) ** 2 + h.mass**2)
     kinetic = (table * (wy2 * f)) @ table.T * np.outer(sign, sign)
-    potential = (table * (wy2 * h.gamma * h.potential(y / sigma))) @ table.T
+    potential = (table * (wy2 * h.gamma * potential_value(h.potential, y / sigma))) @ table.T
     return kinetic, potential
 
 
@@ -499,16 +498,6 @@ def test_flat_bottom_stops_the_search_early(monkeypatch):
 # --- reference constant -------------------------------------------------------
 
 
-def test_scaled_energy_linear_values():
-    assert scaled_energy_linear(1.0, 1.0) == pytest.approx(2.2322)
-    assert scaled_energy_linear(2.0, 1.0) == pytest.approx(3.1568, abs=1e-4)
-    assert scaled_energy_linear(4.0, 9.0) == pytest.approx(6.0 * 2.2322, rel=1e-14)
-    with pytest.raises(ValueError):
-        scaled_energy_linear(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        scaled_energy_linear(1.0, 0.0)
-
-
 def test_reference_constant_recomputable():
     # cross-validation of the stored constant by the solver itself
     result = ground_energy(linear_hamiltonian())
@@ -538,6 +527,14 @@ def test_solver_config_validation():
         SolverConfig(scale_interval=(0.0, 1.0))
     with pytest.raises(ValueError):
         SolverConfig(quadrature_order=8)
+    # an infinite tolerance returned an unconverged energy
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(scale_tolerance=bad)
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(scale_interval=(0.05, bad))
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(scale_interval=(bad, 20.0))
 
 
 def test_matrix_argument_validation():
