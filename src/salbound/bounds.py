@@ -7,9 +7,10 @@ status of the model-operator bound, the natural units and the closed forms
 for the massless linear potential.  Here each row is solved numerically, the
 model-operator bound is also proved for harmonic pair potentials, and the
 upper bound comes from a product Gaussian trial state in relative
-coordinates, optimized over its scale: N times the solver's one-function
-scale search on the model operator (:func:`gaussian_upper`).  This module
-runs no quadrature and no search of its own.
+coordinates, optimized over its scale: N times the solver's scale search
+(``solver.scale_search``) at basis size 1 on the model operator in natural
+units (:func:`gaussian_upper`).  This module runs no quadrature and no search
+of its own.
 
 Every row is solved in its natural units (``reductions.natural_units``): a
 dilation maps its reduced operator to a multiple of the canonical operator
@@ -23,6 +24,7 @@ E(a|p| + b r^k) = a^(k/(k+1)) b^(1/(k+1)) E_k).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,7 +42,7 @@ from .reductions import (
     model_status,
     natural_units,
 )
-from .solver import SpectrumResult, ground_energy, scale_search
+from .solver import SpectrumResult, _pin_warnings, ground_energy, scale_search
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         require_finite(self, "n", "mass")
+        if self.n % 1 != 0:
+            raise ValueError(f"particle count must be a whole number, got {self.n}")
         if self.n < 2:
             raise ValueError("need at least two particles")
         if self.mass < 0.0:
@@ -120,9 +124,10 @@ def gaussian_upper(spec: ProblemSpec, config: SolverConfig | None = None) -> Upp
     energy at Gaussian length sigma is N times the expectation of the model
     operator sqrt(lam p^2 + m^2) + (N-1)/2 V (``lam`` of the model-operator
     reduction) in the first oscillator function at basis scale 1/sigma.  So
-    the bound is N times the solver's basis-size-1 scale search on that
-    operator (``solver.scale_search``), over ``config.scale_interval`` in
-    its natural units, and ``optimal_scale`` is the length sigma.  A massless
+    the bound is N times the solver's basis-size-1 scale search
+    (``solver.scale_search``) on that operator in its natural units
+    (``reductions.natural_units``), over the whole ``config.scale_interval``
+    and scaled back, and ``optimal_scale`` is the length sigma.  A massless
     single term c r^k with k > 0 has its optimum in closed form instead, from
     the pair moments <|p|> = (2/sqrt(pi))/sigma and
     <r^k> = sigma^k Γ((3+k)/2)/Γ(3/2) (the linear one is
@@ -133,9 +138,15 @@ def gaussian_upper(spec: ProblemSpec, config: SolverConfig | None = None) -> Upp
         kinetic, (power,) = _massless_gaussian(spec.n, terms)
         value, sigma = _power_optimum(kinetic, *power)
         return UpperBoundResult(value=value, optimal_scale=sigma, warnings=[])
-    model = ReducedHamiltonian(1.0, _MODEL.lam(spec.n), (spec.n - 1) / 2.0, spec.mass, spec.potential)
-    search = scale_search(model, 1, config)
-    return UpperBoundResult(spec.n * search.energy, 1.0 / search.scale, search.warnings)
+    cfg = config if config is not None else SolverConfig()
+    canonical, energy, length = natural_units(
+        ReducedHamiltonian(1.0, _MODEL.lam(spec.n), (spec.n - 1) / 2.0, spec.mass, spec.potential)
+    )
+    # an infinite half-width around scale 1 is the whole scale interval
+    best = scale_search(canonical, 1, cfg, 1.0, math.inf)
+    return UpperBoundResult(
+        spec.n * (energy * float(best.fx)), 1.0 / (best.x / length), _pin_warnings(best)
+    )
 
 
 @dataclass

@@ -199,34 +199,6 @@ def sample_momenta(
 
 
 @dataclass
-class _Moments:
-    """Streaming count/mean/M2 of a scalar quantity (Chan merge)."""
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def add_batch(self, values: np.ndarray) -> None:
-        mean = values.mean()
-        self.merge(_Moments(count=values.size, mean=mean, m2=((values - mean) ** 2).sum()))
-
-    def merge(self, other: "_Moments") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self.mean, self.m2 = other.count, other.mean, other.m2
-            return
-        total = self.count + other.count
-        diff = other.mean - self.mean
-        self.mean = self.mean + diff * (other.count / total)
-        self.m2 = self.m2 + other.m2 + diff**2 * (self.count * other.count / total)
-        self.count = total
-
-    def stderr(self) -> float:
-        return math.sqrt(self.m2 / (self.count - 1) / self.count)
-
-
-@dataclass
 class DeltaStats:
     """Monte Carlo estimate of the delta expectation for one state.
 
@@ -260,14 +232,14 @@ def expectation_delta(
     """Monte Carlo mean and standard error of delta over the state.
 
     The sample stream splits into ``shard_count`` independently seeded
-    shards whose moments are merged in shard order, so the result is
+    shards whose kinetic terms are pooled in shard order, so the result is
     deterministic for a fixed (state, samples, seed, shard_count) and
     independent of ``threads``.  Shards run on up to ``threads`` threads
     once each holds at least one sampling block (8192 samples), and inline
     below that.
     """
-    if mass < 0.0:
-        raise ValueError("mass must be nonnegative")
+    if not (math.isfinite(mass) and mass >= 0.0):
+        raise ValueError(f"mass must be finite and nonnegative, got {mass}")
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
     if shard_count < 1 or shard_count > samples:
@@ -277,11 +249,7 @@ def expectation_delta(
     counts = [base + (1 if k < extra else 0) for k in range(shard_count)]
 
     def run_shard(shard_index: int):
-        momenta = sample_momenta(state, counts[shard_index], seed, shard_index)
-        kinetic, pair_terms = _kinetic_terms(mass, momenta)
-        moments = _Moments()
-        moments.add_batch(kinetic - pair_terms)
-        return moments, float(kinetic.sum()), float(pair_terms.sum())
+        return _kinetic_terms(mass, sample_momenta(state, counts[shard_index], seed, shard_index))
 
     # a shard below one block of samples finishes sooner than a thread starts
     if threads > 1 and shard_count > 1 and counts[0] >= _CHUNK:
@@ -293,20 +261,18 @@ def expectation_delta(
     else:
         shards = [run_shard(k) for k in range(shard_count)]
 
-    delta_m, kinetic_total, pair_total = _Moments(), 0.0, 0.0
-    for moments, kinetic_sum, pair_sum in shards:
-        delta_m.merge(moments)
-        kinetic_total += kinetic_sum
-        pair_total += pair_sum
-
+    kinetic, pair_terms = (np.concatenate(terms) for terms in zip(*shards))
+    values = kinetic - pair_terms
+    mean = values.mean()
+    m2 = ((values - mean) ** 2).sum()
     return DeltaStats(
         n=n,
         mass=mass,
         samples=samples,
-        mean=float(delta_m.mean),
-        stderr=delta_m.stderr(),
-        k_mean=kinetic_total / (n * samples),
-        q_mean=pair_total / (n * samples),
+        mean=float(mean),
+        stderr=math.sqrt(m2 / (samples - 1) / samples),
+        k_mean=float(kinetic.sum()) / (n * samples),
+        q_mean=float(pair_terms.sum()) / (n * samples),
         seed=seed,
         shard_count=shard_count,
     )

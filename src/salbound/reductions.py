@@ -27,6 +27,7 @@ and the stability refusal run without numpy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -88,6 +89,12 @@ class SolverConfig:
 
     def __post_init__(self):
         require_finite(self, "basis_size", "scale_tolerance", "quadrature_order")
+        for name in ("basis_size", "quadrature_order"):
+            # both set array sizes, so a whole float such as 40.0 is refused too
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.basis_size < 2:
             raise ValueError("basis size must be at least 2")
         lo, hi = self.scale_interval
@@ -106,21 +113,6 @@ def _in_range(name: str, value: float, limit: float = math.inf) -> float:
     return value
 
 
-def _is_canonical(h: ReducedHamiltonian) -> bool:
-    """Whether ``h`` is a canonical operator, one that :func:`natural_units`
-    maps to itself with energy and length exactly 1."""
-    if not h.beta == h.lam == h.gamma == 1.0:
-        return False
-    v = h.potential
-    if type(v) is PowerLaw:
-        return v.coefficient == 1.0
-    if type(v) is CoulombPlusLinear:
-        return v.slope == 1.0 and v.coulomb > 0.0
-    if type(v) is Coulomb:
-        return h.mass == 0.0 or h.mass == 1.0 / v.strength
-    return False
-
-
 def natural_units(h: ReducedHamiltonian) -> tuple[ReducedHamiltonian, float, float]:
     """(canonical, energy, length) with H = energy times the canonical operator
     sqrt(p^2 + mu^2) + r^k - v'/r under the dilation r -> length r.
@@ -133,7 +125,7 @@ def natural_units(h: ReducedHamiltonian) -> tuple[ReducedHamiltonian, float, flo
     - for massless pure Coulomb, which is scale-free: 1.
     Then mu = m s/sqrt(lam), v' = gamma v/(beta sqrt(lam)) and
     energy = beta sqrt(lam)/s.  A canonical operator is its own canonical
-    form: it is returned as it is, with energy and length exactly 1.
+    form: it is returned equal, with energy and length exactly 1.
 
     Raises StabilityError where the effective Coulomb coupling v' reaches
     2/pi: the operator is then unbounded below for every mass, since the
@@ -150,10 +142,6 @@ def natural_units(h: ReducedHamiltonian) -> tuple[ReducedHamiltonian, float, flo
             f"effective Coulomb coupling {coupling:.6g} >= 2/pi "
             f"({COULOMB_CRITICAL_COUPLING:.6g}); the operator is unbounded below"
         )
-    if _is_canonical(h):
-        if h.mass > 0.0:
-            _in_range("natural mass mu", h.mass, _MU_MAX)
-        return h, 1.0, 1.0
     confining = [(c, k) for c, k in h.potential.terms() if k > 0.0]
     if confining:
         ((c, k),) = confining
@@ -301,6 +289,8 @@ def linear_bound_table(n: int) -> LinearBoundTable:
     """Exact closed forms at particle count n.  By the scaling law each lower
     bound, N times the bottom of sqrt(lam)|p| + (N-1)/2 r, is
     N sqrt(sqrt(lam) (N-1)/2) e."""
+    if n % 1 != 0:
+        raise ValueError(f"particle count must be a whole number, got {n}")
     if n < 2:
         raise ValueError("need at least two particles")
     lower, reasons = _table(

@@ -28,20 +28,21 @@ which also refuses operators that are unbounded below): a dilation r -> s r
 maps H to beta sqrt(lam)/s times the canonical operator
 sqrt(p^2 + mu^2) + r^k - v'/r, whose optimal basis scale is of order 1 for
 every coupling, mass and particle count.  The scale search runs on that
-operator, and the result is scaled back.  :func:`scale_search` is that search
-at any basis size, and the Gaussian upper bound of ``bounds`` runs it at basis
-size 1.  ``ground_energy`` brings its operator to natural units once and runs
-two searches on it: the half basis on a bracket of e^(+-1) around scale 1,
-then the full basis on a bracket of e^(+-1/2) around the half-basis optimum,
-the distance the two optima keep in practice; either search spans the whole
-scale interval where it pins at an end of its bracket inside the interval.
-A search resolves the operator's term matrices, coefficients and node
-tables once, and each step assembles its matrix with the same builders as
-:func:`kinetic_matrix` and :func:`potential_matrix`.  The search stops
-where its bracket is within the scale tolerance or flat to roundoff
-(:data:`FLAT_TOL`).  The reported energy is the search's own ``eigvalsh``
-value at the reported scale; the eigenvector is computed only when
-``SpectrumResult.coefficients`` is read.
+operator, and the result is scaled back.  :func:`scale_search` is the one
+search driver: it searches a bracket around a given scale at a given basis
+size, and the whole scale interval where it pins at an end of that bracket
+inside the interval.  ``ground_energy`` brings its operator to natural units
+once and runs two searches on it: the half basis on a bracket of e^(+-1)
+around scale 1, then the full basis on a bracket of e^(+-1/2) around the
+half-basis optimum, the distance the two optima keep in practice.  The
+Gaussian upper bound of ``bounds`` runs one search at basis size 1 with an
+infinite half-width, that is over the whole interval.  A search resolves the
+operator's term matrices, coefficients and node tables once, and each step
+assembles its matrix with the same builders as :func:`kinetic_matrix` and
+:func:`potential_matrix`.  The search stops where its bracket is within the
+scale tolerance or flat to roundoff (:data:`FLAT_TOL`).  The reported energy
+is the search's own ``eigvalsh`` value at the reported scale; the eigenvector
+is computed only when ``SpectrumResult.coefficients`` is read.
 The operator, the solver knobs and the closed forms of the massless linear
 case are in ``reductions``; this module holds only the numerics.
 """
@@ -420,16 +421,6 @@ def _objective(h, basis_size, order):
     return lowest
 
 
-@dataclass(frozen=True)
-class ScaleSearch:
-    """Lowest Rayleigh-Ritz eigenvalue of an operator at its best basis scale,
-    both in the operator's own units."""
-
-    energy: float
-    scale: float
-    warnings: list[str]
-
-
 def _pin_warnings(best: GoldenResult) -> list[str]:
     """One warning per end of the scale interval that the optimum sits at; it
     names the end and no scale, so that it holds in any units."""
@@ -440,29 +431,19 @@ def _pin_warnings(best: GoldenResult) -> list[str]:
     ]
 
 
-def scale_search(h: ReducedHamiltonian, basis_size: int, config: SolverConfig | None = None) -> ScaleSearch:
-    """Lowest eigenvalue of H in the first ``basis_size`` oscillator functions,
-    minimized over their basis scale.
+def scale_search(
+    canonical: ReducedHamiltonian, basis_size: int, cfg: SolverConfig, center: float, half_width: float
+) -> GoldenResult:
+    """Lowest Rayleigh-Ritz eigenvalue ``fx`` of a canonical operator in the
+    first ``basis_size`` oscillator functions, minimized over their scale
+    ``x``, both in natural units.
 
-    The search runs on the canonical operator of ``reductions.natural_units``
-    over ``config.scale_interval``; energy and scale are scaled back to H.
-    Each end of the interval that the optimum sits at gets one warning.
-    """
-    cfg = config if config is not None else SolverConfig()
-    canonical, energy, length = natural_units(h)
-    f = _objective(canonical, basis_size, cfg.quadrature_order)
-    best = minimize_log_golden(f, *cfg.scale_interval, cfg.scale_tolerance)
-    return ScaleSearch(energy * float(best.fx), best.x / length, _pin_warnings(best))
-
-
-def _local_search(canonical, basis_size, cfg, center, half_width) -> GoldenResult:
-    """Scale search of a canonical operator at ``basis_size`` on
-    e^(+-``half_width``) around ``center``, cut to the scale interval.
-
-    Where it pins at an end of that bracket that is not an end of the
-    interval, it runs again over the whole interval, so the flags of the
-    result refer to the ends of the scale interval only.  Both runs share one
-    objective.
+    The search runs on e^(+-``half_width``) around ``center``, cut to
+    ``cfg.scale_interval``; an infinite half-width searches the whole
+    interval.  Where it pins at an end of that bracket that is not an end of
+    the interval, it runs again over the whole interval, so the flags of the
+    result refer to the ends of the scale interval only (:func:`_pin_warnings`
+    words them).  Both runs share one objective.
     """
     f = _objective(canonical, basis_size, cfg.quadrature_order)
     lo, hi = cfg.scale_interval
@@ -487,9 +468,9 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
     difference against a solve at basis size max(2, basis_size // 2) and
     bounds the plausible remaining truncation error scale.  That solve runs
     first, around scale 1, and the full-basis search starts from its optimum
-    (:func:`_local_search`); a pinned half-basis optimum sends the full-basis
-    search over the whole scale interval.  ``optimal_basis_scale`` is
-    within ``scale_tolerance`` of the optimum, or anywhere in a bracket over
+    (both by :func:`scale_search`); a pinned half-basis optimum sends the
+    full-basis search over the whole scale interval.  ``optimal_basis_scale``
+    is within ``scale_tolerance`` of the optimum, or anywhere in a bracket over
     which the energy is flat to :data:`FLAT_TOL`.  The energy is the
     full-basis search's ``eigvalsh`` value there; the matrix at that scale is
     built once more, with the quadrature self-checks, and kept on the result,
@@ -498,11 +479,11 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
     cfg = config if config is not None else SolverConfig()
     h, energy, length = natural_units(h)
     # h is canonical now, so the searches report in natural units
-    half = _local_search(h, max(2, cfg.basis_size // 2), cfg, 1.0, _NATURAL_HALF_WIDTH)
+    half = scale_search(h, max(2, cfg.basis_size // 2), cfg, 1.0, _NATURAL_HALF_WIDTH)
     # a pinned half-basis optimum does not place the full-basis one, so that
     # search then spans the whole interval (an infinite half-width)
     pinned = half.at_lower or half.at_upper
-    best = _local_search(h, cfg.basis_size, cfg, half.x, math.inf if pinned else _LOCAL_HALF_WIDTH)
+    best = scale_search(h, cfg.basis_size, cfg, half.x, math.inf if pinned else _LOCAL_HALF_WIDTH)
     sigma = best.x
 
     diagnostics: list[str] = []

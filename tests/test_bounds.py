@@ -28,6 +28,7 @@ from salbound.reductions import (
     ReducedHamiltonian,
     SolverConfig,
     linear_bound_table,
+    natural_units,
     ratio_limit,
     ratio_table,
     upper_gaussian_linear,
@@ -288,6 +289,28 @@ def test_gaussian_upper_dominates_two_body_energy_with_mass():
     upper = gaussian_upper(spec).value
     exact = 2.0 * ground_energy(ReducedHamiltonian(1.0, 1.0, 0.5, 1.0, Linear(1.0))).ground_energy
     assert upper >= exact
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ProblemSpec(3, 1.0, Linear(1.0)),
+        ProblemSpec(5, 0.7, CoulombPlusLinear(0.1, 1.2)),
+        ProblemSpec(4, 0.5, Coulomb(0.2)),
+    ],
+    ids=["linear", "coulomb+linear", "coulomb"],
+)
+def test_massive_gaussian_upper_is_the_scale_search_at_basis_size_1(spec):
+    # N times the driver's one-function search of the model operator in
+    # natural units, over the whole scale interval, scaled back bit for bit
+    cfg = SolverConfig()
+    model = ReducedHamiltonian(1.0, 2.0 * (spec.n - 1) / spec.n, (spec.n - 1) / 2.0, spec.mass, spec.potential)
+    canonical, energy, length = natural_units(model)
+    best = salbound.solver.scale_search(canonical, 1, cfg, 1.0, math.inf)
+    result = gaussian_upper(spec, cfg)
+    assert result.value == spec.n * (energy * best.fx)
+    assert result.optimal_scale == 1.0 / (best.x / length)
+    assert result.warnings == []
 
 
 # --- scale search against a reference golden section ----------------------------

@@ -400,6 +400,36 @@ def test_verify_delta_csv_and_text_carry_the_json_values(capsys):
     assert lines[4 + len(results)].startswith("verdict: findings")
 
 
+def test_verify_delta_threaded_shards_match_the_library(capsys, monkeypatch):
+    # 10000 samples per shard, above one 8192-sample block, so the two shards
+    # run on two threads; the report carries the stats of the inline run
+    import concurrent.futures
+    import os
+
+    from salbound.cli import main
+    from salbound.delta import expectation_delta, random_state_corpus
+
+    pools = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            pools.append(max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    argv = ["verify-delta", "--n", "4", "--mass", "1", "--states", "1",
+            "--samples", "20000", "--shards", "2", "--format", "json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert pools == [2]
+    state = random_state_corpus(4, 1, report["seed"])[0]
+    stats = expectation_delta(state, 1.0, 20000, seed=report["seed"], shard_count=2, threads=1)
+    (row,) = report["results"]
+    columns = ("mean", "stderr", "k_mean", "q_mean")
+    assert [row[c] for c in columns] == [getattr(stats, c) for c in columns]
+
+
 def test_verify_delta_text_verdict():
     proc = run_cli(
         "verify-delta", "--n", "4", "--mass", "0.5", "--states", "2",

@@ -430,6 +430,13 @@ def test_expectation_delta_validation():
         sample_momenta(state, 0, seed=0)
 
 
+@pytest.mark.parametrize("mass", [math.nan, math.inf], ids=["nan", "inf"])
+def test_expectation_delta_refuses_a_non_finite_mass(mass):
+    # a nan mean and stderr would flag no finding, so the call must fail
+    with pytest.raises(ValueError, match="mass must be finite"):
+        expectation_delta(isotropic_state(3), mass, 100, seed=0)
+
+
 def test_expectation_delta_needs_two_samples():
     # the standard error divides by count - 1
     with pytest.raises(ValueError, match="two samples"):

@@ -7,12 +7,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import salbound
 from salbound.bounds import ProblemSpec
 from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
-from salbound.reductions import ReducedHamiltonian, SolverConfig
+from salbound.reductions import ReducedHamiltonian, SolverConfig, linear_bound_table
 
 # --- import footprint ---------------------------------------------------------------
 
@@ -187,3 +188,28 @@ NUMERIC_FIELDS = [
 def test_constructors_reject_non_finite_numbers(obj, field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         dataclasses.replace(obj, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ProblemSpec(2.5, 0.0, Linear(1.0)), "particle count must be a whole number"),
+        (lambda: linear_bound_table(2.5), "particle count must be a whole number"),
+        (lambda: SolverConfig(basis_size=40.5), "basis_size must be an integer"),
+        (lambda: SolverConfig(basis_size=40.0), "basis_size must be an integer"),
+        (lambda: SolverConfig(quadrature_order=400.5), "quadrature_order must be an integer"),
+    ],
+    ids=["ProblemSpec.n", "linear_bound_table", "SolverConfig.basis_size",
+         "SolverConfig.basis_size-whole-float", "SolverConfig.quadrature_order"],
+)
+def test_sizes_must_be_whole_numbers(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_whole_sizes_of_other_types_are_accepted():
+    # a particle count is a number of bosons, so 3.0 is one; basis size and
+    # quadrature order set array sizes, so any integer type serves
+    assert ProblemSpec(3.0, 0.0, Linear(1.0)).n == 3
+    config = SolverConfig(basis_size=np.int64(24), quadrature_order=np.int32(200))
+    assert (config.basis_size, config.quadrature_order) == (24, 200)

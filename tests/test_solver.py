@@ -277,7 +277,7 @@ def test_natural_units_is_idempotent():
 )
 def test_natural_units_returns_a_canonical_operator_unchanged(canonical):
     got, energy, length = natural_units(canonical)
-    assert got is canonical
+    assert got == canonical
     assert (energy, length) == (1.0, 1.0)
 
 
@@ -430,7 +430,7 @@ def test_local_search_pinned_inside_the_interval_falls_back(monkeypatch):
     # are not ends of the scale interval; then the whole interval is searched
     h = ReducedHamiltonian(1.0, 1.0, 1.0, 0.5, CoulombPlusLinear(0.3, 1.0))
     cfg = SolverConfig(basis_size=40)
-    whole = solver.scale_search(h, cfg.basis_size, cfg)
+    whole = solver.scale_search(h, cfg.basis_size, cfg, 1.0, math.inf)
     monkeypatch.setattr(solver, "_LOCAL_HALF_WIDTH", 1e-3)
     searches = _counted_searches(monkeypatch)
     result = ground_energy(h, cfg)
@@ -439,7 +439,7 @@ def test_local_search_pinned_inside_the_interval_falls_back(monkeypatch):
     assert (half_lo, half_hi) == (1.0 / math.e, math.e)
     assert lo < local_lo < local_hi < hi
     assert (full_lo, full_hi) == (lo, hi)
-    assert result.optimal_basis_scale == whole.scale
+    assert result.optimal_basis_scale == whole.x
     assert result.warnings == []
 
 
@@ -464,13 +464,13 @@ def test_half_search_bracket_outside_scale_1_starts_at_the_nearer_end(monkeypatc
     # its lower end; the optimum of |p| + r near 1 then pins there
     h = ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Linear(1.0))
     cfg = SolverConfig(basis_size=24, scale_interval=(2.0, 50.0))
-    pinned = solver.scale_search(h, cfg.basis_size, cfg)
+    pinned = solver.scale_search(h, cfg.basis_size, cfg, 1.0, math.inf)
     searches = _counted_searches(monkeypatch)
     result = ground_energy(h, cfg)
     assert [(a, b) for a, b, _ in searches] == [(2.0, 2.0 * math.e), (2.0, 50.0)]
-    assert result.warnings == pinned.warnings
+    assert result.warnings == solver._pin_warnings(pinned)
     assert "lower endpoint" in result.warnings[0]
-    assert (result.optimal_basis_scale, result.ground_energy) == (pinned.scale, pinned.energy)
+    assert (result.optimal_basis_scale, result.ground_energy) == (pinned.x, pinned.fx)
 
 
 def test_flat_bottom_stops_the_search_early(monkeypatch):
