@@ -426,17 +426,23 @@ def _csv_verify_delta(report: dict):
 
 # --- the command table, rendering and dispatch --------------------------------
 
+# the library's defaults, so that the CLI and SolverConfig cannot drift apart
+_SOLVER_DEFAULTS = {
+    "basis-size": SolverConfig.basis_size,
+    "quadrature-order": SolverConfig.quadrature_order,
+}
+
 # name: (help, handler, flag defaults in --help order, text view, CSV rows)
 _COMMANDS = {
     "solve": (
         "ground state of the reduced one-body operator", cmd_solve,
         {"beta": 1.0, "lambda": 1.0, "gamma": 1.0, "mass": 0.0, "potential": "linear:1",
-         "basis-size": 40, "quadrature-order": 400},
+         **_SOLVER_DEFAULTS},
         _text_solve, _csv_solve,
     ),
     "bounds": (
         "all N-boson bounds for one problem", cmd_bounds,
-        {"n": 2, "mass": 0.0, "potential": "linear:1", "basis-size": 40, "quadrature-order": 400},
+        {"n": 2, "mass": 0.0, "potential": "linear:1", **_SOLVER_DEFAULTS},
         _text_bounds, _csv_bounds,
     ),
     "linear-table": (

@@ -21,6 +21,7 @@ reproduced exactly from its serialized state and seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -162,6 +163,15 @@ def random_state_corpus(n: int, count: int, master_seed: int) -> list[Symmetrize
     return [random_state(n, np.random.Generator(np.random.PCG64(c))) for c in children]
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int, else ValueError naming it.  Sample and shard
+    counts set array sizes, so a whole float such as 10.0 is refused too."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, shard_index])))
 
@@ -177,6 +187,7 @@ def sample_momenta(
     particle momenta.  The result is a transposed view of a (3, N, count)
     array.  Deterministic for a fixed (state, count, seed, shard_index).
     """
+    count = _whole("count", count)
     if count < 1:
         raise ValueError("sample count must be at least 1")
     rng = _shard_rng(seed, shard_index)
@@ -240,6 +251,8 @@ def expectation_delta(
     """
     if not (math.isfinite(mass) and mass >= 0.0):
         raise ValueError(f"mass must be finite and nonnegative, got {mass}")
+    samples = _whole("samples", samples)
+    shard_count = _whole("shard_count", shard_count)
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
     if shard_count < 1 or shard_count > samples:

@@ -562,6 +562,59 @@ def test_solver_path_never_imports_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.fixture
+def cold_rules():
+    """The quadrature module with every rule and node-table cache emptied, so
+    that the next solve has to fetch its Gauss-Legendre rules."""
+    from salbound import quadrature, solver
+
+    for cached in (quadrature.unit_rule, solver._node_table, solver._term_matrix):
+        cached.cache_clear()
+    return quadrature
+
+
+def _no_newton(order):
+    raise AssertionError(f"built the order-{order} rule by Newton's method")
+
+
+def test_default_orders_load_their_rules(cold_rules, monkeypatch, capsys):
+    from salbound import cli
+
+    monkeypatch.setattr(cold_rules, "_gauss_legendre", _no_newton)
+    assert cli.main(["solve", "--format", "json"]) == 0
+    assert cli.main(["bounds", "--n", "4", "--mass", "1", "--format", "json"]) == 0
+    # the order-400 rule and the self-check's order-800 rule
+    assert cold_rules.unit_rule.cache_info().currsize == 2
+
+
+def test_other_orders_are_built_by_newton(cold_rules, monkeypatch, capsys):
+    from salbound import cli
+
+    built = []
+    newton = cold_rules._gauss_legendre
+
+    def record(order):
+        built.append(order)
+        return newton(order)
+
+    monkeypatch.setattr(cold_rules, "_gauss_legendre", record)
+    assert cli.main(["solve", "--quadrature-order", "120", "--format", "csv"]) == 0
+    assert built == [120, 240]
+
+
+def test_quadrature_order_above_the_cap_exits_2_before_any_rule(cold_rules, monkeypatch, capsys):
+    from salbound import cli
+    from salbound.reductions import MAX_QUADRATURE_ORDER
+
+    monkeypatch.setattr(cold_rules, "_gauss_legendre", _no_newton)
+    for command in ("solve", "bounds"):
+        assert cli.main([command, "--quadrature-order", str(MAX_QUADRATURE_ORDER + 1)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: quadrature order must be at most {MAX_QUADRATURE_ORDER}\n"
+        )
+    assert cold_rules.unit_rule.cache_info().currsize == 0
+
+
 def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0

@@ -12,6 +12,7 @@ import pytest
 
 import salbound
 from salbound.bounds import ProblemSpec
+from salbound.delta import SymmetrizedGaussianState, expectation_delta, sample_momenta
 from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
 from salbound.reductions import ReducedHamiltonian, SolverConfig, linear_bound_table
 
@@ -190,6 +191,9 @@ def test_constructors_reject_non_finite_numbers(obj, field, value):
         dataclasses.replace(obj, **{field: value})
 
 
+STATE = SymmetrizedGaussianState(np.ones(1), np.zeros((1, 2, 3)), np.ones((1, 2, 3)))
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -198,9 +202,14 @@ def test_constructors_reject_non_finite_numbers(obj, field, value):
         (lambda: SolverConfig(basis_size=40.5), "basis_size must be an integer"),
         (lambda: SolverConfig(basis_size=40.0), "basis_size must be an integer"),
         (lambda: SolverConfig(quadrature_order=400.5), "quadrature_order must be an integer"),
+        (lambda: expectation_delta(STATE, 0.5, 1000.5, seed=1), "samples must be an integer"),
+        (lambda: expectation_delta(STATE, 0.5, 1000, seed=1, shard_count=2.0),
+         "shard_count must be an integer"),
+        (lambda: sample_momenta(STATE, 10.0, 1), "count must be an integer"),
     ],
     ids=["ProblemSpec.n", "linear_bound_table", "SolverConfig.basis_size",
-         "SolverConfig.basis_size-whole-float", "SolverConfig.quadrature_order"],
+         "SolverConfig.basis_size-whole-float", "SolverConfig.quadrature_order",
+         "expectation_delta.samples", "expectation_delta.shard_count", "sample_momenta.count"],
 )
 def test_sizes_must_be_whole_numbers(build, message):
     with pytest.raises(ValueError, match=message):

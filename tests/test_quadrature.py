@@ -1,10 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from salbound import quadrature
-from salbound.quadrature import semi_infinite_rule, unit_rule
+from salbound.quadrature import SHIPPED_ORDERS, semi_infinite_rule, unit_rule
+from salbound.reductions import SolverConfig
 
 
 def test_unit_rule_integrates_polynomials_exactly():
@@ -36,6 +38,34 @@ def test_unit_rule_is_cached_ascending_and_read_only():
     assert u[16] == 0.5  # odd order: the middle node is the interval midpoint
     with pytest.raises(ValueError):
         u[0] = 0.0
+
+
+@pytest.mark.parametrize("order", SHIPPED_ORDERS)
+def test_shipped_rule_is_the_newton_rule_and_read_only(order):
+    """Regenerate the shipped rules with
+
+    PYTHONPATH=src python -c "import numpy as np; from salbound import quadrature as q; [np.save(q._rule_path(n), np.stack(q._gauss_legendre(n))) for n in q.SHIPPED_ORDERS]"
+
+    Newton's method lands on bits that depend on the last bit of numpy's cos
+    at its starting values; test_unit_rule_matches_scipy checks the shipped
+    rules independently of it.
+    """
+    shipped = np.load(quadrature._rule_path(order))
+    built = np.stack(quadrature._gauss_legendre(order))
+    assert shipped.dtype == built.dtype and shipped.shape == built.shape == (2, order)
+    assert shipped.tobytes() == built.tobytes()
+    for array in unit_rule(order):
+        assert not array.flags.writeable
+
+
+def test_shipped_orders_are_the_default_and_its_self_check():
+    # the CLI takes its default from SolverConfig, so all three agree
+    default = SolverConfig().quadrature_order
+    assert set(SHIPPED_ORDERS) == {default, 2 * default}
+    rules = os.path.dirname(quadrature._rule_path(default))
+    assert sorted(os.listdir(rules)) == sorted(
+        os.path.basename(quadrature._rule_path(order)) for order in SHIPPED_ORDERS
+    )
 
 
 def test_semi_infinite_gaussian_moments():

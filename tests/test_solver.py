@@ -9,6 +9,7 @@ from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, Po
 from salbound.reductions import (
     COULOMB_CRITICAL_COUPLING,
     LINEAR_GROUND_ENERGY,
+    MAX_QUADRATURE_ORDER,
     ReducedHamiltonian,
     SolverConfig,
     StabilityError,
@@ -527,6 +528,9 @@ def test_solver_config_validation():
         SolverConfig(scale_interval=(0.0, 1.0))
     with pytest.raises(ValueError):
         SolverConfig(quadrature_order=8)
+    assert SolverConfig(quadrature_order=MAX_QUADRATURE_ORDER).quadrature_order == 10_000
+    with pytest.raises(ValueError, match="at most 10000"):
+        SolverConfig(quadrature_order=MAX_QUADRATURE_ORDER + 1)
     # an infinite tolerance returned an unconverged energy
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
