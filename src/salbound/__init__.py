@@ -56,8 +56,6 @@ _EXPORTS = {
     "solver": (
         "SpectrumResult",
         "ground_energy",
-        "kinetic_matrix",
-        "potential_matrix",
     ),
 }
 

@@ -7,10 +7,11 @@ status of the model-operator bound, the natural units and the closed forms
 for the massless linear potential.  Here each row is solved numerically, the
 model-operator bound is also proved for harmonic pair potentials, and the
 upper bound comes from a product Gaussian trial state in relative
-coordinates, optimized over its scale: N times the solver's scale search
-(``solver.scale_search``) at basis size 1 on the model operator in natural
-units (:func:`gaussian_upper`).  This module runs no quadrature and no search
-of its own.
+coordinates, optimized over its scale: N times the minimum over sigma of the
+model operator's expectation in one Gaussian (``solver.gaussian_energy``,
+the one-Gaussian case of the solver's basis) in natural units, by the
+solver's Brent search (:func:`gaussian_upper`).  This module runs no
+quadrature of its own.
 
 Every row is solved in its natural units (``reductions.natural_units``): a
 dilation maps its reduced operator to a multiple of the canonical operator
@@ -24,7 +25,6 @@ E(a|p| + b r^k) = a^(k/(k+1)) b^(1/(k+1)) E_k).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,8 +41,14 @@ from .reductions import (
     _table,
     model_status,
     natural_units,
+    require_particle_count,
 )
-from .solver import SpectrumResult, _pin_warnings, ground_energy, scale_search
+from .solver import SpectrumResult, gaussian_energy, ground_energy, minimize_log_golden
+
+#: Interval of the Gaussian's momentum width sigma searched in natural units,
+#: and the search's relative tolerance in sigma.
+GAUSSIAN_SCALE_INTERVAL = (0.05, 20.0)
+GAUSSIAN_SCALE_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -54,11 +60,8 @@ class ProblemSpec:
     potential: PairPotential
 
     def __post_init__(self):
-        require_finite(self, "n", "mass")
-        if self.n % 1 != 0:
-            raise ValueError(f"particle count must be a whole number, got {self.n}")
-        if self.n < 2:
-            raise ValueError("need at least two particles")
+        require_finite(self, "mass")
+        require_particle_count(self.n)
         if self.mass < 0.0:
             raise ValueError("mass must be nonnegative")
 
@@ -123,15 +126,14 @@ def gaussian_upper(spec: ProblemSpec, config: SolverConfig | None = None) -> Upp
     Boson symmetry collapses the expectation to a single relative pair: the
     energy at Gaussian length sigma is N times the expectation of the model
     operator sqrt(lam p^2 + m^2) + (N-1)/2 V (``lam`` of the model-operator
-    reduction) in the first oscillator function at basis scale 1/sigma.  So
-    the bound is N times the solver's basis-size-1 scale search
-    (``solver.scale_search``) on that operator in its natural units
-    (``reductions.natural_units``), over the whole ``config.scale_interval``
-    and scaled back, and ``optimal_scale`` is the length sigma.  A massless
-    single term c r^k with k > 0 has its optimum in closed form instead, from
-    the pair moments <|p|> = (2/sqrt(pi))/sigma and
-    <r^k> = sigma^k Γ((3+k)/2)/Γ(3/2) (the linear one is
-    ``reductions.upper_gaussian_linear``).
+    reduction) in one Gaussian of momentum width 1/sigma.  So the bound is N
+    times the least ``solver.gaussian_energy`` of that operator in its natural
+    units (``reductions.natural_units``), searched over the momentum widths of
+    ``GAUSSIAN_SCALE_INTERVAL`` by ``solver.minimize_log_golden`` and scaled
+    back, and ``optimal_scale`` is the length sigma.  A massless single term
+    c r^k with k > 0 has its optimum in closed form instead, from the pair
+    moments <|p|> = (2/sqrt(pi))/sigma and <r^k> = sigma^k Γ((3+k)/2)/Γ(3/2)
+    (the linear one is ``reductions.upper_gaussian_linear``).
     """
     terms = spec.potential.terms()
     if spec.mass == 0.0 and len(terms) == 1 and terms[0][1] > 0.0:
@@ -142,11 +144,17 @@ def gaussian_upper(spec: ProblemSpec, config: SolverConfig | None = None) -> Upp
     canonical, energy, length = natural_units(
         ReducedHamiltonian(1.0, _MODEL.lam(spec.n), (spec.n - 1) / 2.0, spec.mass, spec.potential)
     )
-    # an infinite half-width around scale 1 is the whole scale interval
-    best = scale_search(canonical, 1, cfg, 1.0, math.inf)
-    return UpperBoundResult(
-        spec.n * (energy * float(best.fx)), 1.0 / (best.x / length), _pin_warnings(best)
+    best = minimize_log_golden(
+        lambda sigma: gaussian_energy(canonical, sigma, cfg.quadrature_order),
+        *GAUSSIAN_SCALE_INTERVAL,
+        GAUSSIAN_SCALE_TOLERANCE,
     )
+    warnings = [
+        f"Gaussian scale optimum sits at the {end} endpoint of its search interval"
+        for end, pinned in (("lower", best.at_lower), ("upper", best.at_upper))
+        if pinned
+    ]
+    return UpperBoundResult(spec.n * (energy * float(best.fx)), 1.0 / (best.x / length), warnings)
 
 
 @dataclass

@@ -42,6 +42,7 @@ from .reductions import (
     model_status,
     natural_units,
     ratio_table,
+    require_particle_count,
 )
 
 EXIT_OK = 0
@@ -198,7 +199,7 @@ def cmd_solve(opt: _Options) -> tuple[dict, int]:
         },
         "result": {
             "ground_energy": result.ground_energy,
-            "optimal_basis_scale": result.optimal_basis_scale,
+            "basis_range": list(result.basis_range),
             "convergence_estimate": result.convergence_estimate,
             "coefficients": result.coefficients.tolist(),
             "warnings": list(result.warnings),
@@ -214,7 +215,7 @@ def _text_solve(report: dict) -> list[str]:
         % tuple(_g(prob[k]) if k != "potential" else prob[k] for k in
                ("beta", "lambda", "gamma", "mass", "potential")),
         f"ground_energy        {_g(res['ground_energy'])}",
-        f"optimal_basis_scale  {_g(res['optimal_basis_scale'])}",
+        "basis_range          %s to %s" % tuple(_g(r) for r in res["basis_range"]),
         f"convergence_estimate {_g(res['convergence_estimate'])}",
     ]
     for warning in res["warnings"]:
@@ -225,8 +226,10 @@ def _text_solve(report: dict) -> list[str]:
 def _csv_solve(report: dict):
     res = report["result"]
     yield ["key", "value"]
-    for key in ("ground_energy", "optimal_basis_scale", "convergence_estimate"):
-        yield [key, res[key]]
+    yield ["ground_energy", res["ground_energy"]]
+    for end, radius in zip(("min", "max"), res["basis_range"]):
+        yield [f"basis_range_{end}", radius]
+    yield ["convergence_estimate", res["convergence_estimate"]]
     for i, c in enumerate(res["coefficients"]):
         yield [f"coefficient_{i}", c]
 
@@ -235,8 +238,10 @@ def _csv_solve(report: dict):
 
 def cmd_bounds(opt: _Options) -> tuple[dict, int]:
     n, mass, potential, config = opt["n"], opt["mass"], opt["potential"], _solver_config(opt)
-    # refuse an unbounded or out-of-range operator before numpy loads: the n2
-    # row comes first in the table and its lam = 1 gives the largest coupling
+    # refuse a particle count, an unbounded or an out-of-range operator before
+    # numpy loads: the n2 row comes first in the table and its lam = 1 gives
+    # the largest coupling
+    require_particle_count(n)
     natural_units(ReducedHamiltonian(1.0, 1.0, (n - 1) / 2.0, mass, potential))
     from .bounds import ProblemSpec, compute_bounds
 
@@ -252,7 +257,7 @@ def cmd_bounds(opt: _Options) -> tuple[dict, int]:
             "derivation": result.derivation,
             "kinetic_factor": result.kinetic_factor,
             "convergence_estimate": result.spectrum.convergence_estimate,
-            "optimal_basis_scale": result.spectrum.optimal_basis_scale,
+            "basis_range": list(result.spectrum.basis_range),
             "warnings": list(result.spectrum.warnings),
         }
     diagnostics["upper"] = {

@@ -15,9 +15,8 @@ _NEWTON_TOL = 1e-14
 _NEWTON_MAX_STEPS = 12
 
 # SolverConfig's default quadrature order and the doubled order of the solver's
-# self-check.  Loading both takes about 0.6 ms, building them about 30 ms
-# (2 vCPU x86-64), and every cold solve needs both.
-SHIPPED_ORDERS = (400, 800)
+# self-check, which every cold solve at m > 0 needs.
+SHIPPED_ORDERS = (100, 200)
 
 
 def _legendre(order: int, x: np.ndarray):

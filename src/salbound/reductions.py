@@ -43,8 +43,10 @@ COULOMB_CRITICAL_COUPLING = 2.0 / math.pi
 
 _E = LINEAR_GROUND_ENERGY
 
-#: Canonical masses mu from 2^512 on overflow mu^2 in sqrt(p^2 + mu^2).
-_MU_MAX = 2.0**512
+#: Canonical masses mu from 2^480 on overflow nu^2 = mu^2 c in the kinetic
+#: pair integral, where the momentum exponent c reaches 5e8 at the widest
+#: Gaussian of the largest basis.
+_MU_MAX = 2.0**480
 
 
 class StabilityError(ValueError):
@@ -77,23 +79,27 @@ class ReducedHamiltonian:
 #: twice the order, and Newton's method takes about 2.4 s at order 2e4 (2 vCPU).
 MAX_QUADRATURE_ORDER = 10_000
 
+#: Largest ``SolverConfig.basis_size``.  The grid of Gaussians widens with
+#: the basis, to r from 3e-5 to 3e4 at 120 (7e-12 to 3e11 at 300), far beyond
+#: the lengths of any canonical operator, while the m > 0 pair integrals'
+#: temporary grows as the square: 5.8 MB at 120, 36 MB at 300.
+MAX_BASIS_SIZE = 120
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs for ``solver.ground_energy``.
+    """Numerical knobs for ``solver.ground_energy``: the number of Gaussians
+    and the order of the kinetic pair integral's rule at m > 0.
 
-    ``scale_interval`` bounds the basis scale in natural units, that is for
-    the canonical operator of :func:`natural_units`.  Every number must be
-    finite, and ``quadrature_order`` at most ``MAX_QUADRATURE_ORDER``.
+    Both must be integers, ``basis_size`` from 2 to ``MAX_BASIS_SIZE`` and
+    ``quadrature_order`` from 16 to ``MAX_QUADRATURE_ORDER``.
     """
 
     basis_size: int = 40
-    scale_interval: tuple[float, float] = (0.05, 20.0)
-    scale_tolerance: float = 1e-4
-    quadrature_order: int = 400
+    quadrature_order: int = 100
 
     def __post_init__(self):
-        require_finite(self, "basis_size", "scale_tolerance", "quadrature_order")
+        require_finite(self, "basis_size", "quadrature_order")
         for name in ("basis_size", "quadrature_order"):
             # both set array sizes, so a whole float such as 40.0 is refused too
             try:
@@ -102,15 +108,29 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.basis_size < 2:
             raise ValueError("basis size must be at least 2")
-        lo, hi = self.scale_interval
-        if not (0.0 < lo < hi < math.inf):
-            raise ValueError("scale interval must be positive, finite and ordered")
-        if not self.scale_tolerance > 0.0:
-            raise ValueError("scale tolerance must be positive")
+        if self.basis_size > MAX_BASIS_SIZE:
+            raise ValueError(f"basis size must be at most {MAX_BASIS_SIZE}")
         if self.quadrature_order < 16:
             raise ValueError("quadrature order must be at least 16")
         if self.quadrature_order > MAX_QUADRATURE_ORDER:
             raise ValueError(f"quadrature order must be at most {MAX_QUADRATURE_ORDER}")
+
+
+def require_particle_count(n) -> None:
+    """Raise ValueError unless n is a whole number of at least 2 whose pair
+    count n(n-1)/2 is a finite float, the one check of a particle count."""
+    if isinstance(n, float) and not math.isfinite(n):
+        raise ValueError(f"n must be finite, got {n}")
+    if n % 1 != 0:
+        raise ValueError(f"particle count must be a whole number, got {n}")
+    if n < 2:
+        raise ValueError("need at least two particles")
+    try:
+        pairs = n * (n - 1) / 2.0
+    except OverflowError:
+        pairs = math.inf
+    if pairs == math.inf:
+        raise ValueError("particle count is too large: its pair count n(n-1)/2 is not a finite float")
 
 
 def _in_range(name: str, value: float, limit: float = math.inf) -> float:
@@ -296,10 +316,7 @@ def linear_bound_table(n: int) -> LinearBoundTable:
     """Exact closed forms at particle count n.  By the scaling law each lower
     bound, N times the bottom of sqrt(lam)|p| + (N-1)/2 r, is
     N sqrt(sqrt(lam) (N-1)/2) e."""
-    if n % 1 != 0:
-        raise ValueError(f"particle count must be a whole number, got {n}")
-    if n < 2:
-        raise ValueError("need at least two particles")
+    require_particle_count(n)
     lower, reasons = _table(
         n, 0.0, lambda row: n * math.sqrt(math.sqrt(row.lam(n)) * (n - 1) / 2.0) * _E
     )

@@ -4,316 +4,299 @@
 
 in three dimensions at zero angular momentum (units hbar = c = 1).
 
-The Rayleigh-Ritz basis consists of s-wave eigenfunctions of the isotropic
-harmonic oscillator.  These are form invariant under the three-dimensional
-Fourier transform up to a phase (-1)^n, so both the square-root kinetic term
-(in momentum space) and the potential term (in coordinate space) reduce to
-one-dimensional radial quadratures against the same function table.  The
-lowest eigenvalue is minimized over the basis length scale sigma, which makes
-the result a variational upper bound on the spectral bottom of H for every
-basis size.
-
-The potential is a sum of terms c r^k (``PairPotential.terms``), so its
-matrix is gamma sum c sigma^-k U_k, where the term matrix U_k of y^k in the
-dimensionless basis depends only on (basis size, quadrature order, k) and is
-built once by quadrature.  The kinetic term is a quadrature over the
-momentum-space table (-1)^n R_n, which carries the Fourier phases: at m = 0
-it is beta sqrt(lam) sigma times that table's term matrix of y, so a step of
-the scale search is one ``eigvalsh`` of a scaled sum; at m > 0 it is one
-kinetic quadrature plus the ``eigvalsh``.  Each step adds its terms into one
-matrix in place.
-
 Every operator is solved in its natural units (``reductions.natural_units``,
 which also refuses operators that are unbounded below): a dilation r -> s r
 maps H to beta sqrt(lam)/s times the canonical operator
-sqrt(p^2 + mu^2) + r^k - v'/r, whose optimal basis scale is of order 1 for
-every coupling, mass and particle count.  The scale search runs on that
-operator, and the result is scaled back.  :func:`scale_search` is the one
-search driver: it searches a bracket around a given scale at a given basis
-size, and the whole scale interval where it pins at an end of that bracket
-inside the interval.  ``ground_energy`` brings its operator to natural units
-once and runs two searches on it: the half basis on a bracket of e^(+-1)
-around scale 1, then the full basis on a bracket of e^(+-1/2) around the
-half-basis optimum, the distance the two optima keep in practice.  The
-Gaussian upper bound of ``bounds`` runs one search at basis size 1 with an
-infinite half-width, that is over the whole interval.  A search resolves the
-operator's term matrices, coefficients and node tables once, and each step
-assembles its matrix with the same builders as :func:`kinetic_matrix` and
-:func:`potential_matrix`.  The search stops where its bracket is within the
-scale tolerance or flat to roundoff (:data:`FLAT_TOL`).  The reported energy
-is the search's own ``eigvalsh`` value at the reported scale; the eigenvector
-is computed only when ``SpectrumResult.coefficients`` is read.
-The operator, the solver knobs and the closed forms of the massless linear
-case are in ``reductions``; this module holds only the numerics.
+sqrt(p^2 + mu^2) + r^k - v'/r, which is solved here and scaled back.
+
+The Rayleigh-Ritz basis is a fixed geometric set of unit-normalised s-wave
+Gaussians exp(-r^2/r_i^2), the Gaussian expansion method of Hiyama, Kino and
+Kamimura (Prog. Part. Nucl. Phys. 51 (2003) 223).  :func:`basis_radii`
+places them by one rule, so nothing is searched.  The product of two of them
+is a Gaussian, so each matrix element is their overlap times the expectation
+of the operator in a Gaussian pair density (:func:`pair_expectation`): with
+the coordinate exponent a = 1/r_i^2 + 1/r_j^2 and the momentum exponent
+c = (r_i^2 + r_j^2)/4, <r^k> = M_k a^(-k/2) and <|p|> = M_1 c^(-1/2), where
+M_k = Γ((3+k)/2)/Γ(3/2).  At m > 0 the kinetic expectation is mu plus one
+integral per pair on the mapped Gauss-Legendre rule.  The rest mass mu adds
+mu to every generalized eigenvalue, so it stays out of the matrix and is
+added to the energy.
+
+A Cholesky of the unit-diagonal overlap S reduces H x = E S x to one
+``eigvalsh``.  That eigenvalue carries about 1e-9 of roundoff from the
+ill-conditioned overlap, so one step of inverse iteration at it gives the
+ground vector x, and the energy is its Rayleigh quotient x.Hx / x.Sx in the
+original basis: a variational upper bound for that vector, accurate to about
+1e-14.  The convergence estimate is the same solve on the centred half of
+the Gaussians, a principal submatrix that needs no new matrix elements.
+
+The Brent search :func:`minimize_log_golden` serves the Gaussian upper bound
+of ``bounds``, whose trial state is the one-Gaussian case of the basis
+(:func:`gaussian_energy`).  The operator, the solver knobs and the closed
+forms of the massless linear case are in ``reductions``; this module holds
+only the numerics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .potentials import PairPotential
 from .quadrature import semi_infinite_rule
-from .reductions import ReducedHamiltonian, SolverConfig, natural_units
+from .reductions import ReducedHamiltonian, SolverConfig, _pair_moment, natural_units
 
 #: Relative change between a rule and its doubled-order version above which
 #: a quadrature warning is recorded.
 QUADRATURE_SELF_CHECK_TOL = 1e-10
 
+#: Least ratio r_{i+1}/r_i of neighbouring Gaussian radii.  Closer Gaussians
+#: make the overlap worse conditioned without representing more.
+MIN_RADIUS_RATIO = 1.19
+
+#: Largest ratio of neighbouring radii on a Coulomb grid: a sparser grid
+#: resolves the bulk of the state worse than the cusp gains (at K = 24 the
+#: ratio 1.70 over the whole span left a weak Coulomb+linear state 3e-6
+#: above the oscillator basis).
+MAX_RADIUS_RATIO = 1.5
+
+#: Radius span (r_lo, r_hi) in natural units of the grid of a canonical
+#: operator with a Coulomb term, with a linear term and without one: the
+#: small radii resolve the Coulomb cusp, and a pure Coulomb state reaches
+#: further out.
+_COULOMB_SPAN = (1e-4, 20.0)
+_PURE_COULOMB_SPAN = (1e-4, 40.0)
+
+#: Weight of the ground state on the first or the last Gaussian (the part of
+#: the state that only that Gaussian supplies) above which a range warning is
+#: recorded.  Over the shapes r^k (k = 0.5..2.5, mu = 0..30) and Coulomb
+#: (+linear) at v' = 0.13..0.446 it is at most 1.2e-6 at K = 24 (r^0.5,
+#: mu = 0) and 1.2e-10 at K = 40; it is 1.6e-5 for heavy linear:8 at
+#: m = 1e5 and 0.16 for massless coulomb:0.3 at K = 40.
+EDGE_WEIGHT_TOL = 4e-6
+
 #: Relative spread of the objective across the search bracket below which the
-#: scale search stops: about the roundoff of an ``eigvalsh`` at B <= 40, so
-#: the objective carries no more information about the scale.
+#: scale search stops: the objective then carries no more information.
 FLAT_TOL = 1e-13
-
-#: Half-width, in log scale, of the half-basis search bracket around scale 1,
-#: where natural units put the optimum.  Over 1263 solves of the bounds
-#: benchmark (seeds 7 and 8) the half-basis optima lay in ln s in
-#: [-0.30, 1.11]; e^(+-0.7) and e^(+-1.5) took more evaluations.
-_NATURAL_HALF_WIDTH = 1.0
-
-#: Half-width, in log scale, of the full-basis search bracket around the
-#: half-basis optimum.  Over 631 solves of the bounds benchmark (seeds 7 and 8)
-#: the two optima differed by 0.16-0.18 in median and 0.27 at most.
-_LOCAL_HALF_WIDTH = 0.5
 
 #: Golden-section step as a fraction of the bracket, (3 - sqrt 5)/2.
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
+
+#: M_1 = <|p|> sqrt(c) of a Gaussian pair density, 2/sqrt(pi).
+_MOMENT_1 = _pair_moment(1.0)
 
 
 @dataclass
 class SpectrumResult:
     """Variational ground state with convergence diagnostics.
 
-    ``matrix`` is the read-only Rayleigh-Ritz matrix at the optimal scale, of
-    the canonical operator in natural units.  ``ground_energy`` is its lowest
-    eigenvalue in the operator's own units, stable to roundoff.
-    ``coefficients``, its lowest eigenvector, is computed by ``eigh`` on first
-    read and is read-only.  ``optimal_basis_scale`` and ``coefficients`` are
-    fixed only up to the flatness of the scale-search objective: where the
-    lowest eigenvalue barely depends on the scale, a change in the last bits
-    of the matrices can move the scale by tens of percent while the energy
-    moves by 1e-14.
+    ``ground_energy`` is the energy in the operator's own units, a
+    variational upper bound on its spectral bottom.  ``basis_range`` is
+    (r_1, r_K), the radii of the narrowest and the widest Gaussian in the
+    operator's own length units; the radii between are in geometric
+    progression.  ``coefficients`` are the ground state's coefficients on
+    the unit-normalised Gaussians, ascending in radius, normalised to
+    x.S x = 1 with S their overlap, with the first entry above 1e-12 in
+    magnitude positive.  ``matrix`` is the Rayleigh-Ritz matrix of the
+    canonical operator less its rest mass mu (which adds mu S).  Both arrays
+    are read-only.
     """
 
     ground_energy: float
-    optimal_basis_scale: float
+    basis_range: tuple[float, float]
+    coefficients: np.ndarray = field(repr=False, compare=False)
     matrix: np.ndarray = field(repr=False, compare=False)
     convergence_estimate: float
     warnings: list[str] = field(default_factory=list)
 
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        """Lowest eigenvector of ``matrix``, of unit norm, with its first entry
-        above 1e-12 in magnitude positive; read-only."""
-        _, vectors = np.linalg.eigh(self.matrix)
-        coeff = vectors[:, 0]
-        pivot = np.flatnonzero(np.abs(coeff) > 1e-12)
-        if pivot.size and coeff[pivot[0]] < 0.0:
-            coeff = -coeff
-        coeff = coeff / np.linalg.norm(coeff)
-        coeff.setflags(write=False)
-        return coeff
-
     def dilated(self, energy: float, length: float) -> SpectrumResult:
         """This spectrum, of a canonical operator, as that of ``energy`` times
-        it dilated by r -> ``length`` r: energies times ``energy``, basis scale
-        over ``length``, matrix (so coefficients) and warnings as they are."""
+        it dilated by r -> ``length`` r: energies times ``energy``, radii times
+        ``length``, coefficients, matrices and warnings as they are."""
+        lo, hi = self.basis_range
         return SpectrumResult(
             ground_energy=energy * self.ground_energy,
-            optimal_basis_scale=self.optimal_basis_scale / length,
+            basis_range=(lo * length, hi * length),
+            coefficients=self.coefficients,
             matrix=self.matrix,
             convergence_estimate=energy * self.convergence_estimate,
             warnings=list(self.warnings),
         )
 
 
-def radial_basis(basis_size: int, y: np.ndarray) -> np.ndarray:
-    """Table of dimensionless s-wave oscillator functions R_n(y), n < basis_size.
+def basis_radii(canonical: ReducedHamiltonian, basis_size: int) -> np.ndarray:
+    """Radii r_i of the basis Gaussians exp(-r^2/r_i^2) of a canonical
+    operator, ascending and in natural units, in geometric progression.
 
-    R_n(y) = N_n L_n^(1/2)(y^2) exp(-y^2/2), normalized on the measure y^2 dy.
-    The Laguerre recurrence is run on the exponentially weighted functions,
-    which keeps every intermediate bounded.
+    A confining term alone gets the ratio :data:`MIN_RADIUS_RATIO`, centred
+    in log on radius 1, the natural length.  A Coulomb term gets the span
+    (r_lo, r_hi) of ``_COULOMB_SPAN`` or, alone, ``_PURE_COULOMB_SPAN``: the
+    widest Gaussian sits at r_hi, and the ratio (r_hi/r_lo)^(1/(K-1)) is kept
+    from :data:`MIN_RADIUS_RATIO` to :data:`MAX_RADIUS_RATIO`, so the
+    narrowest reaches r_lo from K = 32 (33 alone) and goes below it beyond
+    K = 71 (75).
     """
-    y = np.asarray(y, dtype=float)
-    t = y * y
-    out = np.empty((basis_size, y.size))
-    out[0] = np.exp(-0.5 * t)
-    if basis_size > 1:
-        out[1] = (1.5 - t) * out[0]
-    for n in range(1, basis_size - 1):
-        out[n + 1] = ((2.0 * n + 1.5 - t) * out[n] - (n + 0.5) * out[n - 1]) / (n + 1.0)
-    log_ratio = np.array([math.lgamma(n + 1.0) - math.lgamma(n + 1.5) for n in range(basis_size)])
-    norms = np.sqrt(2.0 * np.exp(log_ratio))
-    return out * norms[:, None]
+    steps = np.arange(basis_size) - (basis_size - 1.0)
+    if canonical.potential.coulomb_strength() == 0.0:
+        return MIN_RADIUS_RATIO ** (steps + (basis_size - 1) / 2.0)
+    lo, hi = _PURE_COULOMB_SPAN if len(canonical.potential.terms()) == 1 else _COULOMB_SPAN
+    ratio = min(MAX_RADIUS_RATIO, max(MIN_RADIUS_RATIO, (hi / lo) ** (1.0 / (basis_size - 1))))
+    return hi * ratio**steps
 
 
-def map_scale(basis_size: int) -> float:
-    """Quadrature map scale adapted to the radial extent of the basis."""
-    return max(2.0, 1.25 * math.sqrt(basis_size))
+def _kinetic_excess(nu: np.ndarray, order: int) -> np.ndarray:
+    """(4/sqrt(pi)) ∫ y^4 e^(-y^2) / (sqrt(y^2 + nu^2) + nu) dy over [0, inf)
+    for each nu >= 0, on the mapped Gauss-Legendre rule of ``order``.
 
-
-@lru_cache(maxsize=32)
-def _node_table(basis_size: int, order: int):
-    """Nodes, weights (already including y^2), basis table and momentum-space
-    table, read-only.
-
-    The momentum-space table (-1)^n R_n carries the Fourier phases of the
-    basis functions.  Nodes beyond the support of the Gaussian envelope (where
-    exp(-y^2/2) underflows) contribute exactly zero and are dropped; this also
-    keeps steeply rising potentials finite at every retained node.
+    It is c^(1/2) <sqrt(p^2 + mu^2) - mu> in the momentum density
+    p^2 e^(-c p^2) at nu = mu sqrt(c); the form p^2/(sqrt(p^2 + mu^2) + mu)
+    of the excess over the rest mass keeps heavy masses free of cancellation.
+    The (nu, node) array is the one temporary, 0.66 MB at 820 pairs.
     """
-    y, wy = semi_infinite_rule(order, map_scale(basis_size))
-    keep = y < 38.0
-    y = y[keep]
-    wy2 = wy[keep] * y * y
-    table = radial_basis(basis_size, y)
-    momentum = table * np.where(np.arange(basis_size) % 2 == 0, 1.0, -1.0)[:, None]
-    for arr in (y, wy2, table, momentum):
-        arr.setflags(write=False)
-    return y, wy2, table, momentum
+    y, wy = semi_infinite_rule(order, 1.0)
+    weight = (2.0 * _MOMENT_1) * wy * y**4 * np.exp(-y * y)
+    d = np.add.outer(nu * nu, y * y)
+    np.sqrt(d, out=d)
+    d += nu[:, None]
+    np.reciprocal(d, out=d)
+    return d @ weight
 
 
-def _gram(table: np.ndarray, root_weights: np.ndarray) -> np.ndarray:
-    """table diag(root_weights^2) table^T, exactly symmetric.
+def pair_expectation(canonical: ReducedHamiltonian, a: np.ndarray, c: np.ndarray, order: int) -> np.ndarray:
+    """Expectation of a canonical operator less its rest mass,
+    sqrt(p^2 + mu^2) - mu + V(r), in the Gaussian pair densities of
+    coordinate exponents ``a`` and momentum exponents ``c`` (ac >= 1).
 
-    numpy evaluates ``a @ a.T`` as one symmetric rank-k update (BLAS syrk)
-    and mirrors its triangle.
+    The density of r is r^2 e^(-a r^2) and that of p is p^2 e^(-c p^2), so
+    <r^k> = M_k a^(-k/2) with M_k = Γ((3+k)/2)/Γ(3/2), and <|p|> =
+    M_1 c^(-1/2) at m = 0.  At m > 0 the kinetic term is one integral per
+    pair (:func:`_kinetic_excess`) on the rule of ``order``; at m = 0 no rule
+    is loaded.
     """
-    a = table * root_weights
-    return a @ a.T
+    root = np.sqrt(c)
+    if canonical.mass == 0.0:
+        out = _MOMENT_1 / root
+    else:
+        out = _kinetic_excess(canonical.mass * root, order) / root
+    for coefficient, k in canonical.potential.terms():
+        out += (coefficient * _pair_moment(k)) * a ** (-k / 2.0)
+    return out
 
 
-# A problem's working set is its kinetic and potential terms at the full basis
-# (two quadrature orders), the half basis and basis size 1; 64 entries hold it
-# for problems that alternate two basis sizes, at most about 0.8 MB at B = 40
-@lru_cache(maxsize=64)
-def _term_matrix(basis_size: int, order: int, k: float, momentum: bool) -> np.ndarray:
-    """Term matrix table diag(wy2 y^k) table^T of y^k, read-only, on the
-    coordinate-space table or, with ``momentum``, the momentum-space one.
+def gaussian_energy(canonical: ReducedHamiltonian, sigma: float, order: int) -> float:
+    """Expectation of a canonical operator in the Gaussian exp(-sigma^2 r^2/2),
+    whose momentum width is sigma: the one-Gaussian case of the basis."""
+    a = np.array([sigma * sigma])
+    return canonical.mass + float(pair_expectation(canonical, a, 1.0 / a, order)[0])
 
-    Every potential is a sum of terms c r^k and the massless kinetic term is
-    |p|, so these few matrices per (basis, order) serve every scale of the
-    search.
+
+def _matrices(canonical: ReducedHamiltonian, radii: np.ndarray, order: int):
+    """Overlap and Rayleigh-Ritz matrix less the rest mass of the
+    unit-normalised Gaussians of ``radii``, built on the upper triangle."""
+    i, j = np.triu_indices(radii.size)
+    r2 = radii * radii
+    width = r2[i] + r2[j]
+    overlap = (2.0 * radii[i] * radii[j] / width) ** 1.5
+    energy = pair_expectation(canonical, width / (r2[i] * r2[j]), width / 4.0, order)
+    out = []
+    for values in (overlap, overlap * energy):
+        mat = np.empty((radii.size, radii.size))
+        mat[i, j] = values
+        mat[j, i] = values
+        mat.setflags(write=False)
+        out.append(mat)
+    return out
+
+
+def _lowest(overlap: np.ndarray, matrix: np.ndarray):
+    """(energy, x, edge weights) of the lowest solution of matrix x = E overlap x.
+
+    ``eigvalsh`` of the Cholesky-reduced matrix, one step of inverse
+    iteration next to its lowest eigenvalue, and the Rayleigh quotient of the
+    back-transformed vector x, which is normalised to x.S x = 1.  The weight
+    of Gaussian i is x_i^2/(S^-1)_ii, the squared norm of the part of the
+    state that no other Gaussian supplies; it is given for the first and the
+    last.
     """
-    y, wy2, table, momentum_table = _node_table(basis_size, order)
-    mat = _gram(momentum_table if momentum else table, np.sqrt(wy2 * y**k))
-    mat.setflags(write=False)
-    return mat
+    inverse = np.linalg.inv(np.linalg.cholesky(overlap))
+    reduced = inverse @ matrix @ inverse.T
+    size = len(reduced)
+    eigenvalues = np.linalg.eigvalsh(reduced)
+    # a shift below the lowest eigenvalue by 1e-10 of the gap keeps the
+    # solve nonsingular and still suppresses every other component
+    gap = eigenvalues[1] - eigenvalues[0] if size > 1 else 1.0
+    shifted = reduced - (eigenvalues[0] - 1e-10 * gap) * np.eye(size)
+    vector = inverse.T @ np.linalg.solve(shifted, np.ones(size))
+    norm = vector @ overlap @ vector
+    energy = float(vector @ matrix @ vector / norm)
+    vector /= math.sqrt(norm)
+    edges = inverse[:, [0, -1]]
+    weights = vector[[0, -1]] ** 2 / np.einsum("ij,ij->j", edges, edges)
+    return energy, vector, weights
 
 
-def _kinetic_builder(beta, lam, mass, basis_size, order):
-    """sigma -> a new kinetic matrix, with its term matrix or node table
-    resolved once.  At m > 0 the quadrature weights
-    sqrt(wy2 beta sqrt(lam (sigma y)^2 + m^2)) are built in one array."""
-    if mass == 0.0:
-        slope = beta * math.sqrt(lam)
-        unit = _term_matrix(basis_size, order, 1.0, True)
-        return lambda sigma: (slope * sigma) * unit
-    y, wy2, _, momentum = _node_table(basis_size, order)
-    mass2 = mass * mass
-
-    def build(sigma):
-        w = sigma * y
-        np.square(w, out=w)
-        w *= lam
-        w += mass2
-        np.sqrt(w, out=w)
-        w *= beta
-        w *= wy2
-        np.sqrt(w, out=w)
-        return _gram(momentum, w)
-
-    return build
-
-
-def _potential_builder(potential, gamma, basis_size, order):
-    """sigma -> a new potential matrix, its terms added in place in
-    ``terms()`` order, with their coefficients and term matrices resolved
-    once."""
-    (c0, k0, u0), *rest = [
-        (gamma * c, k, _term_matrix(basis_size, order, k, False)) for c, k in potential.terms()
+def _self_check(canonical: ReducedHamiltonian, radii: np.ndarray, order: int) -> list[str]:
+    """The kinetic pair integral at ``order`` and twice it on the diagonal
+    pairs, whose momentum exponents c_ii = r_i^2/2 bracket every other pair's
+    c_ij = (c_ii + c_jj)/2; a warning where they differ beyond the tolerance."""
+    if canonical.mass == 0.0:
+        return []
+    nu = canonical.mass * radii / math.sqrt(2.0)
+    base = _kinetic_excess(nu, order)
+    change = float(np.max(np.abs(_kinetic_excess(nu, 2 * order) - base) / base))
+    if change <= QUADRATURE_SELF_CHECK_TOL:
+        return []
+    return [
+        f"kinetic quadrature self-check: relative change {change:.2e} between "
+        f"order {order} and {2 * order} exceeds {QUADRATURE_SELF_CHECK_TOL:.0e}; "
+        f"increase quadrature_order"
     ]
 
-    def build(sigma):
-        mat = (c0 * sigma**-k0) * u0
-        for c, k, u in rest:
-            mat += (c * sigma**-k) * u
-        return mat
 
-    return build
-
-
-def _self_check(build, order, label, diagnostics):
-    mat = build(order)
-    if diagnostics is None:
-        return mat
-    doubled = build(2 * order)
-    scale = max(float(np.abs(mat).max()), 1e-300)
-    change = float(np.abs(doubled - mat).max()) / scale
-    if change > QUADRATURE_SELF_CHECK_TOL:
-        diagnostics.append(
-            f"{label} quadrature self-check: relative change {change:.2e} between "
-            f"order {order} and {2 * order} exceeds {QUADRATURE_SELF_CHECK_TOL:.0e}; "
-            f"increase quadrature_order"
-        )
-    return mat
+def _range_warnings(weights: np.ndarray) -> list[str]:
+    """One warning per edge Gaussian whose weight exceeds :data:`EDGE_WEIGHT_TOL`."""
+    return [
+        f"the ground state has weight {weight:.1e} on the Gaussian at the {end} endpoint "
+        f"of the basis range (above {EDGE_WEIGHT_TOL:.0e}); the range does not cover "
+        f"this operator's length scales"
+        for end, weight in zip(("lower", "upper"), weights)
+        if weight > EDGE_WEIGHT_TOL
+    ]
 
 
-def kinetic_matrix(
-    beta: float,
-    lam: float,
-    mass: float,
-    basis_size: int,
-    basis_scale: float,
-    quadrature_order: int,
-    diagnostics: list[str] | None = None,
-) -> np.ndarray:
-    """Matrix of beta * sqrt(lam p^2 + mass^2) in the oscillator basis.
+def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
+    """Bottom of the spectrum of H by Rayleigh-Ritz on ``config.basis_size``
+    geometric Gaussians.
 
-    Computed by radial quadrature over the momentum-space table (-1)^n R_n,
-    whose signs are the Fourier phases of the basis functions, at mass 0 as
-    basis_scale times that table's term matrix of y.  ``basis_scale`` is the
-    momentum-space width of the lowest basis function (units 1/length).
-    The matrix is exactly symmetric (a symmetric rank-k product).  When a list
-    is passed as ``diagnostics``, a doubled-order self-check may append a
-    non-convergence warning to it.
+    The solve runs on the canonical operator of ``reductions.natural_units``,
+    and the result is scaled back to H.  The returned energy is a
+    variational upper bound on the true spectral bottom.
+    ``convergence_estimate`` is its difference against the solve on the
+    centred ``basis_size // 2`` Gaussians and bounds the plausible remaining
+    truncation error.  The warnings come from the kinetic quadrature
+    self-check at m > 0 and from the weight of the edge Gaussians.
     """
-    if not (beta > 0.0 and lam > 0.0 and mass >= 0.0 and basis_scale > 0.0):
-        raise ValueError("kinetic matrix parameters out of range")
-    return _self_check(
-        lambda order: _kinetic_builder(beta, lam, mass, basis_size, order)(basis_scale),
-        quadrature_order,
-        "kinetic",
-        diagnostics,
-    )
-
-
-def potential_matrix(
-    potential: PairPotential,
-    gamma: float,
-    basis_size: int,
-    basis_scale: float,
-    quadrature_order: int,
-    diagnostics: list[str] | None = None,
-) -> np.ndarray:
-    """Matrix of gamma * V(r) in the oscillator basis.
-
-    Sum over ``potential.terms()`` of gamma c basis_scale^-k times the term
-    matrix of y^k, each a coordinate-space quadrature; the r^2 volume factor
-    makes the Coulomb integrand regular at the origin, so the same rule
-    serves every shape in the family.
-    """
-    if not (gamma > 0.0 and basis_scale > 0.0):
-        raise ValueError("potential matrix parameters out of range")
-    return _self_check(
-        lambda order: _potential_builder(potential, gamma, basis_size, order)(basis_scale),
-        quadrature_order,
-        "potential",
-        diagnostics,
-    )
+    cfg = config if config is not None else SolverConfig()
+    h, energy, length = natural_units(h)
+    radii = basis_radii(h, cfg.basis_size)
+    overlap, matrix = _matrices(h, radii, cfg.quadrature_order)
+    lowest, vector, weights = _lowest(overlap, matrix)
+    half = cfg.basis_size // 2
+    block = slice((cfg.basis_size - half) // 2, (cfg.basis_size + half) // 2)
+    estimate = abs(_lowest(overlap[block, block], matrix[block, block])[0] - lowest)
+    pivot = np.flatnonzero(np.abs(vector) > 1e-12)
+    if pivot.size and vector[pivot[0]] < 0.0:
+        vector = -vector
+    vector.setflags(write=False)
+    return SpectrumResult(
+        ground_energy=h.mass + lowest,
+        basis_range=(float(radii[0]), float(radii[-1])),
+        coefficients=vector,
+        matrix=matrix,
+        convergence_estimate=estimate,
+        warnings=_self_check(h, radii, cfg.quadrature_order) + _range_warnings(weights),
+    ).dilated(energy, length)
 
 
 @dataclass(frozen=True)
@@ -403,101 +386,3 @@ def minimize_log_golden(f, lo: float, hi: float, rel_tol: float) -> GoldenResult
             sigma, fx, x = end, f_end, math.log(end)
     pad = 2.0 * rel_tol
     return GoldenResult(sigma, fx, x - a0 <= pad, b0 - x <= pad)
-
-
-def _objective(h, basis_size, order):
-    """sigma -> lowest Rayleigh-Ritz eigenvalue of h at basis scale sigma,
-    with the operator's terms resolved once for the whole search."""
-    potential = _potential_builder(h.potential, h.gamma, basis_size, order)
-    kinetic = _kinetic_builder(h.beta, h.lam, h.mass, basis_size, order)
-
-    def lowest(sigma):
-        # the kinetic matrix added into the potential one is bit for bit the
-        # sum kinetic_matrix + potential_matrix that ground_energy builds
-        mat = potential(sigma)
-        mat += kinetic(sigma)
-        return np.linalg.eigvalsh(mat)[0]
-
-    return lowest
-
-
-def _pin_warnings(best: GoldenResult) -> list[str]:
-    """One warning per end of the scale interval that the optimum sits at; it
-    names the end and no scale, so that it holds in any units."""
-    return [
-        f"scale optimum sits at the {end} endpoint of scale_interval; widen scale_interval"
-        for end, pinned in (("lower", best.at_lower), ("upper", best.at_upper))
-        if pinned
-    ]
-
-
-def scale_search(
-    canonical: ReducedHamiltonian, basis_size: int, cfg: SolverConfig, center: float, half_width: float
-) -> GoldenResult:
-    """Lowest Rayleigh-Ritz eigenvalue ``fx`` of a canonical operator in the
-    first ``basis_size`` oscillator functions, minimized over their scale
-    ``x``, both in natural units.
-
-    The search runs on e^(+-``half_width``) around ``center``, cut to
-    ``cfg.scale_interval``; an infinite half-width searches the whole
-    interval.  Where it pins at an end of that bracket that is not an end of
-    the interval, it runs again over the whole interval, so the flags of the
-    result refer to the ends of the scale interval only (:func:`_pin_warnings`
-    words them).  Both runs share one objective.
-    """
-    f = _objective(canonical, basis_size, cfg.quadrature_order)
-    lo, hi = cfg.scale_interval
-    # a center outside the interval (scale 1 outside a narrow configured
-    # one) moves to its nearer end, so that the bracket is never empty
-    center = min(max(center, lo), hi)
-    width = math.exp(half_width)
-    local_lo, local_hi = max(lo, center / width), min(hi, center * width)
-    best = minimize_log_golden(f, local_lo, local_hi, cfg.scale_tolerance)
-    if (best.at_lower and local_lo > lo) or (best.at_upper and local_hi < hi):
-        best = minimize_log_golden(f, lo, hi, cfg.scale_tolerance)
-    return best
-
-
-def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
-    """Bottom of the spectrum of H by Rayleigh-Ritz with basis-scale search.
-
-    The searches and the solve run on the canonical operator of
-    ``reductions.natural_units``, and the result is scaled back to H.  The
-    returned energy is a variational upper bound on the true spectral
-    bottom, nonincreasing in the basis size.  ``convergence_estimate`` is the
-    difference against a solve at basis size max(2, basis_size // 2) and
-    bounds the plausible remaining truncation error scale.  That solve runs
-    first, around scale 1, and the full-basis search starts from its optimum
-    (both by :func:`scale_search`); a pinned half-basis optimum sends the
-    full-basis search over the whole scale interval.  ``optimal_basis_scale``
-    is within ``scale_tolerance`` of the optimum, or anywhere in a bracket over
-    which the energy is flat to :data:`FLAT_TOL`.  The energy is the
-    full-basis search's ``eigvalsh`` value there; the matrix at that scale is
-    built once more, with the quadrature self-checks, and kept on the result,
-    whose ``coefficients`` run ``eigh`` only when read.
-    """
-    cfg = config if config is not None else SolverConfig()
-    h, energy, length = natural_units(h)
-    # h is canonical now, so the searches report in natural units
-    half = scale_search(h, max(2, cfg.basis_size // 2), cfg, 1.0, _NATURAL_HALF_WIDTH)
-    # a pinned half-basis optimum does not place the full-basis one, so that
-    # search then spans the whole interval (an infinite half-width)
-    pinned = half.at_lower or half.at_upper
-    best = scale_search(h, cfg.basis_size, cfg, half.x, math.inf if pinned else _LOCAL_HALF_WIDTH)
-    sigma = best.x
-
-    diagnostics: list[str] = []
-    matrix = kinetic_matrix(
-        h.beta, h.lam, h.mass, cfg.basis_size, sigma, cfg.quadrature_order, diagnostics
-    )
-    matrix += potential_matrix(
-        h.potential, h.gamma, cfg.basis_size, sigma, cfg.quadrature_order, diagnostics
-    )
-    matrix.setflags(write=False)
-    return SpectrumResult(
-        ground_energy=float(best.fx),
-        optimal_basis_scale=float(sigma),
-        matrix=matrix,
-        convergence_estimate=abs(float(half.fx) - float(best.fx)),
-        warnings=list(dict.fromkeys(_pin_warnings(best) + diagnostics + _pin_warnings(half))),
-    ).dilated(energy, length)

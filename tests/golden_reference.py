@@ -3,10 +3,14 @@
 Plain golden-section search in log coordinates, as the solver ran it before
 it took parabolic steps: no interpolation, a fixed shrink per evaluation,
 and the same endpoint flags.  Run at a tight tolerance it locates the scale
-optimum independently of ``salbound.solver.minimize_log_golden``.
+optimum independently of ``salbound.solver.minimize_log_golden``, for the
+Gaussian upper bound and for the oscillator-basis oracle
+(``oscillator_reference``).
 
 ``potential_value`` evaluates V(r) of each shape from its named fields, so
 that it stays independent of the power terms the solver assembles from.
+``gaussian_overlap`` is the overlap matrix of a solve's Gaussians, from the
+closed form (2 r_i r_j/(r_i^2 + r_j^2))^(3/2) of unit-normalised ones.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ import math
 import numpy as np
 
 from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
-from salbound.solver import GoldenResult, kinetic_matrix, potential_matrix
+from salbound.solver import GoldenResult
+
+from oscillator_reference import kinetic_matrix, potential_matrix
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -33,6 +39,13 @@ _V = {
 def potential_value(potential, r):
     """V(r) of ``potential`` for scalar or array r > 0."""
     return _V[type(potential)](potential, np.asarray(r, dtype=float))
+
+
+def gaussian_overlap(result) -> np.ndarray:
+    """Overlap matrix of the Gaussians of a ``SpectrumResult``: its radii are
+    in geometric progression across ``basis_range``."""
+    r = np.geomspace(*result.basis_range, len(result.coefficients))
+    return (2.0 * np.outer(r, r) / np.add.outer(r * r, r * r)) ** 1.5
 
 
 def reference_minimize_log_golden(f, lo: float, hi: float, rel_tol: float) -> GoldenResult:
@@ -56,9 +69,10 @@ def reference_minimize_log_golden(f, lo: float, hi: float, rel_tol: float) -> Go
 
 
 def reference_ground_energy(h, basis_size: int, lo: float, hi: float, order: int = 400) -> GoldenResult:
-    """Lowest eigenvalue of ``h`` in its own units, with no change of units:
-    the basis scale is searched over [lo, hi] by the reference golden section
-    at tolerance 1e-9."""
+    """Lowest eigenvalue of ``h`` in the first ``basis_size`` oscillator
+    functions, in its own units with no change of units: the basis scale is
+    searched over [lo, hi] by the reference golden section at tolerance
+    1e-9."""
 
     def lowest(sigma):
         kin = kinetic_matrix(h.beta, h.lam, h.mass, basis_size, sigma, order)

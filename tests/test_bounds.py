@@ -273,12 +273,10 @@ def test_massless_coulomb_plus_linear_gaussian_upper_at_large_n():
 
 def test_massless_coulomb_gaussian_upper_pins_at_the_widest_gaussian():
     # the energy (A - B)/sigma is scale-free: the search stops at the lower
-    # end of the basis-scale interval, the Gaussian length 20 in natural
+    # end of its momentum-width interval, the Gaussian length 20 in natural
     # units (1 for massless Coulomb)
     result = gaussian_upper(ProblemSpec(4, 0.0, Coulomb(0.1)))
-    assert result.warnings == [
-        "scale optimum sits at the lower endpoint of scale_interval; widen scale_interval"
-    ]
+    assert result.warnings == ["Gaussian scale optimum sits at the lower endpoint of its search interval"]
     assert result.optimal_scale == 20.0
     moment = 2.0 / math.sqrt(math.pi)  # <|p|> sigma = <1/r> sigma
     assert result.value == pytest.approx((4.0 * math.sqrt(1.5) - 6.0 * 0.1) * moment / 20.0, rel=1e-13)
@@ -301,12 +299,16 @@ def test_gaussian_upper_dominates_two_body_energy_with_mass():
     ids=["linear", "coulomb+linear", "coulomb"],
 )
 def test_massive_gaussian_upper_is_the_scale_search_at_basis_size_1(spec):
-    # N times the driver's one-function search of the model operator in
-    # natural units, over the whole scale interval, scaled back bit for bit
+    # N times the Brent search of the one-Gaussian energy of the model
+    # operator in natural units, over the whole interval, scaled back bit for
+    # bit
     cfg = SolverConfig()
     model = ReducedHamiltonian(1.0, 2.0 * (spec.n - 1) / spec.n, (spec.n - 1) / 2.0, spec.mass, spec.potential)
     canonical, energy, length = natural_units(model)
-    best = salbound.solver.scale_search(canonical, 1, cfg, 1.0, math.inf)
+    best = salbound.solver.minimize_log_golden(
+        lambda sigma: salbound.solver.gaussian_energy(canonical, sigma, cfg.quadrature_order),
+        0.05, 20.0, 1e-4,
+    )
     result = gaussian_upper(spec, cfg)
     assert result.value == spec.n * (energy * best.fx)
     assert result.optimal_scale == 1.0 / (best.x / length)
@@ -340,8 +342,8 @@ def test_bounds_match_reference_golden_search(monkeypatch, potential, mass, n, b
     def tight(f, lo, hi, rel_tol):
         return reference_minimize_log_golden(f, lo, hi, 1e-9)
 
-    # the solver's search also runs the Gaussian upper bound
-    monkeypatch.setattr(salbound.solver, "minimize_log_golden", tight)
+    # only the Gaussian upper bound searches; the rows are one solve each
+    monkeypatch.setattr(salbound.bounds, "minimize_log_golden", tight)
     want = compute_bounds(spec, cfg)
 
     assert _endpoint_warnings(got) == _endpoint_warnings(want)
@@ -349,17 +351,10 @@ def test_bounds_match_reference_golden_search(monkeypatch, potential, mass, n, b
         if result is None:
             assert got.lower_results()[name] is None
             continue
-        value = got.lower_results()[name].value
-        if result.spectrum.warnings:
-            # pinned (massless Coulomb, whose energy is proportional to
-            # 1/sigma): the solver reports the endpoint itself, the reference
-            # stops within 2e-9 of it
-            assert value == pytest.approx(result.value, rel=1e-8), name
-        else:
-            assert value == pytest.approx(result.value, rel=1e-10), name
-    # the upper bound's one-function objective is curved at order 1 in log
+        assert got.lower_results()[name].value == result.value, name
+    # the upper bound's one-Gaussian objective is curved at order 1 in log
     # scale, so the scale tolerance 1e-4 leaves up to about 5e-9 of its
-    # energy (2.2e-10 here at m = 0.7); the rows' objectives are far flatter
+    # energy (2.2e-10 here at m = 0.7)
     assert got.upper.value == pytest.approx(want.upper.value, rel=1e-8)
 
 
@@ -447,26 +442,33 @@ def test_massive_solve_count_is_one_per_distinct_mu(monkeypatch, potential, n, m
     "potential, basis", [("power:1.1,0.5", 24), ("linear:1.3", 24), ("linear:1.3", 40)]
 )
 def test_large_n_massless_power_law_is_not_pinned(potential, basis):
-    # At N = 10^4 the optimal basis scale of the reduced operator lies far
-    # beyond the default interval; a solve pinned at its endpoint overstates
-    # the "lower bound" (by 18.5%, 2.4% and 0.56% for these cases).
+    # At N = 10^4 the reduced operator's length scale lies far from 1.  With
+    # a basis fixed in the problem's own units a "lower bound" was overstated
+    # by 18.5%, 2.4% and 0.56% for these cases.  In natural units the n2 row
+    # is the dilation of the canonical solve, no higher than the oscillator
+    # basis searched in the reduced operator's own units and within 1e-4 of it.
     n = 10**4
     potential = parse_potential(potential)
-    spec = ProblemSpec(n, 0.0, potential)
+    (c, k), = potential.terms()
     cfg = SolverConfig(basis_size=basis)
-    wide = SolverConfig(basis_size=basis, scale_interval=(0.05, 1e5))
-    reference = ground_energy(ReducedHamiltonian(1.0, 1.0, (n - 1) / 2.0, 0.0, potential), wide)
-    assert not any("endpoint" in w for w in reference.warnings)
-    n2 = compute_bounds(spec, cfg).n2
-    assert n2.value == pytest.approx(n * reference.ground_energy, rel=1e-12)
-    assert not any("endpoint" in w for w in n2.spectrum.warnings)
-    assert n2.value == pytest.approx(compute_bounds(spec, wide).n2.value, rel=1e-12)
+    canonical = ground_energy(ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, PowerLaw(1.0, k)), cfg)
+    n2 = compute_bounds(ProblemSpec(n, 0.0, potential), cfg).n2
+    dilation = ((n - 1) / 2.0 * c) ** (1.0 / (k + 1.0))
+    assert n2.value == pytest.approx(n * dilation * canonical.ground_energy, rel=1e-12)
+    assert n2.spectrum.warnings == []
+    reduced = ReducedHamiltonian(1.0, 1.0, (n - 1) / 2.0, 0.0, potential)
+    oscillator = reference_ground_energy(reduced, basis, 0.05, 1e5)
+    assert not (oscillator.at_lower or oscillator.at_upper)
+    assert n * oscillator.fx >= n2.value * (1.0 - 1e-9)
+    assert n2.value == pytest.approx(n * oscillator.fx, rel=1e-4)
 
 
 def test_large_n_massive_bounds_are_not_pinned():
     # With the basis scale searched over (0.05, 20) in the problem's own units,
     # n2 was 1.84386e+06 (2.45% high, scale pinned at 20) and the Gaussian
-    # upper bound 3.99e6 (scale pinned at 0.05).
+    # upper bound 3.99e6 (scale pinned at 0.05).  The oscillator basis
+    # searched over a wide interval gave 1799716.55109814 at B = 24, 2.5e-6
+    # above the Gaussian basis at K = 24.
     n = 10**4
     spec = ProblemSpec(n, 1.0, Linear(1.3))
     bounds = compute_bounds(spec, SolverConfig(basis_size=24))
@@ -474,8 +476,9 @@ def test_large_n_massive_bounds_are_not_pinned():
     reference = reference_ground_energy(reduced, 24, 0.05, 1e5)
     assert not (reference.at_lower or reference.at_upper)
     assert reference.x > 20.0
-    assert bounds.n2.value == pytest.approx(n * reference.fx, rel=1e-12)
-    assert bounds.n2.value == pytest.approx(1799716.55109814, rel=1e-12)
+    assert n * reference.fx == pytest.approx(1799716.55109814, rel=1e-12)
+    assert bounds.n2.value <= n * reference.fx
+    assert bounds.n2.value == pytest.approx(1799712.01797421, rel=1e-10)
     assert bounds.upper.value == pytest.approx(2163607.45, abs=0.005)
     assert bounds.upper.optimal_scale < 0.05
     for result in bounds.lower_results().values():
@@ -546,9 +549,7 @@ def test_massless_power_law_rows_follow_the_dilation_law():
             assert result.spectrum.convergence_estimate == pytest.approx(
                 direct.convergence_estimate, rel=1e-6, abs=1e-13
             )
-            assert result.spectrum.optimal_basis_scale == pytest.approx(
-                direct.optimal_basis_scale, rel=1e-3
-            )
+            assert result.spectrum.basis_range == pytest.approx(direct.basis_range, rel=1e-13)
 
 
 def test_sandwich_holds_across_potential_family():
@@ -573,6 +574,22 @@ def test_problem_spec_validation():
         ProblemSpec(1, 0.0, Linear(1.0))
     with pytest.raises(ValueError):
         ProblemSpec(3, -1.0, Linear(1.0))
+
+
+@pytest.mark.parametrize("n", [10**200, 10**308, 10**400, 1e200], ids=["1e200", "1e308", "1e400", "float-1e200"])
+def test_particle_counts_whose_pair_count_overflows_are_refused(n):
+    # n(n-1)/2 raised OverflowError from int to float, or became inf
+    for build in (lambda: ProblemSpec(n, 0.0, Linear(1.0)), lambda: linear_bound_table(n)):
+        with pytest.raises(ValueError, match="particle count is too large"):
+            build()
+
+
+def test_largest_particle_counts_still_have_finite_bounds():
+    n = 134 * 10**152
+    table = linear_bound_table(n)
+    bounds = compute_bounds(ProblemSpec(n, 1.0, Linear(1.0)), SolverConfig(basis_size=24))
+    for value in [*bounds.lower_values().values(), bounds.upper.value, table.upper, table.lower["n4"]]:
+        assert math.isfinite(value)
 
 
 # --- ratio table ----------------------------------------------------------------
@@ -680,20 +697,3 @@ def test_rows_sharing_a_solve_cannot_write_each_others_coefficients():
         with pytest.raises(ValueError):
             row.spectrum.matrix[0, 0] = 99.0
     assert np.array_equal(bounds.n3.spectrum.coefficients, before)
-
-
-def test_term_matrix_cache_holds_a_problem_working_set():
-    # per problem the searches use the term matrices at the full basis (two
-    # quadrature orders), the half basis and basis size 1; alternating basis
-    # sizes must not evict them
-    problems = [
-        (ProblemSpec(4, 0.8, parse_potential(potential)), SolverConfig(basis_size=basis_size))
-        for potential in ("linear:1", "harmonic:0.7", "coulomb+linear:0.2,1")
-        for basis_size in (24, 40)
-    ]
-    for spec, cfg in problems:
-        compute_bounds(spec, cfg)
-    misses = salbound.solver._term_matrix.cache_info().misses
-    for spec, cfg in problems:
-        compute_bounds(spec, cfg)
-    assert salbound.solver._term_matrix.cache_info().misses == misses

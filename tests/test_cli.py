@@ -98,6 +98,8 @@ def test_solve_parse_error_exit_code():
         (["solve", "--potential", "coulomb:1e-310", "--mass", "1"], "natural length inf"),
         (["solve", "--potential", "coulomb:1e-200", "--mass", "1e-200"], "natural length inf"),
         (["solve", "--potential", "coulomb:1e-300", "--mass", "1"], "natural mass mu 1e+300"),
+        # mu^2 c overflowed in the kinetic pair integral of the widest Gaussian
+        (["solve", "--mass", "1e150", "--basis-size", "120"], "natural mass mu 1e+150"),
         (["bounds", "--n", "2", "--potential", "linear:1e-300", "--mass", "1e300"],
          "natural mass mu inf"),
         (["solve", "--gamma", "1e-200", "--potential", "linear:1e-200"],
@@ -119,18 +121,57 @@ def test_out_of_range_natural_units_exit_2(capsys, argv, message):
 
 
 def test_pinned_scale_gets_one_warning_without_a_scale(capsys):
-    # both the main and the half-basis search pin at the upper end of the
-    # interval, which is 20 in natural units but 56.57 in the reported units;
-    # the main search returns an interior scale, not the endpoint
+    # the heavy mass wants Gaussians narrower than the grid's narrowest; the
+    # one warning names that end and its weight but no length, so that it
+    # holds in any units: the same operator in other units warns alike
     from salbound.cli import main
 
-    assert main(["solve", "--mass", "1e5", "--potential", "linear:8", "--format", "json"]) == 0
-    result = json.loads(capsys.readouterr().out)["result"]
-    assert result["optimal_basis_scale"] == pytest.approx(56.562, abs=1e-3)
-    (warning,) = result["warnings"]
-    assert "upper endpoint" in warning
-    assert not any(ch.isdigit() for ch in warning)
-    assert "value returned" not in warning
+    warnings = []
+    for argv in (["--potential", "linear:8"], ["--beta", "2", "--gamma", "3", "--potential", "linear:1"]):
+        assert main(["solve", "--mass", "1e5", *argv, "--format", "json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        (warning,) = result["warnings"]
+        warnings.append(warning)
+    assert warnings[0].startswith("the ground state has weight 1.6e-05 on the Gaussian at the lower endpoint")
+    assert "value returned" not in warnings[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["linear-table", "--n", str(10**308)],
+        ["bounds", "--n", str(10**200)],
+        ["bounds", "--n", str(10**400)],
+    ],
+    ids=["linear-table-1e308", "bounds-1e200", "bounds-1e400"],
+)
+def test_particle_count_whose_pair_count_overflows_exits_2(capsys, argv):
+    # these ended in an OverflowError traceback with exit 1
+    from salbound.cli import main
+
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: particle count is too large: its pair count n(n-1)/2 is not a finite float\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("size", [121, 200, 300])
+def test_basis_size_above_the_cap_exits_2_before_numpy(size):
+    # 200 and 300 returned 0.00169 and 1.6e-08 for a bottom of 2.2322 with
+    # exit 0; the refusal comes before any solve, with numpy blocked
+    code = (
+        "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from salbound.cli import main\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    code = main(['solve', '--basis-size', '{size}'])\n"
+        "print(code, err.getvalue().strip())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.strip() == "2 error: basis size must be at most 120", proc.stderr
 
 
 def test_unknown_flag_exits_2():
@@ -150,7 +191,9 @@ def test_solve_csv_matches_json():
     coefficients = report["result"]["coefficients"]
     assert len(coefficients) == report["config"]["basis_size"]
     assert [float(table[f"coefficient_{i}"]) for i in range(len(coefficients))] == coefficients
-    assert len(table) == 3 + len(coefficients)
+    lo, hi = report["result"]["basis_range"]
+    assert (float(table["basis_range_min"]), float(table["basis_range_max"])) == (lo, hi)
+    assert len(table) == 4 + len(coefficients)
 
 
 # --- bounds ----------------------------------------------------------------------
@@ -207,7 +250,7 @@ def test_bounds_large_n_massive_rows_are_not_pinned():
         "--basis-size", "24", "--format", "json",
     )
     report = parse_json(proc)
-    assert report["bounds"]["n2"] == pytest.approx(1799716.55109814, rel=1e-12)
+    assert report["bounds"]["n2"] == pytest.approx(1799712.01797421, rel=1e-10)
     assert report["bounds"]["upper"] == pytest.approx(2163607.45, abs=0.005)
     for name, diagnostics in report["diagnostics"].items():
         assert diagnostics["warnings"] == [], name
@@ -566,10 +609,9 @@ def test_solver_path_never_imports_scipy():
 def cold_rules():
     """The quadrature module with every rule and node-table cache emptied, so
     that the next solve has to fetch its Gauss-Legendre rules."""
-    from salbound import quadrature, solver
+    from salbound import quadrature
 
-    for cached in (quadrature.unit_rule, solver._node_table, solver._term_matrix):
-        cached.cache_clear()
+    quadrature.unit_rule.cache_clear()
     return quadrature
 
 
@@ -581,9 +623,11 @@ def test_default_orders_load_their_rules(cold_rules, monkeypatch, capsys):
     from salbound import cli
 
     monkeypatch.setattr(cold_rules, "_gauss_legendre", _no_newton)
+    # a massless solve is all closed forms and loads no rule
     assert cli.main(["solve", "--format", "json"]) == 0
+    assert cold_rules.unit_rule.cache_info().currsize == 0
     assert cli.main(["bounds", "--n", "4", "--mass", "1", "--format", "json"]) == 0
-    # the order-400 rule and the self-check's order-800 rule
+    # the order-100 rule and the self-check's order-200 rule
     assert cold_rules.unit_rule.cache_info().currsize == 2
 
 
@@ -598,7 +642,7 @@ def test_other_orders_are_built_by_newton(cold_rules, monkeypatch, capsys):
         return newton(order)
 
     monkeypatch.setattr(cold_rules, "_gauss_legendre", record)
-    assert cli.main(["solve", "--quadrature-order", "120", "--format", "csv"]) == 0
+    assert cli.main(["solve", "--mass", "1", "--quadrature-order", "120", "--format", "csv"]) == 0
     assert built == [120, 240]
 
 
@@ -660,7 +704,17 @@ def test_solve_json_coefficients_come_from_one_eigh(capsys, monkeypatch):
                  "--basis-size", "24", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     coefficients = np.array(report["result"]["coefficients"])
-    assert len(calls) == 1
+    # the solve's own ground vector, so no eigh at all
+    assert len(calls) == 0
     assert coefficients.shape == (report["config"]["basis_size"],) == (24,)
-    assert np.linalg.norm(coefficients) == pytest.approx(1.0, rel=1e-12)
+    from salbound.potentials import CoulombPlusLinear
+    from salbound.reductions import ReducedHamiltonian, SolverConfig
+    from salbound.solver import ground_energy
+
+    result = ground_energy(ReducedHamiltonian(1.0, 1.0, 1.0, 0.5, CoulombPlusLinear(0.2, 1.0)),
+                           SolverConfig(basis_size=24))
+    assert coefficients.tolist() == result.coefficients.tolist()
+    from golden_reference import gaussian_overlap
+
+    assert coefficients @ gaussian_overlap(result) @ coefficients == pytest.approx(1.0, rel=1e-12)
     assert coefficients[np.flatnonzero(np.abs(coefficients) > 1e-12)[0]] > 0.0

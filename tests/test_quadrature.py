@@ -13,7 +13,7 @@ def test_unit_rule_integrates_polynomials_exactly():
     u, w = unit_rule(8)
     for k in range(0, 15):  # exact through degree 2*8-1
         assert w @ u**k == pytest.approx(1.0 / (k + 1), rel=1e-14)
-    for order in (400, 800):
+    for order in (*SHIPPED_ORDERS, 400, 800):
         u, w = unit_rule(order)
         k = np.arange(2 * order)  # exact through degree 2*order-1
         moments = w @ u[:, None] ** k
@@ -23,7 +23,7 @@ def test_unit_rule_integrates_polynomials_exactly():
 def test_unit_rule_matches_scipy():
     from scipy.special import roots_legendre
 
-    for order in (16, 400, 800):
+    for order in (16, *SHIPPED_ORDERS, 400, 800):
         u, w = unit_rule(order)
         x, wx = roots_legendre(order)
         # scipy's endpoint weights carry the larger error, hence the loose rtol

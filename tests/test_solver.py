@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, Po
 from salbound.reductions import (
     COULOMB_CRITICAL_COUPLING,
     LINEAR_GROUND_ENERGY,
+    MAX_BASIS_SIZE,
     MAX_QUADRATURE_ORDER,
     ReducedHamiltonian,
     SolverConfig,
@@ -16,17 +18,18 @@ from salbound.reductions import (
     natural_units,
 )
 from salbound.solver import (
+    EDGE_WEIGHT_TOL,
     SpectrumResult,
+    basis_radii,
+    gaussian_energy,
     ground_energy,
-    kinetic_matrix,
-    map_scale,
     minimize_log_golden,
-    potential_matrix,
-    radial_basis,
+    pair_expectation,
 )
 from salbound.quadrature import semi_infinite_rule
 
-from golden_reference import potential_value, reference_ground_energy
+from golden_reference import gaussian_overlap, potential_value, reference_ground_energy
+from oscillator_reference import kinetic_matrix, map_scale, potential_matrix, radial_basis
 
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -35,7 +38,7 @@ def linear_hamiltonian(beta=1.0, lam=1.0, gamma=1.0, mass=0.0):
     return ReducedHamiltonian(beta, lam, gamma, mass, Linear(1.0))
 
 
-# --- basis and matrix elements ----------------------------------------------
+# --- the oscillator-basis oracle (tests/oscillator_reference.py) ---------------
 
 
 def test_basis_orthonormality_under_own_rule():
@@ -162,7 +165,8 @@ def test_linear_ground_energy_matches_reference():
     assert result.ground_energy == pytest.approx(LINEAR_GROUND_ENERGY, abs=1e-3)
     assert result.warnings == []
     assert result.convergence_estimate >= 0.0
-    assert np.linalg.norm(result.coefficients) == pytest.approx(1.0, rel=1e-12)
+    x = result.coefficients
+    assert x @ gaussian_overlap(result) @ x == pytest.approx(1.0, rel=1e-12)
 
 
 def test_kinetic_rescaling_is_scaling_law():
@@ -234,8 +238,9 @@ def test_subcritical_coulomb_is_accepted():
 
 
 def test_massless_subcritical_coulomb_hits_interval_endpoint():
-    # both terms scale as 1/length, the infimum 0 is approached at the
-    # interval edge and must be reported, not hidden
+    # both terms scale as 1/length, so the infimum 0 is approached by ever
+    # wider states; the state leans on the widest Gaussian, which must be
+    # reported, not hidden
     result = ground_energy(ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Coulomb(0.3)))
     assert any("endpoint" in w for w in result.warnings)
     assert abs(result.ground_energy) < 0.05
@@ -289,6 +294,12 @@ def test_natural_units_refuses_canonical_operators_out_of_range():
         natural_units(ReducedHamiltonian(1.0, 1.0, 1.0, 1.0, CoulombPlusLinear(0.7, 1.0)))
     with pytest.raises(ValueError, match="natural mass mu"):
         natural_units(ReducedHamiltonian(1.0, 1.0, 1.0, 2.0**512, PowerLaw(1.0, 1.0)))
+    with pytest.raises(ValueError, match="natural mass mu"):
+        natural_units(ReducedHamiltonian(1.0, 1.0, 1.0, 2.0**480, PowerLaw(1.0, 1.0)))
+    # just below, the pair integrals of the widest basis stay finite (a
+    # RuntimeWarning fails the test)
+    heavy = ReducedHamiltonian(1.0, 1.0, 1.0, 2.0**479, PowerLaw(1.0, 1.0))
+    assert ground_energy(heavy, SolverConfig(basis_size=MAX_BASIS_SIZE)).ground_energy >= 2.0**479
 
 
 def test_natural_units_lengths():
@@ -325,12 +336,15 @@ def test_natural_units_lengths():
     ids=["harmonic", "power", "coulomb+linear-m0", "coulomb"],
 )
 def test_natural_units_solve_matches_direct_solve(h):
-    # the same Rayleigh-Ritz problem searched in the operator's own units
+    # the oscillator basis searched in the operator's own units, with no
+    # change of units: the Gaussian solve in natural units, scaled back, is
+    # no higher and lies within the oscillator's own truncation error
     reference = reference_ground_energy(h, 24, 1e-3, 1e3)
     assert not (reference.at_lower or reference.at_upper)
     result = ground_energy(h, SolverConfig(basis_size=24))
     assert result.warnings == []
-    assert result.ground_energy == pytest.approx(reference.fx, rel=1e-12)
+    assert result.ground_energy <= reference.fx * (1.0 + 1e-9)
+    assert result.ground_energy == pytest.approx(reference.fx, rel=1e-4)
 
 
 def test_golden_section_finds_quadratic_minimum():
@@ -374,104 +388,6 @@ def test_minimizer_contract_on_log_grid(shape, lo, hi, rel_tol):
                 assert flag, t
             elif gap >= 3.0 * rel_tol:
                 assert not flag, t
-
-
-def _counted_searches(monkeypatch):
-    """Record, per call of the solver's scale search, its interval and the
-    abscissae it evaluates."""
-    searches = []
-    search = solver.minimize_log_golden
-
-    def counted(f, lo, hi, rel_tol):
-        calls = []
-        searches.append((lo, hi, calls))
-        return search(lambda sigma: calls.append(sigma) or f(sigma), lo, hi, rel_tol)
-
-    monkeypatch.setattr(solver, "minimize_log_golden", counted)
-    return searches
-
-
-@pytest.mark.parametrize(
-    "potential, mass, basis_size, evaluations",
-    [
-        (Linear(1.0), 0.0, 40, 12),
-        (Harmonic(1.0), 1.0, 8, 20),
-        (CoulombPlusLinear(0.3, 1.0), 0.5, 40, 21),
-    ],
-    ids=["abs-p-plus-r-B40-12evals", "harmonic-m1-B8-20evals", "coulomb+linear-m0.5-B40-21evals"],
-)
-def test_scale_search_evaluation_count(monkeypatch, potential, mass, basis_size, evaluations):
-    # plain golden section takes 25 evaluations per search over the whole
-    # interval, two searches per solve; the half-basis search now runs on a
-    # bracket around scale 1 and the full-basis one on a bracket around the
-    # half-basis optimum
-    searches = _counted_searches(monkeypatch)
-    h = ReducedHamiltonian(1.0, 1.0, 1.0, mass, potential)
-    ground_energy(h, SolverConfig(basis_size=basis_size))
-    assert sum(len(calls) for _, _, calls in searches) == evaluations
-
-
-def test_flat_objective_stops_early(monkeypatch):
-    # at B = 40 the harmonic objective is flat to roundoff near its optimum,
-    # so the count may follow the BLAS kernel: bound it.  It was 19 on seven
-    # OpenBLAS kernels, and 33-48 before the search stopped on a flat bracket
-    searches = _counted_searches(monkeypatch)
-    h = ReducedHamiltonian(1.0, 1.0, 1.0, 1.0, Harmonic(1.0))
-    result = ground_energy(h, SolverConfig(basis_size=40))
-    assert sum(len(calls) for _, _, calls in searches) <= 24
-    assert result.warnings == []
-    canonical, _, _ = natural_units(h)
-    reference = reference_ground_energy(canonical, 40, 0.05, 20.0)
-    assert result.ground_energy == pytest.approx(reference.fx, rel=1e-12)
-
-
-def test_local_search_pinned_inside_the_interval_falls_back(monkeypatch):
-    # a local bracket far narrower than the distance between the half- and
-    # full-basis optima pins the local search at one of its own ends, which
-    # are not ends of the scale interval; then the whole interval is searched
-    h = ReducedHamiltonian(1.0, 1.0, 1.0, 0.5, CoulombPlusLinear(0.3, 1.0))
-    cfg = SolverConfig(basis_size=40)
-    whole = solver.scale_search(h, cfg.basis_size, cfg, 1.0, math.inf)
-    monkeypatch.setattr(solver, "_LOCAL_HALF_WIDTH", 1e-3)
-    searches = _counted_searches(monkeypatch)
-    result = ground_energy(h, cfg)
-    lo, hi = cfg.scale_interval
-    (half_lo, half_hi, _), (local_lo, local_hi, _), (full_lo, full_hi, _) = searches
-    assert (half_lo, half_hi) == (1.0 / math.e, math.e)
-    assert lo < local_lo < local_hi < hi
-    assert (full_lo, full_hi) == (lo, hi)
-    assert result.optimal_basis_scale == whole.x
-    assert result.warnings == []
-
-
-def test_half_search_pinned_inside_the_interval_falls_back(monkeypatch):
-    # the half-basis optimum of this heavy mass lies beyond e, so the
-    # half-basis search pins the upper end of its bracket around scale 1 and
-    # runs again over the whole interval, where it pins at 20; the full-basis
-    # search then spans the whole interval too
-    h = ReducedHamiltonian(1.0, 1.0, 1.0, 1e5, Linear(8.0))
-    cfg = SolverConfig()
-    searches = _counted_searches(monkeypatch)
-    result = ground_energy(h, cfg)
-    lo, hi = cfg.scale_interval
-    assert [(a, b) for a, b, _ in searches] == [(1.0 / math.e, math.e), (lo, hi), (lo, hi)]
-    assert result.warnings == [
-        "scale optimum sits at the upper endpoint of scale_interval; widen scale_interval"
-    ]
-
-
-def test_half_search_bracket_outside_scale_1_starts_at_the_nearer_end(monkeypatch):
-    # scale 1 lies below this interval, so the half-basis bracket starts at
-    # its lower end; the optimum of |p| + r near 1 then pins there
-    h = ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Linear(1.0))
-    cfg = SolverConfig(basis_size=24, scale_interval=(2.0, 50.0))
-    pinned = solver.scale_search(h, cfg.basis_size, cfg, 1.0, math.inf)
-    searches = _counted_searches(monkeypatch)
-    result = ground_energy(h, cfg)
-    assert [(a, b) for a, b, _ in searches] == [(2.0, 2.0 * math.e), (2.0, 50.0)]
-    assert result.warnings == solver._pin_warnings(pinned)
-    assert "lower endpoint" in result.warnings[0]
-    assert (result.optimal_basis_scale, result.ground_energy) == (pinned.x, pinned.fx)
 
 
 def test_flat_bottom_stops_the_search_early(monkeypatch):
@@ -520,25 +436,21 @@ def test_hamiltonian_validation():
 
 
 def test_solver_config_validation():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["basis_size", "quadrature_order"]
     with pytest.raises(ValueError):
         SolverConfig(basis_size=1)
-    with pytest.raises(ValueError):
-        SolverConfig(scale_interval=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        SolverConfig(scale_interval=(0.0, 1.0))
     with pytest.raises(ValueError):
         SolverConfig(quadrature_order=8)
     assert SolverConfig(quadrature_order=MAX_QUADRATURE_ORDER).quadrature_order == 10_000
     with pytest.raises(ValueError, match="at most 10000"):
         SolverConfig(quadrature_order=MAX_QUADRATURE_ORDER + 1)
-    # an infinite tolerance returned an unconverged energy
+    assert SolverConfig(basis_size=MAX_BASIS_SIZE).basis_size == 120
+    for size in (MAX_BASIS_SIZE + 1, 200, 300):
+        with pytest.raises(ValueError, match="basis size must be at most 120"):
+            SolverConfig(basis_size=size)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            SolverConfig(scale_tolerance=bad)
-        with pytest.raises(ValueError, match="finite"):
-            SolverConfig(scale_interval=(0.05, bad))
-        with pytest.raises(ValueError, match="finite"):
-            SolverConfig(scale_interval=(bad, 20.0))
+            SolverConfig(basis_size=bad)
 
 
 def test_matrix_argument_validation():
@@ -552,7 +464,8 @@ def test_spectrum_result_fields():
     result = ground_energy(linear_hamiltonian(), SolverConfig(basis_size=10))
     assert isinstance(result, SpectrumResult)
     assert result.coefficients.shape == (10,)
-    assert result.optimal_basis_scale > 0.0
+    lo, hi = result.basis_range
+    assert 0.0 < lo < 1.0 < hi
     assert COULOMB_CRITICAL_COUPLING == pytest.approx(2.0 / math.pi)
 
 
@@ -569,33 +482,224 @@ def test_spectrum_result_fields():
 )
 @pytest.mark.parametrize("basis_size", [24, 40])
 def test_reported_energy_is_the_rayleigh_ritz_value_at_the_reported_scale(h, basis_size):
-    # the energy is the search's own eigvalsh value, and the search assembles
-    # bit for bit the matrix that the public builders give at that scale
+    # the energy is the Rayleigh quotient of the reported coefficients on the
+    # reported matrices, which are the Gaussians' closed forms (checked
+    # against quadrature below), and it is the lowest generalized eigenvalue
+    from scipy.linalg import eigh
+
     canonical, energy, length = natural_units(h)
     assert natural_units(canonical)[1:] == (1.0, 1.0)
-    cfg = SolverConfig(basis_size=basis_size)
-    result = ground_energy(canonical, cfg)
-    sigma, order = result.optimal_basis_scale, cfg.quadrature_order
-    kin = kinetic_matrix(canonical.beta, canonical.lam, canonical.mass, basis_size, sigma, order)
-    pot = potential_matrix(canonical.potential, canonical.gamma, basis_size, sigma, order)
-    assert np.array_equal(result.matrix, kin + pot)
-    assert result.ground_energy == np.linalg.eigvalsh(kin + pot)[0]
+    result = ground_energy(canonical, SolverConfig(basis_size=basis_size))
+    x, matrix = result.coefficients, result.matrix
+    radii = basis_radii(canonical, basis_size)
+    assert result.basis_range == (radii[0], radii[-1])
+    overlap = solver._matrices(canonical, radii, 100)[0]
+    np.testing.assert_allclose(overlap, gaussian_overlap(result), rtol=1e-13)
+    assert np.array_equal(matrix, matrix.T) and np.array_equal(overlap, overlap.T)
+    assert np.array_equal(np.diag(overlap), np.ones(basis_size))
+    assert x @ overlap @ x == pytest.approx(1.0, rel=1e-12)
+    assert result.ground_energy == pytest.approx(canonical.mass + x @ matrix @ x, rel=1e-13)
+    lowest = canonical.mass + eigh(matrix, overlap, eigvals_only=True)[0]
+    # scipy's generalized solve carries the overlap's roundoff of about 1e-9
+    assert result.ground_energy == pytest.approx(lowest, rel=1e-8)
 
 
 def test_coefficients_are_computed_on_first_read_and_read_only(monkeypatch):
+    # the coefficients are the solve's own ground vector, so reading them
+    # runs no eigh; they and the matrix are read-only
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
     result = ground_energy(linear_hamiltonian(mass=0.5), SolverConfig(basis_size=12))
     dilated = result.dilated(2.0, 3.0)
-    assert calls == []
     coefficients = result.coefficients
     assert result.coefficients is coefficients
-    assert len(calls) == 1
-    assert np.array_equal(dilated.coefficients, coefficients)
-    assert len(calls) == 2
+    assert dilated.coefficients is coefficients
+    assert calls == []
     for array in (coefficients, result.matrix, dilated.matrix):
         with pytest.raises(ValueError):
             array[0] = 99.0
-    assert np.linalg.norm(coefficients) == pytest.approx(1.0, rel=1e-12)
+    assert coefficients @ gaussian_overlap(dilated) @ coefficients == pytest.approx(1.0, rel=1e-12)
     assert coefficients[np.flatnonzero(np.abs(coefficients) > 1e-12)[0]] > 0.0
+
+
+# --- the Gaussian basis -------------------------------------------------------------
+
+
+def _normalised_gaussian(radius):
+    """The unit-normalised Gaussian (2/(pi r_i^2))^(3/4) exp(-r^2/r_i^2) in
+    coordinate space and its Fourier transform (r_i^2/(2 pi))^(3/4)
+    exp(-p^2 r_i^2/4)."""
+    space = lambda r: (2.0 / (math.pi * radius**2)) ** 0.75 * math.exp(-((r / radius) ** 2))
+    momentum = lambda p: (radius**2 / (2.0 * math.pi)) ** 0.75 * math.exp(-((p * radius) ** 2) / 4.0)
+    return space, momentum
+
+
+def _radial(f):
+    value, _ = integrate.quad(lambda x: 4.0 * math.pi * x * x * f(x), 0.0, np.inf,
+                              epsabs=0.0, epsrel=1e-13, limit=200)
+    return value
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.05, 1.0, 30.0])
+@pytest.mark.parametrize("ri, rj", [(1.0, 1.0), (0.3, 0.37), (0.05, 2.0), (1.0, 12.0)])
+def test_gaussian_matrix_elements_against_quadrature(ri, rj, mu):
+    # the overlap and each pair expectation by adaptive quadrature of the
+    # Gaussians themselves, in coordinate and momentum space
+    (gi, pi_), (gj, pj) = _normalised_gaussian(ri), _normalised_gaussian(rj)
+    overlap = _radial(lambda r: gi(r) * gj(r))
+    radii = np.array([ri, rj])
+    for potential in (PowerLaw(1.0, 0.5), PowerLaw(1.0, 2.5), Coulomb(0.3), CoulombPlusLinear(0.3, 1.0)):
+        h = ReducedHamiltonian(1.0, 1.0, 1.0, mu, potential)
+        s, mat = solver._matrices(h, radii, 100)
+        assert s[0, 1] == pytest.approx(overlap, rel=1e-12)
+        kinetic = _radial(lambda p: pi_(p) * pj(p) * p * p / (math.sqrt(p * p + mu * mu) + mu))
+        pot = _radial(lambda r: gi(r) * gj(r) * float(potential_value(potential, r)))
+        assert mat[0, 1] == pytest.approx(kinetic + pot, rel=1e-11), potential
+
+
+def test_gaussian_energy_is_the_one_gaussian_matrix():
+    # the upper bound's trial state exp(-sigma^2 r^2/2) is the basis
+    # Gaussian of radius sqrt(2)/sigma
+    for h in (ReducedHamiltonian(1.0, 1.0, 1.0, 0.7, CoulombPlusLinear(0.2, 1.0)),
+              ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Harmonic(1.0))):
+        for sigma in (0.1, 1.0, 7.0):
+            _, mat = solver._matrices(h, np.array([math.sqrt(2.0) / sigma]), 100)
+            assert gaussian_energy(h, sigma, 100) == pytest.approx(h.mass + mat[0, 0], rel=1e-15)
+
+
+#: Canonical operators of the survey: r^k at k = 0.5..2.5 and mu = 0..30, and
+#: Coulomb+linear and pure Coulomb (at the Bohr mass mu = 1/v') up to 0.7 of
+#: the critical coupling.
+SURVEY = (
+    [(mu, PowerLaw(1.0, k)) for k in (0.5, 1.0, 1.5, 2.0, 2.5) for mu in (0.0, 0.05, 1.0, 4.0, 30.0)]
+    + [(mu, CoulombPlusLinear(v, 1.0)) for v in (0.13, 0.3, 0.446) for mu in (0.0, 1.0)]
+    + [(1.0 / v, Coulomb(v)) for v in (0.13, 0.3, 0.446)]
+)
+SURVEY_IDS = [f"{potential.spec()}-mu{mu:.3g}" for mu, potential in SURVEY]
+
+
+@pytest.mark.parametrize("basis_size", [24, 40])
+@pytest.mark.parametrize("mu, potential", SURVEY, ids=SURVEY_IDS)
+def test_gaussian_basis_is_no_higher_than_the_oscillator_basis(mu, potential, basis_size):
+    # the oscillator basis of the same size, its scale searched to 1e-9 in
+    # natural units; no survey shape warns of the basis range
+    h = ReducedHamiltonian(1.0, 1.0, 1.0, mu, potential)
+    reference = reference_ground_energy(h, basis_size, 0.05, 20.0)
+    result = ground_energy(h, SolverConfig(basis_size=basis_size))
+    assert result.ground_energy <= reference.fx + 1e-9 * abs(reference.fx)
+    assert result.warnings == []
+
+
+@pytest.mark.parametrize("mu, potential", SURVEY, ids=SURVEY_IDS)
+def test_convergence_estimate_covers_the_error(mu, potential):
+    # against K = 120: the estimate is at least the error of K = 24 and 40
+    # wherever that error exceeds 1e-10 relative, and the Coulomb shapes up
+    # to v' = 0.3 are within 1e-7 at K = 40
+    h = ReducedHamiltonian(1.0, 1.0, 1.0, mu, potential)
+    reference = ground_energy(h, SolverConfig(basis_size=120)).ground_energy
+    for basis_size in (24, 40):
+        result = ground_energy(h, SolverConfig(basis_size=basis_size))
+        error = result.ground_energy - reference
+        assert error >= -1e-12 * abs(reference)
+        if error > 1e-10 * abs(reference):
+            assert result.convergence_estimate >= error, basis_size
+    if potential.coulomb_strength() <= 0.3:
+        assert error <= 1e-7 * abs(reference)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 3.0])
+def test_massless_harmonic_matches_the_airy_zero(c):
+    # |p| + c r^2 is the Fourier dual of p^2 + c|r|: its bottom is c^(1/3)|a_1|
+    result = ground_energy(ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Harmonic(c)))
+    assert result.ground_energy == pytest.approx(c ** (1.0 / 3.0) * 2.3381074104597674, rel=1e-9)
+    assert result.warnings == []
+
+
+@pytest.mark.parametrize("mass, oracle", [(1.0, 2.664012612667), (3.0, 4.141457819711)])
+def test_massive_harmonic_matches_the_finite_difference_oracle(mass, oracle):
+    # -u'' + sqrt(p^2 + m^2) u = E u in momentum space, by a 4th-order finite
+    # difference with Richardson extrapolation; that oracle is good to about
+    # 5e-11
+    result = ground_energy(ReducedHamiltonian(1.0, 1.0, 1.0, mass, Harmonic(1.0)))
+    assert result.ground_energy == pytest.approx(oracle, rel=1e-10)
+
+
+def test_largest_basis_gives_the_linear_constant_without_warning():
+    result = ground_energy(linear_hamiltonian(), SolverConfig(basis_size=MAX_BASIS_SIZE))
+    assert result.ground_energy == pytest.approx(2.2322863785, abs=1e-9)
+    assert result.warnings == []
+
+
+def _edge_weights(result):
+    """x_i^2/(S^-1)_ii of the first and the last Gaussian, from the reported
+    coefficients and overlap."""
+    inverse = np.linalg.inv(gaussian_overlap(result))
+    x = result.coefficients
+    return x[0] ** 2 / inverse[0, 0], x[-1] ** 2 / inverse[-1, -1]
+
+
+@pytest.mark.parametrize(
+    "h, end",
+    [
+        (ReducedHamiltonian(1.0, 1.0, 1.0, 1e5, Linear(8.0)), "lower"),
+        (ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Coulomb(0.3)), "upper"),
+    ],
+    ids=["heavy-linear", "massless-coulomb"],
+)
+def test_range_warning_names_the_heavy_edge(h, end):
+    # a heavy mass wants Gaussians narrower than the grid's, and massless
+    # Coulomb ever wider ones
+    result = ground_energy(h)
+    (warning,) = result.warnings
+    assert f"{end} endpoint of the basis range" in warning
+    weight = _edge_weights(result)[end == "upper"]
+    assert weight > EDGE_WEIGHT_TOL
+    assert f"weight {weight:.1e}" in warning
+
+
+def test_edge_weights_of_the_survey_stay_below_the_threshold():
+    # the measured margin: at most 1.2e-6 at K = 24 (r^0.5, mu = 0), 3.4 times
+    # below the threshold, and 1.6e-5 for the heavy linear:8 at K = 40
+    worst = max(
+        max(_edge_weights(ground_energy(ReducedHamiltonian(1.0, 1.0, 1.0, mu, potential),
+                                        SolverConfig(basis_size=basis_size))))
+        for mu, potential in SURVEY
+        for basis_size in (24, 40)
+    )
+    assert worst < EDGE_WEIGHT_TOL / 3.0
+
+
+def test_kinetic_self_check_warns_at_low_order():
+    h = linear_hamiltonian(mass=1.0)
+    assert ground_energy(h).warnings == []
+    (warning,) = ground_energy(h, SolverConfig(quadrature_order=16)).warnings
+    assert warning.startswith("kinetic quadrature self-check: relative change")
+    assert "order 16 and 32" in warning
+
+
+def test_massless_solve_loads_no_rule(monkeypatch):
+    from salbound import quadrature
+
+    def never(*args):
+        raise AssertionError("a massless solve used a quadrature rule")
+
+    monkeypatch.setattr(solver, "semi_infinite_rule", never)
+    ground_energy(ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, CoulombPlusLinear(0.2, 1.0)))
+    assert quadrature.SHIPPED_ORDERS == (100, 200)
+
+
+def test_basis_radii_rule():
+    linear = ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Linear(1.0))
+    radii = basis_radii(linear, 40)
+    np.testing.assert_allclose(radii[1:] / radii[:-1], 1.19, rtol=1e-14)
+    assert radii[0] * radii[-1] == pytest.approx(1.0, rel=1e-14)
+    for potential, span in ((CoulombPlusLinear(0.2, 1.0), (1e-4, 20.0)), (Coulomb(0.2), (1e-4, 40.0))):
+        h = ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, potential)
+        radii = basis_radii(h, 40)
+        np.testing.assert_allclose((radii[0], radii[-1]), span, rtol=1e-13)
+        # the ratio stays within 1.19..1.5, with the widest Gaussian at r_hi
+        for size, ratio in ((24, 1.5), (120, 1.19)):
+            radii = basis_radii(h, size)
+            np.testing.assert_allclose(radii[1:] / radii[:-1], ratio, rtol=1e-14)
+            assert radii[-1] == span[1]
