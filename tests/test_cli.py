@@ -98,8 +98,6 @@ def test_solve_parse_error_exit_code():
         (["solve", "--potential", "coulomb:1e-310", "--mass", "1"], "natural length inf"),
         (["solve", "--potential", "coulomb:1e-200", "--mass", "1e-200"], "natural length inf"),
         (["solve", "--potential", "coulomb:1e-300", "--mass", "1"], "natural mass mu 1e+300"),
-        # mu^2 c overflowed in the kinetic pair integral of the widest Gaussian
-        (["solve", "--mass", "1e150", "--basis-size", "120"], "natural mass mu 1e+150"),
         (["bounds", "--n", "2", "--potential", "linear:1e-300", "--mass", "1e300"],
          "natural mass mu inf"),
         (["solve", "--gamma", "1e-200", "--potential", "linear:1e-200"],
@@ -107,6 +105,8 @@ def test_solve_parse_error_exit_code():
         (["solve", "--beta", "1e-200", "--lambda", "1e-300"],
          "kinetic coefficient beta sqrt(lam) 0"),
         (["solve", "--beta", "1e-300", "--potential", "linear:1e300"], "natural length 0"),
+        # mu^2 c overflowed in the kinetic pair integral of the widest Gaussian
+        (["solve", "--mass", "1e150", "--basis-size", "120"], "natural mass mu 1e+150"),
     ],
 )
 def test_out_of_range_natural_units_exit_2(capsys, argv, message):
