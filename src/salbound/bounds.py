@@ -8,10 +8,10 @@ for the massless linear potential.  Here each row is solved numerically, the
 model-operator bound is also proved for harmonic pair potentials, and the
 upper bound comes from a product Gaussian trial state in relative
 coordinates, optimized over its scale: N times the minimum over sigma of the
-model operator's expectation in one Gaussian (``solver.gaussian_energy``,
-the one-Gaussian case of the solver's basis) in natural units, by the
-solver's Brent search (:func:`gaussian_upper`).  This module runs no
-quadrature of its own.
+model operator's expectation in one Gaussian (``solver.pair_expectation``,
+the one-Gaussian case of the solver's basis) in natural units, by a grid
+zoom in log sigma (:func:`gaussian_upper`).  This module runs no quadrature
+of its own.
 
 Every row is solved in its natural units (``reductions.natural_units``): a
 dilation maps its reduced operator to a multiple of the canonical operator
@@ -25,8 +25,11 @@ E(a|p| + b r^k) = a^(k/(k+1)) b^(1/(k+1)) E_k).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .potentials import Harmonic, PairPotential, require_finite
 from .reductions import (
@@ -43,12 +46,15 @@ from .reductions import (
     natural_units,
     require_particle_count,
 )
-from .solver import SpectrumResult, gaussian_energy, ground_energy, minimize_log_golden
+from .solver import SpectrumResult, ground_energy, pair_expectation
 
-#: Interval of the Gaussian's momentum width sigma searched in natural units,
-#: and the search's relative tolerance in sigma.
+#: Interval of the Gaussian's momentum width sigma searched in natural units.
 GAUSSIAN_SCALE_INTERVAL = (0.05, 20.0)
-GAUSSIAN_SCALE_TOLERANCE = 1e-4
+
+#: Points of each grid of the zoom in log sigma, and the grid spacing at
+#: which it stops: 6 grids across ``GAUSSIAN_SCALE_INTERVAL``.
+ZOOM_POINTS = 33
+ZOOM_SPACING = 1e-6
 
 
 @dataclass(frozen=True)
@@ -120,17 +126,44 @@ def _bounds(spec: ProblemSpec, config) -> Callable[[Reduction], BoundResult]:
     return bound
 
 
-def gaussian_upper(spec: ProblemSpec, config: SolverConfig | None = None) -> UpperBoundResult:
+def zoom_log_minimum(f, lo: float, hi: float):
+    """(x, f(x), at_lower, at_upper) at the least of f over [lo, hi], for a
+    unimodal f that takes and returns arrays.
+
+    f is evaluated on :data:`ZOOM_POINTS` points evenly spaced in log x, and
+    the grid shrinks to the neighbours of its least point until its spacing
+    is at most :data:`ZOOM_SPACING`: the minimum always lies between those
+    neighbours, so the returned log x is within the final spacing of it.  A
+    grid that still reaches an end of [lo, hi] holds that end itself, and a
+    flag is set where the least point is that end.
+    """
+    ends = math.log(lo), math.log(hi)
+    a, b = ends
+    while True:
+        t = np.linspace(a, b, ZOOM_POINTS)
+        reach = a == ends[0], b == ends[1]
+        x = np.exp(t)
+        # exp(log(lo)) need not be lo: a grid that reaches an end holds the end
+        x[[0, -1]] = np.where(reach, (lo, hi), x[[0, -1]])
+        values = f(x)
+        i = int(np.argmin(values))
+        if t[1] - t[0] <= ZOOM_SPACING:
+            return float(x[i]), float(values[i]), reach[0] and i == 0, reach[1] and i == ZOOM_POINTS - 1
+        a, b = t[max(i - 1, 0)], t[min(i + 1, ZOOM_POINTS - 1)]
+
+
+def gaussian_upper(spec: ProblemSpec) -> UpperBoundResult:
     """Variational upper bound from a product Gaussian in relative coordinates.
 
     Boson symmetry collapses the expectation to a single relative pair: the
     energy at Gaussian length sigma is N times the expectation of the model
     operator sqrt(lam p^2 + m^2) + (N-1)/2 V (``lam`` of the model-operator
     reduction) in one Gaussian of momentum width 1/sigma.  So the bound is N
-    times the least ``solver.gaussian_energy`` of that operator in its natural
-    units (``reductions.natural_units``), searched over the momentum widths of
-    ``GAUSSIAN_SCALE_INTERVAL`` by ``solver.minimize_log_golden`` and scaled
-    back, and ``optimal_scale`` is the length sigma.  A massless single term
+    times the least one-Gaussian energy of that operator in its natural units
+    (``reductions.natural_units``; ``solver.pair_expectation`` at a = sigma^2
+    and c = 1/sigma^2), zoomed in on over the momentum widths of
+    ``GAUSSIAN_SCALE_INTERVAL`` by :func:`zoom_log_minimum` and scaled back,
+    and ``optimal_scale`` is the length sigma.  A massless single term
     c r^k with k > 0 has its optimum in closed form instead, from the pair
     moments <|p|> = (2/sqrt(pi))/sigma and <r^k> = sigma^k Γ((3+k)/2)/Γ(3/2)
     (the linear one is ``reductions.upper_gaussian_linear``).
@@ -140,21 +173,19 @@ def gaussian_upper(spec: ProblemSpec, config: SolverConfig | None = None) -> Upp
         kinetic, (power,) = _massless_gaussian(spec.n, terms)
         value, sigma = _power_optimum(kinetic, *power)
         return UpperBoundResult(value=value, optimal_scale=sigma, warnings=[])
-    cfg = config if config is not None else SolverConfig()
     canonical, energy, length = natural_units(
         ReducedHamiltonian(1.0, _MODEL.lam(spec.n), (spec.n - 1) / 2.0, spec.mass, spec.potential)
     )
-    best = minimize_log_golden(
-        lambda sigma: gaussian_energy(canonical, sigma, cfg.quadrature_order),
+    sigma, least, at_lower, at_upper = zoom_log_minimum(
+        lambda s: canonical.mass + pair_expectation(canonical, s * s, 1.0 / (s * s)),
         *GAUSSIAN_SCALE_INTERVAL,
-        GAUSSIAN_SCALE_TOLERANCE,
     )
     warnings = [
         f"Gaussian scale optimum sits at the {end} endpoint of its search interval"
-        for end, pinned in (("lower", best.at_lower), ("upper", best.at_upper))
+        for end, pinned in (("lower", at_lower), ("upper", at_upper))
         if pinned
     ]
-    return UpperBoundResult(spec.n * (energy * float(best.fx)), 1.0 / (best.x / length), warnings)
+    return UpperBoundResult(spec.n * (energy * least), 1.0 / (sigma / length), warnings)
 
 
 @dataclass
@@ -192,7 +223,7 @@ def compute_bounds(spec: ProblemSpec, config: SolverConfig | None = None) -> Bou
     internal error and raises RuntimeError.
     """
     lower, reasons = _table(spec.n, spec.mass, _bounds(spec, config))
-    upper = gaussian_upper(spec, config)
+    upper = gaussian_upper(spec)
 
     bounds = BoundSet(spec, **lower, status=conjecture_status(spec), upper=upper, reasons=reasons)
     estimate = bounds.conjectured.spectrum.convergence_estimate

@@ -122,7 +122,6 @@ _FLAGS = {
     "mass": (_number(float, 0.0, strict=False), None),
     "potential": (_potential, "e.g. linear:1, coulomb:0.5, power:1,1.5"),
     "basis-size": (_number(int, 1), None),
-    "quadrature-order": (_number(int, 15), None),
     "states": (_number(int, 1, strict=False), None),
     "samples": (_number(int, 2, strict=False), None),
     "seed": (_number(int, 0, strict=False), None),
@@ -169,7 +168,7 @@ class _Options:
 
 
 def _solver_config(opt: _Options) -> SolverConfig:
-    return SolverConfig(basis_size=opt["basis-size"], quadrature_order=opt["quadrature-order"])
+    return SolverConfig(basis_size=opt["basis-size"])
 
 
 # --- solve -----------------------------------------------------------------
@@ -193,10 +192,7 @@ def cmd_solve(opt: _Options) -> tuple[dict, int]:
             "mass": hamiltonian.mass,
             "potential": hamiltonian.potential.spec(),
         },
-        "config": {
-            "basis_size": config.basis_size,
-            "quadrature_order": config.quadrature_order,
-        },
+        "config": {"basis_size": config.basis_size},
         "result": {
             "ground_energy": result.ground_energy,
             "basis_range": list(result.basis_range),
@@ -300,6 +296,8 @@ def _text_bounds(report: dict) -> list[str]:
     for name, value, note in _bound_rows(report):
         shown = "-" if value is None else _g(value)
         lines.append(f"{name:<12} {shown:>12}  {note}")
+    for name, diagnostic in report.get("diagnostics", {}).items():
+        lines.extend(f"warning: {name}: {warning}" for warning in diagnostic["warnings"])
     return lines
 
 
@@ -431,11 +429,8 @@ def _csv_verify_delta(report: dict):
 
 # --- the command table, rendering and dispatch --------------------------------
 
-# the library's defaults, so that the CLI and SolverConfig cannot drift apart
-_SOLVER_DEFAULTS = {
-    "basis-size": SolverConfig.basis_size,
-    "quadrature-order": SolverConfig.quadrature_order,
-}
+# the library's default, so that the CLI and SolverConfig cannot drift apart
+_SOLVER_DEFAULTS = {"basis-size": SolverConfig.basis_size}
 
 # name: (help, handler, flag defaults in --help order, text view, CSV rows)
 _COMMANDS = {

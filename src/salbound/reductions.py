@@ -75,10 +75,6 @@ class ReducedHamiltonian:
             raise ValueError("mass must be nonnegative")
 
 
-#: Largest ``SolverConfig.quadrature_order``.  The self-check builds a rule of
-#: twice the order, and Newton's method takes about 2.4 s at order 2e4 (2 vCPU).
-MAX_QUADRATURE_ORDER = 10_000
-
 #: Largest ``SolverConfig.basis_size``.  The grid of Gaussians widens with
 #: the basis, to r from 3e-5 to 3e4 at 120 (7e-12 to 3e11 at 300), far beyond
 #: the lengths of any canonical operator, while the m > 0 pair integrals'
@@ -88,32 +84,22 @@ MAX_BASIS_SIZE = 120
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs for ``solver.ground_energy``: the number of Gaussians
-    and the order of the kinetic pair integral's rule at m > 0.
-
-    Both must be integers, ``basis_size`` from 2 to ``MAX_BASIS_SIZE`` and
-    ``quadrature_order`` from 16 to ``MAX_QUADRATURE_ORDER``.
-    """
+    """Numerical knob for ``solver.ground_energy``: the number of Gaussians,
+    an integer from 2 to ``MAX_BASIS_SIZE``."""
 
     basis_size: int = 40
-    quadrature_order: int = 100
 
     def __post_init__(self):
-        require_finite(self, "basis_size", "quadrature_order")
-        for name in ("basis_size", "quadrature_order"):
-            # both set array sizes, so a whole float such as 40.0 is refused too
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+        require_finite(self, "basis_size")
+        # it sets array sizes, so a whole float such as 40.0 is refused too
+        try:
+            operator.index(self.basis_size)
+        except TypeError:
+            raise ValueError(f"basis_size must be an integer, got {self.basis_size!r}") from None
         if self.basis_size < 2:
             raise ValueError("basis size must be at least 2")
         if self.basis_size > MAX_BASIS_SIZE:
             raise ValueError(f"basis size must be at most {MAX_BASIS_SIZE}")
-        if self.quadrature_order < 16:
-            raise ValueError("quadrature order must be at least 16")
-        if self.quadrature_order > MAX_QUADRATURE_ORDER:
-            raise ValueError(f"quadrature order must be at most {MAX_QUADRATURE_ORDER}")
 
 
 def require_particle_count(n) -> None:

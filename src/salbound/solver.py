@@ -18,9 +18,9 @@ of the operator in a Gaussian pair density (:func:`pair_expectation`): with
 the coordinate exponent a = 1/r_i^2 + 1/r_j^2 and the momentum exponent
 c = (r_i^2 + r_j^2)/4, <r^k> = M_k a^(-k/2) and <|p|> = M_1 c^(-1/2), where
 M_k = Γ((3+k)/2)/Γ(3/2).  At m > 0 the kinetic expectation is mu plus one
-integral per pair on the mapped Gauss-Legendre rule.  The rest mass mu adds
-mu to every generalized eigenvalue, so it stays out of the matrix and is
-added to the energy.
+integral per pair on the mapped Gauss-Legendre rule of the fixed order
+:data:`KINETIC_ORDER`.  The rest mass mu adds mu to every generalized
+eigenvalue, so it stays out of the matrix and is added to the energy.
 
 A Cholesky of the unit-diagonal overlap S reduces H x = E S x to one
 ``eigvalsh``.  That eigenvalue carries about 1e-9 of roundoff from the
@@ -30,11 +30,10 @@ original basis: a variational upper bound for that vector, accurate to about
 1e-14.  The convergence estimate is the same solve on the centred half of
 the Gaussians, a principal submatrix that needs no new matrix elements.
 
-The Brent search :func:`minimize_log_golden` serves the Gaussian upper bound
-of ``bounds``, whose trial state is the one-Gaussian case of the basis
-(:func:`gaussian_energy`).  The operator, the solver knobs and the closed
-forms of the massless linear case are in ``reductions``; this module holds
-only the numerics.
+The Gaussian upper bound of ``bounds`` evaluates its one-Gaussian trial
+states by :func:`pair_expectation`.  The operator, the basis size and the
+closed forms of the massless linear case are in ``reductions``; this module
+holds only the basis solve.
 """
 
 from __future__ import annotations
@@ -47,7 +46,13 @@ import numpy as np
 from .quadrature import semi_infinite_rule
 from .reductions import ReducedHamiltonian, SolverConfig, _pair_moment, natural_units
 
-#: Relative change between a rule and its doubled-order version above which
+#: Order of the kinetic pair integral's rule.  The self-check runs it at
+#: twice the order, and both rules ship with the package.  Orders 100 and 200
+#: agree to 6e-16 relative for every nu from 0 to 1e150, which covers every
+#: pair an accepted input reaches (mu < 2^480, c <= 5e8).
+KINETIC_ORDER = 100
+
+#: Relative change between the rule and its doubled-order version above which
 #: a quadrature warning is recorded.
 QUADRATURE_SELF_CHECK_TOL = 1e-10
 
@@ -75,13 +80,6 @@ _PURE_COULOMB_SPAN = (1e-4, 40.0)
 #: mu = 0) and 1.2e-10 at K = 40; it is 1.6e-5 for heavy linear:8 at
 #: m = 1e5 and 0.16 for massless coulomb:0.3 at K = 40.
 EDGE_WEIGHT_TOL = 4e-6
-
-#: Relative spread of the objective across the search bracket below which the
-#: scale search stops: the objective then carries no more information.
-FLAT_TOL = 1e-13
-
-#: Golden-section step as a fraction of the bracket, (3 - sqrt 5)/2.
-_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
 #: M_1 = <|p|> sqrt(c) of a Gaussian pair density, 2/sqrt(pi).
 _MOMENT_1 = _pair_moment(1.0)
@@ -163,7 +161,7 @@ def _kinetic_excess(nu: np.ndarray, order: int) -> np.ndarray:
     return d @ weight
 
 
-def pair_expectation(canonical: ReducedHamiltonian, a: np.ndarray, c: np.ndarray, order: int) -> np.ndarray:
+def pair_expectation(canonical: ReducedHamiltonian, a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Expectation of a canonical operator less its rest mass,
     sqrt(p^2 + mu^2) - mu + V(r), in the Gaussian pair densities of
     coordinate exponents ``a`` and momentum exponents ``c`` (ac >= 1).
@@ -171,34 +169,27 @@ def pair_expectation(canonical: ReducedHamiltonian, a: np.ndarray, c: np.ndarray
     The density of r is r^2 e^(-a r^2) and that of p is p^2 e^(-c p^2), so
     <r^k> = M_k a^(-k/2) with M_k = Γ((3+k)/2)/Γ(3/2), and <|p|> =
     M_1 c^(-1/2) at m = 0.  At m > 0 the kinetic term is one integral per
-    pair (:func:`_kinetic_excess`) on the rule of ``order``; at m = 0 no rule
-    is loaded.
+    pair (:func:`_kinetic_excess`) on the rule of :data:`KINETIC_ORDER`; at
+    m = 0 no rule is loaded.
     """
     root = np.sqrt(c)
     if canonical.mass == 0.0:
         out = _MOMENT_1 / root
     else:
-        out = _kinetic_excess(canonical.mass * root, order) / root
+        out = _kinetic_excess(canonical.mass * root, KINETIC_ORDER) / root
     for coefficient, k in canonical.potential.terms():
         out += (coefficient * _pair_moment(k)) * a ** (-k / 2.0)
     return out
 
 
-def gaussian_energy(canonical: ReducedHamiltonian, sigma: float, order: int) -> float:
-    """Expectation of a canonical operator in the Gaussian exp(-sigma^2 r^2/2),
-    whose momentum width is sigma: the one-Gaussian case of the basis."""
-    a = np.array([sigma * sigma])
-    return canonical.mass + float(pair_expectation(canonical, a, 1.0 / a, order)[0])
-
-
-def _matrices(canonical: ReducedHamiltonian, radii: np.ndarray, order: int):
+def _matrices(canonical: ReducedHamiltonian, radii: np.ndarray):
     """Overlap and Rayleigh-Ritz matrix less the rest mass of the
     unit-normalised Gaussians of ``radii``, built on the upper triangle."""
     i, j = np.triu_indices(radii.size)
     r2 = radii * radii
     width = r2[i] + r2[j]
     overlap = (2.0 * radii[i] * radii[j] / width) ** 1.5
-    energy = pair_expectation(canonical, width / (r2[i] * r2[j]), width / 4.0, order)
+    energy = pair_expectation(canonical, width / (r2[i] * r2[j]), width / 4.0)
     out = []
     for values in (overlap, overlap * energy):
         mat = np.empty((radii.size, radii.size))
@@ -236,21 +227,22 @@ def _lowest(overlap: np.ndarray, matrix: np.ndarray):
     return energy, vector, weights
 
 
-def _self_check(canonical: ReducedHamiltonian, radii: np.ndarray, order: int) -> list[str]:
-    """The kinetic pair integral at ``order`` and twice it on the diagonal
-    pairs, whose momentum exponents c_ii = r_i^2/2 bracket every other pair's
-    c_ij = (c_ii + c_jj)/2; a warning where they differ beyond the tolerance."""
+def _self_check(canonical: ReducedHamiltonian, radii: np.ndarray) -> list[str]:
+    """The kinetic pair integral at :data:`KINETIC_ORDER` and twice it on the
+    diagonal pairs, whose momentum exponents c_ii = r_i^2/2 bracket every
+    other pair's c_ij = (c_ii + c_jj)/2; a warning where they differ beyond
+    the tolerance."""
     if canonical.mass == 0.0:
         return []
     nu = canonical.mass * radii / math.sqrt(2.0)
+    order = KINETIC_ORDER
     base = _kinetic_excess(nu, order)
     change = float(np.max(np.abs(_kinetic_excess(nu, 2 * order) - base) / base))
     if change <= QUADRATURE_SELF_CHECK_TOL:
         return []
     return [
         f"kinetic quadrature self-check: relative change {change:.2e} between "
-        f"order {order} and {2 * order} exceeds {QUADRATURE_SELF_CHECK_TOL:.0e}; "
-        f"increase quadrature_order"
+        f"order {order} and {2 * order} exceeds {QUADRATURE_SELF_CHECK_TOL:.0e}"
     ]
 
 
@@ -280,7 +272,7 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
     cfg = config if config is not None else SolverConfig()
     h, energy, length = natural_units(h)
     radii = basis_radii(h, cfg.basis_size)
-    overlap, matrix = _matrices(h, radii, cfg.quadrature_order)
+    overlap, matrix = _matrices(h, radii)
     lowest, vector, weights = _lowest(overlap, matrix)
     half = cfg.basis_size // 2
     block = slice((cfg.basis_size - half) // 2, (cfg.basis_size + half) // 2)
@@ -295,94 +287,6 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
         coefficients=vector,
         matrix=matrix,
         convergence_estimate=estimate,
-        warnings=_self_check(h, radii, cfg.quadrature_order) + _range_warnings(weights),
+        warnings=_self_check(h, radii) + _range_warnings(weights),
     ).dilated(energy, length)
 
-
-@dataclass(frozen=True)
-class GoldenResult:
-    x: float
-    fx: float
-    at_lower: bool
-    at_upper: bool
-
-
-def minimize_log_golden(f, lo: float, hi: float, rel_tol: float) -> GoldenResult:
-    """Minimum of a unimodal f over [lo, hi] by Brent's method in log coordinates.
-
-    Golden-section search with parabolic steps (R. P. Brent, Algorithms for
-    Minimization without Derivatives, 1973, in the form of fminbound): each
-    step takes the vertex of the parabola through the three best points when
-    it falls inside the bracket and moves less than half the step before
-    last, and a golden-section step otherwise.  No step is shorter than
-    rel_tol/3.  The search stops once the bracket around the best point is
-    within 2 rel_tol/3 on either side, so for a unimodal f the returned
-    abscissa is within ``rel_tol`` of the minimum in log coordinates (the
-    relative uncertainty of the abscissa).  It also stops once f has been
-    evaluated at both ends of the bracket and neither exceeds f at the best
-    point by more than :data:`FLAT_TOL` relative: the bracket is then flat to
-    roundoff, and the abscissa may lie anywhere in it.  Flags indicate a
-    minimum pinned at an interval endpoint; where the bracket never left an
-    end and f is no larger there, the end itself is returned.
-    """
-    a, b = math.log(lo), math.log(hi)
-    a0, b0 = a, b
-    tol1 = rel_tol / 3.0
-    # x: best point so far, w: second best, v: the previous w
-    x = w = v = a + _GOLDEN_STEP * (b - a)
-    fx = fw = fv = f(math.exp(x))
-    # f at the bracket ends, infinite until the end has moved to a point of f
-    fa = fb = math.inf
-    step = last = 0.0
-    while True:
-        xm = 0.5 * (a + b)
-        if abs(x - xm) <= 2.0 * tol1 - 0.5 * (b - a):
-            break
-        if max(fa, fb) - fx <= FLAT_TOL * abs(fx):
-            break
-        golden = True
-        if abs(last) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            before_last, last = last, step
-            if abs(p) < abs(0.5 * q * before_last) and q * (a - x) < p < q * (b - x):
-                golden = False
-                step = p / q
-                if x + step - a < 2.0 * tol1 or b - (x + step) < 2.0 * tol1:
-                    step = tol1 if xm >= x else -tol1
-        if golden:
-            last = (a if x >= xm else b) - x
-            step = _GOLDEN_STEP * last
-        u = x + (step if abs(step) >= tol1 else (tol1 if step >= 0.0 else -tol1))
-        fu = f(math.exp(u))
-        if fu <= fx:
-            if u >= x:
-                a, fa = x, fx
-            else:
-                b, fb = x, fx
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a, fa = u, fu
-            else:
-                b, fb = u, fu
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    sigma = math.exp(x)
-    if a == a0 or b == b0:
-        # the bracket still reaches an end, where the minimum may sit: report
-        # the end itself if it is no worse, so that a pinned result does not
-        # depend on how the search approached it
-        end = lo if a == a0 else hi
-        f_end = f(end)
-        if f_end <= fx:
-            sigma, fx, x = end, f_end, math.log(end)
-    pad = 2.0 * rel_tol
-    return GoldenResult(sigma, fx, x - a0 <= pad, b0 - x <= pad)

@@ -1,11 +1,10 @@
 """Reference scale search and pair potentials, for the tests.
 
-Plain golden-section search in log coordinates, as the solver ran it before
-it took parabolic steps: no interpolation, a fixed shrink per evaluation,
-and the same endpoint flags.  Run at a tight tolerance it locates the scale
-optimum independently of ``salbound.solver.minimize_log_golden``, for the
-Gaussian upper bound and for the oscillator-basis oracle
-(``oscillator_reference``).
+Plain golden-section search in log coordinates: no interpolation, a fixed
+shrink per evaluation, and endpoint flags within twice the tolerance of an
+end.  Run at a tight tolerance it locates the scale optimum independently of
+the grid zoom of ``salbound.bounds``, for the Gaussian upper bound and for
+the oscillator-basis oracle (``oscillator_reference``).
 
 ``potential_value`` evaluates V(r) of each shape from its named fields, so
 that it stays independent of the power terms the solver assembles from.
@@ -16,15 +15,24 @@ closed form (2 r_i r_j/(r_i^2 + r_j^2))^(3/2) of unit-normalised ones.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
-from salbound.solver import GoldenResult
 
 from oscillator_reference import kinetic_matrix, potential_matrix
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+class GoldenResult(NamedTuple):
+    """The least point x found, f there, and whether x is near either end."""
+
+    x: float
+    fx: float
+    at_lower: bool
+    at_upper: bool
 
 _V = {
     Linear: lambda v, r: v.slope * r,

@@ -1,0 +1,79 @@
+"""Gauss-Legendre rules of any order by Newton's method, for the tests.
+
+This is the generator of the rules that ship with the package
+(``src/salbound/rules/*.npy``); ``test_quadrature`` checks them against it bit
+for bit.  Regenerate them with
+
+    PYTHONPATH=src:tests python -c "import numpy as np; from salbound import quadrature as q; from legendre_reference import gauss_legendre; [np.save(q._rule_path(n), np.stack(gauss_legendre(n))) for n in q.SHIPPED_ORDERS]"
+
+Newton's method lands on bits that depend on the last bit of numpy's cos at
+its starting values, so a rule built here can differ in its last bits between
+platforms; scipy's ``roots_legendre`` checks the rules independently of it.
+The oscillator-basis oracle (``oscillator_reference``) takes its rules of
+orders the package does not ship from :func:`semi_infinite_rule` here.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+
+NEWTON_TOL = 1e-14
+NEWTON_MAX_STEPS = 12
+
+
+def _legendre(order: int, x: np.ndarray):
+    """P_order(x) and its derivative by the three-term recurrence (|x| < 1)."""
+    p_prev = np.ones_like(x)
+    p = x.copy()
+    for k in range(1, order):
+        p_prev, p = p, ((2.0 * k + 1.0) / (k + 1.0)) * x * p - (k / (k + 1.0)) * p_prev
+    return p, order * (x * p - p_prev) / (x * x - 1.0)
+
+
+def gauss_legendre(order: int):
+    """Nodes (ascending) and weights of the Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_order from Tricomi's estimates of the nonnegative
+    roots; the other half follows by symmetry. Weights are
+    2 / ((1 - x^2) P'(x)^2) at the converged nodes.
+    """
+    half = (order + 1) // 2
+    k = np.arange(1, half + 1)
+    x = (1.0 - (order - 1) / (8.0 * order**3)) * np.cos(np.pi * (4 * k - 1) / (4 * order + 2))
+    for _ in range(NEWTON_MAX_STEPS):
+        p, dp = _legendre(order, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= NEWTON_TOL:
+            break
+    else:
+        raise ArithmeticError(f"Gauss-Legendre nodes of order {order} did not converge")
+    _, dp = _legendre(order, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    # x is descending and nonnegative; an odd order's middle root is x = 0
+    mirrored = order // 2
+    nodes = np.concatenate((-x[:mirrored], x[::-1]))
+    weights = np.concatenate((w[:mirrored], w[::-1]))
+    return nodes, weights
+
+
+@lru_cache(maxsize=None)
+def unit_rule(order: int):
+    """Nodes and weights on [0, 1], read-only, as ``salbound.quadrature.unit_rule``
+    gives them at a shipped order."""
+    if order < 2:
+        raise ValueError("quadrature order must be at least 2")
+    x, w = gauss_legendre(order)
+    u = 0.5 * (x + 1.0)
+    w = 0.5 * w
+    u.setflags(write=False)
+    w.setflags(write=False)
+    return u, w
+
+
+def semi_infinite_rule(order: int, scale: float = 1.0):
+    """``salbound.quadrature.semi_infinite_rule`` at any order."""
+    u, w = unit_rule(order)
+    return scale * u / (1.0 - u), scale * w / (1.0 - u) ** 2

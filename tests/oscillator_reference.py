@@ -6,9 +6,10 @@ measure y^2 dy, at a length scale 1/sigma searched for the least energy.
 They are form invariant under the Fourier transform up to a phase (-1)^n, so
 the square-root kinetic term (in momentum space) and the potential (in
 coordinate space) are radial quadratures against one function table.  The
-matrices here are built by those quadratures on the package's mapped
-Gauss-Legendre rule, with a doubled-order self-check, and share no closed
-form with the Gaussian basis.
+matrices here are built by those quadratures on the mapped Gauss-Legendre
+rule of any order (``legendre_reference``, the generator of the package's
+shipped rules), with a doubled-order self-check, and share no closed form
+with the Gaussian basis.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from salbound.quadrature import semi_infinite_rule
+from legendre_reference import semi_infinite_rule
 
 #: Relative change between a rule and its doubled-order version above which
 #: a quadrature warning is recorded.

@@ -1,17 +1,16 @@
 import math
-import re
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 import salbound.bounds
-import salbound.solver
 from salbound.bounds import (
     ProblemSpec,
     compute_bounds,
     conjecture_status,
     gaussian_upper,
+    zoom_log_minimum,
 )
 from salbound.potentials import (
     Coulomb,
@@ -33,7 +32,7 @@ from salbound.reductions import (
     ratio_table,
     upper_gaussian_linear,
 )
-from salbound.solver import ground_energy
+from salbound.solver import ground_energy, pair_expectation
 
 from golden_reference import (
     potential_value,
@@ -299,32 +298,20 @@ def test_gaussian_upper_dominates_two_body_energy_with_mass():
     ids=["linear", "coulomb+linear", "coulomb"],
 )
 def test_massive_gaussian_upper_is_the_scale_search_at_basis_size_1(spec):
-    # N times the Brent search of the one-Gaussian energy of the model
-    # operator in natural units, over the whole interval, scaled back bit for
-    # bit
-    cfg = SolverConfig()
+    # N times the grid zoom of the one-Gaussian energy of the model operator
+    # in natural units, over the whole interval, scaled back bit for bit
     model = ReducedHamiltonian(1.0, 2.0 * (spec.n - 1) / spec.n, (spec.n - 1) / 2.0, spec.mass, spec.potential)
     canonical, energy, length = natural_units(model)
-    best = salbound.solver.minimize_log_golden(
-        lambda sigma: salbound.solver.gaussian_energy(canonical, sigma, cfg.quadrature_order),
-        0.05, 20.0, 1e-4,
+    sigma, least, at_lower, at_upper = zoom_log_minimum(
+        lambda s: canonical.mass + pair_expectation(canonical, s * s, 1.0 / (s * s)), 0.05, 20.0
     )
-    result = gaussian_upper(spec, cfg)
-    assert result.value == spec.n * (energy * best.fx)
-    assert result.optimal_scale == 1.0 / (best.x / length)
-    assert result.warnings == []
+    result = gaussian_upper(spec)
+    assert result.value == spec.n * (energy * least)
+    assert result.optimal_scale == 1.0 / (sigma / length)
+    assert not (at_lower or at_upper) and result.warnings == []
 
 
 # --- scale search against a reference golden section ----------------------------
-
-
-def _endpoint_warnings(bounds):
-    """Every warning of a bound set, with the reported optimum left out: where
-    a scale is pinned the two searches stop at different distances from the
-    same endpoint."""
-    results = [r for r in bounds.lower_results().values() if r is not None]
-    warnings = [w for r in results for w in r.spectrum.warnings] + bounds.upper.warnings
-    return [re.sub(r"optimum \S+", "optimum", w) for w in warnings]
 
 
 @pytest.mark.parametrize("basis_size", [24, 40])
@@ -334,28 +321,28 @@ def _endpoint_warnings(bounds):
     "potential",
     ["linear:1.3", "coulomb:0.1", "harmonic:0.8", "power:1.1,1.5", "coulomb+linear:0.1,1.2"],
 )
-def test_bounds_match_reference_golden_search(monkeypatch, potential, mass, n, basis_size):
+def test_bounds_match_reference_golden_search(potential, mass, n, basis_size):
+    # the upper bound against plain golden section to 1e-9 in log sigma on
+    # the same one-Gaussian energy of the model operator in natural units;
+    # a pinned optimum is read at the end itself, as the zoom reports it.
+    # The zoom stops at a spacing of 1e-6, which leaves about 1e-12 of the
+    # energy where the objective is curved at order 1 in log sigma.
     spec = ProblemSpec(n, mass, parse_potential(potential))
-    cfg = SolverConfig(basis_size=basis_size)
-    got = compute_bounds(spec, cfg)
+    got = compute_bounds(spec, SolverConfig(basis_size=basis_size))
+    model = ReducedHamiltonian(1.0, 2.0 * (n - 1) / n, (n - 1) / 2.0, mass, spec.potential)
+    canonical, energy, length = natural_units(model)
 
-    def tight(f, lo, hi, rel_tol):
-        return reference_minimize_log_golden(f, lo, hi, 1e-9)
+    def f(sigma):
+        a = np.array([sigma * sigma])
+        return canonical.mass + float(pair_expectation(canonical, a, 1.0 / a)[0])
 
-    # only the Gaussian upper bound searches; the rows are one solve each
-    monkeypatch.setattr(salbound.bounds, "minimize_log_golden", tight)
-    want = compute_bounds(spec, cfg)
-
-    assert _endpoint_warnings(got) == _endpoint_warnings(want)
-    for name, result in want.lower_results().items():
-        if result is None:
-            assert got.lower_results()[name] is None
-            continue
-        assert got.lower_results()[name].value == result.value, name
-    # the upper bound's one-Gaussian objective is curved at order 1 in log
-    # scale, so the scale tolerance 1e-4 leaves up to about 5e-9 of its
-    # energy (2.2e-10 here at m = 0.7)
-    assert got.upper.value == pytest.approx(want.upper.value, rel=1e-8)
+    want = reference_minimize_log_golden(f, 0.05, 20.0, 1e-9)
+    least = f(0.05) if want.at_lower else f(20.0) if want.at_upper else want.fx
+    assert got.upper.value == pytest.approx(n * (energy * least), rel=1e-11)
+    pinned = [end for end, flag in (("lower", want.at_lower), ("upper", want.at_upper)) if flag]
+    assert got.upper.warnings == [
+        f"Gaussian scale optimum sits at the {end} endpoint of its search interval" for end in pinned
+    ]
 
 
 # --- bound sets -----------------------------------------------------------------

@@ -301,6 +301,34 @@ def test_text_report_matches_golden(capsys, golden, argv):
     assert capsys.readouterr().out == (GOLDEN / golden).read_bytes().decode("utf-8")
 
 
+@pytest.mark.parametrize(
+    "n, potential, rows",
+    [(2, "coulomb:0.3", ["n2", "conjectured"]), (3, "coulomb:0.2", ["n2", "n3", "conjectured"])],
+    ids=["n2-coulomb0.3", "n3-coulomb0.2"],
+)
+def test_bounds_text_prints_every_warning_after_the_table(capsys, n, potential, rows):
+    # massless Coulomb has its bottom at 0: every solve reaches the widest
+    # Gaussian and the Gaussian scale pins at the end of its interval; each
+    # warning of the JSON report is one line after the rows, led by
+    # "warning:" so that a reader of the rows skips it
+    from salbound.cli import main
+
+    argv = ["bounds", "--n", str(n), "--potential", potential]
+    assert main([*argv, "--format", "json"]) == 0
+    diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+    expected = [f"warning: {name}: {w}" for name, d in diagnostics.items() for w in d["warnings"]]
+    assert [line.split(":")[1].strip() for line in expected] == [*rows, "upper"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-len(expected):] == expected
+    assert lines[-len(expected) - 1].startswith("upper ")
+    assert expected[-1] == (
+        "warning: upper: Gaussian scale optimum sits at the lower endpoint of its search interval"
+    )
+    for line in expected[:-1]:
+        assert "on the Gaussian at the upper endpoint of the basis range" in line
+
+
 @pytest.mark.parametrize("n", [2, 3, 10])
 def test_linear_table_csv_matches_golden(capsys, n):
     from salbound.cli import main
@@ -615,14 +643,9 @@ def cold_rules():
     return quadrature
 
 
-def _no_newton(order):
-    raise AssertionError(f"built the order-{order} rule by Newton's method")
-
-
-def test_default_orders_load_their_rules(cold_rules, monkeypatch, capsys):
+def test_default_orders_load_their_rules(cold_rules, capsys):
     from salbound import cli
 
-    monkeypatch.setattr(cold_rules, "_gauss_legendre", _no_newton)
     # a massless solve is all closed forms and loads no rule
     assert cli.main(["solve", "--format", "json"]) == 0
     assert cold_rules.unit_rule.cache_info().currsize == 0
@@ -631,31 +654,20 @@ def test_default_orders_load_their_rules(cold_rules, monkeypatch, capsys):
     assert cold_rules.unit_rule.cache_info().currsize == 2
 
 
-def test_other_orders_are_built_by_newton(cold_rules, monkeypatch, capsys):
+def test_quadrature_order_is_not_a_flag(cold_rules, tmp_path, capsys):
+    # the kinetic rule's order is fixed: the flag and the config key it had
+    # are usage errors, refused before any rule loads
     from salbound import cli
 
-    built = []
-    newton = cold_rules._gauss_legendre
-
-    def record(order):
-        built.append(order)
-        return newton(order)
-
-    monkeypatch.setattr(cold_rules, "_gauss_legendre", record)
-    assert cli.main(["solve", "--mass", "1", "--quadrature-order", "120", "--format", "csv"]) == 0
-    assert built == [120, 240]
-
-
-def test_quadrature_order_above_the_cap_exits_2_before_any_rule(cold_rules, monkeypatch, capsys):
-    from salbound import cli
-    from salbound.reductions import MAX_QUADRATURE_ORDER
-
-    monkeypatch.setattr(cold_rules, "_gauss_legendre", _no_newton)
     for command in ("solve", "bounds"):
-        assert cli.main([command, "--quadrature-order", str(MAX_QUADRATURE_ORDER + 1)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: quadrature order must be at most {MAX_QUADRATURE_ORDER}\n"
-        )
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--mass", "1", "--quadrature-order", "100"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quadrature-order 100" in capsys.readouterr().err
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"quadrature-order": 100}))
+        assert cli.main([command, "--mass", "1", "--config", str(config)]) == 2
+        assert "'quadrature-order' is not a flag of any command" in capsys.readouterr().err
     assert cold_rules.unit_rule.cache_info().currsize == 0
 
 

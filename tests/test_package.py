@@ -201,14 +201,13 @@ STATE = SymmetrizedGaussianState(np.ones(1), np.zeros((1, 2, 3)), np.ones((1, 2,
         (lambda: linear_bound_table(2.5), "particle count must be a whole number"),
         (lambda: SolverConfig(basis_size=40.5), "basis_size must be an integer"),
         (lambda: SolverConfig(basis_size=40.0), "basis_size must be an integer"),
-        (lambda: SolverConfig(quadrature_order=400.5), "quadrature_order must be an integer"),
         (lambda: expectation_delta(STATE, 0.5, 1000.5, seed=1), "samples must be an integer"),
         (lambda: expectation_delta(STATE, 0.5, 1000, seed=1, shard_count=2.0),
          "shard_count must be an integer"),
         (lambda: sample_momenta(STATE, 10.0, 1), "count must be an integer"),
     ],
     ids=["ProblemSpec.n", "linear_bound_table", "SolverConfig.basis_size",
-         "SolverConfig.basis_size-whole-float", "SolverConfig.quadrature_order",
+         "SolverConfig.basis_size-whole-float",
          "expectation_delta.samples", "expectation_delta.shard_count", "sample_momenta.count"],
 )
 def test_sizes_must_be_whole_numbers(build, message):
@@ -217,8 +216,8 @@ def test_sizes_must_be_whole_numbers(build, message):
 
 
 def test_whole_sizes_of_other_types_are_accepted():
-    # a particle count is a number of bosons, so 3.0 is one; basis size and
-    # quadrature order set array sizes, so any integer type serves
+    # a particle count is a number of bosons, so 3.0 is one; the basis size
+    # sets array sizes, so any integer type serves
     assert ProblemSpec(3.0, 0.0, Linear(1.0)).n == 3
-    config = SolverConfig(basis_size=np.int64(24), quadrature_order=np.int32(200))
-    assert (config.basis_size, config.quadrature_order) == (24, 200)
+    assert SolverConfig(basis_size=np.int64(24)).basis_size == 24
+    assert SolverConfig(basis_size=np.int32(12)).basis_size == 12

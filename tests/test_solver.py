@@ -6,12 +6,12 @@ import pytest
 from scipy import integrate
 
 from salbound import solver
+from salbound.bounds import ZOOM_POINTS, ZOOM_SPACING, zoom_log_minimum
 from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
 from salbound.reductions import (
     COULOMB_CRITICAL_COUPLING,
     LINEAR_GROUND_ENERGY,
     MAX_BASIS_SIZE,
-    MAX_QUADRATURE_ORDER,
     ReducedHamiltonian,
     SolverConfig,
     StabilityError,
@@ -21,14 +21,12 @@ from salbound.solver import (
     EDGE_WEIGHT_TOL,
     SpectrumResult,
     basis_radii,
-    gaussian_energy,
     ground_energy,
-    minimize_log_golden,
     pair_expectation,
 )
-from salbound.quadrature import semi_infinite_rule
 
 from golden_reference import gaussian_overlap, potential_value, reference_ground_energy
+from legendre_reference import semi_infinite_rule
 from oscillator_reference import kinetic_matrix, map_scale, potential_matrix, radial_basis
 
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
@@ -347,21 +345,45 @@ def test_natural_units_solve_matches_direct_solve(h):
     assert result.ground_energy == pytest.approx(reference.fx, rel=1e-4)
 
 
-def test_golden_section_finds_quadratic_minimum():
-    res = minimize_log_golden(lambda x: (math.log(x) - 1.0) ** 2 + 0.25, 0.1, 20.0, 1e-6)
-    assert res.x == pytest.approx(math.e, rel=1e-5)
-    assert res.fx == pytest.approx(0.25, abs=1e-9)
-    assert not (res.at_lower or res.at_upper)
-    res = minimize_log_golden(lambda x: x, 0.5, 2.0, 1e-6)
-    assert res.at_lower and not res.at_upper
+# --- the Gaussian upper bound's grid zoom (bounds.zoom_log_minimum) -------------
 
 
-def _minimum_grid(lo, hi, rel_tol):
-    """Log-abscissae across (lo, hi), beyond each end, at each end and within
-    a few rel_tol of each end."""
+def _zoom_contract(shape, lo, hi, t):
+    """Run the zoom on f(x) = shape(log x - t), unimodal with its minimum at
+    log x = t, and check its contract: the returned log-abscissa lies within
+    the final grid spacing of the minimum (clamped to [lo, hi]), an end is
+    flagged exactly where it is returned, and it is returned exactly."""
     a, b = math.log(lo), math.log(hi)
-    near = [s * rel_tol for s in (-5.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 6.0)]
-    return [a + d for d in near] + list(np.linspace(a, b, 15)[1:-1]) + [b - d for d in near]
+    grids = []
+
+    def f(x):
+        values = shape(np.log(x) - t)
+        grids.append((np.log(x), values))
+        return values
+
+    x, fx, at_lower, at_upper = zoom_log_minimum(f, lo, hi)
+    logs, values = grids[-1]
+    spacing = (logs[-1] - logs[0]) / (ZOOM_POINTS - 1)
+    assert spacing <= ZOOM_SPACING
+    assert all(g.size == ZOOM_POINTS for g, _ in grids)
+    assert abs(math.log(x) - min(max(t, a), b)) <= spacing + 1e-14, t
+    assert fx == values.min()
+    assert at_lower == (x == lo) and at_upper == (x == hi), t
+    if t <= a or t >= b:
+        assert x == (lo if t <= a else hi), t
+    if t - a > spacing:
+        assert not at_lower, t
+    if b - t > spacing:
+        assert not at_upper, t
+    return len(grids)
+
+
+def _minimum_grid(lo, hi, near):
+    """Log-abscissae across (lo, hi), beyond each end, at each end and within
+    a few ``near`` of each end."""
+    a, b = math.log(lo), math.log(hi)
+    offsets = [s * near for s in (-5.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 6.0)]
+    return [a + d for d in offsets] + list(np.linspace(a, b, 15)[1:-1]) + [b - d for d in offsets]
 
 
 @pytest.mark.parametrize(
@@ -369,47 +391,31 @@ def _minimum_grid(lo, hi, rel_tol):
     [lambda d: d * d + 0.25, lambda d: d**4],
     ids=["quadratic", "quartic"],
 )
-@pytest.mark.parametrize("lo, hi, rel_tol", [(0.05, 20.0, 1e-4), (0.5, 2.0, 1e-6)])
-def test_minimizer_contract_on_log_grid(shape, lo, hi, rel_tol):
-    a, b = math.log(lo), math.log(hi)
-    for t in _minimum_grid(lo, hi, rel_tol):
-        res = minimize_log_golden(lambda x: shape(math.log(x) - t), lo, hi, rel_tol)
-        x = math.log(res.x)
-        assert abs(x - min(max(t, a), b)) <= rel_tol, t
-        assert res.fx == shape(x - t)
-        if t <= a or t >= b:
-            # a minimum at or beyond an end is reported at the end itself
-            assert res.x == (lo if t <= a else hi), t
-        # each flag is set within 2 rel_tol of its end; the abscissa is
-        # within rel_tol of the minimum, so a minimum within rel_tol of an
-        # end sets its flag and one 3 rel_tol or more inside clears it
-        for flag, gap in ((res.at_lower, t - a), (res.at_upper, b - t)):
-            if gap <= rel_tol:
-                assert flag, t
-            elif gap >= 3.0 * rel_tol:
-                assert not flag, t
+@pytest.mark.parametrize("lo, hi, near", [(0.05, 20.0, 1e-4), (0.5, 2.0, 1e-6)])
+def test_minimizer_contract_on_log_grid(shape, lo, hi, near):
+    # minima across the interval and at, beyond and within a few ``near`` of
+    # each end; the bound's interval (0.05, 20) takes at most 6 grids
+    for t in _minimum_grid(lo, hi, near):
+        assert _zoom_contract(shape, lo, hi, t) <= 6
 
 
-def test_flat_bottom_stops_the_search_early(monkeypatch):
-    # exactly flat (up to 1e-15 of ripple) within 0.5 of t = 0.3 in log
-    # scale, quadratic outside; the least value is at least 1 - 1e-15
-    def f(x):
-        d = abs(math.log(x) - 0.3)
-        return 1.0 + max(0.0, d - 0.5) ** 2 + 1e-15 * math.sin(1e4 * d)
-
-    def run():
-        calls = []
-        res = minimize_log_golden(lambda x: calls.append(x) or f(x), 0.05, 20.0, 1e-4)
-        return res, len(calls)
-
-    res, evaluations = run()
-    assert res.fx - (1.0 - 1e-15) <= solver.FLAT_TOL * abs(res.fx)
-    assert abs(math.log(res.x) - 0.3) <= 0.5
-    assert not (res.at_lower or res.at_upper)
-    # without the flat stop the search narrows the plateau down to rel_tol
-    monkeypatch.setattr(solver, "FLAT_TOL", -1.0)
-    _, full = run()
-    assert evaluations < full
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda d: d * d,
+        lambda d: np.abs(d) ** 0.5,
+        lambda d: np.expm1(d) - d,
+        lambda d: np.where(d < 0.0, -3.0 * d, d**4),
+    ],
+    ids=["quadratic", "cusp", "skewed", "kinked"],
+)
+def test_zoom_contract_on_random_intervals(shape):
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        lo = math.exp(rng.uniform(-6.0, 3.0))
+        hi = lo * math.exp(rng.uniform(0.01, 9.0))
+        t = rng.uniform(math.log(lo) - 1.0, math.log(hi) + 1.0)
+        _zoom_contract(shape, lo, hi, t)
 
 
 # --- reference constant -------------------------------------------------------
@@ -436,14 +442,9 @@ def test_hamiltonian_validation():
 
 
 def test_solver_config_validation():
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["basis_size", "quadrature_order"]
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["basis_size"]
     with pytest.raises(ValueError):
         SolverConfig(basis_size=1)
-    with pytest.raises(ValueError):
-        SolverConfig(quadrature_order=8)
-    assert SolverConfig(quadrature_order=MAX_QUADRATURE_ORDER).quadrature_order == 10_000
-    with pytest.raises(ValueError, match="at most 10000"):
-        SolverConfig(quadrature_order=MAX_QUADRATURE_ORDER + 1)
     assert SolverConfig(basis_size=MAX_BASIS_SIZE).basis_size == 120
     for size in (MAX_BASIS_SIZE + 1, 200, 300):
         with pytest.raises(ValueError, match="basis size must be at most 120"):
@@ -493,7 +494,7 @@ def test_reported_energy_is_the_rayleigh_ritz_value_at_the_reported_scale(h, bas
     x, matrix = result.coefficients, result.matrix
     radii = basis_radii(canonical, basis_size)
     assert result.basis_range == (radii[0], radii[-1])
-    overlap = solver._matrices(canonical, radii, 100)[0]
+    overlap = solver._matrices(canonical, radii)[0]
     np.testing.assert_allclose(overlap, gaussian_overlap(result), rtol=1e-13)
     assert np.array_equal(matrix, matrix.T) and np.array_equal(overlap, overlap.T)
     assert np.array_equal(np.diag(overlap), np.ones(basis_size))
@@ -551,7 +552,7 @@ def test_gaussian_matrix_elements_against_quadrature(ri, rj, mu):
     radii = np.array([ri, rj])
     for potential in (PowerLaw(1.0, 0.5), PowerLaw(1.0, 2.5), Coulomb(0.3), CoulombPlusLinear(0.3, 1.0)):
         h = ReducedHamiltonian(1.0, 1.0, 1.0, mu, potential)
-        s, mat = solver._matrices(h, radii, 100)
+        s, mat = solver._matrices(h, radii)
         assert s[0, 1] == pytest.approx(overlap, rel=1e-12)
         kinetic = _radial(lambda p: pi_(p) * pj(p) * p * p / (math.sqrt(p * p + mu * mu) + mu))
         pot = _radial(lambda r: gi(r) * gj(r) * float(potential_value(potential, r)))
@@ -559,13 +560,16 @@ def test_gaussian_matrix_elements_against_quadrature(ri, rj, mu):
 
 
 def test_gaussian_energy_is_the_one_gaussian_matrix():
-    # the upper bound's trial state exp(-sigma^2 r^2/2) is the basis
-    # Gaussian of radius sqrt(2)/sigma
+    # the upper bound's trial state exp(-sigma^2 r^2/2), whose pair exponents
+    # are a = sigma^2 and c = 1/sigma^2, is the basis Gaussian of radius
+    # sqrt(2)/sigma
+    sigma = np.array([0.1, 1.0, 7.0])
     for h in (ReducedHamiltonian(1.0, 1.0, 1.0, 0.7, CoulombPlusLinear(0.2, 1.0)),
               ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Harmonic(1.0))):
-        for sigma in (0.1, 1.0, 7.0):
-            _, mat = solver._matrices(h, np.array([math.sqrt(2.0) / sigma]), 100)
-            assert gaussian_energy(h, sigma, 100) == pytest.approx(h.mass + mat[0, 0], rel=1e-15)
+        energies = pair_expectation(h, sigma * sigma, 1.0 / (sigma * sigma))
+        for s, energy in zip(sigma, energies):
+            _, mat = solver._matrices(h, np.array([math.sqrt(2.0) / s]))
+            assert energy == pytest.approx(mat[0, 0], rel=1e-15)
 
 
 #: Canonical operators of the survey: r^k at k = 0.5..2.5 and mu = 0..30, and
@@ -670,12 +674,32 @@ def test_edge_weights_of_the_survey_stay_below_the_threshold():
     assert worst < EDGE_WEIGHT_TOL / 3.0
 
 
-def test_kinetic_self_check_warns_at_low_order():
+def test_kinetic_self_check_warns_at_low_order(monkeypatch):
+    # the shipped rules of orders 100 and 200 swapped for those of 16 and 32
     h = linear_hamiltonian(mass=1.0)
     assert ground_energy(h).warnings == []
-    (warning,) = ground_energy(h, SolverConfig(quadrature_order=16)).warnings
+    low = {100: 16, 200: 32}
+    monkeypatch.setattr(solver, "semi_infinite_rule", lambda order, scale: semi_infinite_rule(low[order], scale))
+    (warning,) = ground_energy(h).warnings
     assert warning.startswith("kinetic quadrature self-check: relative change")
-    assert "order 16 and 32" in warning
+    assert warning.endswith("between order 100 and 200 exceeds 1e-10")
+    change = float(warning.split()[5].rstrip(";"))
+    assert 1e-10 < change < 1e-2
+
+
+def test_fixed_kinetic_rule_holds_over_its_whole_domain(monkeypatch):
+    # every pair integral of an accepted input has nu = mu sqrt(c) below
+    # 2^480 sqrt(5e8) < 1e150; the shipped orders 100 and 200 agree to 6e-16
+    nu = np.concatenate(([0.0, 1e-300], np.logspace(-20.0, 150.0, 341)))
+    fixed, doubled = (solver._kinetic_excess(nu, order) for order in (100, 200))
+
+    def worst(values):
+        return float(np.max(np.abs(values - doubled) / doubled))
+
+    assert worst(fixed) <= 1e-14
+    # the same check fails a rule of order 48, which is 1e-10 off
+    monkeypatch.setattr(solver, "semi_infinite_rule", semi_infinite_rule)
+    assert worst(solver._kinetic_excess(nu, 48)) > 1e-11
 
 
 def test_massless_solve_loads_no_rule(monkeypatch):
