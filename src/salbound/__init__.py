@@ -53,10 +53,8 @@ _EXPORTS = {
         "model_status",
         "ratio_table",
     ),
-    "solver": (
-        "SpectrumResult",
-        "ground_energy",
-    ),
+    "solver": ("ground_energy",),
+    "spectrum": ("SpectrumResult",),
 }
 
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -8,10 +8,12 @@ for the massless linear potential.  Here each row is solved numerically, the
 model-operator bound is also proved for harmonic pair potentials, and the
 upper bound comes from a product Gaussian trial state in relative
 coordinates, optimized over its scale: N times the minimum over sigma of the
-model operator's expectation in one Gaussian (``solver.pair_expectation``,
-the one-Gaussian case of the solver's basis) in natural units, by a grid
-zoom in log sigma (:func:`gaussian_upper`).  This module runs no quadrature
-of its own.
+model operator's expectation in one Gaussian (:func:`gaussian_upper`).  At
+m = 0 that minimum is a closed form; at m > 0 it is a grid zoom in log sigma
+over ``solver.pair_expectation``, the one-Gaussian case of the solver's
+basis, in natural units.  This module runs no quadrature of its own, and
+loads numpy and ``solver`` only where it uses them, so a massless bound
+solved by ``spectrum.massless_ground_energy`` loads neither.
 
 Every row is solved in its natural units (``reductions.natural_units``): a
 dilation maps its reduced operator to a multiple of the canonical operator
@@ -29,8 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .potentials import Harmonic, PairPotential, require_finite
 from .reductions import (
     _MODEL,
@@ -46,7 +46,7 @@ from .reductions import (
     natural_units,
     require_particle_count,
 )
-from .solver import SpectrumResult, ground_energy, pair_expectation
+from .spectrum import SpectrumResult, massless_pair_expectation
 
 #: Interval of the Gaussian's momentum width sigma searched in natural units.
 GAUSSIAN_SCALE_INTERVAL = (0.05, 20.0)
@@ -55,6 +55,8 @@ GAUSSIAN_SCALE_INTERVAL = (0.05, 20.0)
 #: which it stops: 6 grids across ``GAUSSIAN_SCALE_INTERVAL``.
 ZOOM_POINTS = 33
 ZOOM_SPACING = 1e-6
+
+_PINNED = "Gaussian scale optimum sits at the {end} endpoint of its search interval"
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,16 @@ class UpperBoundResult:
     warnings: list[str]
 
 
-def _bounds(spec: ProblemSpec, config) -> Callable[[Reduction], BoundResult]:
-    """row -> lower bound of ``spec`` from that reduction.
+def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
+    """``solver.ground_energy``, the default solve of :func:`compute_bounds`,
+    imported on its first call."""
+    from .solver import ground_energy
+
+    return ground_energy(h, config)
+
+
+def _bounds(spec: ProblemSpec, config, solve) -> Callable[[Reduction], BoundResult]:
+    """row -> lower bound of ``spec`` from that reduction, by ``solve``.
 
     Each row's reduced operator sqrt(lam p^2 + m^2) + (N-1)/2 V is energy
     times its canonical operator dilated by a length
@@ -108,14 +118,14 @@ def _bounds(spec: ProblemSpec, config) -> Callable[[Reduction], BoundResult]:
     share one solve, read off with their own energy and length.
     """
     gamma = (spec.n - 1) / 2.0
-    solve = functools.cache(lambda canonical: ground_energy(canonical, config))
+    solved = functools.cache(lambda canonical: solve(canonical, config))
 
     def bound(row: Reduction) -> BoundResult:
         lam = row.lam(spec.n)
         canonical, energy, length = natural_units(
             ReducedHamiltonian(1.0, lam, gamma, spec.mass, spec.potential)
         )
-        spectrum = solve(canonical).dilated(energy, length)
+        spectrum = solved(canonical).dilated(energy, length)
         return BoundResult(
             value=spec.n * spectrum.ground_energy,
             kinetic_factor=lam,
@@ -137,6 +147,8 @@ def zoom_log_minimum(f, lo: float, hi: float):
     grid that still reaches an end of [lo, hi] holds that end itself, and a
     flag is set where the least point is that end.
     """
+    import numpy as np
+
     ends = math.log(lo), math.log(hi)
     a, b = ends
     while True:
@@ -158,32 +170,46 @@ def gaussian_upper(spec: ProblemSpec) -> UpperBoundResult:
     Boson symmetry collapses the expectation to a single relative pair: the
     energy at Gaussian length sigma is N times the expectation of the model
     operator sqrt(lam p^2 + m^2) + (N-1)/2 V (``lam`` of the model-operator
-    reduction) in one Gaussian of momentum width 1/sigma.  So the bound is N
-    times the least one-Gaussian energy of that operator in its natural units
-    (``reductions.natural_units``; ``solver.pair_expectation`` at a = sigma^2
-    and c = 1/sigma^2), zoomed in on over the momentum widths of
-    ``GAUSSIAN_SCALE_INTERVAL`` by :func:`zoom_log_minimum` and scaled back,
-    and ``optimal_scale`` is the length sigma.  A massless single term
-    c r^k with k > 0 has its optimum in closed form instead, from the pair
-    moments <|p|> = (2/sqrt(pi))/sigma and <r^k> = sigma^k Γ((3+k)/2)/Γ(3/2)
-    (the linear one is ``reductions.upper_gaussian_linear``).
+    reduction) in one Gaussian of momentum width 1/sigma, and
+    ``optimal_scale`` is the length sigma at its least value.
+
+    At m = 0 the pair moments <|p|> = (2/sqrt(pi))/sigma and
+    <r^k> = sigma^k Γ((3+k)/2)/Γ(3/2) make it A/sigma + sum B_k sigma^k, and a
+    Coulomb term's <1/r> adds to A: a confining term c r^k has its optimum in
+    closed form (the linear one is ``reductions.upper_gaussian_linear``), and
+    pure Coulomb, whose A/sigma falls towards 0 at ever larger lengths, is
+    taken at the widest Gaussian of ``GAUSSIAN_SCALE_INTERVAL``, with a
+    warning (``spectrum.massless_pair_expectation`` in natural units).
+
+    At m > 0 the bound is N times the least one-Gaussian energy of that
+    operator in its natural units (``reductions.natural_units``;
+    ``solver.pair_expectation`` at a = sigma^2 and c = 1/sigma^2), zoomed in
+    on over the momentum widths of ``GAUSSIAN_SCALE_INTERVAL`` by
+    :func:`zoom_log_minimum` and scaled back.
     """
-    terms = spec.potential.terms()
-    if spec.mass == 0.0 and len(terms) == 1 and terms[0][1] > 0.0:
-        kinetic, (power,) = _massless_gaussian(spec.n, terms)
-        value, sigma = _power_optimum(kinetic, *power)
-        return UpperBoundResult(value=value, optimal_scale=sigma, warnings=[])
+    # refuses a collapsing or out-of-range operator
     canonical, energy, length = natural_units(
         ReducedHamiltonian(1.0, _MODEL.lam(spec.n), (spec.n - 1) / 2.0, spec.mass, spec.potential)
     )
+    if spec.mass == 0.0:
+        kinetic, terms = _massless_gaussian(spec.n, spec.potential.terms())
+        kinetic += sum(b for b, k in terms if k == -1.0)
+        confining = [(b, k) for b, k in terms if k > 0.0]
+        if confining:
+            value, sigma = _power_optimum(kinetic, *confining[0])
+            return UpperBoundResult(value=value, optimal_scale=sigma, warnings=[])
+        # the energy (M_1 - v' M_-1) s falls with the momentum width s
+        s = GAUSSIAN_SCALE_INTERVAL[0]
+        least = massless_pair_expectation(canonical, s * s, 1.0 / (s * s))
+        return UpperBoundResult(spec.n * (energy * least), 1.0 / (s / length), [_PINNED.format(end="lower")])
+    from .solver import pair_expectation
+
     sigma, least, at_lower, at_upper = zoom_log_minimum(
         lambda s: canonical.mass + pair_expectation(canonical, s * s, 1.0 / (s * s)),
         *GAUSSIAN_SCALE_INTERVAL,
     )
     warnings = [
-        f"Gaussian scale optimum sits at the {end} endpoint of its search interval"
-        for end, pinned in (("lower", at_lower), ("upper", at_upper))
-        if pinned
+        _PINNED.format(end=end) for end, pinned in (("lower", at_lower), ("upper", at_upper)) if pinned
     ]
     return UpperBoundResult(spec.n * (energy * least), 1.0 / (sigma / length), warnings)
 
@@ -213,16 +239,22 @@ class BoundSet:
         return {k: r.value for k, r in self.lower_results().items() if r is not None}
 
 
-def compute_bounds(spec: ProblemSpec, config: SolverConfig | None = None) -> BoundSet:
+def compute_bounds(
+    spec: ProblemSpec,
+    config: SolverConfig | None = None,
+    solve: Callable[[ReducedHamiltonian, SolverConfig | None], SpectrumResult] | None = None,
+) -> BoundSet:
     """Evaluate every applicable bound and validate the sandwich.
 
-    Reductions with the same canonical operator share one solve, and a
-    massless single-term power law needs one solve for all of them (see
-    :func:`_bounds`).  The Gaussian upper bound must dominate every lower
-    bound; a violation beyond the solver's own convergence scale indicates an
-    internal error and raises RuntimeError.
+    ``solve`` is the basis solve of the lower bounds, :func:`ground_energy`
+    by default; the command line passes ``spectrum.massless_ground_energy``
+    for massless problems on small bases.  Reductions with the same canonical
+    operator share one solve, and a massless single-term power law needs one
+    solve for all of them (see :func:`_bounds`).  The Gaussian upper bound
+    must dominate every lower bound; a violation beyond the solver's own
+    convergence scale indicates an internal error and raises RuntimeError.
     """
-    lower, reasons = _table(spec.n, spec.mass, _bounds(spec, config))
+    lower, reasons = _table(spec.n, spec.mass, _bounds(spec, config, solve or ground_energy))
     upper = gaussian_upper(spec)
 
     bounds = BoundSet(spec, **lower, status=conjecture_status(spec), upper=upper, reasons=reasons)

@@ -14,7 +14,8 @@ JSON config file supplies defaults; flags given on the command line win.  Its
 keys are the long flag names of any subcommand, with dashes or underscores, so
 one file can serve several commands; a key that names no flag, or an ``out``
 that is not a string, is a usage error.  Exit codes: 0 success, 2 usage error,
-3 solver stability error, 4 negative-mean finding in a proven regime.
+3 solver stability error, 4 negative-mean finding in a proven regime, 5
+internal error (a lower bound above the Gaussian upper bound).
 
 Each flag is declared once in ``_FLAGS`` (its check and help text) and each
 subcommand once in ``_COMMANDS``; the parser, the config rules, the report
@@ -29,9 +30,11 @@ import math
 import os
 import sys
 
-# Only numpy-free modules load here; solver, bounds, delta, csv and json load
-# inside the handlers and renderers that use them, so the closed-form commands,
-# the stability refusal and usage errors never load numpy.
+# Only numpy-free modules load here; spectrum, solver, bounds, delta, csv and
+# json load inside the handlers and renderers that use them.  The closed-form
+# commands, the stability refusal and usage errors never load numpy, and
+# neither do massless `solve` and `bounds` up to PURE_PYTHON_MAX_BASIS
+# Gaussians, which run spectrum.massless_ground_energy.
 from . import __version__
 from .potentials import PotentialParseError, parse_potential
 from .reductions import (
@@ -49,12 +52,24 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_STABILITY = 3
 EXIT_VERIFICATION = 4
+EXIT_INTERNAL = 5
+
+#: Largest basis size that a massless `solve` or `bounds` runs in pure Python
+#: (``spectrum.massless_ground_energy``).  Up to it the pure-Python solve,
+#: which grows as K^3, costs less than importing numpy, and it agrees with
+#: the numpy solve to roundoff.
+PURE_PYTHON_MAX_BASIS = 45
 
 UNITS_NOTE = "hbar = c = 1"
 
 
 class UsageError(ValueError):
     """Invalid flag or config value; maps to exit code 2."""
+
+
+class InternalError(RuntimeError):
+    """A lower bound above the Gaussian upper bound, caught by the guard of
+    ``bounds.compute_bounds``; maps to exit code 5."""
 
 
 def _g(value: float) -> str:
@@ -171,6 +186,18 @@ def _solver_config(opt: _Options) -> SolverConfig:
     return SolverConfig(basis_size=opt["basis-size"])
 
 
+def _solve(mass: float, config: SolverConfig):
+    """The basis solve for this mass and basis size: pure Python where it is
+    massless and small, else numpy's."""
+    if mass == 0.0 and config.basis_size <= PURE_PYTHON_MAX_BASIS:
+        from .spectrum import massless_ground_energy
+
+        return massless_ground_energy
+    from .solver import ground_energy
+
+    return ground_energy
+
+
 # --- solve -----------------------------------------------------------------
 
 def cmd_solve(opt: _Options) -> tuple[dict, int]:
@@ -181,9 +208,7 @@ def cmd_solve(opt: _Options) -> tuple[dict, int]:
     config = _solver_config(opt)
     # refuse an unbounded or out-of-range operator before numpy loads
     natural_units(hamiltonian)
-    from .solver import ground_energy
-
-    result = ground_energy(hamiltonian, config)
+    result = _solve(hamiltonian.mass, config)(hamiltonian, config)
     return {
         "problem": {
             "beta": hamiltonian.beta,
@@ -197,7 +222,7 @@ def cmd_solve(opt: _Options) -> tuple[dict, int]:
             "ground_energy": result.ground_energy,
             "basis_range": list(result.basis_range),
             "convergence_estimate": result.convergence_estimate,
-            "coefficients": result.coefficients.tolist(),
+            "coefficients": [float(c) for c in result.coefficients],
             "warnings": list(result.warnings),
         },
     }, EXIT_OK
@@ -242,7 +267,10 @@ def cmd_bounds(opt: _Options) -> tuple[dict, int]:
     from .bounds import ProblemSpec, compute_bounds
 
     spec = ProblemSpec(n=n, mass=mass, potential=potential)
-    bounds = compute_bounds(spec, config)
+    try:
+        bounds = compute_bounds(spec, config, _solve(mass, config))
+    except RuntimeError as exc:
+        raise InternalError(str(exc)) from None
 
     lower = bounds.lower_results()
     diagnostics = {}
@@ -529,6 +557,9 @@ def main(argv: list[str] | None = None) -> int:
     except StabilityError as exc:
         print(f"stability error: {exc}", file=sys.stderr)
         return EXIT_STABILITY
+    except InternalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

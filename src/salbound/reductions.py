@@ -49,6 +49,16 @@ _E = LINEAR_GROUND_ENERGY
 _MU_MAX = 2.0**480
 
 
+#: Largest exponent k of a confining term r^k.  Above it the widest
+#: Gaussians' <r^k> swamps the reduced matrix, and the solve reports a wrong
+#: energy with a convergence estimate about equal to it: from k = 10 at
+#: K = 40, k = 8 at K = 60 and k = 4.5 at K = 120.  At k = 4 every K from 24
+#: to 120, at m = 0, 1 and 30, keeps the estimate within 1.4e-5 of the
+#: energy (the worst near K = 107, where roundoff starts to count; 4.4e-8 at
+#: k = 3.5).
+MAX_CONFINING_EXPONENT = 4.0
+
+
 class StabilityError(ValueError):
     """The requested operator is unbounded below."""
 
@@ -143,7 +153,8 @@ def natural_units(h: ReducedHamiltonian) -> tuple[ReducedHamiltonian, float, flo
     Raises StabilityError where the effective Coulomb coupling v' reaches
     2/pi: the operator is then unbounded below for every mass, since the
     collapse happens at short distance where the mass and any confining tail
-    are negligible.  Raises ValueError where beta sqrt(lam), gamma c, v', s,
+    are negligible.  Raises ValueError where the exponent k exceeds
+    :data:`MAX_CONFINING_EXPONENT`, and where beta sqrt(lam), gamma c, v', s,
     the energy or, at m > 0, mu or mu^2 falls outside the floating-point
     range.
     """
@@ -158,6 +169,11 @@ def natural_units(h: ReducedHamiltonian) -> tuple[ReducedHamiltonian, float, flo
     confining = [(c, k) for c, k in h.potential.terms() if k > 0.0]
     if confining:
         ((c, k),) = confining
+        if k > MAX_CONFINING_EXPONENT:
+            raise ValueError(
+                f"confining exponent {k:g} is above {MAX_CONFINING_EXPONENT:g}, beyond what "
+                f"the Gaussian basis resolves"
+            )
         strength = _in_range("confining coefficient gamma c", h.gamma * c)
         length = (kinetic / strength) ** (1.0 / (k + 1.0))
         mu = h.mass * length / root

@@ -11,7 +11,7 @@ sqrt(p^2 + mu^2) + r^k - v'/r, which is solved here and scaled back.
 
 The Rayleigh-Ritz basis is a fixed geometric set of unit-normalised s-wave
 Gaussians exp(-r^2/r_i^2), the Gaussian expansion method of Hiyama, Kino and
-Kamimura (Prog. Part. Nucl. Phys. 51 (2003) 223).  :func:`basis_radii`
+Kamimura (Prog. Part. Nucl. Phys. 51 (2003) 223).  ``spectrum.basis_radii``
 places them by one rule, so nothing is searched.  The product of two of them
 is a Gaussian, so each matrix element is their overlap times the expectation
 of the operator in a Gaussian pair density (:func:`pair_expectation`): with
@@ -31,20 +31,22 @@ original basis: a variational upper bound for that vector, accurate to about
 the Gaussians, a principal submatrix that needs no new matrix elements.
 
 The Gaussian upper bound of ``bounds`` evaluates its one-Gaussian trial
-states by :func:`pair_expectation`.  The operator, the basis size and the
-closed forms of the massless linear case are in ``reductions``; this module
-holds only the basis solve.
+states at m > 0 by :func:`pair_expectation`.  The operator, the basis size
+and the closed forms of the massless linear case are in ``reductions``; the
+basis rule, the result type and the range warnings are in ``spectrum``,
+which also runs this solve without numpy at m = 0.  This module holds the
+numpy solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .quadrature import semi_infinite_rule
 from .reductions import ReducedHamiltonian, SolverConfig, _pair_moment, natural_units
+from .spectrum import _MOMENT_1, SpectrumResult, basis_radii, centred_half, range_warnings
 
 #: Order of the kinetic pair integral's rule.  The self-check runs it at
 #: twice the order, and both rules ship with the package.  Orders 100 and 200
@@ -55,93 +57,6 @@ KINETIC_ORDER = 100
 #: Relative change between the rule and its doubled-order version above which
 #: a quadrature warning is recorded.
 QUADRATURE_SELF_CHECK_TOL = 1e-10
-
-#: Least ratio r_{i+1}/r_i of neighbouring Gaussian radii.  Closer Gaussians
-#: make the overlap worse conditioned without representing more.
-MIN_RADIUS_RATIO = 1.19
-
-#: Largest ratio of neighbouring radii on a Coulomb grid: a sparser grid
-#: resolves the bulk of the state worse than the cusp gains (at K = 24 the
-#: ratio 1.70 over the whole span left a weak Coulomb+linear state 3e-6
-#: above the oscillator basis).
-MAX_RADIUS_RATIO = 1.5
-
-#: Radius span (r_lo, r_hi) in natural units of the grid of a canonical
-#: operator with a Coulomb term, with a linear term and without one: the
-#: small radii resolve the Coulomb cusp, and a pure Coulomb state reaches
-#: further out.
-_COULOMB_SPAN = (1e-4, 20.0)
-_PURE_COULOMB_SPAN = (1e-4, 40.0)
-
-#: Weight of the ground state on the first or the last Gaussian (the part of
-#: the state that only that Gaussian supplies) above which a range warning is
-#: recorded.  Over the shapes r^k (k = 0.5..2.5, mu = 0..30) and Coulomb
-#: (+linear) at v' = 0.13..0.446 it is at most 1.2e-6 at K = 24 (r^0.5,
-#: mu = 0) and 1.2e-10 at K = 40; it is 1.6e-5 for heavy linear:8 at
-#: m = 1e5 and 0.16 for massless coulomb:0.3 at K = 40.
-EDGE_WEIGHT_TOL = 4e-6
-
-#: M_1 = <|p|> sqrt(c) of a Gaussian pair density, 2/sqrt(pi).
-_MOMENT_1 = _pair_moment(1.0)
-
-
-@dataclass
-class SpectrumResult:
-    """Variational ground state with convergence diagnostics.
-
-    ``ground_energy`` is the energy in the operator's own units, a
-    variational upper bound on its spectral bottom.  ``basis_range`` is
-    (r_1, r_K), the radii of the narrowest and the widest Gaussian in the
-    operator's own length units; the radii between are in geometric
-    progression.  ``coefficients`` are the ground state's coefficients on
-    the unit-normalised Gaussians, ascending in radius, normalised to
-    x.S x = 1 with S their overlap, with the first entry above 1e-12 in
-    magnitude positive.  ``matrix`` is the Rayleigh-Ritz matrix of the
-    canonical operator less its rest mass mu (which adds mu S).  Both arrays
-    are read-only.
-    """
-
-    ground_energy: float
-    basis_range: tuple[float, float]
-    coefficients: np.ndarray = field(repr=False, compare=False)
-    matrix: np.ndarray = field(repr=False, compare=False)
-    convergence_estimate: float
-    warnings: list[str] = field(default_factory=list)
-
-    def dilated(self, energy: float, length: float) -> SpectrumResult:
-        """This spectrum, of a canonical operator, as that of ``energy`` times
-        it dilated by r -> ``length`` r: energies times ``energy``, radii times
-        ``length``, coefficients, matrices and warnings as they are."""
-        lo, hi = self.basis_range
-        return SpectrumResult(
-            ground_energy=energy * self.ground_energy,
-            basis_range=(lo * length, hi * length),
-            coefficients=self.coefficients,
-            matrix=self.matrix,
-            convergence_estimate=energy * self.convergence_estimate,
-            warnings=list(self.warnings),
-        )
-
-
-def basis_radii(canonical: ReducedHamiltonian, basis_size: int) -> np.ndarray:
-    """Radii r_i of the basis Gaussians exp(-r^2/r_i^2) of a canonical
-    operator, ascending and in natural units, in geometric progression.
-
-    A confining term alone gets the ratio :data:`MIN_RADIUS_RATIO`, centred
-    in log on radius 1, the natural length.  A Coulomb term gets the span
-    (r_lo, r_hi) of ``_COULOMB_SPAN`` or, alone, ``_PURE_COULOMB_SPAN``: the
-    widest Gaussian sits at r_hi, and the ratio (r_hi/r_lo)^(1/(K-1)) is kept
-    from :data:`MIN_RADIUS_RATIO` to :data:`MAX_RADIUS_RATIO`, so the
-    narrowest reaches r_lo from K = 32 (33 alone) and goes below it beyond
-    K = 71 (75).
-    """
-    steps = np.arange(basis_size) - (basis_size - 1.0)
-    if canonical.potential.coulomb_strength() == 0.0:
-        return MIN_RADIUS_RATIO ** (steps + (basis_size - 1) / 2.0)
-    lo, hi = _PURE_COULOMB_SPAN if len(canonical.potential.terms()) == 1 else _COULOMB_SPAN
-    ratio = min(MAX_RADIUS_RATIO, max(MIN_RADIUS_RATIO, (hi / lo) ** (1.0 / (basis_size - 1))))
-    return hi * ratio**steps
-
 
 def _kinetic_excess(nu: np.ndarray, order: int) -> np.ndarray:
     """(4/sqrt(pi)) ∫ y^4 e^(-y^2) / (sqrt(y^2 + nu^2) + nu) dy over [0, inf)
@@ -246,17 +161,6 @@ def _self_check(canonical: ReducedHamiltonian, radii: np.ndarray) -> list[str]:
     ]
 
 
-def _range_warnings(weights: np.ndarray) -> list[str]:
-    """One warning per edge Gaussian whose weight exceeds :data:`EDGE_WEIGHT_TOL`."""
-    return [
-        f"the ground state has weight {weight:.1e} on the Gaussian at the {end} endpoint "
-        f"of the basis range (above {EDGE_WEIGHT_TOL:.0e}); the range does not cover "
-        f"this operator's length scales"
-        for end, weight in zip(("lower", "upper"), weights)
-        if weight > EDGE_WEIGHT_TOL
-    ]
-
-
 def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
     """Bottom of the spectrum of H by Rayleigh-Ritz on ``config.basis_size``
     geometric Gaussians.
@@ -271,14 +175,12 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
     """
     cfg = config if config is not None else SolverConfig()
     h, energy, length = natural_units(h)
-    radii = basis_radii(h, cfg.basis_size)
+    radii = np.array(basis_radii(h, cfg.basis_size))
     overlap, matrix = _matrices(h, radii)
     lowest, vector, weights = _lowest(overlap, matrix)
-    half = cfg.basis_size // 2
-    block = slice((cfg.basis_size - half) // 2, (cfg.basis_size + half) // 2)
+    block = centred_half(cfg.basis_size)
     estimate = abs(_lowest(overlap[block, block], matrix[block, block])[0] - lowest)
-    pivot = np.flatnonzero(np.abs(vector) > 1e-12)
-    if pivot.size and vector[pivot[0]] < 0.0:
+    if (overlap @ vector).sum() < 0.0:
         vector = -vector
     vector.setflags(write=False)
     return SpectrumResult(
@@ -287,6 +189,6 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
         coefficients=vector,
         matrix=matrix,
         convergence_estimate=estimate,
-        warnings=_self_check(h, radii) + _range_warnings(weights),
+        warnings=_self_check(h, radii) + range_warnings(weights),
     ).dilated(energy, length)
 

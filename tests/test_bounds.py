@@ -271,14 +271,49 @@ def test_massless_coulomb_plus_linear_gaussian_upper_at_large_n():
 
 
 def test_massless_coulomb_gaussian_upper_pins_at_the_widest_gaussian():
-    # the energy (A - B)/sigma is scale-free: the search stops at the lower
-    # end of its momentum-width interval, the Gaussian length 20 in natural
-    # units (1 for massless Coulomb)
+    # the energy (A - B)/sigma is scale-free: it is taken at the lower end of
+    # the momentum-width interval, the Gaussian length 20 in natural units
+    # (1 for massless Coulomb)
     result = gaussian_upper(ProblemSpec(4, 0.0, Coulomb(0.1)))
     assert result.warnings == ["Gaussian scale optimum sits at the lower endpoint of its search interval"]
     assert result.optimal_scale == 20.0
     moment = 2.0 / math.sqrt(math.pi)  # <|p|> sigma = <1/r> sigma
     assert result.value == pytest.approx((4.0 * math.sqrt(1.5) - 6.0 * 0.1) * moment / 20.0, rel=1e-13)
+
+
+def zoomed_upper(spec):
+    """N times the grid zoom of the model operator's one-Gaussian energy in
+    natural units over the whole interval, scaled back: (value, scale, pinned ends)."""
+    model = ReducedHamiltonian(1.0, 2.0 * (spec.n - 1) / spec.n, (spec.n - 1) / 2.0, spec.mass, spec.potential)
+    canonical, energy, length = natural_units(model)
+    sigma, least, at_lower, at_upper = zoom_log_minimum(
+        lambda s: canonical.mass + pair_expectation(canonical, s * s, 1.0 / (s * s)), 0.05, 20.0
+    )
+    return spec.n * (energy * least), 1.0 / (sigma / length), (at_lower, at_upper)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_massless_coulomb_uppers_are_the_zoom_in_closed_form(seed):
+    # a Coulomb term folds into the kinetic 1/sigma term: over 300 random
+    # problems the closed form is within 4.1e-15 of the zoom's least value,
+    # and above it only by roundoff, at most 4.2e-16 relative; pure Coulomb,
+    # taken at the interval's end, is the zoom's value bit for bit
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        n = int(rng.integers(2, 1000)) if rng.random() < 0.3 else int(rng.integers(2, 11))
+        v = rng.uniform(0.01, 0.99) * (2.0 / math.pi) * 2.0 / (n - 1)
+        spec = ProblemSpec(n, 0.0, CoulombPlusLinear(v, rng.uniform(0.1, 3.0)))
+        result = gaussian_upper(spec)
+        value, scale, pinned = zoomed_upper(spec)
+        assert pinned == (False, False) and result.warnings == []
+        assert result.value == pytest.approx(value, rel=5e-15)
+        assert result.value <= value * (1.0 + 1e-15)
+        assert result.optimal_scale == pytest.approx(scale, rel=1e-6)
+        spec = ProblemSpec(n, 0.0, Coulomb(v))
+        result = gaussian_upper(spec)
+        value, scale, pinned = zoomed_upper(spec)
+        assert pinned == (True, False)
+        assert (result.value, result.optimal_scale) == (value, scale)
 
 
 def test_gaussian_upper_dominates_two_body_energy_with_mass():
@@ -298,17 +333,11 @@ def test_gaussian_upper_dominates_two_body_energy_with_mass():
     ids=["linear", "coulomb+linear", "coulomb"],
 )
 def test_massive_gaussian_upper_is_the_scale_search_at_basis_size_1(spec):
-    # N times the grid zoom of the one-Gaussian energy of the model operator
-    # in natural units, over the whole interval, scaled back bit for bit
-    model = ReducedHamiltonian(1.0, 2.0 * (spec.n - 1) / spec.n, (spec.n - 1) / 2.0, spec.mass, spec.potential)
-    canonical, energy, length = natural_units(model)
-    sigma, least, at_lower, at_upper = zoom_log_minimum(
-        lambda s: canonical.mass + pair_expectation(canonical, s * s, 1.0 / (s * s)), 0.05, 20.0
-    )
+    # the zoom of zoomed_upper, scaled back bit for bit
+    value, scale, pinned = zoomed_upper(spec)
     result = gaussian_upper(spec)
-    assert result.value == spec.n * (energy * least)
-    assert result.optimal_scale == 1.0 / (sigma / length)
-    assert not (at_lower or at_upper) and result.warnings == []
+    assert (result.value, result.optimal_scale) == (value, scale)
+    assert pinned == (False, False) and result.warnings == []
 
 
 # --- scale search against a reference golden section ----------------------------

@@ -120,6 +120,46 @@ def test_out_of_range_natural_units_exit_2(capsys, argv, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["solve", "bounds"])
+def test_confining_exponent_above_4_exits_2_at_every_basis_size(capsys, command):
+    # power:1,10 printed 24.8329 at K = 40 against 2.40587 at K = 24, with a
+    # convergence estimate about equal to the energy, and exited 0
+    from salbound.cli import main
+
+    for size in range(2, 121):
+        argv = [command, "--mass", "0", "--potential", "power:1,4.5", "--basis-size", str(size)]
+        assert main(argv) == 2, size
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: confining exponent 4.5 is above 4, beyond what the Gaussian basis resolves\n"
+        )
+        assert captured.out == ""
+    assert main(["solve", "--mass", "0", "--potential", "power:1,4", "--basis-size", "120"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, lower, upper",
+    [
+        (["bounds", "--n", "2", "--mass", "0", "--potential", "coulomb+linear:0.6,1",
+          "--basis-size", "2"], 13.68, 2.67),
+        (["bounds", "--n", "1000", "--mass", "0", "--potential", "power:2,0.01"], 999640.0, 991017.0),
+    ],
+    ids=["coulomb+linear-two-gaussians", "power-0.01-at-large-n"],
+)
+def test_sandwich_violation_exits_5_with_one_error_line(capsys, argv, lower, upper):
+    # the guard of compute_bounds used to end in a RuntimeError traceback
+    from salbound.cli import EXIT_INTERNAL, main
+
+    assert main(argv) == EXIT_INTERNAL == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: internal error: lower bound n2 = ")
+    assert "exceeds the Gaussian upper bound" in line
+    values = [float(word) for word in line.replace("=", " ").split() if word[0].isdigit()]
+    assert values[-2:] == [pytest.approx(lower, rel=1e-3), pytest.approx(upper, rel=1e-3)]
+
+
 def test_pinned_scale_gets_one_warning_without_a_scale(capsys):
     # the heavy mass wants Gaussians narrower than the grid's narrowest; the
     # one warning names that end and its weight but no length, so that it
@@ -728,5 +768,7 @@ def test_solve_json_coefficients_come_from_one_eigh(capsys, monkeypatch):
     assert coefficients.tolist() == result.coefficients.tolist()
     from golden_reference import gaussian_overlap
 
-    assert coefficients @ gaussian_overlap(result) @ coefficients == pytest.approx(1.0, rel=1e-12)
-    assert coefficients[np.flatnonzero(np.abs(coefficients) > 1e-12)[0]] > 0.0
+    overlap = gaussian_overlap(result)
+    assert coefficients @ overlap @ coefficients == pytest.approx(1.0, rel=1e-12)
+    # the sign makes the state's overlap with the sum of the Gaussians positive
+    assert (overlap @ coefficients).sum() > 0.0

@@ -42,8 +42,8 @@ def test_import_salbound_loads_no_submodule():
 def test_import_cli_loads_only_what_every_command_needs():
     loaded = new_modules("import salbound.cli")
     assert "salbound.reductions" in loaded
-    lazy = {"numpy", "salbound.solver", "salbound.quadrature", "salbound.bounds",
-            "salbound.delta", "concurrent.futures", "csv", "json"}
+    lazy = {"numpy", "salbound.spectrum", "salbound.solver", "salbound.quadrature",
+            "salbound.bounds", "salbound.delta", "concurrent.futures", "csv", "json"}
     assert not loaded & lazy
 
 
@@ -85,6 +85,73 @@ def run_main(argv: list[str], prelude: str = "") -> tuple[int, set[str]]:
 def test_closed_forms_refusals_and_usage_errors_run_without_numpy(argv, code):
     # with numpy blocked, any import of it fails the command
     assert run_main(argv, prelude='sys.modules["numpy"] = None')[0] == code
+
+
+def run_mains(argvs: list[list[str]], prelude: str = "") -> tuple[list[int], set[str]]:
+    """Exit codes of ``cli.main`` on each of ``argvs`` in turn, in one fresh
+    interpreter that first runs ``prelude``, and the modules loaded by then."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        f"{prelude}\n"
+        "from salbound.cli import main\n"
+        "codes = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = json.loads(proc.stdout)
+    return codes, set(modules)
+
+
+MASSLESS_POTENTIALS = ["linear:1.3", "harmonic:0.8", "power:1.1,1.5", "coulomb+linear:0.3,1",
+                       "coulomb:0.3"]
+
+
+@pytest.mark.parametrize("command", ["solve", "bounds"])
+def test_massless_solve_and_bounds_run_without_numpy_up_to_the_crossover(command):
+    from salbound.cli import PURE_PYTHON_MAX_BASIS
+
+    # with numpy blocked, any import of it fails the command; n = 5 gives
+    # massless Coulomb rows four distinct solves
+    argvs = [
+        [command, *(["--n", "5"] if command == "bounds" else []), "--mass", "0",
+         "--potential", potential, "--basis-size", str(size), "--format", fmt]
+        for potential in MASSLESS_POTENTIALS
+        for size in (2, 24, 40, PURE_PYTHON_MAX_BASIS)
+        for fmt in ("text", "json", "csv")
+    ]
+    codes, loaded = run_mains(argvs, prelude='sys.modules["numpy"] = None')
+    assert "salbound.spectrum" in loaded
+    assert not loaded & {"salbound.solver", "salbound.quadrature"}
+    # the exit codes of the numpy solve: 0, but 5 for two-Gaussian
+    # coulomb+linear bounds, whose n2 row lies above the upper bound
+    numpy_codes, loaded = run_mains(argvs, prelude="import salbound.cli as c; c.PURE_PYTHON_MAX_BASIS = 0")
+    assert "salbound.solver" in loaded
+    assert codes == numpy_codes
+    assert set(codes) == ({0, 5} if command == "bounds" else {0})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--mass", "0", "--basis-size", "PAST"],
+        ["bounds", "--n", "4", "--mass", "0", "--basis-size", "PAST"],
+        ["solve", "--mass", "0.5", "--basis-size", "2"],
+        ["bounds", "--n", "4", "--mass", "0.5", "--basis-size", "2"],
+    ],
+    ids=["solve-above-crossover", "bounds-above-crossover", "solve-massive", "bounds-massive"],
+)
+def test_numpy_solves_above_the_crossover_and_at_positive_mass(argv):
+    from salbound.cli import PURE_PYTHON_MAX_BASIS
+
+    argv = [str(PURE_PYTHON_MAX_BASIS + 1) if a == "PAST" else a for a in argv]
+    codes, loaded = run_mains([argv])
+    assert codes == [0]
+    assert {"numpy", "salbound.solver"} <= loaded
+    assert "salbound.spectrum" in loaded  # the result type and the basis rule
 
 
 def test_verify_delta_loads_none_of_the_solver_modules():

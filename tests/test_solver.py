@@ -17,13 +17,8 @@ from salbound.reductions import (
     StabilityError,
     natural_units,
 )
-from salbound.solver import (
-    EDGE_WEIGHT_TOL,
-    SpectrumResult,
-    basis_radii,
-    ground_energy,
-    pair_expectation,
-)
+from salbound.solver import ground_energy, pair_expectation
+from salbound.spectrum import EDGE_WEIGHT_TOL, SpectrumResult, basis_radii
 
 from golden_reference import gaussian_overlap, potential_value, reference_ground_energy
 from legendre_reference import semi_infinite_rule
@@ -492,7 +487,7 @@ def test_reported_energy_is_the_rayleigh_ritz_value_at_the_reported_scale(h, bas
     assert natural_units(canonical)[1:] == (1.0, 1.0)
     result = ground_energy(canonical, SolverConfig(basis_size=basis_size))
     x, matrix = result.coefficients, result.matrix
-    radii = basis_radii(canonical, basis_size)
+    radii = np.array(basis_radii(canonical, basis_size))
     assert result.basis_range == (radii[0], radii[-1])
     overlap = solver._matrices(canonical, radii)[0]
     np.testing.assert_allclose(overlap, gaussian_overlap(result), rtol=1e-13)
@@ -713,17 +708,30 @@ def test_massless_solve_loads_no_rule(monkeypatch):
     assert quadrature.SHIPPED_ORDERS == (100, 200)
 
 
+@pytest.mark.parametrize("mass", [0.0, 1.0, 30.0])
+def test_largest_confining_exponent_keeps_a_small_estimate(mass):
+    # at k = 4 the estimate stays within 1.4e-5 of the energy for every K
+    # from 24 to 120 (the worst near K = 107); at 4.5 the K = 120 solve
+    # reported 22064 with an estimate of 22062, so natural_units refuses it
+    h = ReducedHamiltonian(1.0, 1.0, 1.0, mass, PowerLaw(1.0, 4.0))
+    for size in (24, 40, 60, 80, 100, 107, 120):
+        result = ground_energy(h, SolverConfig(basis_size=size))
+        assert result.convergence_estimate <= 1.4e-5 * result.ground_energy, size
+    with pytest.raises(ValueError, match="confining exponent 4.5 is above 4"):
+        ground_energy(dataclasses.replace(h, potential=PowerLaw(1.0, 4.5)))
+
+
 def test_basis_radii_rule():
     linear = ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Linear(1.0))
-    radii = basis_radii(linear, 40)
+    radii = np.array(basis_radii(linear, 40))
     np.testing.assert_allclose(radii[1:] / radii[:-1], 1.19, rtol=1e-14)
     assert radii[0] * radii[-1] == pytest.approx(1.0, rel=1e-14)
     for potential, span in ((CoulombPlusLinear(0.2, 1.0), (1e-4, 20.0)), (Coulomb(0.2), (1e-4, 40.0))):
         h = ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, potential)
-        radii = basis_radii(h, 40)
+        radii = np.array(basis_radii(h, 40))
         np.testing.assert_allclose((radii[0], radii[-1]), span, rtol=1e-13)
         # the ratio stays within 1.19..1.5, with the widest Gaussian at r_hi
         for size, ratio in ((24, 1.5), (120, 1.19)):
-            radii = basis_radii(h, size)
+            radii = np.array(basis_radii(h, size))
             np.testing.assert_allclose(radii[1:] / radii[:-1], ratio, rtol=1e-14)
             assert radii[-1] == span[1]
