@@ -32,9 +32,9 @@ import sys
 
 # Only numpy-free modules load here; spectrum, solver, bounds, delta, csv and
 # json load inside the handlers and renderers that use them.  The closed-form
-# commands, the stability refusal and usage errors never load numpy, and
-# neither do massless `solve` and `bounds` up to PURE_PYTHON_MAX_BASIS
-# Gaussians, which run spectrum.massless_ground_energy.
+# commands, the refusals of an operator or a particle count and usage errors
+# never load numpy, and neither do massless `solve` and `bounds` up to
+# PURE_PYTHON_MAX_BASIS Gaussians, which run spectrum.massless_ground_energy.
 from . import __version__
 from .potentials import PotentialParseError, parse_potential
 from .reductions import (
@@ -45,7 +45,6 @@ from .reductions import (
     model_status,
     natural_units,
     ratio_table,
-    require_particle_count,
 )
 
 EXIT_OK = 0
@@ -186,16 +185,14 @@ def _solver_config(opt: _Options) -> SolverConfig:
     return SolverConfig(basis_size=opt["basis-size"])
 
 
-def _solve(mass: float, config: SolverConfig):
-    """The basis solve for this mass and basis size: pure Python where it is
-    massless and small, else numpy's."""
+def _pure_solve(mass: float, config: SolverConfig):
+    """``spectrum.massless_ground_energy`` where the problem is massless and
+    its basis small, else None for numpy's solve."""
     if mass == 0.0 and config.basis_size <= PURE_PYTHON_MAX_BASIS:
         from .spectrum import massless_ground_energy
 
         return massless_ground_energy
-    from .solver import ground_energy
-
-    return ground_energy
+    return None
 
 
 # --- solve -----------------------------------------------------------------
@@ -208,7 +205,10 @@ def cmd_solve(opt: _Options) -> tuple[dict, int]:
     config = _solver_config(opt)
     # refuse an unbounded or out-of-range operator before numpy loads
     natural_units(hamiltonian)
-    result = _solve(hamiltonian.mass, config)(hamiltonian, config)
+    solve = _pure_solve(hamiltonian.mass, config)
+    if solve is None:
+        from .solver import ground_energy as solve
+    result = solve(hamiltonian, config)
     return {
         "problem": {
             "beta": hamiltonian.beta,
@@ -259,16 +259,13 @@ def _csv_solve(report: dict):
 
 def cmd_bounds(opt: _Options) -> tuple[dict, int]:
     n, mass, potential, config = opt["n"], opt["mass"], opt["potential"], _solver_config(opt)
-    # refuse a particle count, an unbounded or an out-of-range operator before
-    # numpy loads: the n2 row comes first in the table and its lam = 1 gives
-    # the largest coupling
-    require_particle_count(n)
-    natural_units(ReducedHamiltonian(1.0, 1.0, (n - 1) / 2.0, mass, potential))
     from .bounds import ProblemSpec, compute_bounds
 
     spec = ProblemSpec(n=n, mass=mass, potential=potential)
     try:
-        bounds = compute_bounds(spec, config, _solve(mass, config))
+        # the spec refuses a particle count, and the n2 row, solved first, an
+        # unbounded or out-of-range operator, before numpy's solve loads
+        bounds = compute_bounds(spec, config, _pure_solve(mass, config))
     except RuntimeError as exc:
         raise InternalError(str(exc)) from None
 
@@ -407,7 +404,7 @@ def cmd_verify_delta(opt: _Options) -> tuple[dict, int]:
             }
         )
         if flagged:
-            findings.append(finding_document(state, stats))
+            findings.append(finding_document(state, stats, regime))
     verdict = "all-nonnegative" if not findings else "findings"
     report = {
         "n": n,

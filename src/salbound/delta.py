@@ -140,11 +140,7 @@ class SymmetrizedGaussianState:
         """Inverse of :meth:`to_dict`.  Other keys are ignored, so findings
         written with an extra per-state flag still load and replay to the
         same values."""
-        return cls(
-            weights=np.asarray(data["weights"], dtype=float),
-            centers=np.asarray(data["centers"], dtype=float),
-            widths=np.asarray(data["widths"], dtype=float),
-        )
+        return cls(weights=data["weights"], centers=data["centers"], widths=data["widths"])
 
 
 def random_state(n: int, rng: np.random.Generator) -> SymmetrizedGaussianState:
@@ -291,14 +287,12 @@ def expectation_delta(
     )
 
 
-def finding_document(state: SymmetrizedGaussianState, stats: DeltaStats) -> dict:
-    """Serializable record of a negative-mean finding, sufficient to reproduce it."""
-    # loaded here so that importing this module loads no potentials
-    from .reductions import model_status
-
+def finding_document(state: SymmetrizedGaussianState, stats: DeltaStats, regime: str) -> dict:
+    """Serializable record of a negative-mean finding, sufficient to reproduce
+    it, with the ``regime`` of its (n, mass): proven or conjectured."""
     return {
         "type": "negative-delta-expectation",
-        "regime": model_status(stats.n, stats.mass).label,
+        "regime": regime,
         "n": stats.n,
         "mass": stats.mass,
         "samples": stats.samples,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 
 class PotentialParseError(ValueError):
@@ -30,17 +31,17 @@ def require_finite(obj, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _num(x: float) -> str:
-    return format(float(x), "g")
-
-
 @dataclass(frozen=True)
 class PairPotential:
     """Base class of the potential family.
 
     Subclasses are immutable value objects, safe to share between threads.
-    ``terms()`` gives V as its power terms.  Every parameter must be finite.
+    ``terms()`` gives V as its power terms, and ``form`` names the shape in
+    the textual spec, whose parameters are the fields in order.  Every
+    parameter must be finite.
     """
+
+    form: ClassVar[str]
 
     def __post_init__(self):
         require_finite(self, *(f.name for f in fields(self)))
@@ -55,12 +56,15 @@ class PairPotential:
 
     def spec(self) -> str:
         """Textual form accepted by :func:`parse_potential`."""
-        raise NotImplementedError
+        values = (format(float(getattr(self, f.name)), "g") for f in fields(self))
+        return f"{self.form}:" + ",".join(values)
 
 
 @dataclass(frozen=True)
 class Linear(PairPotential):
     """V(r) = b r with slope b > 0 (energy per length)."""
+
+    form = "linear"
 
     slope: float
 
@@ -72,13 +76,12 @@ class Linear(PairPotential):
     def terms(self):
         return ((self.slope, 1.0),)
 
-    def spec(self) -> str:
-        return f"linear:{_num(self.slope)}"
-
 
 @dataclass(frozen=True)
 class Coulomb(PairPotential):
     """V(r) = -v/r with strength v > 0 (energy times length); always attractive."""
+
+    form = "coulomb"
 
     strength: float
 
@@ -90,13 +93,12 @@ class Coulomb(PairPotential):
     def terms(self):
         return ((-self.strength, -1.0),)
 
-    def spec(self) -> str:
-        return f"coulomb:{_num(self.strength)}"
-
 
 @dataclass(frozen=True)
 class Harmonic(PairPotential):
     """V(r) = v r^2 with v > 0 (energy per length squared)."""
+
+    form = "harmonic"
 
     strength: float
 
@@ -108,13 +110,12 @@ class Harmonic(PairPotential):
     def terms(self):
         return ((self.strength, 2.0),)
 
-    def spec(self) -> str:
-        return f"harmonic:{_num(self.strength)}"
-
 
 @dataclass(frozen=True)
 class CoulombPlusLinear(PairPotential):
     """V(r) = -v/r + b r with v >= 0 and b > 0."""
+
+    form = "coulomb+linear"
 
     coulomb: float
     slope: float
@@ -131,13 +132,12 @@ class CoulombPlusLinear(PairPotential):
             return ((self.slope, 1.0),)
         return ((self.slope, 1.0), (-self.coulomb, -1.0))
 
-    def spec(self) -> str:
-        return f"coulomb+linear:{_num(self.coulomb)},{_num(self.slope)}"
-
 
 @dataclass(frozen=True)
 class PowerLaw(PairPotential):
     """V(r) = c r^k with c > 0 and k > 0."""
+
+    form = "power"
 
     coefficient: float
     exponent: float
@@ -152,17 +152,8 @@ class PowerLaw(PairPotential):
     def terms(self):
         return ((self.coefficient, self.exponent),)
 
-    def spec(self) -> str:
-        return f"power:{_num(self.coefficient)},{_num(self.exponent)}"
 
-
-_FORMS = {
-    "linear": (Linear, 1),
-    "coulomb": (Coulomb, 1),
-    "harmonic": (Harmonic, 1),
-    "coulomb+linear": (CoulombPlusLinear, 2),
-    "power": (PowerLaw, 2),
-}
+_FORMS = {cls.form: cls for cls in (Linear, Coulomb, Harmonic, CoulombPlusLinear, PowerLaw)}
 
 
 def parse_potential(text: str) -> PairPotential:
@@ -175,7 +166,8 @@ def parse_potential(text: str) -> PairPotential:
     name = name.strip().lower()
     if name not in _FORMS:
         raise PotentialParseError(f"unknown potential form {name!r} in {text!r}")
-    cls, nargs = _FORMS[name]
+    cls = _FORMS[name]
+    nargs = len(fields(cls))
     if not sep:
         raise PotentialParseError(f"missing parameters after {name!r} in {text!r}")
     tokens = [tok.strip() for tok in rest.split(",")]

@@ -1,8 +1,9 @@
-"""Gauss-Legendre rules for radial integrals on the half line.
+"""The shipped Gauss-Legendre rules on [0, 1].
 
 Only the rules of ``SHIPPED_ORDERS`` exist: they ship with the package as
 ``.npy`` files, written and checked bit for bit by the Newton builder of the
-tests (``tests/legendre_reference.py``).
+tests (``tests/legendre_reference.py``).  The solver maps them to the half
+line itself (``solver._kinetic_excess``).
 """
 
 from __future__ import annotations
@@ -35,16 +36,3 @@ def unit_rule(order: int):
     u.setflags(write=False)
     w.setflags(write=False)
     return u, w
-
-
-def semi_infinite_rule(order: int, scale: float = 1.0):
-    """Rule for integrals over [0, inf) via the map y = scale * u / (1 - u).
-
-    ``scale`` sets where the nodes concentrate: half of them land below y = scale.
-    """
-    if not scale > 0.0:
-        raise ValueError("map scale must be positive")
-    u, w = unit_rule(order)
-    y = scale * u / (1.0 - u)
-    wy = scale * w / (1.0 - u) ** 2
-    return y, wy

@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .quadrature import semi_infinite_rule
+from . import quadrature
 from .reductions import ReducedHamiltonian, SolverConfig, _pair_moment, natural_units
 from .spectrum import _MOMENT_1, SpectrumResult, basis_radii, centred_half, range_warnings
 
@@ -60,14 +60,17 @@ QUADRATURE_SELF_CHECK_TOL = 1e-10
 
 def _kinetic_excess(nu: np.ndarray, order: int) -> np.ndarray:
     """(4/sqrt(pi)) ∫ y^4 e^(-y^2) / (sqrt(y^2 + nu^2) + nu) dy over [0, inf)
-    for each nu >= 0, on the mapped Gauss-Legendre rule of ``order``.
+    for each nu >= 0, on the shipped Gauss-Legendre rule of ``order`` mapped by
+    y = u/(1 - u).
 
     It is c^(1/2) <sqrt(p^2 + mu^2) - mu> in the momentum density
     p^2 e^(-c p^2) at nu = mu sqrt(c); the form p^2/(sqrt(p^2 + mu^2) + mu)
     of the excess over the rest mass keeps heavy masses free of cancellation.
     The (nu, node) array is the one temporary, 0.66 MB at 820 pairs.
     """
-    y, wy = semi_infinite_rule(order, 1.0)
+    u, w = quadrature.unit_rule(order)
+    y = u / (1.0 - u)
+    wy = w / (1.0 - u) ** 2
     weight = (2.0 * _MOMENT_1) * wy * y**4 * np.exp(-y * y)
     d = np.add.outer(nu * nu, y * y)
     np.sqrt(d, out=d)
@@ -110,7 +113,6 @@ def _matrices(canonical: ReducedHamiltonian, radii: np.ndarray):
         mat = np.empty((radii.size, radii.size))
         mat[i, j] = values
         mat[j, i] = values
-        mat.setflags(write=False)
         out.append(mat)
     return out
 
@@ -187,7 +189,6 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
         ground_energy=h.mass + lowest,
         basis_range=(float(radii[0]), float(radii[-1])),
         coefficients=vector,
-        matrix=matrix,
         convergence_estimate=estimate,
         warnings=_self_check(h, radii) + range_warnings(weights),
     ).dilated(energy, length)

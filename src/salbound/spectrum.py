@@ -73,29 +73,27 @@ class SpectrumResult:
     progression.  ``coefficients`` are the ground state's coefficients x on
     the unit-normalised Gaussians, ascending in radius, normalised to
     x.S x = 1 with S their overlap, with the sign that makes sum_i (S x)_i,
-    the state's overlap with the sum of the Gaussians, positive.  ``matrix``
-    is the Rayleigh-Ritz matrix of the canonical operator less its rest mass
-    mu (which adds mu S).  Both are read-only: numpy arrays from
-    ``solver.ground_energy``, tuples from :func:`massless_ground_energy`.
+    the state's overlap with the sum of the Gaussians, positive.  They are
+    read-only, because bound rows that share a solve share them: a numpy
+    array from ``solver.ground_energy``, a tuple from
+    :func:`massless_ground_energy`.
     """
 
     ground_energy: float
     basis_range: tuple[float, float]
     coefficients: Sequence[float] = field(repr=False, compare=False)
-    matrix: Sequence[Sequence[float]] = field(repr=False, compare=False)
     convergence_estimate: float
     warnings: list[str] = field(default_factory=list)
 
     def dilated(self, energy: float, length: float) -> SpectrumResult:
         """This spectrum, of a canonical operator, as that of ``energy`` times
         it dilated by r -> ``length`` r: energies times ``energy``, radii times
-        ``length``, coefficients, matrices and warnings as they are."""
+        ``length``, coefficients and warnings as they are."""
         lo, hi = self.basis_range
         return SpectrumResult(
             ground_energy=energy * self.ground_energy,
             basis_range=(lo * length, hi * length),
             coefficients=self.coefficients,
-            matrix=self.matrix,
             convergence_estimate=energy * self.convergence_estimate,
             warnings=list(self.warnings),
         )
@@ -357,8 +355,8 @@ def massless_ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = 
     """``solver.ground_energy`` of a massless operator, without numpy.
 
     The same basis, the same steps and the same diagnostics; the energies
-    agree to roundoff.  ``coefficients`` and ``matrix`` are tuples.  Raises
-    ValueError at m > 0.
+    agree to roundoff.  ``coefficients`` is a tuple.  Raises ValueError at
+    m > 0.
     """
     if h.mass != 0.0:
         raise ValueError("the pure-Python solve is for massless operators only")
@@ -375,7 +373,6 @@ def massless_ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = 
         ground_energy=lowest,
         basis_range=(radii[0], radii[-1]),
         coefficients=tuple(vector),
-        matrix=tuple(map(tuple, matrix)),
         convergence_estimate=estimate,
         warnings=range_warnings(weights),
     ).dilated(energy, length)

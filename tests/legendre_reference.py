@@ -9,8 +9,9 @@ for bit.  Regenerate them with
 Newton's method lands on bits that depend on the last bit of numpy's cos at
 its starting values, so a rule built here can differ in its last bits between
 platforms; scipy's ``roots_legendre`` checks the rules independently of it.
-The oscillator-basis oracle (``oscillator_reference``) takes its rules of
-orders the package does not ship from :func:`semi_infinite_rule` here.
+The oscillator-basis oracle (``oscillator_reference``) takes its rules on
+the half line, at orders the package does not ship, from
+:func:`semi_infinite_rule` here.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ def unit_rule(order: int):
 
 
 def semi_infinite_rule(order: int, scale: float = 1.0):
-    """``salbound.quadrature.semi_infinite_rule`` at any order."""
+    """Rule of any order for integrals over [0, inf) via the map
+    y = scale * u / (1 - u); half of the nodes land below y = scale."""
     u, w = unit_rule(order)
     return scale * u / (1.0 - u), scale * w / (1.0 - u) ** 2

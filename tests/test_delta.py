@@ -460,7 +460,7 @@ def test_classify_regime():
 def test_finding_document_contents():
     state = random_state_corpus(4, 1, master_seed=3)[0]
     stats = expectation_delta(state, 0.5, 5000, seed=77, shard_count=2)
-    doc = finding_document(state, stats)
+    doc = finding_document(state, stats, model_status(4, 0.5).label)
     assert doc["type"] == "negative-delta-expectation"
     assert doc["regime"] == "conjectured"
     assert doc["n"] == 4 and doc["mass"] == 0.5
@@ -490,4 +490,4 @@ def test_finding_written_with_symmetrized_key_replays():
     assert replay.negative_beyond(3.0)
     assert replay.mean == pytest.approx(doc["mean"], abs=1e-10 * doc["stderr"])
     assert replay.stderr == pytest.approx(doc["stderr"], rel=1e-12)
-    assert "symmetrized" not in finding_document(state, replay)["state"]
+    assert "symmetrized" not in finding_document(state, replay, "proven")["state"]

@@ -78,9 +78,12 @@ def run_main(argv: list[str], prelude: str = "") -> tuple[int, set[str]]:
         (["bounds", "--n", "1"], 2),
         (["verify-delta", "--samples", "1"], 2),
         (["bounds", "--potential", "coulomb:3"], 3),
+        (["bounds", "--n", "4", "--mass", "1", "--potential", "coulomb:3"], 3),
+        (["bounds", "--n", "3", "--mass", "1", "--potential", "power:1,5"], 2),
     ],
     ids=["linear-table", "table1", "stability-refusal", "usage-error", "flag-check",
-         "bounds-flag-check", "verify-delta-flag-check", "bounds-stability-refusal"],
+         "bounds-flag-check", "verify-delta-flag-check", "bounds-stability-refusal",
+         "massive-bounds-stability-refusal", "massive-bounds-exponent-refusal"],
 )
 def test_closed_forms_refusals_and_usage_errors_run_without_numpy(argv, code):
     # with numpy blocked, any import of it fails the command
@@ -152,6 +155,8 @@ def test_numpy_solves_above_the_crossover_and_at_positive_mass(argv):
     assert codes == [0]
     assert {"numpy", "salbound.solver"} <= loaded
     assert "salbound.spectrum" in loaded  # the result type and the basis rule
+    # a solve never loads the bound module, whose import costs a cold call
+    assert ("salbound.bounds" in loaded) == (argv[0] == "bounds")
 
 
 def test_verify_delta_loads_none_of_the_solver_modules():
@@ -181,6 +186,18 @@ def test_import_delta_does_not_load_the_solver_modules():
     loaded = new_modules("import salbound.delta")
     assert {m for m in loaded if m.startswith("salbound")} == {"salbound", "salbound.delta"}
     assert "concurrent.futures" not in loaded
+
+
+def test_finding_document_loads_no_reductions():
+    # the caller passes the regime, so delta never looks it up
+    statement = (
+        "from salbound.delta import expectation_delta, finding_document, random_state_corpus\n"
+        "state = random_state_corpus(3, 1, 42)[0]\n"
+        "finding_document(state, expectation_delta(state, 0.0, 100, seed=42), 'proven')"
+    )
+    loaded = new_modules(statement)
+    assert "salbound.delta" in loaded
+    assert "salbound.reductions" not in loaded
 
 
 def test_package_attribute_loads_only_its_submodule():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from salbound import solver
+from salbound import quadrature, solver
 from salbound.bounds import ZOOM_POINTS, ZOOM_SPACING, zoom_log_minimum
 from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
 from salbound.reductions import (
@@ -21,7 +21,7 @@ from salbound.solver import ground_energy, pair_expectation
 from salbound.spectrum import EDGE_WEIGHT_TOL, SpectrumResult, basis_radii
 
 from golden_reference import gaussian_overlap, potential_value, reference_ground_energy
-from legendre_reference import semi_infinite_rule
+from legendre_reference import semi_infinite_rule, unit_rule
 from oscillator_reference import kinetic_matrix, map_scale, potential_matrix, radial_basis
 
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
@@ -479,17 +479,18 @@ def test_spectrum_result_fields():
 @pytest.mark.parametrize("basis_size", [24, 40])
 def test_reported_energy_is_the_rayleigh_ritz_value_at_the_reported_scale(h, basis_size):
     # the energy is the Rayleigh quotient of the reported coefficients on the
-    # reported matrices, which are the Gaussians' closed forms (checked
-    # against quadrature below), and it is the lowest generalized eigenvalue
+    # basis matrices of the reported range, which are the Gaussians' closed
+    # forms (checked against quadrature below), and it is the lowest
+    # generalized eigenvalue
     from scipy.linalg import eigh
 
     canonical, energy, length = natural_units(h)
     assert natural_units(canonical)[1:] == (1.0, 1.0)
     result = ground_energy(canonical, SolverConfig(basis_size=basis_size))
-    x, matrix = result.coefficients, result.matrix
+    x = result.coefficients
     radii = np.array(basis_radii(canonical, basis_size))
     assert result.basis_range == (radii[0], radii[-1])
-    overlap = solver._matrices(canonical, radii)[0]
+    overlap, matrix = solver._matrices(canonical, radii)
     np.testing.assert_allclose(overlap, gaussian_overlap(result), rtol=1e-13)
     assert np.array_equal(matrix, matrix.T) and np.array_equal(overlap, overlap.T)
     assert np.array_equal(np.diag(overlap), np.ones(basis_size))
@@ -500,9 +501,10 @@ def test_reported_energy_is_the_rayleigh_ritz_value_at_the_reported_scale(h, bas
     assert result.ground_energy == pytest.approx(lowest, rel=1e-8)
 
 
-def test_coefficients_are_computed_on_first_read_and_read_only(monkeypatch):
+def test_coefficients_are_computed_eagerly_read_only_and_shared_by_dilated(monkeypatch):
     # the coefficients are the solve's own ground vector, so reading them
-    # runs no eigh; they and the matrix are read-only
+    # runs no eigh; they are read-only, because rows that share a solve
+    # share them, and signed so that sum_i (S x)_i > 0
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
@@ -512,11 +514,11 @@ def test_coefficients_are_computed_on_first_read_and_read_only(monkeypatch):
     assert result.coefficients is coefficients
     assert dilated.coefficients is coefficients
     assert calls == []
-    for array in (coefficients, result.matrix, dilated.matrix):
-        with pytest.raises(ValueError):
-            array[0] = 99.0
-    assert coefficients @ gaussian_overlap(dilated) @ coefficients == pytest.approx(1.0, rel=1e-12)
-    assert coefficients[np.flatnonzero(np.abs(coefficients) > 1e-12)[0]] > 0.0
+    with pytest.raises(ValueError):
+        coefficients[0] = 99.0
+    overlap = gaussian_overlap(dilated)
+    assert coefficients @ overlap @ coefficients == pytest.approx(1.0, rel=1e-12)
+    assert (overlap @ coefficients).sum() > 0.0
 
 
 # --- the Gaussian basis -------------------------------------------------------------
@@ -674,7 +676,7 @@ def test_kinetic_self_check_warns_at_low_order(monkeypatch):
     h = linear_hamiltonian(mass=1.0)
     assert ground_energy(h).warnings == []
     low = {100: 16, 200: 32}
-    monkeypatch.setattr(solver, "semi_infinite_rule", lambda order, scale: semi_infinite_rule(low[order], scale))
+    monkeypatch.setattr(quadrature, "unit_rule", lambda order: unit_rule(low[order]))
     (warning,) = ground_energy(h).warnings
     assert warning.startswith("kinetic quadrature self-check: relative change")
     assert warning.endswith("between order 100 and 200 exceeds 1e-10")
@@ -693,17 +695,15 @@ def test_fixed_kinetic_rule_holds_over_its_whole_domain(monkeypatch):
 
     assert worst(fixed) <= 1e-14
     # the same check fails a rule of order 48, which is 1e-10 off
-    monkeypatch.setattr(solver, "semi_infinite_rule", semi_infinite_rule)
+    monkeypatch.setattr(quadrature, "unit_rule", unit_rule)
     assert worst(solver._kinetic_excess(nu, 48)) > 1e-11
 
 
 def test_massless_solve_loads_no_rule(monkeypatch):
-    from salbound import quadrature
-
     def never(*args):
         raise AssertionError("a massless solve used a quadrature rule")
 
-    monkeypatch.setattr(solver, "semi_infinite_rule", never)
+    monkeypatch.setattr(quadrature, "unit_rule", never)
     ground_energy(ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, CoulombPlusLinear(0.2, 1.0)))
     assert quadrature.SHIPPED_ORDERS == (100, 200)
 
