@@ -1,27 +1,25 @@
 """Energy bounds for semirelativistic N-boson systems, by the solver.
 
-Every lower bound is N times the spectral bottom of a reduced one-body
-operator sqrt(lam * p^2 + m^2) + (N - 1)/2 * V(r), one per row of the
-reduction table ``reductions.REDUCTIONS``; that module also holds the proof
-status of the model-operator bound, the natural units and the closed forms
-for the massless linear potential.  Here each row is solved numerically, the
-model-operator bound is also proved for harmonic pair potentials, and the
-upper bound comes from a product Gaussian trial state in relative
-coordinates, optimized over its scale: N times the minimum over sigma of the
-model operator's expectation in one Gaussian (:func:`gaussian_upper`).  At
-m = 0 that minimum is a closed form; at m > 0 it is a grid zoom in log sigma
-over ``solver.pair_expectation``, the one-Gaussian case of the solver's
-basis, in natural units.  This module runs no quadrature of its own, and
+Every bound here is N times ``energy`` times one canonical number.  Each
+row of the reduction table ``reductions.REDUCTIONS`` builds its reduced
+operator sqrt(lam * p^2 + m^2) + (N - 1)/2 * V(r) (``Reduction.operator``),
+and ``reductions.natural_units`` maps it by a dilation to ``energy`` times
+the canonical operator sqrt(p^2 + mu^2) + r^k - v'/r.  The canonical number
+of a lower bound is that operator's spectral bottom, solved numerically;
+that of the upper bound, from a product Gaussian trial state in relative
+coordinates (:func:`gaussian_upper`), is the canonical model operator's
+least one-Gaussian energy: a closed form at m = 0 and a grid zoom in log
+sigma over ``solver.pair_expectation`` at m > 0.  ``reductions`` also holds
+the proof status of the model-operator bound and the closed forms for the
+massless linear potential; here the model-operator bound is also proved for
+harmonic pair potentials.  This module runs no quadrature of its own, and
 loads numpy and ``solver`` only where it uses them, so a massless bound
 solved by ``spectrum.massless_ground_energy`` loads neither.
 
-Every row is solved in its natural units (``reductions.natural_units``): a
-dilation maps its reduced operator to a multiple of the canonical operator
-sqrt(p^2 + mu^2) + r^k - v'/r, and rows with the same canonical operator
-share one solve.  A massless single-term potential c r^k with k > 0
-(linear, harmonic, power law) has the canonical operator |p| + r^k for every
-row at every N, so it needs one solve in all (the dilation law
-E(a|p| + b r^k) = a^(k/(k+1)) b^(1/(k+1)) E_k).
+Rows with the same canonical operator share one solve.  A massless
+single-term potential c r^k with k > 0 (linear, harmonic, power law) has
+the canonical operator |p| + r^k for every row at every N, so it needs one
+solve in all (the dilation law E(a|p| + b r^k) = a^(k/(k+1)) b^(1/(k+1)) E_k).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .potentials import Harmonic, PairPotential, require_finite
+from .potentials import Coulomb, Harmonic, PairPotential, require_finite
 from .reductions import (
     _MODEL,
     REDUCTIONS,
@@ -39,8 +37,7 @@ from .reductions import (
     ReducedHamiltonian,
     Reduction,
     SolverConfig,
-    _massless_gaussian,
-    _power_optimum,
+    _massless_optimum,
     _table,
     model_status,
     natural_units,
@@ -112,23 +109,21 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
 def _bounds(spec: ProblemSpec, config, solve) -> Callable[[Reduction], BoundResult]:
     """row -> lower bound of ``spec`` from that reduction, by ``solve``.
 
-    Each row's reduced operator sqrt(lam p^2 + m^2) + (N-1)/2 V is energy
-    times its canonical operator dilated by a length
+    Each row's reduced operator sqrt(lam p^2 + m^2) + (N-1)/2 V
+    (``Reduction.operator``) is energy times its canonical operator dilated
+    by a length
     (``reductions.natural_units``); rows with the same canonical operator
     share one solve, read off with their own energy and length.
     """
-    gamma = (spec.n - 1) / 2.0
     solved = functools.cache(lambda canonical: solve(canonical, config))
 
     def bound(row: Reduction) -> BoundResult:
-        lam = row.lam(spec.n)
-        canonical, energy, length = natural_units(
-            ReducedHamiltonian(1.0, lam, gamma, spec.mass, spec.potential)
-        )
+        h = row.operator(spec.n, spec.mass, spec.potential)
+        canonical, energy, length = natural_units(h)
         spectrum = solved(canonical).dilated(energy, length)
         return BoundResult(
             value=spec.n * spectrum.ground_energy,
-            kinetic_factor=lam,
+            kinetic_factor=h.lam,
             derivation=row.derivation,
             spectrum=spectrum,
         )
@@ -170,48 +165,43 @@ def gaussian_upper(spec: ProblemSpec) -> UpperBoundResult:
     Boson symmetry collapses the expectation to a single relative pair: the
     energy at Gaussian length sigma is N times the expectation of the model
     operator sqrt(lam p^2 + m^2) + (N-1)/2 V (``lam`` of the model-operator
-    reduction) in one Gaussian of momentum width 1/sigma, and
-    ``optimal_scale`` is the length sigma at its least value.
+    reduction) in one Gaussian of length sigma, and ``optimal_scale`` is the
+    sigma of its least value.  By the dilation of ``reductions.natural_units``
+    that is N times ``energy`` times the least one-Gaussian energy of the
+    canonical operator sqrt(p^2 + mu^2) + r^k - v'/r, at sigma ``length``
+    times the canonical one:
 
-    At m = 0 the pair moments <|p|> = (2/sqrt(pi))/sigma and
-    <r^k> = sigma^k Γ((3+k)/2)/Γ(3/2) make it A/sigma + sum B_k sigma^k, and a
-    Coulomb term's <1/r> adds to A: a confining term c r^k has its optimum in
-    closed form (the linear one is ``reductions.upper_gaussian_linear``), and
-    pure Coulomb, whose A/sigma falls towards 0 at ever larger lengths, is
-    taken at the widest Gaussian of ``GAUSSIAN_SCALE_INTERVAL``, with a
-    warning (``spectrum.massless_pair_expectation`` in natural units).
-
-    At m > 0 the bound is N times the least one-Gaussian energy of that
-    operator in its natural units (``reductions.natural_units``;
-    ``solver.pair_expectation`` at a = sigma^2 and c = 1/sigma^2), zoomed in
-    on over the momentum widths of ``GAUSSIAN_SCALE_INTERVAL`` by
-    :func:`zoom_log_minimum` and scaled back.
+    - at m = 0 with a confining term, the closed form
+      (M_1 - v' M_-1)/sigma + M_k sigma^k of ``reductions._massless_optimum``
+      (its k = 1 case is ``reductions.upper_gaussian_linear``);
+    - for massless pure Coulomb, whose (M_1 - v' M_-1)/sigma falls towards 0
+      at ever larger lengths, the widest Gaussian of
+      ``GAUSSIAN_SCALE_INTERVAL``, with a warning
+      (``spectrum.massless_pair_expectation``);
+    - at m > 0, mu plus the least of ``solver.pair_expectation`` at
+      a = s^2 and c = 1/s^2 over the momentum widths s = 1/sigma of
+      ``GAUSSIAN_SCALE_INTERVAL``, zoomed in on by :func:`zoom_log_minimum`.
+      The zoom leaves mu out: at mu near 1e9 the grid's differences fall
+      below one ulp of mu.
     """
     # refuses a collapsing or out-of-range operator
-    canonical, energy, length = natural_units(
-        ReducedHamiltonian(1.0, _MODEL.lam(spec.n), (spec.n - 1) / 2.0, spec.mass, spec.potential)
-    )
-    if spec.mass == 0.0:
-        kinetic, terms = _massless_gaussian(spec.n, spec.potential.terms())
-        kinetic += sum(b for b, k in terms if k == -1.0)
-        confining = [(b, k) for b, k in terms if k > 0.0]
-        if confining:
-            value, sigma = _power_optimum(kinetic, *confining[0])
-            return UpperBoundResult(value=value, optimal_scale=sigma, warnings=[])
-        # the energy (M_1 - v' M_-1) s falls with the momentum width s
-        s = GAUSSIAN_SCALE_INTERVAL[0]
-        least = massless_pair_expectation(canonical, s * s, 1.0 / (s * s))
-        return UpperBoundResult(spec.n * (energy * least), 1.0 / (s / length), [_PINNED.format(end="lower")])
-    from .solver import pair_expectation
+    canonical, energy, length = natural_units(_MODEL.operator(spec.n, spec.mass, spec.potential))
+    pinned = (False, False)
+    if spec.mass > 0.0:
+        from .solver import pair_expectation
 
-    sigma, least, at_lower, at_upper = zoom_log_minimum(
-        lambda s: canonical.mass + pair_expectation(canonical, s * s, 1.0 / (s * s)),
-        *GAUSSIAN_SCALE_INTERVAL,
-    )
-    warnings = [
-        _PINNED.format(end=end) for end, pinned in (("lower", at_lower), ("upper", at_upper)) if pinned
-    ]
-    return UpperBoundResult(spec.n * (energy * least), 1.0 / (sigma / length), warnings)
+        s, least, at_lower, at_upper = zoom_log_minimum(
+            lambda s: pair_expectation(canonical, s * s, 1.0 / (s * s)), *GAUSSIAN_SCALE_INTERVAL
+        )
+        least, sigma, pinned = canonical.mass + least, 1.0 / s, (at_lower, at_upper)
+    elif isinstance(canonical.potential, Coulomb):
+        s = GAUSSIAN_SCALE_INTERVAL[0]
+        least, sigma = massless_pair_expectation(canonical, s * s, 1.0 / (s * s)), 1.0 / s
+        pinned = (True, False)
+    else:
+        least, sigma = _massless_optimum(canonical)
+    warnings = [_PINNED.format(end=end) for end, at in zip(("lower", "upper"), pinned) if at]
+    return UpperBoundResult(spec.n * (energy * least), length * sigma, warnings)
 
 
 @dataclass

@@ -8,17 +8,21 @@ bottom of a reduced one-body operator
 
 so the bounds differ only in the kinetic rescaling ``lam``.  The table
 :data:`REDUCTIONS` holds one row per reduction: its ``lam(N)``, the least N
-and the masses it holds for, and its derivation.  Everything else reads that
-table: the solver-path bounds of ``bounds``, the closed forms for the
-massless linear potential, the ratio table and its large-N limits, and the
-proof status of the model-operator bound, which is proved exactly where its
-``lam`` equals that of an applicable proved reduction.
+and the masses it holds for, and its derivation, and
+:meth:`Reduction.operator` builds the row's reduced operator, the only place
+it is built.  Everything else reads that table: the solver-path bounds and
+the Gaussian upper bound of ``bounds``, the closed forms for the massless
+linear potential, the ratio table, and the proof status of the
+model-operator bound, which is proved exactly where its ``lam`` equals that
+of an applicable proved reduction.
 
-:func:`natural_units` maps every reduced operator, by a dilation, to a
-multiple of the canonical operator sqrt(p^2 + mu^2) + r^k - v'/r, and
-refuses operators that are unbounded below (:class:`StabilityError`).  For
-the massless linear potential V(r) = b r everything reduces to closed forms
-through the k = 1 case E(a|p| + b r) = sqrt(a b) e.
+:func:`natural_units` maps every reduced operator, by a dilation, to
+``energy`` times the canonical operator sqrt(p^2 + mu^2) + r^k - v'/r, and
+refuses operators that are unbounded below (:class:`StabilityError`).  So
+every bound is N times ``energy`` times one canonical number.  For the
+massless linear potential that number is e = E(|p| + r) for each lower
+bound, and the least one-Gaussian energy of |p| + r for the upper bound;
+the ratio table's N -> inf column is the same table at N = 2^64.
 
 This module needs only the standard library: the closed forms, the tables
 and the stability refusal run without numpy.
@@ -31,7 +35,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .potentials import Coulomb, CoulombPlusLinear, PairPotential, PowerLaw, require_finite
+from .potentials import Coulomb, CoulombPlusLinear, Linear, PairPotential, PowerLaw, require_finite
 
 #: Ground energy of H = ||p|| + r in three dimensions
 #: (Boukraa and Basdevant 1989).
@@ -219,6 +223,10 @@ class Reduction:
             return "requires m=0"
         return None
 
+    def operator(self, n: int, mass: float, potential: PairPotential) -> ReducedHamiltonian:
+        """This row's reduced operator sqrt(lam p^2 + mass^2) + (n-1)/2 V."""
+        return ReducedHamiltonian(1.0, self.lam(n), (n - 1) / 2.0, mass, potential)
+
 
 #: The reductions in report order.  The lam expressions are kept in exactly
 #: this form: coinciding rows must give bit-identical floats.
@@ -280,27 +288,34 @@ def _pair_moment(k: float) -> float:
     return math.gamma((3.0 + k) / 2.0) / math.gamma(1.5)
 
 
-def _massless_gaussian(n: int, terms) -> tuple[float, list[tuple[float, float]]]:
-    """(A, [(B_k, k), ...]) with the massless Gaussian bound A/sigma + sum B_k sigma^k."""
-    gamma = n * (n - 1) / 2.0
-    return n * math.sqrt(_MODEL.lam(n)) * _pair_moment(1.0), [
-        (gamma * c * _pair_moment(k), k) for c, k in terms
-    ]
+def _massless_optimum(canonical: ReducedHamiltonian) -> tuple[float, float]:
+    """(least, sigma): the least one-Gaussian energy of a massless canonical
+    operator |p| + r^k - v'/r with k > 0, and the Gaussian length sigma
+    where it lies.
 
-
-def _power_optimum(a: float, b: float, k: float) -> tuple[float, float]:
-    """Minimum and minimizer of a/sigma + b sigma^k over sigma > 0 (a, b, k > 0)."""
-    sigma = (a / (k * b)) ** (1.0 / (k + 1.0))
-    return (1.0 + 1.0 / k) * a / sigma, sigma
+    The pair moments <|p|> = M_1/sigma, <1/r> = M_-1/sigma and
+    <r^k> = M_k sigma^k make the energy a/sigma + b sigma^k with
+    a = M_1 - v' M_-1 and b = M_k, least at sigma = (a/(k b))^(1/(k+1)).
+    """
+    a = _pair_moment(1.0)
+    for c, k in canonical.potential.terms():
+        if k == -1.0:
+            a += c * _pair_moment(k)
+        else:
+            b, power = c * _pair_moment(k), k
+    sigma = (a / (power * b)) ** (1.0 / (power + 1.0))
+    return (1.0 + 1.0 / power) * a / sigma, sigma
 
 
 # --- closed forms for the massless linear potential V(r) = r -------------------
 
 
 def upper_gaussian_linear(n: int) -> float:
-    """4N ((N-1)^3 / (2 N pi^2))^(1/4), the k = 1 case of the massless Gaussian bound."""
-    kinetic, ((b, k),) = _massless_gaussian(n, ((1.0, 1.0),))
-    return _power_optimum(kinetic, b, k)[0]
+    """4N ((N-1)^3 / (2 N pi^2))^(1/4), the k = 1 case of the massless
+    Gaussian bound: N times the model operator's energy in natural units
+    times the least one-Gaussian energy of |p| + r."""
+    canonical, energy, _ = natural_units(_MODEL.operator(n, 0.0, Linear(1.0)))
+    return n * (energy * _massless_optimum(canonical)[0])
 
 
 @dataclass(frozen=True)
@@ -315,24 +330,14 @@ class LinearBoundTable:
 
 
 def linear_bound_table(n: int) -> LinearBoundTable:
-    """Exact closed forms at particle count n.  By the scaling law each lower
-    bound, N times the bottom of sqrt(lam)|p| + (N-1)/2 r, is
-    N sqrt(sqrt(lam) (N-1)/2) e."""
+    """Exact closed forms at particle count n.  Each lower bound is N times
+    the bottom of its row's operator sqrt(lam)|p| + (N-1)/2 r, which is its
+    energy in natural units times that of |p| + r, e."""
     require_particle_count(n)
     lower, reasons = _table(
-        n, 0.0, lambda row: n * math.sqrt(math.sqrt(row.lam(n)) * (n - 1) / 2.0) * _E
+        n, 0.0, lambda row: n * (natural_units(row.operator(n, 0.0, Linear(1.0)))[1] * _E)
     )
     return LinearBoundTable(n=n, lower=lower, reasons=reasons, upper=upper_gaussian_linear(n))
-
-
-def ratio_limit(label: str) -> float:
-    """Large-N limit (4/e) (2 / (pi^2 lam_inf))^(1/4) of a ratio row."""
-    for row in REDUCTIONS:
-        if row.ratio == label:
-            # N - 1 rounds to N in double precision, so this is lam's N -> inf limit
-            lam_inf = row.lam(2**64)
-            return 4.0 / _E * (2.0 / (math.pi**2 * lam_inf)) ** 0.25
-    raise ValueError(f"unknown ratio row {label!r}")
 
 
 @dataclass(frozen=True)
@@ -340,7 +345,8 @@ class RatioTable:
     """Upper-to-lower bound ratios for the massless linear potential.
 
     ``rows`` maps a row label to one value per entry of ``n_values`` (None
-    below the row's particle-count threshold) followed by the large-N limit.
+    below the row's particle-count threshold) followed by the large-N limit,
+    the value at N = 2^64, where N - 1 rounds to N.
     """
 
     n_values: tuple[int, ...]
@@ -349,13 +355,9 @@ class RatioTable:
 
 def ratio_table(n_values: tuple[int, ...] = (2, 3, 4, 5, 6, 10)) -> RatioTable:
     """Ratios upper/lower for each bound and each N, plus the N -> inf column."""
-    tables = [linear_bound_table(n) for n in n_values]
-    rows = {}
-    for row in REDUCTIONS:
-        values: list[float | None] = []
-        for table in tables:
-            lower = table.lower[row.name]
-            values.append(None if lower is None else table.upper / lower)
-        values.append(ratio_limit(row.ratio))
-        rows[row.ratio] = tuple(values)
+    tables = [linear_bound_table(n) for n in (*n_values, 2**64)]
+    rows = {
+        row.ratio: tuple(None if t.lower[row.name] is None else t.upper / t.lower[row.name] for t in tables)
+        for row in REDUCTIONS
+    }
     return RatioTable(n_values=tuple(n_values), rows=rows)

@@ -28,7 +28,6 @@ from salbound.reductions import (
     SolverConfig,
     linear_bound_table,
     natural_units,
-    ratio_limit,
     ratio_table,
     upper_gaussian_linear,
 )
@@ -279,6 +278,15 @@ def test_massless_coulomb_gaussian_upper_pins_at_the_widest_gaussian():
     assert result.optimal_scale == 20.0
     moment = 2.0 / math.sqrt(math.pi)  # <|p|> sigma = <1/r> sigma
     assert result.value == pytest.approx((4.0 * math.sqrt(1.5) - 6.0 * 0.1) * moment / 20.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("mass", [1e5, 1e7, 1e9])
+def test_heavy_mass_gaussian_upper_reports_its_pin(mass):
+    # the optimum lies beyond the widest momentum width; at m = 1e9 a zoom
+    # on mu plus the pair expectation lost the grid's differences below one
+    # ulp of mu and stopped just inside the end, unflagged
+    result = gaussian_upper(ProblemSpec(3, mass, Linear(1.0)))
+    assert result.warnings == ["Gaussian scale optimum sits at the upper endpoint of its search interval"]
 
 
 def zoomed_upper(spec):
@@ -638,12 +646,12 @@ def test_conjectured_ratio_is_constant_in_n():
 
 
 def test_ratio_limits():
-    assert ratio_limit("R_N/2") == pytest.approx(1.20229059576277, rel=1e-12)
-    assert ratio_limit("R_N/3") == pytest.approx(1.1188574704695922, rel=1e-12)
-    assert ratio_limit("R_N/4") == pytest.approx(1.086392191252513, rel=1e-12)
-    assert ratio_limit("R_c") == pytest.approx(1.0110018520701662, rel=1e-12)
-    with pytest.raises(ValueError):
-        ratio_limit("R_x")
+    # the last column is the table at N = 2^64, where N - 1 rounds to N
+    rows = ratio_table().rows
+    assert rows["R_N/2"][-1] == pytest.approx(1.20229059576277, rel=1e-12)
+    assert rows["R_N/3"][-1] == pytest.approx(1.1188574704695922, rel=1e-12)
+    assert rows["R_N/4"][-1] == pytest.approx(1.086392191252513, rel=1e-12)
+    assert rows["R_c"][-1] == pytest.approx(1.0110018520701662, rel=1e-12)
 
 
 # --- nonrelativistic limit ------------------------------------------------------

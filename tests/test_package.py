@@ -67,27 +67,34 @@ def run_main(argv: list[str], prelude: str = "") -> tuple[int, set[str]]:
     return code, set(modules)
 
 
+CLOSED_FORM_MODULES = {"salbound.cli", "salbound.potentials", "salbound.reductions"}
+
+
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, modules",
     [
-        (["linear-table", "--n", "10"], 0),
-        (["table1"], 0),
-        (["solve", "--potential", "coulomb:0.8"], 3),
-        (["solve", "--format", "bogus"], 2),
-        (["solve", "--beta", "0"], 2),
-        (["bounds", "--n", "1"], 2),
-        (["verify-delta", "--samples", "1"], 2),
-        (["bounds", "--potential", "coulomb:3"], 3),
-        (["bounds", "--n", "4", "--mass", "1", "--potential", "coulomb:3"], 3),
-        (["bounds", "--n", "3", "--mass", "1", "--potential", "power:1,5"], 2),
+        (["linear-table", "--n", "10"], 0, CLOSED_FORM_MODULES),
+        (["table1"], 0, CLOSED_FORM_MODULES),
+        (["solve", "--potential", "coulomb:0.8"], 3, None),
+        (["solve", "--format", "bogus"], 2, None),
+        (["solve", "--beta", "0"], 2, None),
+        (["bounds", "--n", "1"], 2, None),
+        (["verify-delta", "--samples", "1"], 2, None),
+        (["bounds", "--potential", "coulomb:3"], 3, None),
+        (["bounds", "--n", "4", "--mass", "1", "--potential", "coulomb:3"], 3, None),
+        (["bounds", "--n", "3", "--mass", "1", "--potential", "power:1,5"], 2, None),
     ],
     ids=["linear-table", "table1", "stability-refusal", "usage-error", "flag-check",
          "bounds-flag-check", "verify-delta-flag-check", "bounds-stability-refusal",
          "massive-bounds-stability-refusal", "massive-bounds-exponent-refusal"],
 )
-def test_closed_forms_refusals_and_usage_errors_run_without_numpy(argv, code):
-    # with numpy blocked, any import of it fails the command
-    assert run_main(argv, prelude='sys.modules["numpy"] = None')[0] == code
+def test_closed_forms_refusals_and_usage_errors_run_without_numpy(argv, code, modules):
+    # with numpy blocked, any import of it fails the command; the closed
+    # forms load no salbound module beyond the command line's own
+    result = run_main(argv, prelude='sys.modules["numpy"] = None')
+    assert result[0] == code
+    if modules is not None:
+        assert result[1] == modules
 
 
 def run_mains(argvs: list[list[str]], prelude: str = "") -> tuple[list[int], set[str]]:
