@@ -237,8 +237,9 @@ def compute_bounds(
     """Evaluate every applicable bound and validate the sandwich.
 
     ``solve`` is the basis solve of the lower bounds, :func:`ground_energy`
-    by default; the command line passes ``spectrum.massless_ground_energy``
-    for massless problems on small bases.  Reductions with the same canonical
+    by default; the command line passes its one kernel choice,
+    ``cli.ground_energy``, which runs ``spectrum.massless_ground_energy`` for
+    massless problems on small bases.  Reductions with the same canonical
     operator share one solve, and a massless single-term power law needs one
     solve for all of them (see :func:`_bounds`).  The Gaussian upper bound
     must dominate every lower bound; a violation beyond the solver's own

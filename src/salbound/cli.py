@@ -31,10 +31,11 @@ import os
 import sys
 
 # Only numpy-free modules load here; spectrum, solver, bounds, delta, csv and
-# json load inside the handlers and renderers that use them.  The closed-form
-# commands, the refusals of an operator or a particle count and usage errors
-# never load numpy, and neither do massless `solve` and `bounds` up to
-# PURE_PYTHON_MAX_BASIS Gaussians, which run spectrum.massless_ground_energy.
+# json load inside the functions that use them.  The closed-form commands, the
+# refusals of an operator or a particle count and usage errors never load
+# numpy, and neither do massless `solve` and `bounds` up to
+# PURE_PYTHON_MAX_BASIS Gaussians: `ground_energy` below, the one kernel
+# choice of every solve here, runs spectrum.massless_ground_energy for them.
 from . import __version__
 from .potentials import PotentialParseError, parse_potential
 from .reductions import (
@@ -185,14 +186,15 @@ def _solver_config(opt: _Options) -> SolverConfig:
     return SolverConfig(basis_size=opt["basis-size"])
 
 
-def _pure_solve(mass: float, config: SolverConfig):
-    """``spectrum.massless_ground_energy`` where the problem is massless and
-    its basis small, else None for numpy's solve."""
-    if mass == 0.0 and config.basis_size <= PURE_PYTHON_MAX_BASIS:
-        from .spectrum import massless_ground_energy
-
-        return massless_ground_energy
-    return None
+def ground_energy(h: ReducedHamiltonian, config: SolverConfig):
+    """The command line's one kernel choice: ``spectrum.massless_ground_energy``
+    for a massless operator on at most ``PURE_PYTHON_MAX_BASIS`` Gaussians,
+    else numpy's ``solver.ground_energy``, each imported at call time."""
+    if h.mass == 0.0 and config.basis_size <= PURE_PYTHON_MAX_BASIS:
+        from .spectrum import massless_ground_energy as solve
+    else:
+        from .solver import ground_energy as solve
+    return solve(h, config)
 
 
 # --- solve -----------------------------------------------------------------
@@ -205,10 +207,7 @@ def cmd_solve(opt: _Options) -> tuple[dict, int]:
     config = _solver_config(opt)
     # refuse an unbounded or out-of-range operator before numpy loads
     natural_units(hamiltonian)
-    solve = _pure_solve(hamiltonian.mass, config)
-    if solve is None:
-        from .solver import ground_energy as solve
-    result = solve(hamiltonian, config)
+    result = ground_energy(hamiltonian, config)
     return {
         "problem": {
             "beta": hamiltonian.beta,
@@ -231,7 +230,7 @@ def cmd_solve(opt: _Options) -> tuple[dict, int]:
 def _text_solve(report: dict) -> list[str]:
     res = report["result"]
     prob = report["problem"]
-    lines = [
+    return [
         "problem: beta=%s lambda=%s gamma=%s mass=%s potential=%s"
         % tuple(_g(prob[k]) if k != "potential" else prob[k] for k in
                ("beta", "lambda", "gamma", "mass", "potential")),
@@ -239,9 +238,6 @@ def _text_solve(report: dict) -> list[str]:
         "basis_range          %s to %s" % tuple(_g(r) for r in res["basis_range"]),
         f"convergence_estimate {_g(res['convergence_estimate'])}",
     ]
-    for warning in res["warnings"]:
-        lines.append(f"warning: {warning}")
-    return lines
 
 
 def _csv_solve(report: dict):
@@ -265,7 +261,7 @@ def cmd_bounds(opt: _Options) -> tuple[dict, int]:
     try:
         # the spec refuses a particle count, and the n2 row, solved first, an
         # unbounded or out-of-range operator, before numpy's solve loads
-        bounds = compute_bounds(spec, config, _pure_solve(mass, config))
+        bounds = compute_bounds(spec, config, ground_energy)
     except RuntimeError as exc:
         raise InternalError(str(exc)) from None
 
@@ -321,8 +317,6 @@ def _text_bounds(report: dict) -> list[str]:
     for name, value, note in _bound_rows(report):
         shown = "-" if value is None else _g(value)
         lines.append(f"{name:<12} {shown:>12}  {note}")
-    for name, diagnostic in report.get("diagnostics", {}).items():
-        lines.extend(f"warning: {name}: {warning}" for warning in diagnostic["warnings"])
     return lines
 
 
@@ -380,7 +374,7 @@ def cmd_verify_delta(opt: _Options) -> tuple[dict, int]:
     samples = opt["samples"]
     seed = opt["seed"]
     shards = opt["shards"]
-    from .delta import expectation_delta, finding_document, random_state_corpus
+    from .delta import expectation_delta, random_state_corpus
 
     threads = min(shards, os.cpu_count() or 1)
 
@@ -404,7 +398,12 @@ def cmd_verify_delta(opt: _Options) -> tuple[dict, int]:
             }
         )
         if flagged:
-            findings.append(finding_document(state, stats, regime))
+            # enough to replay the state's estimate through expectation_delta
+            findings.append({
+                "type": "negative-delta-expectation", "regime": regime, "n": n, "mass": mass,
+                "samples": samples, "seed": seed + index, "shard_count": shards,
+                "mean": stats.mean, "stderr": stats.stderr, "state": state.to_dict(),
+            })
     verdict = "all-nonnegative" if not findings else "findings"
     report = {
         "n": n,
@@ -494,6 +493,18 @@ def _cell(value):
     return value
 
 
+def _warnings(report: dict) -> list[str]:
+    """The report's warning lines, which follow its text view and, each as a
+    ``#`` comment, its CSV rows: a solve's, then each bound's by name."""
+    if report["header"]["command"] == "solve":
+        return [f"warning: {warning}" for warning in report["result"]["warnings"]]
+    return [
+        f"warning: {name}: {warning}"
+        for name, diagnostic in report.get("diagnostics", {}).items()
+        for warning in diagnostic["warnings"]
+    ]
+
+
 def render(report: dict, fmt: str) -> str:
     command = report["header"]["command"]
     if fmt == "json":
@@ -507,9 +518,10 @@ def render(report: dict, fmt: str) -> str:
         buffer = io.StringIO()
         buffer.write(f"# salbound {__version__} | units: {UNITS_NOTE}\r\n")
         csv.writer(buffer).writerows([_cell(c) for c in row] for row in csv_rows(report))
+        buffer.writelines(f"# {line}\r\n" for line in _warnings(report))
         return buffer.getvalue()
     head = f"salbound {__version__} | {command} | units: {UNITS_NOTE}"
-    return "\n".join([head, *text_view(report)]) + "\n"
+    return "\n".join([head, *text_view(report), *_warnings(report)]) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -207,24 +207,21 @@ def sample_momenta(
 
 @dataclass
 class DeltaStats:
-    """Monte Carlo estimate of the delta expectation for one state.
+    """Monte Carlo estimate of the delta expectation for one state: what
+    :func:`expectation_delta` computes, not its inputs.
 
     ``k_mean`` is the mean of sqrt(p_i^2 + m^2) over samples and particles,
     ``q_mean`` the mean of sqrt((N-1)/(2N) (p_i-p_j)^2 + m^2) over samples
-    and pairs, so that ``mean`` = N (``k_mean`` - ``q_mean``).
+    and pairs, so that ``mean`` = N (``k_mean`` - ``q_mean``) for the state's
+    N particles.
     """
 
-    n: int
-    mass: float
-    samples: int
     mean: float
     stderr: float
     k_mean: float
     q_mean: float
-    seed: int
-    shard_count: int
 
-    def negative_beyond(self, sigma: float = 3.0) -> bool:
+    def negative_beyond(self, sigma: float) -> bool:
         return self.mean < -sigma * self.stderr
 
 
@@ -275,31 +272,8 @@ def expectation_delta(
     mean = values.mean()
     m2 = ((values - mean) ** 2).sum()
     return DeltaStats(
-        n=n,
-        mass=mass,
-        samples=samples,
         mean=float(mean),
         stderr=math.sqrt(m2 / (samples - 1) / samples),
         k_mean=float(kinetic.sum()) / (n * samples),
         q_mean=float(pair_terms.sum()) / (n * samples),
-        seed=seed,
-        shard_count=shard_count,
     )
-
-
-def finding_document(state: SymmetrizedGaussianState, stats: DeltaStats, regime: str) -> dict:
-    """Serializable record of a negative-mean finding, sufficient to reproduce
-    it, with the ``regime`` of its (n, mass): proven or conjectured."""
-    return {
-        "type": "negative-delta-expectation",
-        "regime": regime,
-        "n": stats.n,
-        "mass": stats.mass,
-        "samples": stats.samples,
-        "seed": stats.seed,
-        "shard_count": stats.shard_count,
-        "mean": stats.mean,
-        "stderr": stats.stderr,
-        "state": state.to_dict(),
-    }
-

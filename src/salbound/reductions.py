@@ -353,11 +353,12 @@ class RatioTable:
     rows: dict[str, tuple[float | None, ...]]
 
 
-def ratio_table(n_values: tuple[int, ...] = (2, 3, 4, 5, 6, 10)) -> RatioTable:
-    """Ratios upper/lower for each bound and each N, plus the N -> inf column."""
+def ratio_table() -> RatioTable:
+    """Ratios upper/lower for each bound at Table 1's N, plus the N -> inf column."""
+    n_values = (2, 3, 4, 5, 6, 10)
     tables = [linear_bound_table(n) for n in (*n_values, 2**64)]
     rows = {
         row.ratio: tuple(None if t.lower[row.name] is None else t.upper / t.lower[row.name] for t in tables)
         for row in REDUCTIONS
     }
-    return RatioTable(n_values=tuple(n_values), rows=rows)
+    return RatioTable(n_values=n_values, rows=rows)

@@ -214,6 +214,38 @@ def test_basis_size_above_the_cap_exits_2_before_numpy(size):
     assert proc.stdout.strip() == "2 error: basis size must be at most 120", proc.stderr
 
 
+@pytest.mark.parametrize("command", ["solve", "bounds"])
+@pytest.mark.parametrize(
+    "mass, above, kernel",
+    [("0", 0, "spectrum"), ("0", 1, "solver"), ("1", 0, "solver")],
+    ids=["massless-at-the-crossover", "massless-above-it", "massive"],
+)
+def test_every_cli_solve_is_one_kernel_choice(monkeypatch, command, mass, above, kernel):
+    # cli.ground_energy picks the kernel of every solve of both commands:
+    # the pure-Python one up to the crossover basis size at m = 0, else numpy's
+    import salbound.solver
+    import salbound.spectrum
+    from salbound import cli
+
+    size = str(cli.PURE_PYTHON_MAX_BASIS + above)
+    chosen, ran = [], []
+
+    def counted(log, name, function):
+        return lambda *args: log.append(name) or function(*args)
+
+    monkeypatch.setattr(cli, "ground_energy", counted(chosen, "cli", cli.ground_energy))
+    monkeypatch.setattr(salbound.spectrum, "massless_ground_energy", counted(
+        ran, "spectrum", salbound.spectrum.massless_ground_energy))
+    monkeypatch.setattr(salbound.solver, "ground_energy", counted(
+        ran, "solver", salbound.solver.ground_energy))
+    argv = [command, "--mass", mass, "--potential", "coulomb+linear:0.3,1", "--basis-size", size]
+    if command == "bounds":
+        argv += ["--n", "5"]
+    assert cli.main(argv) == 0
+    assert len(chosen) >= 1
+    assert ran == [kernel] * len(chosen)
+
+
 def test_unknown_flag_exits_2():
     proc = run_cli("solve", "--frobnicate", "1")
     assert proc.returncode == 2
@@ -367,6 +399,26 @@ def test_bounds_text_prints_every_warning_after_the_table(capsys, n, potential, 
     )
     for line in expected[:-1]:
         assert "on the Gaussian at the upper endpoint of the basis range" in line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--mass", "0", "--potential", "coulomb:0.3"],
+     ["bounds", "--n", "3", "--mass", "0", "--potential", "coulomb:0.2"]],
+    ids=["solve", "bounds"],
+)
+def test_csv_carries_the_text_warnings_as_comments(capsys, argv):
+    # after its rows, a CSV report prints each warning line of the text
+    # report as a "#" comment, which a CSV reader of the rows skips
+    from salbound.cli import main
+
+    assert main(argv) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning: ")]
+    assert warnings
+    assert main([*argv, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-len(warnings):] == [f"# {line}" for line in warnings]
+    assert [line for line in lines if line.startswith("# warning: ")] == lines[-len(warnings):]
 
 
 @pytest.mark.parametrize("n", [2, 3, 10])
@@ -539,6 +591,55 @@ def test_verify_delta_threaded_shards_match_the_library(capsys, monkeypatch):
     (row,) = report["results"]
     columns = ("mean", "stderr", "k_mean", "q_mean")
     assert [row[c] for c in columns] == [getattr(stats, c) for c in columns]
+
+
+def test_verify_delta_finding_contents(capsys):
+    # seed 7 flags state 2 of three at n = 4, m = 0.5; its finding replays
+    # through the library from the record alone
+    from salbound.cli import main
+    from salbound.delta import SymmetrizedGaussianState, expectation_delta, random_state_corpus
+
+    argv = ["verify-delta", "--n", "4", "--mass", "0.5", "--states", "3", "--samples", "5000",
+            "--seed", "7", "--shards", "2", "--format", "json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    flagged = [row for row in report["results"] if row["negative_beyond_3se"]]
+    assert [row["state"] for row in flagged] == [2]
+    (doc,) = report["findings"]
+    assert doc["type"] == "negative-delta-expectation"
+    assert doc["regime"] == "conjectured"
+    assert doc["n"] == 4 and doc["mass"] == 0.5
+    assert doc["seed"] == 7 + 2 and doc["shard_count"] == 2
+    assert (doc["mean"], doc["stderr"]) == (flagged[0]["mean"], flagged[0]["stderr"])
+    assert doc["state"] == random_state_corpus(4, 3, 7)[2].to_dict()
+    restored = SymmetrizedGaussianState.from_dict(doc["state"])
+    replay = expectation_delta(restored, doc["mass"], doc["samples"], doc["seed"], doc["shard_count"])
+    assert replay.mean == doc["mean"]
+
+
+def test_finding_written_with_symmetrized_key_replays():
+    # a finding serialized while states still carried a "symmetrized" flag
+    from salbound.delta import SymmetrizedGaussianState, expectation_delta
+
+    doc = {
+        "type": "negative-delta-expectation", "regime": "proven", "n": 3, "mass": 1.0,
+        "samples": 4000, "seed": 52, "shard_count": 2,
+        "mean": -0.02325692786504606, "stderr": 0.0019437577150246772,
+        "state": {
+            "weights": [1.0],
+            "centers": [[[0.5796483884136153, 1.3190118263140254, 0.045875162973296996],
+                         [-0.15750987445146633, -0.1495488972784771, -0.9209182652319117]]],
+            "widths": [[[1.8276308507722374, 1.0965651447112135, 2.2995768992712935],
+                        [0.9314881896344832, 0.5969385498421764, 1.057540966590625]]],
+            "symmetrized": True,
+        },
+    }
+    state = SymmetrizedGaussianState.from_dict(doc["state"])
+    replay = expectation_delta(state, doc["mass"], doc["samples"], doc["seed"], doc["shard_count"])
+    assert replay.negative_beyond(3.0)
+    assert replay.mean == pytest.approx(doc["mean"], abs=1e-10 * doc["stderr"])
+    assert replay.stderr == pytest.approx(doc["stderr"], rel=1e-12)
+    assert "symmetrized" not in state.to_dict()
 
 
 def test_verify_delta_text_verdict():
@@ -731,6 +832,8 @@ def test_bad_config_format_exits_2_before_the_command_runs(tmp_path, monkeypatch
     def never(*args, **kwargs):
         raise AssertionError("the command ran before its format was checked")
 
+    # cli.ground_energy also stands for the pure-Python kernel of a massless solve
+    monkeypatch.setattr(cli, "ground_energy", never)
     monkeypatch.setattr(salbound.solver, "ground_energy", never)
     monkeypatch.setattr(salbound.bounds, "ground_energy", never)
     monkeypatch.setattr(salbound.delta, "expectation_delta", never)

@@ -10,7 +10,6 @@ from salbound.delta import (
     SymmetrizedGaussianState,
     _kinetic_terms,
     expectation_delta,
-    finding_document,
     jacobi_matrix,
     random_state_corpus,
     sample_momenta,
@@ -231,7 +230,7 @@ def test_centered_isotropic_states_sit_on_the_equality_manifold():
 def test_mean_equals_n_times_k_minus_q():
     state = random_state_corpus(4, 1, master_seed=17)[0]
     stats = expectation_delta(state, 0.6, 20000, seed=4)
-    assert stats.mean == pytest.approx(stats.n * (stats.k_mean - stats.q_mean), rel=1e-9)
+    assert stats.mean == pytest.approx(state.n_particles * (stats.k_mean - stats.q_mean), rel=1e-9)
 
 
 def test_single_shard_matches_direct_computation():
@@ -445,7 +444,7 @@ def test_expectation_delta_needs_two_samples():
     assert np.isfinite(stats.stderr)
 
 
-# --- regime classification and findings ------------------------------------------
+# --- regime classification -------------------------------------------------------
 
 
 def test_classify_regime():
@@ -455,39 +454,3 @@ def test_classify_regime():
     assert model_status(4, 0.0).label == "proven"
     assert model_status(4, 0.5).label == "conjectured"
     assert model_status(5, 0.0).label == "conjectured"
-
-
-def test_finding_document_contents():
-    state = random_state_corpus(4, 1, master_seed=3)[0]
-    stats = expectation_delta(state, 0.5, 5000, seed=77, shard_count=2)
-    doc = finding_document(state, stats, model_status(4, 0.5).label)
-    assert doc["type"] == "negative-delta-expectation"
-    assert doc["regime"] == "conjectured"
-    assert doc["n"] == 4 and doc["mass"] == 0.5
-    assert doc["seed"] == 77 and doc["shard_count"] == 2
-    restored = SymmetrizedGaussianState.from_dict(doc["state"])
-    replay = expectation_delta(restored, doc["mass"], doc["samples"], doc["seed"], doc["shard_count"])
-    assert replay.mean == stats.mean
-
-
-def test_finding_written_with_symmetrized_key_replays():
-    # a finding serialized while states still carried a "symmetrized" flag
-    doc = {
-        "type": "negative-delta-expectation", "regime": "proven", "n": 3, "mass": 1.0,
-        "samples": 4000, "seed": 52, "shard_count": 2,
-        "mean": -0.02325692786504606, "stderr": 0.0019437577150246772,
-        "state": {
-            "weights": [1.0],
-            "centers": [[[0.5796483884136153, 1.3190118263140254, 0.045875162973296996],
-                         [-0.15750987445146633, -0.1495488972784771, -0.9209182652319117]]],
-            "widths": [[[1.8276308507722374, 1.0965651447112135, 2.2995768992712935],
-                        [0.9314881896344832, 0.5969385498421764, 1.057540966590625]]],
-            "symmetrized": True,
-        },
-    }
-    state = SymmetrizedGaussianState.from_dict(doc["state"])
-    replay = expectation_delta(state, doc["mass"], doc["samples"], doc["seed"], doc["shard_count"])
-    assert replay.negative_beyond(3.0)
-    assert replay.mean == pytest.approx(doc["mean"], abs=1e-10 * doc["stderr"])
-    assert replay.stderr == pytest.approx(doc["stderr"], rel=1e-12)
-    assert "symmetrized" not in finding_document(state, replay, "proven")["state"]

@@ -195,12 +195,12 @@ def test_import_delta_does_not_load_the_solver_modules():
     assert "concurrent.futures" not in loaded
 
 
-def test_finding_document_loads_no_reductions():
-    # the caller passes the regime, so delta never looks it up
+def test_delta_expectation_loads_no_reductions():
+    # the CLI looks up the regime and writes the findings, so delta never does
     statement = (
-        "from salbound.delta import expectation_delta, finding_document, random_state_corpus\n"
+        "from salbound.delta import expectation_delta, random_state_corpus\n"
         "state = random_state_corpus(3, 1, 42)[0]\n"
-        "finding_document(state, expectation_delta(state, 0.0, 100, seed=42), 'proven')"
+        "expectation_delta(state, 0.0, 100, seed=42)"
     )
     loaded = new_modules(statement)
     assert "salbound.delta" in loaded
