@@ -31,7 +31,11 @@ cancel: against a 50-digit solve of the same matrices it is 8.4e-13 off for
 ``power:1,0.5`` at K = 9 and 3.4e-12 off for ``coulomb:0.3`` at K = 60, where
 the compensated quotient of ``spectrum`` is 8e-14 and 8.5e-16 off (ROADMAP
 item 4).  The convergence estimate is the same solve on the centred half of
-the Gaussians, a principal submatrix that needs no new matrix elements.
+the Gaussians, a principal submatrix that needs no new matrix elements.  The
+overlap and its full and centred-half factors depend only on the radii, so
+they are built once per basis and shared read-only by every solve on it
+(:func:`_basis`); the cache holds at most 8 bases, about 0.55 MB each at
+K = 120.
 
 The Gaussian upper bound of ``bounds`` evaluates its one-Gaussian trial
 states at m > 0 by :func:`pair_expectation`.  The operator, the basis size
@@ -43,6 +47,7 @@ numpy solve.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -103,25 +108,76 @@ def pair_expectation(canonical: ReducedHamiltonian, a: np.ndarray, c: np.ndarray
     return out
 
 
+def _factor(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, L^-1, norms) of a unit-diagonal overlap S with Cholesky factor L,
+    all three read-only.  The norms are the squared column norms of L^-1 at
+    the first and the last Gaussian, which are (S^-1)_ii there."""
+    inverse = np.linalg.inv(np.linalg.cholesky(overlap))
+    edges = inverse[:, [0, -1]]
+    norms = np.einsum("ij,ij->j", edges, edges)
+    for array in (overlap, inverse, norms):
+        array.setflags(write=False)
+    return overlap, inverse, norms
+
+
+class _Basis:
+    """What the unit-normalised Gaussians of some radii share whatever the
+    operator: the upper-triangle indices (i, j), the overlap values on them
+    and its symmetric matrix, the pair exponents a and c, and the factors of
+    the overlap and of its :func:`centred_half` block.  Every array is
+    read-only.  A factor is built at its first read, since only a solve
+    reads it and it needs K >= 2 distinct radii."""
+
+    def __init__(self, radii: tuple[float, ...]):
+        r = np.array(radii)
+        i, j = np.triu_indices(r.size)
+        r2 = r * r
+        width = r2[i] + r2[j]
+        self.radii, self.i, self.j = r, i, j
+        self.overlap_values = (2.0 * r[i] * r[j] / width) ** 1.5
+        self.overlap = self.symmetric(self.overlap_values)
+        self.a = width / (r2[i] * r2[j])
+        self.c = width / 4.0
+        for array in vars(self).values():
+            array.setflags(write=False)
+
+    def symmetric(self, values: np.ndarray) -> np.ndarray:
+        """The symmetric matrix with ``values`` on the upper triangle."""
+        mat = np.empty((self.radii.size,) * 2)
+        mat[self.i, self.j] = values
+        mat[self.j, self.i] = values
+        return mat
+
+    @functools.cached_property
+    def full(self):
+        return _factor(self.overlap)
+
+    @functools.cached_property
+    def half(self):
+        block = centred_half(self.radii.size)
+        return _factor(self.overlap[block, block])
+
+
+@functools.lru_cache(maxsize=8)
+def _basis(radii: tuple[float, ...]) -> _Basis:
+    """The shared :class:`_Basis` of ``radii``.  The key is the radii
+    themselves, so no entry goes stale; the largest, at K = 120, holds about
+    0.55 MB."""
+    return _Basis(radii)
+
+
 def _matrices(canonical: ReducedHamiltonian, radii: np.ndarray):
     """Overlap and Rayleigh-Ritz matrix less the rest mass of the
-    unit-normalised Gaussians of ``radii``, built on the upper triangle."""
-    i, j = np.triu_indices(radii.size)
-    r2 = radii * radii
-    width = r2[i] + r2[j]
-    overlap = (2.0 * radii[i] * radii[j] / width) ** 1.5
-    energy = pair_expectation(canonical, width / (r2[i] * r2[j]), width / 4.0)
-    out = []
-    for values in (overlap, overlap * energy):
-        mat = np.empty((radii.size, radii.size))
-        mat[i, j] = values
-        mat[j, i] = values
-        out.append(mat)
-    return out
+    unit-normalised Gaussians of ``radii``, built on the upper triangle.
+    The overlap is the basis's read-only one."""
+    basis = _basis(tuple(radii.tolist()))
+    energy = pair_expectation(canonical, basis.a, basis.c)
+    return basis.overlap, basis.symmetric(basis.overlap_values * energy)
 
 
-def _lowest(overlap: np.ndarray, matrix: np.ndarray):
-    """(energy, x, edge weights) of the lowest solution of matrix x = E overlap x.
+def _lowest(factor, matrix: np.ndarray):
+    """(energy, x, edge weights) of the lowest solution of matrix x = E overlap x
+    on the overlap's :func:`_factor`.
 
     ``eigvalsh`` of the Cholesky-reduced matrix, one step of inverse
     iteration next to its lowest eigenvalue, and the Rayleigh quotient of the
@@ -130,7 +186,7 @@ def _lowest(overlap: np.ndarray, matrix: np.ndarray):
     state that no other Gaussian supplies; it is given for the first and the
     last.
     """
-    inverse = np.linalg.inv(np.linalg.cholesky(overlap))
+    overlap, inverse, norms = factor
     reduced = inverse @ matrix @ inverse.T
     size = len(reduced)
     eigenvalues = np.linalg.eigvalsh(reduced)
@@ -142,8 +198,7 @@ def _lowest(overlap: np.ndarray, matrix: np.ndarray):
     norm = vector @ overlap @ vector
     energy = float(vector @ matrix @ vector / norm)
     vector /= math.sqrt(norm)
-    edges = inverse[:, [0, -1]]
-    weights = vector[[0, -1]] ** 2 / np.einsum("ij,ij->j", edges, edges)
+    weights = vector[[0, -1]] ** 2 / norms
     return energy, vector, weights
 
 
@@ -180,11 +235,12 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
     """
     cfg = config if config is not None else SolverConfig()
     h, energy, length = natural_units(h)
-    radii = np.array(basis_radii(h, cfg.basis_size))
+    basis = _basis(tuple(basis_radii(h, cfg.basis_size)))
+    radii = basis.radii
     overlap, matrix = _matrices(h, radii)
-    lowest, vector, weights = _lowest(overlap, matrix)
+    lowest, vector, weights = _lowest(basis.full, matrix)
     block = centred_half(cfg.basis_size)
-    estimate = abs(_lowest(overlap[block, block], matrix[block, block])[0] - lowest)
+    estimate = abs(_lowest(basis.half, matrix[block, block])[0] - lowest)
     if (overlap @ vector).sum() < 0.0:
         vector = -vector
     vector.setflags(write=False)

@@ -521,6 +521,74 @@ def test_coefficients_are_computed_eagerly_read_only_and_shared_by_dilated(monke
     assert (overlap @ coefficients).sum() > 0.0
 
 
+# --- the basis cache (solver._basis) ----------------------------------------------
+
+
+def _bits(result):
+    """The solve's reported numbers, bit for bit."""
+    numbers = [result.ground_energy, result.convergence_estimate, *result.basis_range]
+    return [float(x).hex() for x in (*numbers, *result.coefficients)] + result.warnings
+
+
+#: One canonical operator of each grid kind of ``spectrum.basis_radii``:
+#: confining, Coulomb+linear and pure Coulomb.
+GRID_KINDS = (
+    ReducedHamiltonian(1.0, 1.0, 1.0, 1.0, Linear(1.0)),
+    ReducedHamiltonian(1.0, 1.0, 1.0, 1.0, CoulombPlusLinear(0.3, 1.0)),
+    ReducedHamiltonian(1.0, 1.0, 1.0, 1.0, Coulomb(0.3)),
+)
+
+
+def test_cold_and_warm_basis_give_the_same_bits():
+    for h in GRID_KINDS[:2]:
+        solver._basis.cache_clear()
+        cold = _bits(ground_energy(h))
+        assert solver._basis.cache_info().misses == 1
+        assert _bits(ground_energy(h)) == cold
+        assert solver._basis.cache_info().hits >= 1
+
+
+def test_evicted_bases_give_the_same_bits_as_a_cold_cache():
+    # 33 bases against a cache of 8, swept forwards and backwards, so each
+    # sweep reuses, evicts and rebuilds entries
+    cases = [(h, size) for size in range(2, 13) for h in GRID_KINDS]
+    cold = {}
+    for h, size in cases:
+        solver._basis.cache_clear()
+        cold[h, size] = _bits(ground_energy(h, SolverConfig(basis_size=size)))
+    assert solver._basis.cache_info().maxsize < len(cases)
+    for order in (cases, cases[::-1]):
+        for h, size in order:
+            assert _bits(ground_energy(h, SolverConfig(basis_size=size))) == cold[h, size], (h, size)
+
+
+def test_every_cached_array_is_read_only():
+    solver._basis.cache_clear()
+    h = GRID_KINDS[0]
+    ground_energy(h, SolverConfig(basis_size=12))
+    basis = solver._basis(tuple(basis_radii(h, 12)))
+    names = ["radii", "i", "j", "overlap_values", "overlap", "a", "c"]
+    assert sorted(vars(basis)) == sorted(names + ["full", "half"])
+    arrays = [getattr(basis, name) for name in names] + [*basis.full, *basis.half]
+    assert all(isinstance(x, np.ndarray) for x in arrays)
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0.0
+
+
+def test_one_bounds_problem_factors_its_basis_once(monkeypatch):
+    # every row of an m = 1 linear problem has its own operator on one basis:
+    # two Cholesky factors, of the overlap and of its centred half
+    from salbound.bounds import ProblemSpec, compute_bounds
+
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+    solver._basis.cache_clear()
+    compute_bounds(ProblemSpec(5, 1.0, Linear(1.0)))
+    assert calls == [(40, 40), (20, 20)]
+
+
 # --- the Gaussian basis -------------------------------------------------------------
 
 

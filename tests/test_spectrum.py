@@ -34,7 +34,7 @@ def roundoff(overlap, matrix) -> float:
     relative roundoff that the Rayleigh quotient of its vector x carries from
     cancellation between coefficients of opposite sign, or that one-ulp
     changes of the matrix elements move the energy by."""
-    energy, x, _ = solver._lowest(overlap, matrix)
+    energy, x, _ = solver._lowest(solver._factor(overlap), matrix)
     return EPS * (np.abs(x) @ np.abs(matrix) @ np.abs(x)) / abs(energy)
 
 
