@@ -244,6 +244,9 @@ def expectation_delta(
     """
     if not (math.isfinite(mass) and mass >= 0.0):
         raise ValueError(f"mass must be finite and nonnegative, got {mass}")
+    # every kinetic term is sqrt(p^2 + m^2), which is inf once m^2 overflows
+    if not math.isfinite(mass * mass):
+        raise ValueError(f"mass {mass:g} is outside the floating-point range")
     samples = _whole("samples", samples)
     shard_count = _whole("shard_count", shard_count)
     if samples < 2:

@@ -1,8 +1,8 @@
-"""The shipped Gauss-Legendre rules on [0, 1].
+"""The shipped Gauss-Legendre rule on [0, 1].
 
-Only the rules of ``SHIPPED_ORDERS`` exist: they ship with the package as
-``.npy`` files, written and checked bit for bit by the Newton builder of the
-tests (``tests/legendre_reference.py``).  The solver maps them to the half
+Only the rule of ``SHIPPED_ORDERS`` exists: it ships with the package as a
+``.npy`` file, written and checked bit for bit by the Newton builder of the
+tests (``tests/legendre_reference.py``).  The solver maps it to the half
 line itself (``solver._kinetic_excess``).
 """
 
@@ -13,9 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# The order of the solver's kinetic pair integral and the doubled order of its
-# self-check, which every cold solve at m > 0 needs.
-SHIPPED_ORDERS = (100, 200)
+# The order of the solver's kinetic pair integral, loaded by every cold m > 0 solve.
+SHIPPED_ORDERS = (100,)
 
 
 def _rule_path(order: int) -> str:

@@ -56,27 +56,24 @@ from . import quadrature
 from .reductions import ReducedHamiltonian, SolverConfig, _pair_moment, natural_units
 from .spectrum import _MOMENT_1, SpectrumResult, basis_radii, centred_half, range_warnings
 
-#: Order of the kinetic pair integral's rule.  The self-check runs it at
-#: twice the order, and both rules ship with the package.  Orders 100 and 200
-#: agree to 6e-16 relative for every nu from 0 to 1e150, which covers every
-#: pair an accepted input reaches (mu < 2^480, c <= 5e8).
+#: Order of the kinetic pair integral's rule, the one rule that ships with
+#: the package.  It agrees with order 200 to 4.4e-16 relative for every
+#: nu = mu sqrt(c) an accepted input reaches (mu < 2^480, c <= 4.9e8), which
+#: test_fixed_kinetic_rule_holds_over_its_whole_domain checks.
 KINETIC_ORDER = 100
 
-#: Relative change between the rule and its doubled-order version above which
-#: a quadrature warning is recorded.
-QUADRATURE_SELF_CHECK_TOL = 1e-10
 
-def _kinetic_excess(nu: np.ndarray, order: int) -> np.ndarray:
+def _kinetic_excess(nu: np.ndarray) -> np.ndarray:
     """(4/sqrt(pi)) ∫ y^4 e^(-y^2) / (sqrt(y^2 + nu^2) + nu) dy over [0, inf)
-    for each nu >= 0, on the shipped Gauss-Legendre rule of ``order`` mapped by
-    y = u/(1 - u).
+    for each nu >= 0, on the shipped Gauss-Legendre rule of
+    :data:`KINETIC_ORDER` mapped by y = u/(1 - u).
 
     It is c^(1/2) <sqrt(p^2 + mu^2) - mu> in the momentum density
     p^2 e^(-c p^2) at nu = mu sqrt(c); the form p^2/(sqrt(p^2 + mu^2) + mu)
     of the excess over the rest mass keeps heavy masses free of cancellation.
     The (nu, node) array is the one temporary, 0.66 MB at 820 pairs.
     """
-    u, w = quadrature.unit_rule(order)
+    u, w = quadrature.unit_rule(KINETIC_ORDER)
     y = u / (1.0 - u)
     wy = w / (1.0 - u) ** 2
     weight = (2.0 * _MOMENT_1) * wy * y**4 * np.exp(-y * y)
@@ -102,7 +99,7 @@ def pair_expectation(canonical: ReducedHamiltonian, a: np.ndarray, c: np.ndarray
     if canonical.mass == 0.0:
         out = _MOMENT_1 / root
     else:
-        out = _kinetic_excess(canonical.mass * root, KINETIC_ORDER) / root
+        out = _kinetic_excess(canonical.mass * root) / root
     for coefficient, k in canonical.potential.terms():
         out += (coefficient * _pair_moment(k)) * a ** (-k / 2.0)
     return out
@@ -202,25 +199,6 @@ def _lowest(factor, matrix: np.ndarray):
     return energy, vector, weights
 
 
-def _self_check(canonical: ReducedHamiltonian, radii: np.ndarray) -> list[str]:
-    """The kinetic pair integral at :data:`KINETIC_ORDER` and twice it on the
-    diagonal pairs, whose momentum exponents c_ii = r_i^2/2 bracket every
-    other pair's c_ij = (c_ii + c_jj)/2; a warning where they differ beyond
-    the tolerance."""
-    if canonical.mass == 0.0:
-        return []
-    nu = canonical.mass * radii / math.sqrt(2.0)
-    order = KINETIC_ORDER
-    base = _kinetic_excess(nu, order)
-    change = float(np.max(np.abs(_kinetic_excess(nu, 2 * order) - base) / base))
-    if change <= QUADRATURE_SELF_CHECK_TOL:
-        return []
-    return [
-        f"kinetic quadrature self-check: relative change {change:.2e} between "
-        f"order {order} and {2 * order} exceeds {QUADRATURE_SELF_CHECK_TOL:.0e}"
-    ]
-
-
 def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
     """Bottom of the spectrum of H by Rayleigh-Ritz on ``config.basis_size``
     geometric Gaussians.
@@ -230,8 +208,8 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
     variational upper bound on the true spectral bottom.
     ``convergence_estimate`` is its difference against the solve on the
     centred ``basis_size // 2`` Gaussians and bounds the plausible remaining
-    truncation error.  The warnings come from the kinetic quadrature
-    self-check at m > 0 and from the weight of the edge Gaussians.
+    truncation error.  The warnings come from the weight of the edge
+    Gaussians.
     """
     cfg = config if config is not None else SolverConfig()
     h, energy, length = natural_units(h)
@@ -249,6 +227,6 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
         basis_range=(float(radii[0]), float(radii[-1])),
         coefficients=vector,
         convergence_estimate=estimate,
-        warnings=_self_check(h, radii) + range_warnings(weights),
+        warnings=range_warnings(weights),
     ).dilated(energy, length)
 

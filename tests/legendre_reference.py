@@ -11,7 +11,8 @@ its starting values, so a rule built here can differ in its last bits between
 platforms; scipy's ``roots_legendre`` checks the rules independently of it.
 The oscillator-basis oracle (``oscillator_reference``) takes its rules on
 the half line, at orders the package does not ship, from
-:func:`semi_infinite_rule` here.
+:func:`semi_infinite_rule` here, and the domain test of the shipped kinetic
+rule takes its order-200 reference from :func:`unit_rule`.
 """
 
 from __future__ import annotations

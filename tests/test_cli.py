@@ -761,6 +761,24 @@ def test_verify_delta_one_sample_exits_2():
     assert proc.stdout == ""
 
 
+def test_verify_delta_mass_whose_square_overflows_exits_2(capsys):
+    # above about 1.34e154 every kinetic term is inf, and the report carried
+    # NaN and Infinity with exit 0
+    proc = run_cli("verify-delta", "--n", "3", "--mass", "1e300", "--states", "1",
+                   "--samples", "10", "--format", "json")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: mass 1e+300 is outside the floating-point range\n"
+    assert proc.stdout == ""
+    # m = 1e150 still runs: its square is finite
+    from salbound import cli
+
+    argv = ["verify-delta", "--n", "3", "--mass", "1e150", "--states", "1", "--samples", "10",
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert all(math.isfinite(result[key]) for key in ("mean", "stderr", "k_mean", "q_mean"))
+
+
 def test_solver_path_never_imports_scipy():
     code = (
         "import contextlib, io, sys\n"
@@ -791,8 +809,8 @@ def test_default_orders_load_their_rules(cold_rules, capsys):
     assert cli.main(["solve", "--format", "json"]) == 0
     assert cold_rules.unit_rule.cache_info().currsize == 0
     assert cli.main(["bounds", "--n", "4", "--mass", "1", "--format", "json"]) == 0
-    # the order-100 rule and the self-check's order-200 rule
-    assert cold_rules.unit_rule.cache_info().currsize == 2
+    # the kinetic pair integral's order-100 rule, the only one
+    assert cold_rules.unit_rule.cache_info().currsize == 1
 
 
 def test_quadrature_order_is_not_a_flag(cold_rules, tmp_path, capsys):

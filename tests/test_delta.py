@@ -429,10 +429,16 @@ def test_expectation_delta_validation():
         sample_momenta(state, 0, seed=0)
 
 
-@pytest.mark.parametrize("mass", [math.nan, math.inf], ids=["nan", "inf"])
-def test_expectation_delta_refuses_a_non_finite_mass(mass):
-    # a nan mean and stderr would flag no finding, so the call must fail
-    with pytest.raises(ValueError, match="mass must be finite"):
+@pytest.mark.parametrize(
+    "mass,message",
+    [(math.nan, "mass must be finite"), (math.inf, "mass must be finite"),
+     (1e300, "mass 1e[+]300 is outside the floating-point range")],
+    ids=["nan", "inf", "square-overflows"],
+)
+def test_expectation_delta_refuses_a_non_finite_mass(mass, message):
+    # a nan mean and stderr would flag no finding, so the call must fail; so
+    # must a mass whose square overflows, where every kinetic term is inf
+    with pytest.raises(ValueError, match=message):
         expectation_delta(isotropic_state(3), mass, 100, seed=0)
 
 

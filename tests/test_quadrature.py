@@ -15,7 +15,7 @@ def test_unit_rule_integrates_polynomials_exactly():
     u, w = legendre_reference.unit_rule(8)
     for k in range(0, 15):  # exact through degree 2*8-1
         assert w @ u**k == pytest.approx(1.0 / (k + 1), rel=1e-14)
-    for rule in (*map(unit_rule, SHIPPED_ORDERS), *map(legendre_reference.unit_rule, (400, 800))):
+    for rule in (*map(unit_rule, SHIPPED_ORDERS), *map(legendre_reference.unit_rule, (200, 400, 800))):
         u, w = rule
         order = u.size
         k = np.arange(2 * order)  # exact through degree 2*order-1
@@ -26,7 +26,8 @@ def test_unit_rule_integrates_polynomials_exactly():
 def test_unit_rule_matches_scipy():
     from scipy.special import roots_legendre
 
-    for order in (16, *SHIPPED_ORDERS, 400, 800):
+    # order 200 is the reference of the kinetic rule's domain test
+    for order in (16, *SHIPPED_ORDERS, 200, 400, 800):
         u, w = (unit_rule if order in SHIPPED_ORDERS else legendre_reference.unit_rule)(order)
         x, wx = roots_legendre(order)
         # scipy's endpoint weights carry the larger error, hence the loose rtol
@@ -58,27 +59,29 @@ def test_shipped_rule_is_the_newton_rule_and_read_only(order):
         assert not array.flags.writeable
 
 
-def test_shipped_orders_are_the_default_and_its_self_check():
-    # the kinetic pair integral's fixed order and its self-check's double
-    default = solver.KINETIC_ORDER
-    assert SHIPPED_ORDERS == (default, 2 * default)
-    rules = os.path.dirname(quadrature._rule_path(default))
-    assert sorted(os.listdir(rules)) == sorted(
-        os.path.basename(quadrature._rule_path(order)) for order in SHIPPED_ORDERS
-    )
+def test_shipped_order_is_the_kinetic_order():
+    # the kinetic pair integral's fixed order is the one rule in rules/
+    order = solver.KINETIC_ORDER
+    assert SHIPPED_ORDERS == (order,)
+    rules = os.path.dirname(quadrature._rule_path(order))
+    assert os.listdir(rules) == [os.path.basename(quadrature._rule_path(order))]
 
 
-def test_mapped_rules_give_the_massless_kinetic_moment():
-    # the solver maps the shipped rules to [0, inf) by y = u/(1 - u); at
-    # nu = 0 its kinetic integral is (4/sqrt(pi)) ∫ y^3 e^(-y^2) dy = 2/sqrt(pi)
-    for order in SHIPPED_ORDERS:
-        (value,) = solver._kinetic_excess(np.zeros(1), order)
-        assert value == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-14), order
+def test_mapped_rules_give_the_massless_kinetic_moment(monkeypatch):
+    # the solver maps the shipped rule to [0, inf) by y = u/(1 - u); at
+    # nu = 0 its kinetic integral is (4/sqrt(pi)) ∫ y^3 e^(-y^2) dy = 2/sqrt(pi).
+    # So does the order-200 reference of the domain test, patched in.
+    moment = 2.0 / math.sqrt(math.pi)
+    (value,) = solver._kinetic_excess(np.zeros(1))
+    assert value == pytest.approx(moment, rel=1e-14)
+    monkeypatch.setattr(quadrature, "unit_rule", lambda _: legendre_reference.unit_rule(200))
+    (value,) = solver._kinetic_excess(np.zeros(1))
+    assert value == pytest.approx(moment, rel=1e-14)
 
 
 def test_validation():
     # only the shipped orders exist; no order is built at run time
-    for order in (1, 16, 64, 120, 400):
+    for order in (1, 16, 64, 120, 200, 400):
         with pytest.raises(ValueError, match=f"no Gauss-Legendre rule of order {order} ships"):
             unit_rule(order)
     with pytest.raises(ValueError):

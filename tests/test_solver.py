@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from salbound import quadrature, solver
-from salbound.bounds import ZOOM_POINTS, ZOOM_SPACING, zoom_log_minimum
+from salbound.bounds import GAUSSIAN_SCALE_INTERVAL, ZOOM_POINTS, ZOOM_SPACING, zoom_log_minimum
 from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
 from salbound.reductions import (
     COULOMB_CRITICAL_COUPLING,
@@ -15,6 +15,7 @@ from salbound.reductions import (
     ReducedHamiltonian,
     SolverConfig,
     StabilityError,
+    _MU_MAX,
     natural_units,
 )
 from salbound.solver import ground_energy, pair_expectation
@@ -739,32 +740,38 @@ def test_edge_weights_of_the_survey_stay_below_the_threshold():
     assert worst < EDGE_WEIGHT_TOL / 3.0
 
 
-def test_kinetic_self_check_warns_at_low_order(monkeypatch):
-    # the shipped rules of orders 100 and 200 swapped for those of 16 and 32
-    h = linear_hamiltonian(mass=1.0)
-    assert ground_energy(h).warnings == []
-    low = {100: 16, 200: 32}
-    monkeypatch.setattr(quadrature, "unit_rule", lambda order: unit_rule(low[order]))
-    (warning,) = ground_energy(h).warnings
-    assert warning.startswith("kinetic quadrature self-check: relative change")
-    assert warning.endswith("between order 100 and 200 exceeds 1e-10")
-    change = float(warning.split()[5].rstrip(";"))
-    assert 1e-10 < change < 1e-2
-
-
 def test_fixed_kinetic_rule_holds_over_its_whole_domain(monkeypatch):
-    # every pair integral of an accepted input has nu = mu sqrt(c) below
-    # 2^480 sqrt(5e8) < 1e150; the shipped orders 100 and 200 agree to 6e-16
-    nu = np.concatenate(([0.0, 1e-300], np.logspace(-20.0, 150.0, 341)))
-    fixed, doubled = (solver._kinetic_excess(nu, order) for order in (100, 200))
+    # the one guarantee of the fixed order-100 rule: every pair integral of an
+    # accepted input has nu = mu sqrt(c) with mu below reductions._MU_MAX and
+    # c at most r_K^2/2 for the widest Gaussian of the three grid kinds at the
+    # largest basis, or 1/s^2 for the Gaussian upper bound's narrowest width;
+    # that is 6.9e148.  A basis rule that widens with the operator (ROADMAP
+    # item 17) must extend this bound.
+    widest = max(
+        basis_radii(ReducedHamiltonian(1.0, 1.0, 1.0, 1.0, potential), MAX_BASIS_SIZE)[-1]
+        for potential in (Linear(1.0), CoulombPlusLinear(0.2, 1.0), Coulomb(0.2))
+    )
+    c_max = max(widest**2 / 2.0, GAUSSIAN_SCALE_INTERVAL[0] ** -2)
+    top = math.ceil(math.log10(_MU_MAX * math.sqrt(c_max)))
+    assert top == 149
+    # 10 points per decade from 1e-20 to 1e149, and the subnormal end
+    nu = np.concatenate(([0.0, 5e-324, 1e-300], np.logspace(-20.0, top, 10 * (top + 20) + 1)))
+
+    def excess_at(order):
+        # the reference builder's rule of ``order`` in place of the shipped one
+        monkeypatch.setattr(quadrature, "unit_rule", lambda _: unit_rule(order))
+        return solver._kinetic_excess(nu)
+
+    fixed = solver._kinetic_excess(nu)
+    doubled = excess_at(2 * solver.KINETIC_ORDER)
 
     def worst(values):
         return float(np.max(np.abs(values - doubled) / doubled))
 
+    # the measured worst is 4.4e-16
     assert worst(fixed) <= 1e-14
     # the same check fails a rule of order 48, which is 1e-10 off
-    monkeypatch.setattr(quadrature, "unit_rule", unit_rule)
-    assert worst(solver._kinetic_excess(nu, 48)) > 1e-11
+    assert worst(excess_at(48)) > 1e-11
 
 
 def test_massless_solve_loads_no_rule(monkeypatch):
@@ -773,7 +780,7 @@ def test_massless_solve_loads_no_rule(monkeypatch):
 
     monkeypatch.setattr(quadrature, "unit_rule", never)
     ground_energy(ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, CoulombPlusLinear(0.2, 1.0)))
-    assert quadrature.SHIPPED_ORDERS == (100, 200)
+    assert quadrature.SHIPPED_ORDERS == (100,)
 
 
 @pytest.mark.parametrize("mass", [0.0, 1.0, 30.0])
