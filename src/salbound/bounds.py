@@ -14,7 +14,7 @@ the proof status of the model-operator bound and the closed forms for the
 massless linear potential; here the model-operator bound is also proved for
 harmonic pair potentials.  This module runs no quadrature of its own, and
 loads numpy and ``solver`` only where it uses them, so a massless bound
-solved by ``spectrum.massless_ground_energy`` loads neither.
+solved by ``spectrum.pure_ground_energy`` loads neither.
 
 Rows with the same canonical operator share one solve.  A massless
 single-term potential c r^k with k > 0 (linear, harmonic, power law) has
@@ -43,7 +43,7 @@ from .reductions import (
     natural_units,
     require_particle_count,
 )
-from .spectrum import SpectrumResult, massless_pair_expectation
+from .spectrum import SpectrumResult, pure_pair_expectation
 
 #: Interval of the Gaussian's momentum width sigma searched in natural units.
 GAUSSIAN_SCALE_INTERVAL = (0.05, 20.0)
@@ -177,7 +177,7 @@ def gaussian_upper(spec: ProblemSpec) -> UpperBoundResult:
     - for massless pure Coulomb, whose (M_1 - v' M_-1)/sigma falls towards 0
       at ever larger lengths, the widest Gaussian of
       ``GAUSSIAN_SCALE_INTERVAL``, with a warning
-      (``spectrum.massless_pair_expectation``);
+      (``spectrum.pure_pair_expectation``);
     - at m > 0, mu plus the least of ``solver.pair_expectation`` at
       a = s^2 and c = 1/s^2 over the momentum widths s = 1/sigma of
       ``GAUSSIAN_SCALE_INTERVAL``, zoomed in on by :func:`zoom_log_minimum`.
@@ -196,7 +196,7 @@ def gaussian_upper(spec: ProblemSpec) -> UpperBoundResult:
         least, sigma, pinned = canonical.mass + least, 1.0 / s, (at_lower, at_upper)
     elif isinstance(canonical.potential, Coulomb):
         s = GAUSSIAN_SCALE_INTERVAL[0]
-        least, sigma = massless_pair_expectation(canonical, s * s, 1.0 / (s * s)), 1.0 / s
+        least, sigma = pure_pair_expectation(canonical, s * s, 1.0 / (s * s)), 1.0 / s
         pinned = (True, False)
     else:
         least, sigma = _massless_optimum(canonical)
@@ -238,7 +238,7 @@ def compute_bounds(
 
     ``solve`` is the basis solve of the lower bounds, :func:`ground_energy`
     by default; the command line passes its one kernel choice,
-    ``cli.ground_energy``, which runs ``spectrum.massless_ground_energy`` for
+    ``cli.ground_energy``, which runs ``spectrum.pure_ground_energy`` for
     massless problems on small bases.  Reductions with the same canonical
     operator share one solve, and a massless single-term power law needs one
     solve for all of them (see :func:`_bounds`).  The Gaussian upper bound

@@ -33,9 +33,9 @@ import sys
 # Only numpy-free modules load here; spectrum, solver, bounds, delta, csv and
 # json load inside the functions that use them.  The closed-form commands, the
 # refusals of an operator or a particle count and usage errors never load
-# numpy, and neither do massless `solve` and `bounds` up to
+# numpy, and neither do `solve` at any mass and massless `bounds` up to
 # PURE_PYTHON_MAX_BASIS Gaussians: `ground_energy` below, the one kernel
-# choice of every solve here, runs spectrum.massless_ground_energy for them.
+# choice of every solve here, runs spectrum.pure_ground_energy for them.
 from . import __version__
 from .potentials import PotentialParseError, parse_potential
 from .reductions import (
@@ -54,10 +54,10 @@ EXIT_STABILITY = 3
 EXIT_VERIFICATION = 4
 EXIT_INTERNAL = 5
 
-#: Largest basis size that a massless `solve` or `bounds` runs in pure Python
-#: (``spectrum.massless_ground_energy``).  Up to it the pure-Python solve,
-#: which grows as K^3, costs less than importing numpy, and it agrees with
-#: the numpy solve to roundoff.
+#: Largest basis size that `solve` or massless `bounds` runs in pure Python
+#: (``spectrum.pure_ground_energy``).  Up to it the pure-Python solve, which
+#: grows as K^3, costs less than importing numpy at every mass, and it agrees
+#: with the numpy solve to roundoff.
 PURE_PYTHON_MAX_BASIS = 45
 
 UNITS_NOTE = "hbar = c = 1"
@@ -186,12 +186,13 @@ def _solver_config(opt: _Options) -> SolverConfig:
     return SolverConfig(basis_size=opt["basis-size"])
 
 
-def ground_energy(h: ReducedHamiltonian, config: SolverConfig):
-    """The command line's one kernel choice: ``spectrum.massless_ground_energy``
-    for a massless operator on at most ``PURE_PYTHON_MAX_BASIS`` Gaussians,
-    else numpy's ``solver.ground_energy``, each imported at call time."""
-    if h.mass == 0.0 and config.basis_size <= PURE_PYTHON_MAX_BASIS:
-        from .spectrum import massless_ground_energy as solve
+def ground_energy(h: ReducedHamiltonian, config: SolverConfig, numpy_follows: bool = False):
+    """The command line's one kernel choice: ``spectrum.pure_ground_energy``
+    on at most ``PURE_PYTHON_MAX_BASIS`` Gaussians unless the caller loads
+    numpy after the solve anyway (``numpy_follows``), else numpy's
+    ``solver.ground_energy``, the faster once numpy is loaded."""
+    if config.basis_size <= PURE_PYTHON_MAX_BASIS and not numpy_follows:
+        from .spectrum import pure_ground_energy as solve
     else:
         from .solver import ground_energy as solve
     return solve(h, config)
@@ -260,8 +261,9 @@ def cmd_bounds(opt: _Options) -> tuple[dict, int]:
     spec = ProblemSpec(n=n, mass=mass, potential=potential)
     try:
         # the spec refuses a particle count, and the n2 row, solved first, an
-        # unbounded or out-of-range operator, before numpy's solve loads
-        bounds = compute_bounds(spec, config, ground_energy)
+        # unbounded or out-of-range operator, before numpy's solve loads; at
+        # m > 0 the upper bound's zoom (bounds.zoom_log_minimum) loads numpy
+        bounds = compute_bounds(spec, config, lambda h, c: ground_energy(h, c, mass > 0.0))
     except RuntimeError as exc:
         raise InternalError(str(exc)) from None
 

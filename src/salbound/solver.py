@@ -40,9 +40,9 @@ K = 120.
 The Gaussian upper bound of ``bounds`` evaluates its one-Gaussian trial
 states at m > 0 by :func:`pair_expectation`.  The operator, the basis size
 and the closed forms of the massless linear case are in ``reductions``; the
-basis rule, the result type and the range warnings are in ``spectrum``,
-which also runs this solve without numpy at m = 0.  This module holds the
-numpy solve.
+basis rule, the kinetic rule's order, the result type and the range
+warnings are in ``spectrum``, which also runs this solve without numpy.
+This module holds the numpy solve.
 """
 
 from __future__ import annotations
@@ -54,13 +54,10 @@ import numpy as np
 
 from . import quadrature
 from .reductions import ReducedHamiltonian, SolverConfig, _pair_moment, natural_units
-from .spectrum import _MOMENT_1, SpectrumResult, basis_radii, centred_half, range_warnings
+from .spectrum import _MOMENT_1, KINETIC_ORDER, SpectrumResult, basis_radii, centred_half, range_warnings
 
-#: Order of the kinetic pair integral's rule, the one rule that ships with
-#: the package.  It agrees with order 200 to 4.4e-16 relative for every
-#: nu = mu sqrt(c) an accepted input reaches (mu < 2^480, c <= 4.9e8), which
-#: test_fixed_kinetic_rule_holds_over_its_whole_domain checks.
-KINETIC_ORDER = 100
+#: The rule that :func:`_kinetic_excess` last mapped, and its mapping.
+_mapped = [None, None]
 
 
 def _kinetic_excess(nu: np.ndarray) -> np.ndarray:
@@ -71,13 +68,18 @@ def _kinetic_excess(nu: np.ndarray) -> np.ndarray:
     It is c^(1/2) <sqrt(p^2 + mu^2) - mu> in the momentum density
     p^2 e^(-c p^2) at nu = mu sqrt(c); the form p^2/(sqrt(p^2 + mu^2) + mu)
     of the excess over the rest mass keeps heavy masses free of cancellation.
-    The (nu, node) array is the one temporary, 0.66 MB at 820 pairs.
+    The mapping is kept per rule object, so a rule patched in for the shipped
+    one is mapped anew, and drops the nodes whose weight underflows to 0.
+    The (nu, node) array is the one temporary, 0.58 MB at 820 pairs.
     """
-    u, w = quadrature.unit_rule(KINETIC_ORDER)
-    y = u / (1.0 - u)
-    wy = w / (1.0 - u) ** 2
-    weight = (2.0 * _MOMENT_1) * wy * y**4 * np.exp(-y * y)
-    d = np.add.outer(nu * nu, y * y)
+    rule = quadrature.unit_rule(KINETIC_ORDER)
+    if _mapped[0] is not rule:
+        u, w = rule
+        y = u / (1.0 - u)
+        weight = (2.0 * _MOMENT_1) * (w / (1.0 - u) ** 2) * y**4 * np.exp(-y * y)
+        _mapped[:] = rule, ((y * y)[weight != 0.0], weight[weight != 0.0])
+    y2, weight = _mapped[1]
+    d = (nu * nu)[:, None] + y2
     np.sqrt(d, out=d)
     d += nu[:, None]
     np.reciprocal(d, out=d)
@@ -163,11 +165,10 @@ def _basis(radii: tuple[float, ...]) -> _Basis:
     return _Basis(radii)
 
 
-def _matrices(canonical: ReducedHamiltonian, radii: np.ndarray):
+def _matrices(canonical: ReducedHamiltonian, basis: _Basis):
     """Overlap and Rayleigh-Ritz matrix less the rest mass of the
-    unit-normalised Gaussians of ``radii``, built on the upper triangle.
-    The overlap is the basis's read-only one."""
-    basis = _basis(tuple(radii.tolist()))
+    unit-normalised Gaussians of a :class:`_Basis`, built on the upper
+    triangle.  The overlap is the basis's read-only one."""
     energy = pair_expectation(canonical, basis.a, basis.c)
     return basis.overlap, basis.symmetric(basis.overlap_values * energy)
 
@@ -190,8 +191,8 @@ def _lowest(factor, matrix: np.ndarray):
     # a shift below the lowest eigenvalue by 1e-10 of the gap keeps the
     # solve nonsingular and still suppresses every other component
     gap = eigenvalues[1] - eigenvalues[0] if size > 1 else 1.0
-    shifted = reduced - (eigenvalues[0] - 1e-10 * gap) * np.eye(size)
-    vector = inverse.T @ np.linalg.solve(shifted, np.ones(size))
+    reduced.flat[:: size + 1] -= eigenvalues[0] - 1e-10 * gap
+    vector = inverse.T @ np.linalg.solve(reduced, np.ones(size))
     norm = vector @ overlap @ vector
     energy = float(vector @ matrix @ vector / norm)
     vector /= math.sqrt(norm)
@@ -215,7 +216,7 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
     h, energy, length = natural_units(h)
     basis = _basis(tuple(basis_radii(h, cfg.basis_size)))
     radii = basis.radii
-    overlap, matrix = _matrices(h, radii)
+    overlap, matrix = _matrices(h, basis)
     lowest, vector, weights = _lowest(basis.full, matrix)
     block = centred_half(cfg.basis_size)
     estimate = abs(_lowest(basis.half, matrix[block, block])[0] - lowest)

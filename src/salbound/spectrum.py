@@ -1,16 +1,18 @@
-"""The geometric Gaussian basis, its spectrum result, and the massless
-Rayleigh-Ritz solve in pure Python.
+"""The geometric Gaussian basis, its spectrum result, and the Rayleigh-Ritz
+solve in pure Python.
 
 ``solver.ground_energy`` solves any canonical operator on numpy.  This module
 holds what that solve shares with the one here: :class:`SpectrumResult`, the
-basis rule :func:`basis_radii`, the centred half basis of the convergence
-estimate and the range warnings.  At m = 0 every matrix element is a closed
-form in ``math``, so :func:`massless_ground_energy` runs the same steps as the
-numpy solve without numpy: a Cholesky of the overlap, the reduced matrix,
-a Householder tridiagonalisation with Sturm bisection for its two lowest
-eigenvalues, one shifted inverse-iteration step, and the Rayleigh quotient
-in the original basis.  Its cost grows as K^3 in Python arithmetic, so it
-pays only up to a moderate basis size; the command line takes it there
+basis rule :func:`basis_radii`, the kinetic rule's order, the centred half
+basis of the convergence estimate and the range warnings.
+:func:`pure_ground_energy` runs the same steps as the numpy solve without
+numpy: the matrix elements in ``math`` (at m > 0 each kinetic element sums
+the shipped order-100 rule, which ``quadrature.read_rule`` reads without
+numpy), a Cholesky of the overlap, the reduced matrix, a Householder
+tridiagonalisation with Sturm bisection for its two lowest eigenvalues, one
+shifted inverse-iteration step, and the Rayleigh quotient in the original
+basis.  Its cost grows as K^3 in Python arithmetic, so it pays only up to a
+moderate basis size; the command line takes it there
 (``cli.PURE_PYTHON_MAX_BASIS``), and the library keeps numpy.
 
 This module needs only the standard library.
@@ -18,6 +20,7 @@ This module needs only the standard library.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -25,6 +28,12 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from .reductions import ReducedHamiltonian, SolverConfig, _pair_moment, natural_units
+
+#: Order of the kinetic pair integral's rule, the one rule that ships with
+#: the package.  It agrees with order 200 to 4.4e-16 relative for every
+#: nu = mu sqrt(c) an accepted input reaches (mu < 2^480, c <= 4.9e8), which
+#: test_fixed_kinetic_rule_holds_over_its_whole_domain checks.
+KINETIC_ORDER = 100
 
 #: Least ratio r_{i+1}/r_i of neighbouring Gaussian radii.  Closer Gaussians
 #: make the overlap worse conditioned without representing more.
@@ -76,7 +85,7 @@ class SpectrumResult:
     the state's overlap with the sum of the Gaussians, positive.  They are
     read-only, because bound rows that share a solve share them: a numpy
     array from ``solver.ground_energy``, a tuple from
-    :func:`massless_ground_energy`.
+    :func:`pure_ground_energy`.
     """
 
     ground_energy: float
@@ -137,7 +146,7 @@ def range_warnings(weights: Sequence[float]) -> list[str]:
     ]
 
 
-# --- the massless solve in pure Python ----------------------------------------
+# --- the solve in pure Python ------------------------------------------------
 
 
 def _dot(a, b) -> float:
@@ -145,20 +154,39 @@ def _dot(a, b) -> float:
     return sum(map(mul, a, b))
 
 
-def massless_pair_expectation(canonical: ReducedHamiltonian, a: float, c: float) -> float:
-    """``solver.pair_expectation`` at m = 0 for one pair: <|p|> + <V> in the
-    Gaussian pair density of coordinate exponent a and momentum exponent c,
-    M_1 c^(-1/2) + sum coefficient M_k a^(-k/2).  A Coulomb term's a^(1/2)
-    is a square root, as numpy takes it."""
-    out = _MOMENT_1 / math.sqrt(c)
+@functools.lru_cache(maxsize=None)
+def _kinetic_rule():
+    """(y^2, weight) per node of the rule of :data:`KINETIC_ORDER` as
+    ``solver._kinetic_excess`` maps it, where ``math.exp`` puts a few weights
+    an ulp from numpy's.  Only a solve at m > 0 loads ``quadrature``."""
+    from . import quadrature
+
+    rule = []
+    for x, w in zip(*quadrature.read_rule(KINETIC_ORDER)):
+        u = 0.5 * (x + 1.0)
+        y = u / (1.0 - u)
+        rule.append((y * y, (2.0 * _MOMENT_1) * (0.5 * w / (1.0 - u) ** 2) * y**4 * math.exp(-y * y)))
+    return tuple((y2, w) for y2, w in rule if w != 0.0)
+
+
+def pure_pair_expectation(canonical: ReducedHamiltonian, a: float, c: float) -> float:
+    """``solver.pair_expectation`` for one pair: <sqrt(p^2 + mu^2) - mu> + <V>
+    in the Gaussian pair density of coordinate exponent a and momentum
+    exponent c.  A Coulomb term's a^(1/2) is a square root, as numpy takes it."""
+    root = math.sqrt(c)
+    if canonical.mass == 0.0:
+        out = _MOMENT_1 / root
+    else:
+        nu = canonical.mass * root
+        out = sum([w / (math.sqrt(nu * nu + y2) + nu) for y2, w in _kinetic_rule()]) / root
     for coefficient, k in canonical.potential.terms():
         out += (coefficient * _pair_moment(k)) * (math.sqrt(a) if k == -1.0 else a ** (-k / 2.0))
     return out
 
 
-def _massless_matrices(canonical: ReducedHamiltonian, radii: list[float]):
-    """Overlap and Rayleigh-Ritz matrix of a massless canonical operator on the
-    unit-normalised Gaussians of ``radii``, as lists of rows."""
+def _matrices(canonical: ReducedHamiltonian, radii: list[float]):
+    """Overlap and Rayleigh-Ritz matrix less the rest mass of a canonical
+    operator on the unit-normalised Gaussians of ``radii``, as lists of rows."""
     size = len(radii)
     overlap = [[0.0] * size for _ in range(size)]
     matrix = [[0.0] * size for _ in range(size)]
@@ -168,7 +196,7 @@ def _massless_matrices(canonical: ReducedHamiltonian, radii: list[float]):
             r2i, r2j = ri * ri, rj * rj
             width = r2i + r2j
             s = (2.0 * ri * rj / width) ** 1.5
-            energy = massless_pair_expectation(canonical, width / (r2i * r2j), width / 4.0)
+            energy = pure_pair_expectation(canonical, width / (r2i * r2j), width / 4.0)
             overlap[i][j] = overlap[j][i] = s
             matrix[i][j] = matrix[j][i] = s * energy
     return overlap, matrix
@@ -351,26 +379,23 @@ def _lowest(overlap, matrix):
     return energy, vector, weights
 
 
-def massless_ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
-    """``solver.ground_energy`` of a massless operator, without numpy.
+def pure_ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
+    """``solver.ground_energy`` without numpy.
 
     The same basis, the same steps and the same diagnostics; the energies
-    agree to roundoff.  ``coefficients`` is a tuple.  Raises ValueError at
-    m > 0.
+    agree to roundoff.  ``coefficients`` is a tuple.
     """
-    if h.mass != 0.0:
-        raise ValueError("the pure-Python solve is for massless operators only")
     cfg = config if config is not None else SolverConfig()
     h, energy, length = natural_units(h)
     radii = basis_radii(h, cfg.basis_size)
-    overlap, matrix = _massless_matrices(h, radii)
+    overlap, matrix = _matrices(h, radii)
     lowest, vector, weights = _lowest(overlap, matrix)
     block = centred_half(cfg.basis_size)
     estimate = abs(_lowest(*([row[block] for row in m[block]] for m in (overlap, matrix)))[0] - lowest)
     if sum(_dot(row, vector) for row in overlap) < 0.0:
         vector = [-x for x in vector]
     return SpectrumResult(
-        ground_energy=lowest,
+        ground_energy=h.mass + lowest,
         basis_range=(radii[0], radii[-1]),
         coefficients=tuple(vector),
         convergence_estimate=estimate,

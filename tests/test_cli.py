@@ -216,26 +216,28 @@ def test_basis_size_above_the_cap_exits_2_before_numpy(size):
 
 @pytest.mark.parametrize("command", ["solve", "bounds"])
 @pytest.mark.parametrize(
-    "mass, above, kernel",
-    [("0", 0, "spectrum"), ("0", 1, "solver"), ("1", 0, "solver")],
+    "mass, above, kernels",
+    [("0", 0, ("spectrum", "spectrum")), ("0", 1, ("solver", "solver")), ("1", 0, ("spectrum", "solver"))],
     ids=["massless-at-the-crossover", "massless-above-it", "massive"],
 )
-def test_every_cli_solve_is_one_kernel_choice(monkeypatch, command, mass, above, kernel):
-    # cli.ground_energy picks the kernel of every solve of both commands:
-    # the pure-Python one up to the crossover basis size at m = 0, else numpy's
+def test_every_cli_solve_is_one_kernel_choice(monkeypatch, command, mass, above, kernels):
+    # cli.ground_energy picks the kernel of every solve of both commands: the
+    # pure-Python one up to the crossover basis size, else numpy's, and
+    # numpy's for bounds at m > 0, whose upper bound loads numpy anyway
     import salbound.solver
     import salbound.spectrum
     from salbound import cli
 
     size = str(cli.PURE_PYTHON_MAX_BASIS + above)
+    kernel = dict(zip(("solve", "bounds"), kernels))[command]
     chosen, ran = [], []
 
     def counted(log, name, function):
         return lambda *args: log.append(name) or function(*args)
 
     monkeypatch.setattr(cli, "ground_energy", counted(chosen, "cli", cli.ground_energy))
-    monkeypatch.setattr(salbound.spectrum, "massless_ground_energy", counted(
-        ran, "spectrum", salbound.spectrum.massless_ground_energy))
+    monkeypatch.setattr(salbound.spectrum, "pure_ground_energy", counted(
+        ran, "spectrum", salbound.spectrum.pure_ground_energy))
     monkeypatch.setattr(salbound.solver, "ground_energy", counted(
         ran, "solver", salbound.solver.ground_energy))
     argv = [command, "--mass", mass, "--potential", "coulomb+linear:0.3,1", "--basis-size", size]
@@ -882,11 +884,11 @@ def test_solve_json_coefficients_come_from_one_eigh(capsys, monkeypatch):
     assert coefficients.shape == (report["config"]["basis_size"],) == (24,)
     from salbound.potentials import CoulombPlusLinear
     from salbound.reductions import ReducedHamiltonian, SolverConfig
-    from salbound.solver import ground_energy
+    from salbound.spectrum import pure_ground_energy
 
-    result = ground_energy(ReducedHamiltonian(1.0, 1.0, 1.0, 0.5, CoulombPlusLinear(0.2, 1.0)),
-                           SolverConfig(basis_size=24))
-    assert coefficients.tolist() == result.coefficients.tolist()
+    result = pure_ground_energy(ReducedHamiltonian(1.0, 1.0, 1.0, 0.5, CoulombPlusLinear(0.2, 1.0)),
+                                SolverConfig(basis_size=24))
+    assert coefficients.tolist() == list(result.coefficients)
     from golden_reference import gaussian_overlap
 
     overlap = gaussian_overlap(result)

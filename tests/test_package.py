@@ -144,17 +144,39 @@ def test_massless_solve_and_bounds_run_without_numpy_up_to_the_crossover(command
     assert set(codes) == ({0, 5} if command == "bounds" else {0})
 
 
+def test_massive_solve_runs_without_numpy_up_to_the_crossover():
+    from salbound.cli import PURE_PYTHON_MAX_BASIS
+
+    # with numpy blocked, any import of it fails the command; each kinetic
+    # element sums the order-100 rule, which quadrature reads without numpy
+    argvs = [
+        ["solve", "--mass", "1", "--potential", potential, "--basis-size", str(size), "--format", fmt]
+        for potential in MASSLESS_POTENTIALS
+        for size in (2, 24, 40, PURE_PYTHON_MAX_BASIS)
+        for fmt in ("text", "json", "csv")
+    ]
+    codes, loaded = run_mains(argvs, prelude='sys.modules["numpy"] = None')
+    assert {"salbound.spectrum", "salbound.quadrature"} <= loaded
+    assert "salbound.solver" not in loaded
+    numpy_codes, loaded = run_mains(argvs, prelude="import salbound.cli as c; c.PURE_PYTHON_MAX_BASIS = 0")
+    assert "salbound.solver" in loaded
+    assert codes == numpy_codes == [0] * len(argvs)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["solve", "--mass", "0", "--basis-size", "PAST"],
         ["bounds", "--n", "4", "--mass", "0", "--basis-size", "PAST"],
-        ["solve", "--mass", "0.5", "--basis-size", "2"],
+        ["solve", "--mass", "0.5", "--basis-size", "PAST"],
         ["bounds", "--n", "4", "--mass", "0.5", "--basis-size", "2"],
     ],
     ids=["solve-above-crossover", "bounds-above-crossover", "solve-massive", "bounds-massive"],
 )
 def test_numpy_solves_above_the_crossover_and_at_positive_mass(argv):
+    # a massive solve is pure Python up to the crossover, but a massive
+    # bounds loads numpy for its upper bound's zoom anyway, so its rows take
+    # the numpy solve at every basis size
     from salbound.cli import PURE_PYTHON_MAX_BASIS
 
     argv = [str(PURE_PYTHON_MAX_BASIS + 1) if a == "PAST" else a for a in argv]

@@ -59,6 +59,30 @@ def test_shipped_rule_is_the_newton_rule_and_read_only(order):
         assert not array.flags.writeable
 
 
+def test_rule_reader_is_np_load_and_refuses_any_other_file(tmp_path, monkeypatch):
+    # the pure-Python solve reads the shipped rule without numpy: the bits of
+    # np.load, and anything but a version 1.0 file of a C-ordered
+    # little-endian float64 (2, order) array raises
+    order = solver.KINETIC_ORDER
+    shipped = np.load(quadrature._rule_path(order))
+    assert [np.array(a).tobytes() for a in quadrature.read_rule(order)] == [row.tobytes() for row in shipped]
+    path = tmp_path / "rule.npy"
+    monkeypatch.setattr(quadrature, "_rule_path", lambda _: str(path))
+    for wrong in (shipped.astype(">f8"), shipped.astype("<f4"), np.asfortranarray(shipped),
+                  shipped.T.copy(), shipped[:, :-1]):
+        np.save(path, wrong)
+        with pytest.raises(ValueError, match="is not a .npy file of a little-endian float64"):
+            quadrature.read_rule(order)
+    np.save(path, shipped)
+    data = path.read_bytes()
+    for wrong in (data[:-8], data + bytes(8), data[:6] + b"\x02" + data[7:]):
+        path.write_bytes(wrong)
+        with pytest.raises(ValueError, match="is not a .npy file of a little-endian float64"):
+            quadrature.read_rule(order)
+    path.write_bytes(data)
+    assert [np.array(a).tobytes() for a in quadrature.read_rule(order)] == [row.tobytes() for row in shipped]
+
+
 def test_shipped_order_is_the_kinetic_order():
     # the kinetic pair integral's fixed order is the one rule in rules/
     order = solver.KINETIC_ORDER

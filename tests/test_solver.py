@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from salbound import quadrature, solver
+from salbound import quadrature, solver, spectrum
 from salbound.bounds import GAUSSIAN_SCALE_INTERVAL, ZOOM_POINTS, ZOOM_SPACING, zoom_log_minimum
 from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
 from salbound.reductions import (
@@ -491,7 +491,7 @@ def test_reported_energy_is_the_rayleigh_ritz_value_at_the_reported_scale(h, bas
     x = result.coefficients
     radii = np.array(basis_radii(canonical, basis_size))
     assert result.basis_range == (radii[0], radii[-1])
-    overlap, matrix = solver._matrices(canonical, radii)
+    overlap, matrix = solver._matrices(canonical, solver._basis(tuple(radii.tolist())))
     np.testing.assert_allclose(overlap, gaussian_overlap(result), rtol=1e-13)
     assert np.array_equal(matrix, matrix.T) and np.array_equal(overlap, overlap.T)
     assert np.array_equal(np.diag(overlap), np.ones(basis_size))
@@ -612,17 +612,18 @@ def _radial(f):
 @pytest.mark.parametrize("ri, rj", [(1.0, 1.0), (0.3, 0.37), (0.05, 2.0), (1.0, 12.0)])
 def test_gaussian_matrix_elements_against_quadrature(ri, rj, mu):
     # the overlap and each pair expectation by adaptive quadrature of the
-    # Gaussians themselves, in coordinate and momentum space
+    # Gaussians themselves, in coordinate and momentum space, for the numpy
+    # and the pure-Python kernel
     (gi, pi_), (gj, pj) = _normalised_gaussian(ri), _normalised_gaussian(rj)
     overlap = _radial(lambda r: gi(r) * gj(r))
-    radii = np.array([ri, rj])
     for potential in (PowerLaw(1.0, 0.5), PowerLaw(1.0, 2.5), Coulomb(0.3), CoulombPlusLinear(0.3, 1.0)):
         h = ReducedHamiltonian(1.0, 1.0, 1.0, mu, potential)
-        s, mat = solver._matrices(h, radii)
+        s, mat = solver._matrices(h, solver._basis((ri, rj)))
         assert s[0, 1] == pytest.approx(overlap, rel=1e-12)
         kinetic = _radial(lambda p: pi_(p) * pj(p) * p * p / (math.sqrt(p * p + mu * mu) + mu))
         pot = _radial(lambda r: gi(r) * gj(r) * float(potential_value(potential, r)))
         assert mat[0, 1] == pytest.approx(kinetic + pot, rel=1e-11), potential
+        assert spectrum._matrices(h, [ri, rj])[1][0][1] == pytest.approx(kinetic + pot, rel=1e-11)
 
 
 def test_gaussian_energy_is_the_one_gaussian_matrix():
@@ -634,7 +635,7 @@ def test_gaussian_energy_is_the_one_gaussian_matrix():
               ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Harmonic(1.0))):
         energies = pair_expectation(h, sigma * sigma, 1.0 / (sigma * sigma))
         for s, energy in zip(sigma, energies):
-            _, mat = solver._matrices(h, np.array([math.sqrt(2.0) / s]))
+            _, mat = solver._matrices(h, solver._basis((math.sqrt(2.0) / s,)))
             assert energy == pytest.approx(mat[0, 0], rel=1e-15)
 
 

@@ -1,5 +1,5 @@
-"""The pure-Python massless solve (``spectrum.massless_ground_energy``)
-against the numpy solve (``solver.ground_energy``) on the same basis."""
+"""The pure-Python solve (``spectrum.pure_ground_energy``) against the numpy
+solve (``solver.ground_energy``) on the same basis."""
 
 import math
 
@@ -10,7 +10,7 @@ from salbound import solver, spectrum
 from salbound.cli import PURE_PYTHON_MAX_BASIS
 from salbound.potentials import Linear, parse_potential
 from salbound.reductions import ReducedHamiltonian, SolverConfig
-from salbound.spectrum import basis_radii, centred_half, massless_ground_energy
+from salbound.spectrum import basis_radii, centred_half, pure_ground_energy
 
 EPS = np.finfo(float).eps
 
@@ -29,13 +29,14 @@ SHAPES = [
 ]
 
 
-def roundoff(overlap, matrix) -> float:
-    """eps |x|.|H| |x| / |E| for the numpy solve of (matrix, overlap): the
-    relative roundoff that the Rayleigh quotient of its vector x carries from
-    cancellation between coefficients of opposite sign, or that one-ulp
-    changes of the matrix elements move the energy by."""
+def roundoff(overlap, matrix, mass=0.0) -> float:
+    """eps |x|.|H| |x| / |mass + E| for the numpy solve of (matrix, overlap),
+    a matrix less the rest mass: the relative roundoff that the Rayleigh
+    quotient of its vector x carries from cancellation between coefficients
+    of opposite sign, or that one-ulp changes of the matrix elements move
+    the energy by."""
     energy, x, _ = solver._lowest(solver._factor(overlap), matrix)
-    return EPS * (np.abs(x) @ np.abs(matrix) @ np.abs(x)) / abs(energy)
+    return EPS * (np.abs(x) @ np.abs(matrix) @ np.abs(x)) / abs(mass + energy)
 
 
 def signed(x, overlap):
@@ -45,42 +46,46 @@ def signed(x, overlap):
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_kernels_agree_up_to_the_crossover(shape):
-    # the shapes are canonical, so energies are in natural units.  The
-    # tolerance is 1e-13 relative, or the energy's own roundoff where that is
-    # larger: r^0.5 at K = 7..14 has coefficients up to 20 of alternating
-    # sign, and there the numpy energy is 8.4e-13 from a 50-digit solve of its
-    # own matrices at K = 9, while the two kernels' elements differ by an ulp
-    # in a few entries (numpy's vectorised pow against libm's)
-    h = ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, parse_potential(shape))
-    for size in range(2, PURE_PYTHON_MAX_BASIS + 1):
+    # the shapes are canonical, so energies are in natural units: every basis
+    # size at m = 0, and a few at m > 0, where each kinetic element sums the
+    # order-100 rule.  The tolerance is 1e-13 relative, or the energy's own
+    # roundoff where that is larger: r^0.5 at K = 7..14 has coefficients up
+    # to 20 of alternating sign, and there the numpy energy is 8.4e-13 from a
+    # 50-digit solve of its own matrices at K = 9, while the two kernels'
+    # elements differ by an ulp in a few entries (numpy's vectorised pow and
+    # exp against libm's)
+    cases = [(0.0, size) for size in range(2, PURE_PYTHON_MAX_BASIS + 1)]
+    cases += [(mass, size) for mass in (0.05, 1.0, 4.0, 30.0) for size in (2, 12, 24, 40, 45)]
+    for mass, size in cases:
+        h = ReducedHamiltonian(1.0, 1.0, 1.0, mass, parse_potential(shape))
         cfg = SolverConfig(basis_size=size)
-        pure, numpy = massless_ground_energy(h, cfg), solver.ground_energy(h, cfg)
-        overlap, matrix = solver._matrices(h, np.array(basis_radii(h, size)))
+        pure, numpy = pure_ground_energy(h, cfg), solver.ground_energy(h, cfg)
+        overlap, matrix = solver._matrices(h, solver._basis(tuple(basis_radii(h, size))))
         block = centred_half(size)
-        full = roundoff(overlap, matrix)
-        half = roundoff(overlap[block, block], matrix[block, block])
+        full = roundoff(overlap, matrix, mass)
+        half = roundoff(overlap[block, block], matrix[block, block], mass)
         energy = numpy.ground_energy
-        assert pure.ground_energy == pytest.approx(energy, rel=max(1e-13, full), abs=0.0), size
+        assert pure.ground_energy == pytest.approx(energy, rel=max(1e-13, full), abs=0.0), (mass, size)
         assert abs(pure.convergence_estimate - numpy.convergence_estimate) <= max(
             1e-12, full + half
-        ) * abs(energy), size
+        ) * abs(energy), (mass, size)
         assert pure.basis_range == numpy.basis_range
-        assert pure.warnings == numpy.warnings, size
+        assert pure.warnings == numpy.warnings, (mass, size)
         x, y = np.array(pure.coefficients), numpy.coefficients
         assert np.array_equal(x, signed(x, overlap)) and np.array_equal(y, signed(y, overlap))
-        assert math.sqrt((x - y) @ overlap @ (x - y)) <= 1e-6, size
+        assert math.sqrt((x - y) @ overlap @ (x - y)) <= 1e-6, (mass, size)
 
 
-def test_pure_result_is_read_only_and_massless_only():
-    h = ReducedHamiltonian(2.0, 1.5, 0.7, 0.0, Linear(1.3))
-    result = massless_ground_energy(h, SolverConfig(basis_size=12))
-    assert isinstance(result.coefficients, tuple) and len(result.coefficients) == 12
-    # the same dilation back to the operator's own units as the numpy solve
-    numpy = solver.ground_energy(h, SolverConfig(basis_size=12))
-    assert result.ground_energy == pytest.approx(numpy.ground_energy, rel=1e-13)
-    assert result.basis_range == numpy.basis_range
-    with pytest.raises(ValueError, match="massless operators only"):
-        massless_ground_energy(ReducedHamiltonian(1.0, 1.0, 1.0, 0.5, Linear(1.0)))
+def test_pure_result_is_read_only_at_every_mass():
+    for mass in (0.0, 0.5):
+        h = ReducedHamiltonian(2.0, 1.5, 0.7, mass, Linear(1.3))
+        result = pure_ground_energy(h, SolverConfig(basis_size=12))
+        assert isinstance(result.coefficients, tuple) and len(result.coefficients) == 12
+        # the same dilation back to the operator's own units as the numpy
+        # solve, and the same rest mass added
+        numpy = solver.ground_energy(h, SolverConfig(basis_size=12))
+        assert result.ground_energy == pytest.approx(numpy.ground_energy, rel=1e-13)
+        assert result.basis_range == numpy.basis_range
 
 
 @pytest.mark.parametrize("shape", ["linear:1", "power:1,0.5", "coulomb+linear:0.3,1", "coulomb:0.3"])
@@ -88,9 +93,9 @@ def test_pure_energy_is_the_rayleigh_quotient_of_its_coefficients(shape):
     # x.S x = 1 and E = x.H x on the kernel's own matrices, with
     # sum_i (S x)_i > 0
     h = ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, parse_potential(shape))
-    result = massless_ground_energy(h, SolverConfig(basis_size=24))
+    result = pure_ground_energy(h, SolverConfig(basis_size=24))
     x = np.array(result.coefficients)
-    overlap, matrix = map(np.array, spectrum._massless_matrices(h, basis_radii(h, 24)))
+    overlap, matrix = map(np.array, spectrum._matrices(h, basis_radii(h, 24)))
     assert x @ overlap @ x == pytest.approx(1.0, rel=1e-12)
     assert (overlap @ x).sum() > 0.0
     assert result.ground_energy == pytest.approx(x @ matrix @ x, rel=1e-12)
