@@ -57,7 +57,9 @@ EXIT_INTERNAL = 5
 #: Largest basis size that `solve` or massless `bounds` runs in pure Python
 #: (``spectrum.pure_ground_energy``).  Up to it the pure-Python solve, which
 #: grows as K^3, costs less than importing numpy at every mass, and it agrees
-#: with the numpy solve to roundoff.
+#: with the numpy solve to roundoff.  Cold calls on 2 vCPU cross over near
+#: K = 72 for an m = 1 coulomb+linear `solve`, but at K = 46 for a massless
+#: n = 5 coulomb+linear `bounds`, whose four solves all run here.
 PURE_PYTHON_MAX_BASIS = 45
 
 UNITS_NOTE = "hbar = c = 1"

@@ -1,59 +1,36 @@
-"""The shipped Gauss-Legendre rule on [0, 1].
+"""The momentum rule of the kinetic term at m > 0: the trapezoid rule in ln p.
 
-Only the rule of ``SHIPPED_ORDERS`` exists: it ships with the package as a
-``.npy`` file, written and checked bit for bit by the Newton builder of the
-tests (``tests/legendre_reference.py``), and read without numpy.  Each solve
-maps it to the half line itself (``solver._kinetic_excess``).
+In t = ln p the kinetic integral of a Gaussian pair density,
+∫ p^4 e^(-c p^2) / (sqrt(p^2 + mu^2) + mu) dp, is an analytic integrand that
+falls off doubly exponentially at both ends, so the trapezoid rule of step
+:data:`STEP` converges exponentially (Trefethen and Weideman, SIAM Rev. 56
+(2014) 385).  Its nodes p_n = exp(n STEP) lie on one lattice of integers n,
+so every basis, and the Gaussian upper bound, takes a window of the same
+nodes, each of weight STEP p_n in dp.  The :func:`window` of the momentum
+exponents c_min..c_max covers p from 1e-4/sqrt(c_max) to 6.5/sqrt(c_min),
+at most 320 nodes for a basis of 120 Gaussians.
+
+This module needs only the standard library.
 """
 
 from __future__ import annotations
 
-import os
-import sys
+import math
 from functools import lru_cache
 
-# The order of the kinetic pair integral, loaded by every cold m > 0 solve.
-SHIPPED_ORDERS = (100,)
+#: Step of the rule in ln p.
+STEP = 0.1
 
 
-def _rule_path(order: int) -> str:
-    """Path of the shipped (2, order) array of the order's nodes (ascending)
-    and weights on [-1, 1]."""
-    return os.path.join(os.path.dirname(__file__), "rules", f"gauss_legendre_{order}.npy")
+def window(c_min: float, c_max: float) -> tuple[int, int]:
+    """(lo, hi): the integers n from lo to hi whose nodes exp(n STEP) cover
+    the momentum densities p^2 e^(-c p^2) of exponents c_min..c_max."""
+    return (math.floor(math.log(1e-4 / math.sqrt(c_max)) / STEP),
+            math.ceil(math.log(6.5 / math.sqrt(c_min)) / STEP))
 
 
-def read_rule(order: int):
-    """Nodes (ascending) and weights on [-1, 1] of a shipped order, two
-    ``array('d')`` read from its file without numpy.  Any other order, or a
-    file but a version 1.0 ``.npy`` of a C-ordered little-endian float64
-    (2, order) array, raises ValueError."""
-    import ast
-    from array import array
-
-    if order not in SHIPPED_ORDERS:
-        raise ValueError(f"no Gauss-Legendre rule of order {order} ships; the orders are {SHIPPED_ORDERS}")
-    with open(_rule_path(order), "rb") as fh:
-        data = fh.read()
-    start = 10 + int.from_bytes(data[8:10], "little")
-    header = {"descr": "<f8", "fortran_order": False, "shape": (2, order)}
-    if (data[:8] != b"\x93NUMPY\x01\x00" or len(data) != start + 16 * order
-            or ast.literal_eval(data[10:start].decode("latin1")) != header):
-        raise ValueError(f"{_rule_path(order)} is not a .npy file of a little-endian float64 (2, {order}) array")
-    values = array("d", data[start:])
-    if sys.byteorder == "big":
-        values.byteswap()
-    return values[:order], values[order:]
-
-
-@lru_cache(maxsize=None)
-def unit_rule(order: int):
-    """Gauss-Legendre nodes and weights on [0, 1] of a shipped order, read
-    by :func:`read_rule`, as read-only numpy arrays."""
-    import numpy as np
-
-    x, w = map(np.frombuffer, read_rule(order))
-    u = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    u.setflags(write=False)
-    w.setflags(write=False)
-    return u, w
+@lru_cache(maxsize=64)
+def unit_rule(lo: int, hi: int) -> tuple[float, ...]:
+    """The nodes exp(n STEP), ascending, for the integers n = lo..hi.  n
+    stays an integer: nodes spaced by a float step in ln p are 1e-14 off."""
+    return tuple(math.exp(n * STEP) for n in range(lo, hi + 1))

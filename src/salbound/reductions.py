@@ -47,9 +47,9 @@ COULOMB_CRITICAL_COUPLING = 2.0 / math.pi
 
 _E = LINEAR_GROUND_ENERGY
 
-#: Canonical masses mu from 2^480 on overflow nu^2 = mu^2 c in the kinetic
-#: pair integral, where the momentum exponent c reaches 5e8 at the widest
-#: Gaussian of the largest basis.
+#: Largest canonical mass mu.  From 2^512 on, p^2 + mu^2 overflows in the
+#: weights of the kinetic rule (``quadrature``), whose nodes p stay below
+#: 5e8 at the narrowest Gaussian of the largest basis; 2^480 keeps a margin.
 _MU_MAX = 2.0**480
 
 
@@ -91,8 +91,9 @@ class ReducedHamiltonian:
 
 #: Largest ``SolverConfig.basis_size``.  The grid of Gaussians widens with
 #: the basis, to r from 3e-5 to 3e4 at 120 (7e-12 to 3e11 at 300), far beyond
-#: the lengths of any canonical operator, while the m > 0 pair integrals'
-#: temporary grows as the square: 5.8 MB at 120, 36 MB at 300.
+#: the lengths of any canonical operator, while the m > 0 momentum table,
+#: K Gaussians times the rule's nodes, grows with it: 320 x 120 (0.31 MB) at
+#: 120, 633 x 300 (1.5 MB) at 300.
 MAX_BASIS_SIZE = 120
 
 

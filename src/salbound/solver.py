@@ -17,10 +17,11 @@ is a Gaussian, so each matrix element is their overlap times the expectation
 of the operator in a Gaussian pair density (:func:`pair_expectation`): with
 the coordinate exponent a = 1/r_i^2 + 1/r_j^2 and the momentum exponent
 c = (r_i^2 + r_j^2)/4, <r^k> = M_k a^(-k/2) and <|p|> = M_1 c^(-1/2), where
-M_k = Γ((3+k)/2)/Γ(3/2).  At m > 0 the kinetic expectation is mu plus one
-integral per pair on the mapped Gauss-Legendre rule of the fixed order
-:data:`KINETIC_ORDER`.  The rest mass mu adds mu to every generalized
-eigenvalue, so it stays out of the matrix and is added to the energy.
+M_k = Γ((3+k)/2)/Γ(3/2).  At m > 0 sqrt(p^2 + mu^2) is local in momentum
+space, so the kinetic matrix less mu is Phi^T diag(g) Phi on the nodes of
+``quadrature`` (:meth:`_Basis.kinetic`).  The rest mass mu adds mu to every
+generalized eigenvalue, so it stays out of the matrix and is added to the
+energy.
 
 A Cholesky of the unit-diagonal overlap S reduces H x = E S x to one
 ``eigvalsh``.  That eigenvalue carries about 1e-9 of roundoff from the
@@ -32,15 +33,15 @@ cancel: against a 50-digit solve of the same matrices it is 8.4e-13 off for
 the compensated quotient of ``spectrum`` is 8e-14 and 8.5e-16 off (ROADMAP
 item 4).  The convergence estimate is the same solve on the centred half of
 the Gaussians, a principal submatrix that needs no new matrix elements.  The
-overlap and its full and centred-half factors depend only on the radii, so
-they are built once per basis and shared read-only by every solve on it
-(:func:`_basis`); the cache holds at most 8 bases, about 0.55 MB each at
-K = 120.
+overlap, its full and centred-half factors and the momentum table depend
+only on the radii, so they are built once per basis and shared read-only by
+every solve on it (:func:`_basis`); the cache holds at most 8 bases, about
+1 MB each at K = 120, 0.31 MB of it the momentum table.
 
 The Gaussian upper bound of ``bounds`` evaluates its one-Gaussian trial
-states at m > 0 by :func:`pair_expectation`.  The operator, the basis size
-and the closed forms of the massless linear case are in ``reductions``; the
-basis rule, the kinetic rule's order, the result type and the range
+states at m > 0 by :func:`pair_expectation`, on the same rule.  The
+operator, the basis size and the closed forms of the massless linear case
+are in ``reductions``; the basis rule, the result type and the range
 warnings are in ``spectrum``, which also runs this solve without numpy.
 This module holds the numpy solve.
 """
@@ -54,36 +55,28 @@ import numpy as np
 
 from . import quadrature
 from .reductions import ReducedHamiltonian, SolverConfig, _pair_moment, natural_units
-from .spectrum import _MOMENT_1, KINETIC_ORDER, SpectrumResult, basis_radii, centred_half, range_warnings
-
-#: The rule that :func:`_kinetic_excess` last mapped, and its mapping.
-_mapped = [None, None]
+from .spectrum import _MOMENT_1, SpectrumResult, basis_radii, centred_half, range_warnings
 
 
-def _kinetic_excess(nu: np.ndarray) -> np.ndarray:
-    """(4/sqrt(pi)) ∫ y^4 e^(-y^2) / (sqrt(y^2 + nu^2) + nu) dy over [0, inf)
-    for each nu >= 0, on the shipped Gauss-Legendre rule of
-    :data:`KINETIC_ORDER` mapped by y = u/(1 - u).
+@functools.lru_cache(maxsize=64)
+def _nodes(lo: int, hi: int) -> np.ndarray:
+    """``quadrature.unit_rule``'s nodes of a window as a read-only array."""
+    p = np.array(quadrature.unit_rule(lo, hi))
+    p.setflags(write=False)
+    return p
 
-    It is c^(1/2) <sqrt(p^2 + mu^2) - mu> in the momentum density
-    p^2 e^(-c p^2) at nu = mu sqrt(c); the form p^2/(sqrt(p^2 + mu^2) + mu)
-    of the excess over the rest mass keeps heavy masses free of cancellation.
-    The mapping is kept per rule object, so a rule patched in for the shipped
-    one is mapped anew, and drops the nodes whose weight underflows to 0.
-    The (nu, node) array is the one temporary, 0.58 MB at 820 pairs.
-    """
-    rule = quadrature.unit_rule(KINETIC_ORDER)
-    if _mapped[0] is not rule:
-        u, w = rule
-        y = u / (1.0 - u)
-        weight = (2.0 * _MOMENT_1) * (w / (1.0 - u) ** 2) * y**4 * np.exp(-y * y)
-        _mapped[:] = rule, ((y * y)[weight != 0.0], weight[weight != 0.0])
-    y2, weight = _mapped[1]
-    d = (nu * nu)[:, None] + y2
-    np.sqrt(d, out=d)
-    d += nu[:, None]
-    np.reciprocal(d, out=d)
-    return d @ weight
+
+def _weights(mu: float, p: np.ndarray) -> np.ndarray:
+    """g_n = STEP p_n^5 / (sqrt(p_n^2 + mu^2) + mu): the weight in ln p times
+    the excess over the rest mass, in a form free of cancellation."""
+    return quadrature.STEP * p**5 / (np.sqrt(p * p + mu * mu) + mu)
+
+
+def _with_potential(canonical: ReducedHamiltonian, out: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``out`` plus <V> in the pair densities of coordinate exponents ``a``."""
+    for coefficient, k in canonical.potential.terms():
+        out += (coefficient * _pair_moment(k)) * a ** (-k / 2.0)
+    return out
 
 
 def pair_expectation(canonical: ReducedHamiltonian, a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -93,18 +86,18 @@ def pair_expectation(canonical: ReducedHamiltonian, a: np.ndarray, c: np.ndarray
 
     The density of r is r^2 e^(-a r^2) and that of p is p^2 e^(-c p^2), so
     <r^k> = M_k a^(-k/2) with M_k = Γ((3+k)/2)/Γ(3/2), and <|p|> =
-    M_1 c^(-1/2) at m = 0.  At m > 0 the kinetic term is one integral per
-    pair (:func:`_kinetic_excess`) on the rule of :data:`KINETIC_ORDER`; at
-    m = 0 no rule is loaded.
+    M_1 c^(-1/2) at m = 0, where no node is built; at m > 0 the kinetic term
+    is :func:`_kinetic`.
     """
-    root = np.sqrt(c)
-    if canonical.mass == 0.0:
-        out = _MOMENT_1 / root
-    else:
-        out = _kinetic_excess(canonical.mass * root) / root
-    for coefficient, k in canonical.potential.terms():
-        out += (coefficient * _pair_moment(k)) * a ** (-k / 2.0)
-    return out
+    out = _MOMENT_1 / np.sqrt(c) if canonical.mass == 0.0 else _kinetic(canonical.mass, c)
+    return _with_potential(canonical, out, a)
+
+
+def _kinetic(mu: float, c: np.ndarray) -> np.ndarray:
+    """<sqrt(p^2 + mu^2) - mu> in the momentum densities p^2 e^(-c p^2):
+    :func:`_weights` against Phi^2 = (4/sqrt(pi)) c^(3/2) e^(-c p^2)."""
+    p = _nodes(*quadrature.window(c.min(), c.max()))
+    return (2.0 * _MOMENT_1) * c**1.5 * (np.exp(np.multiply.outer(-c, p * p)) @ _weights(mu, p))
 
 
 def _factor(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,10 +115,11 @@ def _factor(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _Basis:
     """What the unit-normalised Gaussians of some radii share whatever the
     operator: the upper-triangle indices (i, j), the overlap values on them
-    and its symmetric matrix, the pair exponents a and c, and the factors of
-    the overlap and of its :func:`centred_half` block.  Every array is
-    read-only.  A factor is built at its first read, since only a solve
-    reads it and it needs K >= 2 distinct radii."""
+    and its symmetric matrix, the pair exponents a and c, the momentum table
+    of the m > 0 kinetic elements, and the factors of the overlap and of its
+    :func:`centred_half` block.  Every array is read-only.  The table and
+    the factors are built at their first read, since only a solve at m > 0
+    reads the table and a factor needs K >= 2 distinct radii."""
 
     def __init__(self, radii: tuple[float, ...]):
         r = np.array(radii)
@@ -148,6 +142,26 @@ class _Basis:
         return mat
 
     @functools.cached_property
+    def momenta(self):
+        """(p, Phi): the nodes of ``quadrature`` that cover the pair densities
+        of the basis, and Phi[n, i] = sqrt(4/sqrt(pi)) c_i^(3/4)
+        e^(-c_i p_n^2/2), the momentum amplitude of Gaussian i, whose pair
+        density with itself has the momentum exponent c_i = r_i^2/2."""
+        c = 0.5 * self.radii**2
+        p = _nodes(*quadrature.window(c.min(), c.max()))
+        phi = math.sqrt(2.0 * _MOMENT_1) * c**0.75 * np.exp(-0.5 * np.multiply.outer(p * p, c))
+        phi.setflags(write=False)
+        return p, phi
+
+    def kinetic(self, mu: float) -> np.ndarray:
+        """The m > 0 kinetic elements on the upper triangle: Phi^T diag(g) Phi
+        on :attr:`momenta`, as one syrk of sqrt(g) Phi; a gemm left the
+        massless solves after it 5% slower on AVX-512 OpenBLAS (2 vCPU)."""
+        p, phi = self.momenta
+        root = np.sqrt(_weights(mu, p))[:, None] * phi
+        return (root.T @ root)[self.i, self.j]
+
+    @functools.cached_property
     def full(self):
         return _factor(self.overlap)
 
@@ -161,16 +175,20 @@ class _Basis:
 def _basis(radii: tuple[float, ...]) -> _Basis:
     """The shared :class:`_Basis` of ``radii``.  The key is the radii
     themselves, so no entry goes stale; the largest, at K = 120, holds about
-    0.55 MB."""
+    1 MB."""
     return _Basis(radii)
 
 
 def _matrices(canonical: ReducedHamiltonian, basis: _Basis):
     """Overlap and Rayleigh-Ritz matrix less the rest mass of the
     unit-normalised Gaussians of a :class:`_Basis`, built on the upper
-    triangle.  The overlap is the basis's read-only one."""
-    energy = pair_expectation(canonical, basis.a, basis.c)
-    return basis.overlap, basis.symmetric(basis.overlap_values * energy)
+    triangle.  The overlap is the basis's read-only one; at m > 0 the
+    kinetic elements are :meth:`_Basis.kinetic`."""
+    if canonical.mass == 0.0:
+        energy = pair_expectation(canonical, basis.a, basis.c)
+        return basis.overlap, basis.symmetric(basis.overlap_values * energy)
+    potential = _with_potential(canonical, np.zeros(basis.a.size), basis.a)
+    return basis.overlap, basis.symmetric(basis.kinetic(canonical.mass) + basis.overlap_values * potential)
 
 
 def _lowest(factor, matrix: np.ndarray):

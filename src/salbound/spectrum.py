@@ -3,15 +3,14 @@ solve in pure Python.
 
 ``solver.ground_energy`` solves any canonical operator on numpy.  This module
 holds what that solve shares with the one here: :class:`SpectrumResult`, the
-basis rule :func:`basis_radii`, the kinetic rule's order, the centred half
-basis of the convergence estimate and the range warnings.
-:func:`pure_ground_energy` runs the same steps as the numpy solve without
-numpy: the matrix elements in ``math`` (at m > 0 each kinetic element sums
-the shipped order-100 rule, which ``quadrature.read_rule`` reads without
-numpy), a Cholesky of the overlap, the reduced matrix, a Householder
-tridiagonalisation with Sturm bisection for its two lowest eigenvalues, one
-shifted inverse-iteration step, and the Rayleigh quotient in the original
-basis.  Its cost grows as K^3 in Python arithmetic, so it pays only up to a
+basis rule :func:`basis_radii`, the centred half basis of the convergence
+estimate and the range warnings.  :func:`pure_ground_energy` runs the same
+steps as the numpy solve without numpy: the matrix elements in ``math`` (at
+m > 0 the kinetic elements are Phi^T diag(g) Phi on the nodes of
+``quadrature``, which needs no numpy either), a Cholesky of the overlap,
+the reduced matrix, a Householder tridiagonalisation with Sturm bisection
+for its two lowest eigenvalues, one shifted inverse-iteration step, and the
+Rayleigh quotient in the original basis.  Its cost grows as K^3 in Python arithmetic, so it pays only up to a
 moderate basis size; the command line takes it there
 (``cli.PURE_PYTHON_MAX_BASIS``), and the library keeps numpy.
 
@@ -20,7 +19,6 @@ This module needs only the standard library.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -28,12 +26,6 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from .reductions import ReducedHamiltonian, SolverConfig, _pair_moment, natural_units
-
-#: Order of the kinetic pair integral's rule, the one rule that ships with
-#: the package.  It agrees with order 200 to 4.4e-16 relative for every
-#: nu = mu sqrt(c) an accepted input reaches (mu < 2^480, c <= 4.9e8), which
-#: test_fixed_kinetic_rule_holds_over_its_whole_domain checks.
-KINETIC_ORDER = 100
 
 #: Least ratio r_{i+1}/r_i of neighbouring Gaussian radii.  Closer Gaussians
 #: make the overlap worse conditioned without representing more.
@@ -154,34 +146,37 @@ def _dot(a, b) -> float:
     return sum(map(mul, a, b))
 
 
-@functools.lru_cache(maxsize=None)
-def _kinetic_rule():
-    """(y^2, weight) per node of the rule of :data:`KINETIC_ORDER` as
-    ``solver._kinetic_excess`` maps it, where ``math.exp`` puts a few weights
-    an ulp from numpy's.  Only a solve at m > 0 loads ``quadrature``."""
+def _kinetic_matrix(mu: float, c: Sequence[float]):
+    """Rows i of ``solver._Basis.kinetic``'s Phi^T diag(g) Phi, j = i..K-1,
+    for Gaussians of self-pair momentum exponents ``c``, in ``math``.  A row
+    of Phi stops where its exponential underflows to 0.  Only a solve at
+    m > 0 loads ``quadrature``."""
     from . import quadrature
 
-    rule = []
-    for x, w in zip(*quadrature.read_rule(KINETIC_ORDER)):
-        u = 0.5 * (x + 1.0)
-        y = u / (1.0 - u)
-        rule.append((y * y, (2.0 * _MOMENT_1) * (0.5 * w / (1.0 - u) ** 2) * y**4 * math.exp(-y * y)))
-    return tuple((y2, w) for y2, w in rule if w != 0.0)
+    p = quadrature.unit_rule(*quadrature.window(min(c), max(c)))
+    g = [quadrature.STEP * x**5 / (math.sqrt(x * x + mu * mu) + mu) for x in p]
+    half = [0.5 * x * x for x in p]
+    phi = [[norm * math.exp(-ci * y) for y in half if ci * y < 746.0]
+           for ci, norm in zip(c, [math.sqrt(2.0 * _MOMENT_1) * ci**0.75 for ci in c])]
+    weighted = [list(map(mul, g, row)) for row in phi]
+    return [[_dot(weighted[i], phi[j]) for j in range(i, len(c))] for i in range(len(c))]
+
+
+def _with_potential(canonical: ReducedHamiltonian, out: float, a: float) -> float:
+    """``out`` plus <V> in the pair density of coordinate exponent a.  A
+    Coulomb term's a^(1/2) is a square root, as numpy takes it."""
+    for coefficient, k in canonical.potential.terms():
+        out += (coefficient * _pair_moment(k)) * (math.sqrt(a) if k == -1.0 else a ** (-k / 2.0))
+    return out
 
 
 def pure_pair_expectation(canonical: ReducedHamiltonian, a: float, c: float) -> float:
     """``solver.pair_expectation`` for one pair: <sqrt(p^2 + mu^2) - mu> + <V>
     in the Gaussian pair density of coordinate exponent a and momentum
-    exponent c.  A Coulomb term's a^(1/2) is a square root, as numpy takes it."""
-    root = math.sqrt(c)
+    exponent c."""
     if canonical.mass == 0.0:
-        out = _MOMENT_1 / root
-    else:
-        nu = canonical.mass * root
-        out = sum([w / (math.sqrt(nu * nu + y2) + nu) for y2, w in _kinetic_rule()]) / root
-    for coefficient, k in canonical.potential.terms():
-        out += (coefficient * _pair_moment(k)) * (math.sqrt(a) if k == -1.0 else a ** (-k / 2.0))
-    return out
+        return _with_potential(canonical, _MOMENT_1 / math.sqrt(c), a)
+    return _with_potential(canonical, _kinetic_matrix(canonical.mass, [c])[0][0], a)
 
 
 def _matrices(canonical: ReducedHamiltonian, radii: list[float]):
@@ -190,15 +185,21 @@ def _matrices(canonical: ReducedHamiltonian, radii: list[float]):
     size = len(radii)
     overlap = [[0.0] * size for _ in range(size)]
     matrix = [[0.0] * size for _ in range(size)]
+    if canonical.mass > 0.0:
+        kinetic = _kinetic_matrix(canonical.mass, [0.5 * r * r for r in radii])
     for i, ri in enumerate(radii):
         for j in range(i, size):
             rj = radii[j]
             r2i, r2j = ri * ri, rj * rj
             width = r2i + r2j
+            a = width / (r2i * r2j)
             s = (2.0 * ri * rj / width) ** 1.5
-            energy = pure_pair_expectation(canonical, width / (r2i * r2j), width / 4.0)
+            if canonical.mass == 0.0:
+                value = s * pure_pair_expectation(canonical, a, width / 4.0)
+            else:
+                value = kinetic[i][j - i] + s * _with_potential(canonical, 0.0, a)
             overlap[i][j] = overlap[j][i] = s
-            matrix[i][j] = matrix[j][i] = s * energy
+            matrix[i][j] = matrix[j][i] = value
     return overlap, matrix
 
 

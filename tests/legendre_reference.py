@@ -1,18 +1,13 @@
 """Gauss-Legendre rules of any order by Newton's method, for the tests.
 
-This is the generator of the rules that ship with the package
-(``src/salbound/rules/*.npy``); ``test_quadrature`` checks them against it bit
-for bit.  Regenerate them with
-
-    PYTHONPATH=src:tests python -c "import numpy as np; from salbound import quadrature as q; from legendre_reference import gauss_legendre; [np.save(q._rule_path(n), np.stack(gauss_legendre(n))) for n in q.SHIPPED_ORDERS]"
-
-Newton's method lands on bits that depend on the last bit of numpy's cos at
-its starting values, so a rule built here can differ in its last bits between
-platforms; scipy's ``roots_legendre`` checks the rules independently of it.
-The oscillator-basis oracle (``oscillator_reference``) takes its rules on
-the half line, at orders the package does not ship, from
-:func:`semi_infinite_rule` here, and the domain test of the shipped kinetic
-rule takes its order-200 reference from :func:`unit_rule`.
+The package ships no Gauss-Legendre rule: its kinetic elements at m > 0 use
+the trapezoid rule in ln p of ``salbound.quadrature``.  The rules here are
+the tests' references.  The oscillator-basis oracle (``oscillator_reference``)
+takes its rules on the half line from :func:`semi_infinite_rule`, and the
+domain test of the momentum rule takes the order-200 rule of its per-pair
+reference from :func:`unit_rule`.  Newton's method lands on bits that depend
+on the last bit of numpy's cos at its starting values, so scipy's
+``roots_legendre`` checks the rules independently of it.
 """
 
 from __future__ import annotations
@@ -63,8 +58,7 @@ def gauss_legendre(order: int):
 
 @lru_cache(maxsize=None)
 def unit_rule(order: int):
-    """Nodes and weights on [0, 1], read-only, as ``salbound.quadrature.unit_rule``
-    gives them at a shipped order."""
+    """Gauss-Legendre nodes and weights on [0, 1], read-only."""
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
     x, w = gauss_legendre(order)

@@ -796,28 +796,32 @@ def test_solver_path_never_imports_scipy():
 
 @pytest.fixture
 def cold_rules():
-    """The quadrature module with every rule and node-table cache emptied, so
-    that the next solve has to fetch its Gauss-Legendre rules."""
-    from salbound import quadrature
+    """The quadrature module with its node cache emptied, and the solver's
+    caches of node arrays and bases too, so that the next solve at m > 0 has
+    to build its momentum nodes."""
+    from salbound import quadrature, solver
 
     quadrature.unit_rule.cache_clear()
+    solver._nodes.cache_clear()
+    solver._basis.cache_clear()
     return quadrature
 
 
 def test_default_orders_load_their_rules(cold_rules, capsys):
     from salbound import cli
 
-    # a massless solve is all closed forms and loads no rule
+    # a massless solve is all closed forms and builds no node
     assert cli.main(["solve", "--format", "json"]) == 0
     assert cold_rules.unit_rule.cache_info().currsize == 0
     assert cli.main(["bounds", "--n", "4", "--mass", "1", "--format", "json"]) == 0
-    # the kinetic pair integral's order-100 rule, the only one
-    assert cold_rules.unit_rule.cache_info().currsize == 1
+    # windows of the one lattice of nodes: the basis's, and those of the
+    # zoom's first three grids; the later grids reuse the third's window
+    assert cold_rules.unit_rule.cache_info().currsize == 4
 
 
 def test_quadrature_order_is_not_a_flag(cold_rules, tmp_path, capsys):
-    # the kinetic rule's order is fixed: the flag and the config key it had
-    # are usage errors, refused before any rule loads
+    # the kinetic rule is fixed: the order flag and the config key it had
+    # are usage errors, refused before any node is built
     from salbound import cli
 
     for command in ("solve", "bounds"):

@@ -147,8 +147,9 @@ def test_massless_solve_and_bounds_run_without_numpy_up_to_the_crossover(command
 def test_massive_solve_runs_without_numpy_up_to_the_crossover():
     from salbound.cli import PURE_PYTHON_MAX_BASIS
 
-    # with numpy blocked, any import of it fails the command; each kinetic
-    # element sums the order-100 rule, which quadrature reads without numpy
+    # with numpy blocked, any import of it fails the command; the kinetic
+    # elements sum the trapezoid rule in ln p, whose nodes quadrature builds
+    # without numpy
     argvs = [
         ["solve", "--mass", "1", "--potential", potential, "--basis-size", str(size), "--format", fmt]
         for potential in MASSLESS_POTENTIALS
@@ -176,7 +177,9 @@ def test_massive_solve_runs_without_numpy_up_to_the_crossover():
 def test_numpy_solves_above_the_crossover_and_at_positive_mass(argv):
     # a massive solve is pure Python up to the crossover, but a massive
     # bounds loads numpy for its upper bound's zoom anyway, so its rows take
-    # the numpy solve at every basis size
+    # the numpy solve at every basis size.  The crossover is the massless
+    # bounds' one (cli.PURE_PYTHON_MAX_BASIS): one past it, a massive solve
+    # would still be faster in pure Python, but it takes numpy too
     from salbound.cli import PURE_PYTHON_MAX_BASIS
 
     argv = [str(PURE_PYTHON_MAX_BASIS + 1) if a == "PAST" else a for a in argv]

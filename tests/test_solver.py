@@ -569,8 +569,8 @@ def test_every_cached_array_is_read_only():
     ground_energy(h, SolverConfig(basis_size=12))
     basis = solver._basis(tuple(basis_radii(h, 12)))
     names = ["radii", "i", "j", "overlap_values", "overlap", "a", "c"]
-    assert sorted(vars(basis)) == sorted(names + ["full", "half"])
-    arrays = [getattr(basis, name) for name in names] + [*basis.full, *basis.half]
+    assert sorted(vars(basis)) == sorted(names + ["momenta", "full", "half"])
+    arrays = [getattr(basis, name) for name in names] + [*basis.momenta, *basis.full, *basis.half]
     assert all(isinstance(x, np.ndarray) for x in arrays)
     for array in arrays:
         with pytest.raises(ValueError):
@@ -741,47 +741,70 @@ def test_edge_weights_of_the_survey_stay_below_the_threshold():
     assert worst < EDGE_WEIGHT_TOL / 3.0
 
 
+def _reference_kinetic(mu, c):
+    """<sqrt(p^2 + mu^2) - mu> in the momentum densities p^2 e^(-c p^2), one
+    integral per density on the order-200 Gauss-Legendre rule mapped by
+    y = u/(1 - u), which shares nothing with the rule under test:
+    c^(-1/2) (4/sqrt(pi)) ∫ y^4 e^(-y^2) / (sqrt(y^2 + nu^2) + nu) dy at
+    nu = mu sqrt(c)."""
+    u, w = unit_rule(200)
+    y = u / (1.0 - u)
+    weight = (2.0 * TWO_OVER_SQRT_PI) * (w / (1.0 - u) ** 2) * y**4 * np.exp(-y * y)
+    keep = weight != 0.0
+    root = np.sqrt(c)
+    nu = mu * root
+    return (1.0 / (np.sqrt((nu * nu)[:, None] + (y * y)[keep]) + nu[:, None])) @ weight[keep] / root
+
+
 def test_fixed_kinetic_rule_holds_over_its_whole_domain(monkeypatch):
-    # the one guarantee of the fixed order-100 rule: every pair integral of an
-    # accepted input has nu = mu sqrt(c) with mu below reductions._MU_MAX and
-    # c at most r_K^2/2 for the widest Gaussian of the three grid kinds at the
-    # largest basis, or 1/s^2 for the Gaussian upper bound's narrowest width;
-    # that is 6.9e148.  A basis rule that widens with the operator (ROADMAP
-    # item 17) must extend this bound.
-    widest = max(
-        basis_radii(ReducedHamiltonian(1.0, 1.0, 1.0, 1.0, potential), MAX_BASIS_SIZE)[-1]
-        for potential in (Linear(1.0), CoulombPlusLinear(0.2, 1.0), Coulomb(0.2))
-    )
-    c_max = max(widest**2 / 2.0, GAUSSIAN_SCALE_INTERVAL[0] ** -2)
-    top = math.ceil(math.log10(_MU_MAX * math.sqrt(c_max)))
-    assert top == 149
-    # 10 points per decade from 1e-20 to 1e149, and the subnormal end
-    nu = np.concatenate(([0.0, 5e-324, 1e-300], np.logspace(-20.0, top, 10 * (top + 20) + 1)))
+    # the one guarantee of the trapezoid rule in ln p: every kinetic element
+    # of an accepted input, on the three grid kinds up to the largest basis
+    # and on the Gaussian upper bound's widths, at every mass from the
+    # subnormal end to reductions._MU_MAX, within 1e-14 of the per-pair
+    # reference.  A basis rule that widens with the operator (ROADMAP item
+    # 17) must extend the sizes here.
+    masses = np.concatenate(([5e-324, 1e-300], np.logspace(-20.0, math.log10(_MU_MAX), 17)))
+    c_upper = np.geomspace(*GAUSSIAN_SCALE_INTERVAL, 200) ** -2.0
+    references = {}
 
-    def excess_at(order):
-        # the reference builder's rule of ``order`` in place of the shipped one
-        monkeypatch.setattr(quadrature, "unit_rule", lambda _: unit_rule(order))
-        return solver._kinetic_excess(nu)
+    def worst(step):
+        monkeypatch.setattr(quadrature, "STEP", step)
+        quadrature.unit_rule.cache_clear()
+        solver._basis.cache_clear()
+        gaps = []
+        for potential in (Linear(1.0), CoulombPlusLinear(0.2, 1.0), Coulomb(0.2)):
+            for size in (2, 24, 40, MAX_BASIS_SIZE):
+                basis = solver._basis(tuple(basis_radii(ReducedHamiltonian(1.0, 1.0, 1.0, 1.0, potential), size)))
+                for mu in masses:
+                    key = potential, size, mu
+                    if key not in references:
+                        references[key] = basis.overlap_values * _reference_kinetic(mu, basis.c)
+                    gaps.append(np.max(np.abs(basis.kinetic(mu) / references[key] - 1.0)))
+        for mu in masses:
+            if mu not in references:
+                references[mu] = _reference_kinetic(mu, c_upper)
+            gaps.append(np.max(np.abs(solver._kinetic(mu, c_upper) / references[mu] - 1.0)))
+        quadrature.unit_rule.cache_clear()
+        solver._basis.cache_clear()
+        return max(gaps)
 
-    fixed = solver._kinetic_excess(nu)
-    doubled = excess_at(2 * solver.KINETIC_ORDER)
-
-    def worst(values):
-        return float(np.max(np.abs(values - doubled) / doubled))
-
-    # the measured worst is 4.4e-16
-    assert worst(fixed) <= 1e-14
-    # the same check fails a rule of order 48, which is 1e-10 off
-    assert worst(excess_at(48)) > 1e-11
+    # the measured worst is 2.0e-15 (5.3e-15 at step 0.12)
+    assert worst(quadrature.STEP) <= 1e-14
+    # the same check fails step 0.2, which is 1.8e-8 off
+    assert worst(0.2) > 1e-9
 
 
 def test_massless_solve_loads_no_rule(monkeypatch):
     def never(*args):
-        raise AssertionError("a massless solve used a quadrature rule")
+        raise AssertionError("a massless solve built momentum nodes")
 
     monkeypatch.setattr(quadrature, "unit_rule", never)
-    ground_energy(ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, CoulombPlusLinear(0.2, 1.0)))
-    assert quadrature.SHIPPED_ORDERS == (100,)
+    h = ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, CoulombPlusLinear(0.2, 1.0))
+    solver._basis.cache_clear()
+    ground_energy(h)
+    spectrum.pure_ground_energy(h)
+    assert "momenta" not in vars(solver._basis(tuple(basis_radii(h, 40))))
+    assert solver._basis.cache_info().misses == 1  # the solve's own basis
 
 
 @pytest.mark.parametrize("mass", [0.0, 1.0, 30.0])

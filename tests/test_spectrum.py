@@ -47,13 +47,13 @@ def signed(x, overlap):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_kernels_agree_up_to_the_crossover(shape):
     # the shapes are canonical, so energies are in natural units: every basis
-    # size at m = 0, and a few at m > 0, where each kinetic element sums the
-    # order-100 rule.  The tolerance is 1e-13 relative, or the energy's own
-    # roundoff where that is larger: r^0.5 at K = 7..14 has coefficients up
-    # to 20 of alternating sign, and there the numpy energy is 8.4e-13 from a
-    # 50-digit solve of its own matrices at K = 9, while the two kernels'
-    # elements differ by an ulp in a few entries (numpy's vectorised pow and
-    # exp against libm's)
+    # size at m = 0, and a few at m > 0, where the kinetic elements sum the
+    # trapezoid rule in ln p.  The tolerance is 1e-13 relative, or the
+    # energy's own roundoff where that is larger: r^0.5 at K = 7..14 has
+    # coefficients up to 20 of alternating sign, and there the numpy energy
+    # is 8.4e-13 from a 50-digit solve of its own matrices at K = 9, while
+    # the two kernels' elements differ by an ulp in a few entries (numpy's
+    # vectorised pow and exp against libm's)
     cases = [(0.0, size) for size in range(2, PURE_PYTHON_MAX_BASIS + 1)]
     cases += [(mass, size) for mass in (0.05, 1.0, 4.0, 30.0) for size in (2, 12, 24, 40, 45)]
     for mass, size in cases:
