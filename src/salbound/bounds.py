@@ -9,7 +9,8 @@ of a lower bound is that operator's spectral bottom, solved numerically;
 that of the upper bound, from a product Gaussian trial state in relative
 coordinates (:func:`gaussian_upper`), is the canonical model operator's
 least one-Gaussian energy: a closed form at m = 0 and a grid zoom in log
-sigma over ``solver.pair_expectation`` at m > 0.  ``reductions`` also holds
+sigma over ``solver.pair_expectation`` at m > 0, which reuses its first
+grid's node weights on every later grid.  ``reductions`` also holds
 the proof status of the model-operator bound and the closed forms for the
 massless linear potential; here the model-operator bound is also proved for
 harmonic pair potentials.  This module runs no quadrature of its own, and
@@ -146,17 +147,25 @@ def zoom_log_minimum(f, lo: float, hi: float):
 
     ends = math.log(lo), math.log(hi)
     a, b = ends
+    steps = np.arange(ZOOM_POINTS, dtype=float)
     while True:
-        t = np.linspace(a, b, ZOOM_POINTS)
+        # np.linspace(a, b, ZOOM_POINTS) written out, without its per-call
+        # overhead, on Python floats a and b
+        t = steps * ((b - a) / (ZOOM_POINTS - 1)) + a
+        t[-1] = b
         reach = a == ends[0], b == ends[1]
         x = np.exp(t)
         # exp(log(lo)) need not be lo: a grid that reaches an end holds the end
-        x[[0, -1]] = np.where(reach, (lo, hi), x[[0, -1]])
+        if reach[0]:
+            x[0] = lo
+        if reach[1]:
+            x[-1] = hi
         values = f(x)
-        i = int(np.argmin(values))
-        if t[1] - t[0] <= ZOOM_SPACING:
+        i = int(values.argmin())
+        t0, t1 = t[:2].tolist()
+        if t1 - t0 <= ZOOM_SPACING:
             return float(x[i]), float(values[i]), reach[0] and i == 0, reach[1] and i == ZOOM_POINTS - 1
-        a, b = t[max(i - 1, 0)], t[min(i + 1, ZOOM_POINTS - 1)]
+        a, b = t[[max(i - 1, 0), min(i + 1, ZOOM_POINTS - 1)]].tolist()
 
 
 def gaussian_upper(spec: ProblemSpec) -> UpperBoundResult:
@@ -182,17 +191,20 @@ def gaussian_upper(spec: ProblemSpec) -> UpperBoundResult:
       a = s^2 and c = 1/s^2 over the momentum widths s = 1/sigma of
       ``GAUSSIAN_SCALE_INTERVAL``, zoomed in on by :func:`zoom_log_minimum`.
       The zoom leaves mu out: at mu near 1e9 the grid's differences fall
-      below one ulp of mu.
+      below one ulp of mu.  Its objective, ``solver._zoom_objective``,
+      gives ``pair_expectation`` bit for bit, but computes the mass-dependent
+      node weights once, on the first grid's window, and reads a slice of
+      them on every later grid, which lies inside the first; the first
+      grid, the same for every problem, has its table of exponentials
+      cached.
     """
     # refuses a collapsing or out-of-range operator
     canonical, energy, length = natural_units(_MODEL.operator(spec.n, spec.mass, spec.potential))
     pinned = (False, False)
     if spec.mass > 0.0:
-        from .solver import pair_expectation
+        from .solver import _zoom_objective
 
-        s, least, at_lower, at_upper = zoom_log_minimum(
-            lambda s: pair_expectation(canonical, s * s, 1.0 / (s * s)), *GAUSSIAN_SCALE_INTERVAL
-        )
+        s, least, at_lower, at_upper = zoom_log_minimum(_zoom_objective(canonical), *GAUSSIAN_SCALE_INTERVAL)
         least, sigma, pinned = canonical.mass + least, 1.0 / s, (at_lower, at_upper)
     elif isinstance(canonical.potential, Coulomb):
         s = GAUSSIAN_SCALE_INTERVAL[0]

@@ -11,11 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cache
 from typing import ClassVar
 
 
 class PotentialParseError(ValueError):
     """A textual potential spec could not be parsed."""
+
+
+@cache
+def _parameters(cls) -> tuple[str, ...]:
+    """The field names of a potential class, in order, looked up once."""
+    return tuple(f.name for f in fields(cls))
 
 
 def require_finite(obj, *names: str) -> None:
@@ -44,7 +51,7 @@ class PairPotential:
     form: ClassVar[str]
 
     def __post_init__(self):
-        require_finite(self, *(f.name for f in fields(self)))
+        require_finite(self, *_parameters(type(self)))
 
     def terms(self) -> tuple[tuple[float, float], ...]:
         """V as a sum of power terms: ((c, k), ...) with V(r) = sum c r^k."""
@@ -56,7 +63,7 @@ class PairPotential:
 
     def spec(self) -> str:
         """Textual form accepted by :func:`parse_potential`."""
-        values = (format(float(getattr(self, f.name)), "g") for f in fields(self))
+        values = (format(float(getattr(self, name)), "g") for name in _parameters(type(self)))
         return f"{self.form}:" + ",".join(values)
 
 
@@ -167,7 +174,7 @@ def parse_potential(text: str) -> PairPotential:
     if name not in _FORMS:
         raise PotentialParseError(f"unknown potential form {name!r} in {text!r}")
     cls = _FORMS[name]
-    nargs = len(fields(cls))
+    nargs = len(_parameters(cls))
     if not sep:
         raise PotentialParseError(f"missing parameters after {name!r} in {text!r}")
     tokens = [tok.strip() for tok in rest.split(",")]

@@ -35,7 +35,15 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .potentials import Coulomb, CoulombPlusLinear, Linear, PairPotential, PowerLaw, require_finite
+from .potentials import (
+    Coulomb,
+    CoulombPlusLinear,
+    Linear,
+    PairPotential,
+    PowerLaw,
+    _parameters,
+    require_finite,
+)
 
 #: Ground energy of H = ||p|| + r in three dimensions
 #: (Boukraa and Basdevant 1989).
@@ -153,7 +161,8 @@ def natural_units(h: ReducedHamiltonian) -> tuple[ReducedHamiltonian, float, flo
     - for massless pure Coulomb, which is scale-free: 1.
     Then mu = m s/sqrt(lam), v' = gamma v/(beta sqrt(lam)) and
     energy = beta sqrt(lam)/s.  A canonical operator is its own canonical
-    form: it is returned equal, with energy and length exactly 1.
+    form: once it has passed every refusal below, it is returned itself,
+    with energy and length exactly 1.
 
     Raises StabilityError where the effective Coulomb coupling v' reaches
     2/pi: the operator is then unbounded below for every mass, since the
@@ -183,7 +192,7 @@ def natural_units(h: ReducedHamiltonian) -> tuple[ReducedHamiltonian, float, flo
         length = (kinetic / strength) ** (1.0 / (k + 1.0))
         mu = h.mass * length / root
         # the family's only shape with a confining and a Coulomb term has k = 1
-        potential = CoulombPlusLinear(coupling, 1.0) if coupling > 0.0 else PowerLaw(1.0, k)
+        form = (CoulombPlusLinear, coupling, 1.0) if coupling > 0.0 else (PowerLaw, 1.0, k)
     else:
         _in_range("effective Coulomb coupling", coupling)
         if h.mass > 0.0:
@@ -192,12 +201,18 @@ def natural_units(h: ReducedHamiltonian) -> tuple[ReducedHamiltonian, float, flo
             length = root * mu / h.mass
         else:
             mu, length = 0.0, 1.0
-        potential = Coulomb(coupling)
+        form = (Coulomb, coupling)
     _in_range("natural length", length)
     if h.mass > 0.0:
         _in_range("natural mass mu", mu, _MU_MAX)
     energy = _in_range("energy factor", kinetic / length)
-    return ReducedHamiltonian(1.0, 1.0, 1.0, mu, potential), energy, length
+    cls, *parameters = form
+    if (h.beta, h.lam, h.gamma, h.mass, type(h.potential)) == (1.0, 1.0, 1.0, mu, cls) and all(
+        getattr(h.potential, name) == value for name, value in zip(_parameters(cls), parameters)
+    ):
+        # already canonical, so the length and the energy are exactly 1
+        return h, 1.0, 1.0
+    return ReducedHamiltonian(1.0, 1.0, 1.0, mu, cls(*parameters)), energy, length
 
 
 # --- the reduction table ------------------------------------------------------

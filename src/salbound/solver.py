@@ -39,7 +39,10 @@ every solve on it (:func:`_basis`); the cache holds at most 8 bases, about
 1 MB each at K = 120, 0.31 MB of it the momentum table.
 
 The Gaussian upper bound of ``bounds`` evaluates its one-Gaussian trial
-states at m > 0 by :func:`pair_expectation`, on the same rule.  The
+states at m > 0 as :func:`pair_expectation` does, on the same rule, through
+:func:`_zoom_objective`: its zoom computes the node weights once, on the
+first grid's window, and every later grid reads a slice of them; the first
+grid's table of exponentials is built once per process.  The
 operator, the basis size and the closed forms of the massless linear case
 are in ``reductions``; the basis rule, the result type and the range
 warnings are in ``spectrum``, which also runs this solve without numpy.
@@ -59,17 +62,22 @@ from .spectrum import _MOMENT_1, SpectrumResult, basis_radii, centred_half, rang
 
 
 @functools.lru_cache(maxsize=64)
-def _nodes(lo: int, hi: int) -> np.ndarray:
-    """``quadrature.unit_rule``'s nodes of a window as a read-only array."""
+def _nodes(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p^2, STEP p^5), read-only, at ``quadrature.unit_rule``'s nodes p of a
+    window: what :func:`_weights` and the exponentials read of the nodes,
+    whatever the mass."""
     p = np.array(quadrature.unit_rule(lo, hi))
-    p.setflags(write=False)
-    return p
+    nodes = p * p, quadrature.STEP * p**5
+    for array in nodes:
+        array.setflags(write=False)
+    return nodes
 
 
-def _weights(mu: float, p: np.ndarray) -> np.ndarray:
-    """g_n = STEP p_n^5 / (sqrt(p_n^2 + mu^2) + mu): the weight in ln p times
-    the excess over the rest mass, in a form free of cancellation."""
-    return quadrature.STEP * p**5 / (np.sqrt(p * p + mu * mu) + mu)
+def _weights(mu: float, square: np.ndarray, fifth: np.ndarray) -> np.ndarray:
+    """g_n = STEP p_n^5 / (sqrt(p_n^2 + mu^2) + mu) on the :func:`_nodes`
+    (square, fifth): the weight in ln p times the excess over the rest mass,
+    in a form free of cancellation."""
+    return fifth / (np.sqrt(square + mu * mu) + mu)
 
 
 def _with_potential(canonical: ReducedHamiltonian, out: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -96,8 +104,58 @@ def pair_expectation(canonical: ReducedHamiltonian, a: np.ndarray, c: np.ndarray
 def _kinetic(mu: float, c: np.ndarray) -> np.ndarray:
     """<sqrt(p^2 + mu^2) - mu> in the momentum densities p^2 e^(-c p^2):
     :func:`_weights` against Phi^2 = (4/sqrt(pi)) c^(3/2) e^(-c p^2)."""
-    p = _nodes(*quadrature.window(c.min(), c.max()))
-    return (2.0 * _MOMENT_1) * c**1.5 * (np.exp(np.multiply.outer(-c, p * p)) @ _weights(mu, p))
+    square, fifth = _nodes(*quadrature.window(c.min(), c.max()))
+    return _moment(c, np.exp(np.multiply.outer(-c, square)), _weights(mu, square, fifth))
+
+
+def _moment(c: np.ndarray, exponentials: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """:func:`_kinetic` from its table e^(-c_i p_n^2) and its weights."""
+    return (2.0 * _MOMENT_1) * c**1.5 * (exponentials @ weights)
+
+
+@functools.lru_cache(maxsize=1)
+def _first_exponentials(widths: bytes, lo: int, hi: int) -> np.ndarray:
+    """e^(-c_i p_n^2), read-only, at c_i = 1/s_i^2 for the momentum widths
+    s_i packed in ``widths`` and the nodes p_n of window lo..hi: the table
+    of :func:`_kinetic` on a zoom's first grid, which every zoom of the
+    Gaussian upper bound shares."""
+    s = np.frombuffer(widths)
+    table = np.exp(np.multiply.outer(-(1.0 / (s * s)), _nodes(lo, hi)[0]))
+    table.setflags(write=False)
+    return table
+
+
+def _zoom_objective(canonical: ReducedHamiltonian):
+    """s -> ``pair_expectation(canonical, s * s, 1 / (s * s))`` at m > 0, bit
+    for bit, for the grids of momentum widths s of one zoom in turn.
+
+    The first grid fixes a window of nodes and computes their
+    :func:`_weights` once; every later grid of a zoom lies inside the first,
+    so its window does too, and it reads a slice of them: the same nodes,
+    since all lie on one integer lattice.  The first grid's table of
+    exponentials is the same for every zoom (:func:`_first_exponentials`).
+    A grid whose window leaves the first one gets :func:`pair_expectation`
+    itself.
+    """
+    first = None  # (lo, hi, p^2, weights) of the first grid's window
+
+    def objective(s: np.ndarray) -> np.ndarray:
+        nonlocal first
+        a = s * s
+        c = 1.0 / a
+        lo, hi = quadrature.window(c.min(), c.max())
+        if first is None:
+            square, fifth = _nodes(lo, hi)
+            first = lo, hi, square, _weights(canonical.mass, square, fifth)
+            return _with_potential(canonical, _moment(c, _first_exponentials(s.tobytes(), lo, hi), first[3]), a)
+        start, stop, square, weights = first
+        if not start <= lo <= hi <= stop:
+            return pair_expectation(canonical, a, c)
+        part = slice(lo - start, hi - start + 1)
+        table = np.exp(np.multiply.outer(-c, square[part]))
+        return _with_potential(canonical, _moment(c, table, weights[part]), a)
+
+    return objective
 
 
 def _factor(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,22 +201,23 @@ class _Basis:
 
     @functools.cached_property
     def momenta(self):
-        """(p, Phi): the nodes of ``quadrature`` that cover the pair densities
-        of the basis, and Phi[n, i] = sqrt(4/sqrt(pi)) c_i^(3/4)
-        e^(-c_i p_n^2/2), the momentum amplitude of Gaussian i, whose pair
-        density with itself has the momentum exponent c_i = r_i^2/2."""
+        """(p^2, STEP p^5, Phi): the :func:`_nodes` p of ``quadrature`` that
+        cover the pair densities of the basis, and Phi[n, i] =
+        sqrt(4/sqrt(pi)) c_i^(3/4) e^(-c_i p_n^2/2), the momentum amplitude
+        of Gaussian i, whose pair density with itself has the momentum
+        exponent c_i = r_i^2/2."""
         c = 0.5 * self.radii**2
-        p = _nodes(*quadrature.window(c.min(), c.max()))
-        phi = math.sqrt(2.0 * _MOMENT_1) * c**0.75 * np.exp(-0.5 * np.multiply.outer(p * p, c))
+        square, fifth = _nodes(*quadrature.window(c.min(), c.max()))
+        phi = math.sqrt(2.0 * _MOMENT_1) * c**0.75 * np.exp(-0.5 * np.multiply.outer(square, c))
         phi.setflags(write=False)
-        return p, phi
+        return square, fifth, phi
 
     def kinetic(self, mu: float) -> np.ndarray:
         """The m > 0 kinetic elements on the upper triangle: Phi^T diag(g) Phi
         on :attr:`momenta`, as one syrk of sqrt(g) Phi; a gemm left the
         massless solves after it 5% slower on AVX-512 OpenBLAS (2 vCPU)."""
-        p, phi = self.momenta
-        root = np.sqrt(_weights(mu, p))[:, None] * phi
+        square, fifth, phi = self.momenta
+        root = np.sqrt(_weights(mu, square, fifth))[:, None] * phi
         return (root.T @ root)[self.i, self.j]
 
     @functools.cached_property

@@ -348,6 +348,61 @@ def test_massive_gaussian_upper_is_the_scale_search_at_basis_size_1(spec):
     assert pinned == (False, False) and result.warnings == []
 
 
+def zoom_grids(objective):
+    """Every grid of momentum widths that the upper bound's zoom hands to
+    ``objective``, in turn, with the objective's values on it."""
+    grids = []
+    zoom_log_minimum(lambda s: grids.append((s.copy(), objective(s))) or grids[-1][1], 0.05, 20.0)
+    return grids
+
+
+@pytest.mark.parametrize("mu", [1e-3, 1.0, 1e5])
+@pytest.mark.parametrize(
+    "potential",
+    [
+        PowerLaw(1.0, 1.0),
+        PowerLaw(1.0, 2.0),
+        PowerLaw(1.0, 0.5),
+        PowerLaw(1.0, 2.5),
+        Coulomb(0.3),
+        CoulombPlusLinear(0.3, 1.0),
+    ],
+    ids=["linear", "harmonic", "power-0.5", "power-2.5", "coulomb", "coulomb+linear"],
+)
+def test_zoom_objective_is_the_pair_expectation_on_every_grid(potential, mu):
+    # the objective reuses its first grid's weights and a shared table of
+    # exponentials, and still gives pair_expectation bit for bit
+    from salbound import solver
+
+    canonical = ReducedHamiltonian(1.0, 1.0, 1.0, mu, potential)
+    objective = solver._zoom_objective(canonical)
+    grids = zoom_grids(objective)
+    # 6 grids, 5 where the zoom closes in on an end; all but the first read
+    # slices of the first grid's weights
+    assert len(grids) >= 5
+    for s, values in grids:
+        assert np.array_equal(values, pair_expectation(canonical, s * s, 1.0 / (s * s)))
+    # a later grid beyond the first one's window is computed afresh
+    s = np.geomspace(0.01, 100.0, 33)
+    assert np.array_equal(objective(s), pair_expectation(canonical, s * s, 1.0 / (s * s)))
+
+
+def test_first_zoom_grid_table_is_built_once_and_read_only():
+    from salbound import quadrature, solver
+
+    solver._first_exponentials.cache_clear()
+    gaussian_upper(ProblemSpec(4, 0.7, Linear(1.0)))
+    gaussian_upper(ProblemSpec(3, 2.0, CoulombPlusLinear(0.1, 1.5)))
+    assert solver._first_exponentials.cache_info()[:2] == (1, 1)  # (hits, misses)
+    # the first grid, the same in every zoom
+    (s, _), *_ = zoom_grids(lambda s: s)
+    c = 1.0 / (s * s)
+    table = solver._first_exponentials(s.tobytes(), *quadrature.window(c.min(), c.max()))
+    assert solver._first_exponentials.cache_info().misses == 1
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+
+
 # --- scale search against a reference golden section ----------------------------
 
 

@@ -814,9 +814,9 @@ def test_default_orders_load_their_rules(cold_rules, capsys):
     assert cli.main(["solve", "--format", "json"]) == 0
     assert cold_rules.unit_rule.cache_info().currsize == 0
     assert cli.main(["bounds", "--n", "4", "--mass", "1", "--format", "json"]) == 0
-    # windows of the one lattice of nodes: the basis's, and those of the
-    # zoom's first three grids; the later grids reuse the third's window
-    assert cold_rules.unit_rule.cache_info().currsize == 4
+    # windows of the one lattice of nodes: the basis's, and the first grid's
+    # of the upper bound's zoom, whose later grids read slices of it
+    assert cold_rules.unit_rule.cache_info().currsize == 2
 
 
 def test_quadrature_order_is_not_a_flag(cold_rules, tmp_path, capsys):

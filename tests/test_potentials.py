@@ -69,6 +69,26 @@ def test_parse_round_trip():
         assert parse_potential(potential.spec()) == potential
 
 
+def test_field_names_are_looked_up_once_per_class(monkeypatch):
+    # construction, spec() and the parser's arity check read each class's
+    # field names from a cache filled at its first use
+    import salbound.potentials
+
+    for text in ("linear:1", "coulomb:0.5", "harmonic:2", "coulomb+linear:0.5,1", "power:2,0.5"):
+        parse_potential(text).spec()
+
+    def never(cls):
+        raise AssertionError(f"dataclasses.fields({cls}) called again")
+
+    monkeypatch.setattr(salbound.potentials, "fields", never)
+    for text in ("linear:3", "coulomb:0.2", "harmonic:1", "coulomb+linear:0.1,2", "power:1,1.5"):
+        assert parse_potential(text).spec() == text
+    with pytest.raises(ValueError, match="slope must be finite"):
+        Linear(float("inf"))
+    with pytest.raises(PotentialParseError, match="2 parameter"):
+        parse_potential("power:1")
+
+
 def test_parse_errors_name_the_token():
     with pytest.raises(PotentialParseError, match="woods"):
         parse_potential("woods:1")

@@ -277,15 +277,20 @@ def test_natural_units_is_idempotent():
 )
 def test_natural_units_returns_a_canonical_operator_unchanged(canonical):
     got, energy, length = natural_units(canonical)
-    assert got == canonical
+    assert got is canonical
     assert (energy, length) == (1.0, 1.0)
 
 
 def test_natural_units_refuses_canonical_operators_out_of_range():
+    # a canonical operator is returned as it is only after every refusal
     with pytest.raises(StabilityError):
         natural_units(ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Coulomb(0.7)))
     with pytest.raises(StabilityError):
+        natural_units(ReducedHamiltonian(1.0, 1.0, 1.0, 1.0 / 0.7, Coulomb(0.7)))
+    with pytest.raises(StabilityError):
         natural_units(ReducedHamiltonian(1.0, 1.0, 1.0, 1.0, CoulombPlusLinear(0.7, 1.0)))
+    with pytest.raises(ValueError, match="confining exponent 4.5"):
+        natural_units(ReducedHamiltonian(1.0, 1.0, 1.0, 1.0, PowerLaw(1.0, 4.5)))
     with pytest.raises(ValueError, match="natural mass mu"):
         natural_units(ReducedHamiltonian(1.0, 1.0, 1.0, 2.0**512, PowerLaw(1.0, 1.0)))
     with pytest.raises(ValueError, match="natural mass mu"):
@@ -412,6 +417,40 @@ def test_zoom_contract_on_random_intervals(shape):
         hi = lo * math.exp(rng.uniform(0.01, 9.0))
         t = rng.uniform(math.log(lo) - 1.0, math.log(hi) + 1.0)
         _zoom_contract(shape, lo, hi, t)
+
+
+def linspace_zoom(f, lo, hi):
+    """:func:`zoom_log_minimum` on ``np.linspace`` grids, the reference of its
+    written-out grid arithmetic."""
+    ends = math.log(lo), math.log(hi)
+    a, b = ends
+    while True:
+        t = np.linspace(a, b, ZOOM_POINTS)
+        reach = a == ends[0], b == ends[1]
+        x = np.exp(t)
+        x[[0, -1]] = np.where(reach, (lo, hi), x[[0, -1]])
+        values = f(x)
+        i = int(np.argmin(values))
+        if t[1] - t[0] <= ZOOM_SPACING:
+            return float(x[i]), float(values[i]), bool(reach[0] and i == 0), bool(reach[1] and i == len(t) - 1)
+        a, b = t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)]
+
+
+def test_zoom_grids_are_linspace_grids():
+    # the same grids, and the same result, as a zoom on np.linspace: on the
+    # bound's interval with its optimum inside and beyond either end, and on
+    # random intervals
+    rng = np.random.default_rng(5)
+    cases = [(*GAUSSIAN_SCALE_INTERVAL, centre) for centre in (-8.0, 0.3, 8.0)]
+    cases += [(*sorted(np.exp(rng.uniform(-5.0, 5.0, 2)).tolist()), rng.uniform(-6.0, 6.0)) for _ in range(40)]
+    for lo, hi, centre in cases:
+        f = lambda x: (np.log(x) - centre) ** 2
+        grids, reference = [], []
+        got = zoom_log_minimum(lambda x: grids.append(x.copy()) or f(x), lo, hi)
+        want = linspace_zoom(lambda x: reference.append(x.copy()) or f(x), lo, hi)
+        assert got == want, (lo, hi, centre)
+        assert len(grids) == len(reference)
+        assert all(np.array_equal(g, r) for g, r in zip(grids, reference))
 
 
 # --- reference constant -------------------------------------------------------
@@ -770,6 +809,7 @@ def test_fixed_kinetic_rule_holds_over_its_whole_domain(monkeypatch):
     def worst(step):
         monkeypatch.setattr(quadrature, "STEP", step)
         quadrature.unit_rule.cache_clear()
+        solver._nodes.cache_clear()
         solver._basis.cache_clear()
         gaps = []
         for potential in (Linear(1.0), CoulombPlusLinear(0.2, 1.0), Coulomb(0.2)):
@@ -785,6 +825,7 @@ def test_fixed_kinetic_rule_holds_over_its_whole_domain(monkeypatch):
                 references[mu] = _reference_kinetic(mu, c_upper)
             gaps.append(np.max(np.abs(solver._kinetic(mu, c_upper) / references[mu] - 1.0)))
         quadrature.unit_rule.cache_clear()
+        solver._nodes.cache_clear()
         solver._basis.cache_clear()
         return max(gaps)
 
