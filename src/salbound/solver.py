@@ -147,7 +147,8 @@ def _zoom_objective(canonical: ReducedHamiltonian):
         if first is None:
             square, fifth = _nodes(lo, hi)
             first = lo, hi, square, _weights(canonical.mass, square, fifth)
-            return _with_potential(canonical, _moment(c, _first_exponentials(s.tobytes(), lo, hi), first[3]), a)
+            table = _first_exponentials(s.tobytes(), lo, hi)
+            return _with_potential(canonical, _moment(c, table, first[3]), a)
         start, stop, square, weights = first
         if not start <= lo <= hi <= stop:
             return pair_expectation(canonical, a, c)
