@@ -8,14 +8,15 @@ the canonical operator sqrt(p^2 + mu^2) + r^k - v'/r.  The canonical number
 of a lower bound is that operator's spectral bottom, solved numerically;
 that of the upper bound, from a product Gaussian trial state in relative
 coordinates (:func:`gaussian_upper`), is the canonical model operator's
-least one-Gaussian energy: a closed form at m = 0 and a grid zoom in log
-sigma over ``solver.pair_expectation`` at m > 0, which reuses its first
-grid's node weights on every later grid.  ``reductions`` also holds
-the proof status of the model-operator bound and the closed forms for the
-massless linear potential; here the model-operator bound is also proved for
-harmonic pair potentials.  This module runs no quadrature of its own, and
-loads numpy and ``solver`` only where it uses them, so a massless bound
-solved by ``spectrum.pure_ground_energy`` loads neither.
+least one-Gaussian energy: a closed form at m = 0 and at m > 0 a grid zoom
+in log s, over momentum widths s = 1/sigma, of ``solver.pair_expectation``,
+which reuses its first grid's node weights on every later grid.
+``reductions`` also holds the proof status of the model-operator bound and
+the closed forms for the massless linear potential; here the model-operator
+bound is also proved for harmonic pair potentials.  This module runs no
+quadrature of its own, and loads numpy and ``solver`` only where it uses
+them, so a massless bound solved by ``spectrum.pure_ground_energy`` loads
+neither.
 
 Rows with the same canonical operator share one solve.  A massless
 single-term potential c r^k with k > 0 (linear, harmonic, power law) has
@@ -46,10 +47,10 @@ from .reductions import (
 )
 from .spectrum import SpectrumResult, pure_pair_expectation
 
-#: Interval of the Gaussian's momentum width sigma searched in natural units.
+#: Interval of the Gaussian's momentum width s = 1/sigma searched in natural units.
 GAUSSIAN_SCALE_INTERVAL = (0.05, 20.0)
 
-#: Points of each grid of the zoom in log sigma, and the grid spacing at
+#: Points of each grid of the zoom in log s, and the grid spacing at
 #: which it stops: 6 grids across ``GAUSSIAN_SCALE_INTERVAL``.
 ZOOM_POINTS = 33
 ZOOM_SPACING = 1e-6
@@ -99,12 +100,12 @@ class UpperBoundResult:
     warnings: list[str]
 
 
-def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
-    """``solver.ground_energy``, the default solve of :func:`compute_bounds`,
-    imported on its first call."""
-    from .solver import ground_energy
+def ground_energy(canonical: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
+    """``solver._canonical_ground_energy``, the default solve of
+    :func:`compute_bounds`, imported on its first call."""
+    from .solver import _canonical_ground_energy
 
-    return ground_energy(h, config)
+    return _canonical_ground_energy(canonical, config)
 
 
 def _bounds(spec: ProblemSpec, config, solve) -> Callable[[Reduction], BoundResult]:
@@ -112,9 +113,9 @@ def _bounds(spec: ProblemSpec, config, solve) -> Callable[[Reduction], BoundResu
 
     Each row's reduced operator sqrt(lam p^2 + m^2) + (N-1)/2 V
     (``Reduction.operator``) is energy times its canonical operator dilated
-    by a length
-    (``reductions.natural_units``); rows with the same canonical operator
-    share one solve, read off with their own energy and length.
+    by a length (``reductions.natural_units``), its one mapping; rows with
+    the same canonical operator share one solve in natural units, scaled
+    back once with their own energy and length.
     """
     solved = functools.cache(lambda canonical: solve(canonical, config))
 
@@ -192,11 +193,7 @@ def gaussian_upper(spec: ProblemSpec) -> UpperBoundResult:
       ``GAUSSIAN_SCALE_INTERVAL``, zoomed in on by :func:`zoom_log_minimum`.
       The zoom leaves mu out: at mu near 1e9 the grid's differences fall
       below one ulp of mu.  Its objective, ``solver._zoom_objective``,
-      gives ``pair_expectation`` bit for bit, but computes the mass-dependent
-      node weights once, on the first grid's window, and reads a slice of
-      them on every later grid, which lies inside the first; the first
-      grid, the same for every problem, has its table of exponentials
-      cached.
+      gives ``pair_expectation`` bit for bit from the first grid's weights.
     """
     # refuses a collapsing or out-of-range operator
     canonical, energy, length = natural_units(_MODEL.operator(spec.n, spec.mass, spec.potential))
@@ -248,12 +245,13 @@ def compute_bounds(
 ) -> BoundSet:
     """Evaluate every applicable bound and validate the sandwich.
 
-    ``solve`` is the basis solve of the lower bounds, :func:`ground_energy`
-    by default; the command line passes its one kernel choice,
-    ``cli.ground_energy``, which runs ``spectrum.pure_ground_energy`` for
-    massless problems on small bases.  Reductions with the same canonical
-    operator share one solve, and a massless single-term power law needs one
-    solve for all of them (see :func:`_bounds`).  The Gaussian upper bound
+    ``solve`` maps a canonical operator of ``reductions.natural_units`` to
+    its spectrum in natural units, which each row scales back once:
+    :func:`ground_energy` by default, or the command line's kernel choice
+    ``cli.ground_energy``.  The any-operator ``solver.ground_energy`` gives
+    the same values.  Reductions with the same canonical operator share one
+    solve, and a massless single-term power law needs one solve for all of
+    them (see :func:`_bounds`).  The Gaussian upper bound
     must dominate every lower bound; a violation beyond the solver's own
     convergence scale indicates an internal error and raises RuntimeError.
     """

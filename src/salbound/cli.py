@@ -12,10 +12,11 @@ Reports render as text (6 significant digits), JSON or CSV (both full double
 precision) and carry the unit convention hbar = c = 1 in their header.  A
 JSON config file supplies defaults; flags given on the command line win.  Its
 keys are the long flag names of any subcommand, with dashes or underscores, so
-one file can serve several commands; a key that names no flag, or an ``out``
-that is not a string, is a usage error.  Exit codes: 0 success, 2 usage error,
-3 solver stability error, 4 negative-mean finding in a proven regime, 5
-internal error (a lower bound above the Gaussian upper bound).
+one file can serve several commands; a key that names no flag, a flag under
+both spellings, or an ``out`` that is not a string, is a usage error.  Exit
+codes: 0 success, 2 usage error, 3 solver stability error, 4 negative-mean
+finding in a proven regime, 5 internal error (a lower bound above the
+Gaussian upper bound).
 
 Each flag is declared once in ``_FLAGS`` (its check and help text) and each
 subcommand once in ``_COMMANDS``; the parser, the config rules, the report
@@ -159,28 +160,31 @@ class _Options:
     def __init__(self, args: argparse.Namespace, defaults: dict):
         self.args = vars(args)
         self.defaults = {**defaults, **_COMMON}
-        self.config = {}
+        self.config = {}  # by flag name
         path = self.args["config"]
         if path:
             import json
 
             try:
                 with open(path, encoding="utf-8") as fh:
-                    self.config = json.load(fh)
+                    config = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise UsageError(f"--config {path}: {exc}") from None
-            if not isinstance(self.config, dict):
+            if not isinstance(config, dict):
                 raise UsageError(f"--config {path}: expected a JSON object")
             # keys of other subcommands are allowed, so one file serves several
-            for key in self.config:
-                if key.replace("_", "-") not in _FLAGS:
+            for key, value in config.items():
+                flag = key.replace("_", "-")
+                if flag not in _FLAGS:
                     raise UsageError(f"--config {path}: {key!r} is not a flag of any command")
+                if flag in self.config:
+                    raise UsageError(f"--config {path}: --{flag} is given twice, with - and with _")
+                self.config[flag] = value
 
     def __getitem__(self, flag: str):
         value = self.args[flag.replace("-", "_")]
         if value is None:
-            aliases = [key for key in (flag, flag.replace("-", "_")) if key in self.config]
-            value = self.config[aliases[0]] if aliases else self.defaults[flag]
+            value = self.config.get(flag, self.defaults[flag])
         return _FLAGS[flag][0](value, flag)
 
 
@@ -188,16 +192,17 @@ def _solver_config(opt: _Options) -> SolverConfig:
     return SolverConfig(basis_size=opt["basis-size"])
 
 
-def ground_energy(h: ReducedHamiltonian, config: SolverConfig, numpy_follows: bool = False):
-    """The command line's one kernel choice: ``spectrum.pure_ground_energy``
-    on at most ``PURE_PYTHON_MAX_BASIS`` Gaussians unless the caller loads
-    numpy after the solve anyway (``numpy_follows``), else numpy's
-    ``solver.ground_energy``, the faster once numpy is loaded."""
+def ground_energy(canonical: ReducedHamiltonian, config: SolverConfig, numpy_follows: bool = False):
+    """The command line's one kernel choice for the spectrum of a canonical
+    operator in natural units, which the caller scales back:
+    ``spectrum.pure_ground_energy`` on at most ``PURE_PYTHON_MAX_BASIS``
+    Gaussians unless the caller loads numpy after the solve anyway
+    (``numpy_follows``), else numpy's faster ``solver._canonical_ground_energy``."""
     if config.basis_size <= PURE_PYTHON_MAX_BASIS and not numpy_follows:
         from .spectrum import pure_ground_energy as solve
     else:
-        from .solver import ground_energy as solve
-    return solve(h, config)
+        from .solver import _canonical_ground_energy as solve
+    return solve(canonical, config)
 
 
 # --- solve -----------------------------------------------------------------
@@ -208,9 +213,9 @@ def cmd_solve(opt: _Options) -> tuple[dict, int]:
         potential=opt["potential"],
     )
     config = _solver_config(opt)
-    # refuse an unbounded or out-of-range operator before numpy loads
-    natural_units(hamiltonian)
-    result = ground_energy(hamiltonian, config)
+    # refuses an unbounded or out-of-range operator before numpy loads
+    canonical, energy, length = natural_units(hamiltonian)
+    result = ground_energy(canonical, config).dilated(energy, length)
     return {
         "problem": {
             "beta": hamiltonian.beta,

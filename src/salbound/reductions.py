@@ -41,7 +41,6 @@ from .potentials import (
     Linear,
     PairPotential,
     PowerLaw,
-    _parameters,
     require_finite,
 )
 
@@ -160,9 +159,10 @@ def natural_units(h: ReducedHamiltonian) -> tuple[ReducedHamiltonian, float, flo
       non-relativistic limit;
     - for massless pure Coulomb, which is scale-free: 1.
     Then mu = m s/sqrt(lam), v' = gamma v/(beta sqrt(lam)) and
-    energy = beta sqrt(lam)/s.  A canonical operator is its own canonical
-    form: once it has passed every refusal below, it is returned itself,
-    with energy and length exactly 1.
+    energy = beta sqrt(lam)/s.  A canonical operator maps to an equal one,
+    with energy and length exactly 1.  Each caller maps its operator once:
+    the solves take the canonical operator and return its spectrum in natural
+    units, which the caller scales back (``SpectrumResult.dilated``).
 
     Raises StabilityError where the effective Coulomb coupling v' reaches
     2/pi: the operator is then unbounded below for every mass, since the
@@ -207,11 +207,6 @@ def natural_units(h: ReducedHamiltonian) -> tuple[ReducedHamiltonian, float, flo
         _in_range("natural mass mu", mu, _MU_MAX)
     energy = _in_range("energy factor", kinetic / length)
     cls, *parameters = form
-    if (h.beta, h.lam, h.gamma, h.mass, type(h.potential)) == (1.0, 1.0, 1.0, mu, cls) and all(
-        getattr(h.potential, name) == value for name, value in zip(_parameters(cls), parameters)
-    ):
-        # already canonical, so the length and the energy are exactly 1
-        return h, 1.0, 1.0
     return ReducedHamiltonian(1.0, 1.0, 1.0, mu, cls(*parameters)), energy, length
 
 

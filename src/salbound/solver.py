@@ -7,7 +7,9 @@ in three dimensions at zero angular momentum (units hbar = c = 1).
 Every operator is solved in its natural units (``reductions.natural_units``,
 which also refuses operators that are unbounded below): a dilation r -> s r
 maps H to beta sqrt(lam)/s times the canonical operator
-sqrt(p^2 + mu^2) + r^k - v'/r, which is solved here and scaled back.
+sqrt(p^2 + mu^2) + r^k - v'/r, solved in natural units by
+:func:`_canonical_ground_energy`; :func:`ground_energy` maps any H and
+scales the result back.
 
 The Rayleigh-Ritz basis is a fixed geometric set of unit-normalised s-wave
 Gaussians exp(-r^2/r_i^2), the Gaussian expansion method of Hiyama, Kino and
@@ -39,10 +41,8 @@ every solve on it (:func:`_basis`); the cache holds at most 8 bases, about
 1 MB each at K = 120, 0.31 MB of it the momentum table.
 
 The Gaussian upper bound of ``bounds`` evaluates its one-Gaussian trial
-states at m > 0 as :func:`pair_expectation` does, on the same rule, through
-:func:`_zoom_objective`: its zoom computes the node weights once, on the
-first grid's window, and every later grid reads a slice of them; the first
-grid's table of exponentials is built once per process.  The
+states at m > 0 as :func:`pair_expectation` does, through
+:func:`_zoom_objective`, which reuses its first grid's node weights.  The
 operator, the basis size and the closed forms of the massless linear case
 are in ``reductions``; the basis rule, the result type and the range
 warnings are in ``spectrum``, which also runs this solve without numpy.
@@ -278,23 +278,18 @@ def _lowest(factor, matrix: np.ndarray):
     return energy, vector, weights
 
 
-def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
-    """Bottom of the spectrum of H by Rayleigh-Ritz on ``config.basis_size``
-    geometric Gaussians.
-
-    The solve runs on the canonical operator of ``reductions.natural_units``,
-    and the result is scaled back to H.  The returned energy is a
-    variational upper bound on the true spectral bottom.
-    ``convergence_estimate`` is its difference against the solve on the
-    centred ``basis_size // 2`` Gaussians and bounds the plausible remaining
-    truncation error.  The warnings come from the weight of the edge
-    Gaussians.
-    """
+def _canonical_ground_energy(canonical: ReducedHamiltonian,
+                             config: SolverConfig | None = None) -> SpectrumResult:
+    """Bottom of the spectrum of a canonical operator, in its natural units,
+    by Rayleigh-Ritz on ``config.basis_size`` geometric Gaussians: a
+    variational upper bound on it.  ``convergence_estimate`` is its
+    difference against the solve on the centred ``basis_size // 2``
+    Gaussians and bounds the plausible remaining truncation error.  The
+    warnings come from the weight of the edge Gaussians."""
     cfg = config if config is not None else SolverConfig()
-    h, energy, length = natural_units(h)
-    basis = _basis(tuple(basis_radii(h, cfg.basis_size)))
+    basis = _basis(tuple(basis_radii(canonical, cfg.basis_size)))
     radii = basis.radii
-    overlap, matrix = _matrices(h, basis)
+    overlap, matrix = _matrices(canonical, basis)
     lowest, vector, weights = _lowest(basis.full, matrix)
     block = centred_half(cfg.basis_size)
     estimate = abs(_lowest(basis.half, matrix[block, block])[0] - lowest)
@@ -302,10 +297,17 @@ def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> 
         vector = -vector
     vector.setflags(write=False)
     return SpectrumResult(
-        ground_energy=h.mass + lowest,
+        ground_energy=canonical.mass + lowest,
         basis_range=(float(radii[0]), float(radii[-1])),
         coefficients=vector,
         convergence_estimate=estimate,
         warnings=range_warnings(weights),
-    ).dilated(energy, length)
+    )
 
+
+def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
+    """Bottom of the spectrum of any reduced operator H: its canonical operator
+    (``reductions.natural_units``, which refuses an unbounded or out-of-range
+    H) solved by :func:`_canonical_ground_energy` and scaled back to H."""
+    canonical, energy, length = natural_units(h)
+    return _canonical_ground_energy(canonical, config).dilated(energy, length)

@@ -1,18 +1,19 @@
 """The geometric Gaussian basis, its spectrum result, and the Rayleigh-Ritz
 solve in pure Python.
 
-``solver.ground_energy`` solves any canonical operator on numpy.  This module
-holds what that solve shares with the one here: :class:`SpectrumResult`, the
-basis rule :func:`basis_radii`, the centred half basis of the convergence
-estimate and the range warnings.  :func:`pure_ground_energy` runs the same
-steps as the numpy solve without numpy: the matrix elements in ``math`` (at
-m > 0 the kinetic elements are Phi^T diag(g) Phi on the nodes of
-``quadrature``, which needs no numpy either), a Cholesky of the overlap,
-the reduced matrix, a Householder tridiagonalisation with Sturm bisection
-for its two lowest eigenvalues, one shifted inverse-iteration step, and the
-Rayleigh quotient in the original basis.  Its cost grows as K^3 in Python arithmetic, so it pays only up to a
-moderate basis size; the command line takes it there
-(``cli.PURE_PYTHON_MAX_BASIS``), and the library keeps numpy.
+``solver._canonical_ground_energy`` solves a canonical operator on numpy and
+returns its spectrum in natural units.  This module holds what that solve
+shares with the one here: :class:`SpectrumResult`, the basis rule
+:func:`basis_radii`, the centred half basis of the convergence estimate and
+the range warnings.  :func:`pure_ground_energy` runs the same steps as the
+numpy solve without numpy: the matrix elements in ``math`` (at m > 0 the
+kinetic elements are Phi^T diag(g) Phi on the nodes of ``quadrature``,
+which needs no numpy either), a Cholesky of the overlap, the reduced
+matrix, a Householder tridiagonalisation with Sturm bisection for its two
+lowest eigenvalues, one shifted inverse-iteration step, and the Rayleigh
+quotient in the original basis.  Its cost grows as K^3 in Python
+arithmetic, so it pays only up to a moderate basis size; the command line
+takes it there (``cli.PURE_PYTHON_MAX_BASIS``), and the library keeps numpy.
 
 This module needs only the standard library.
 """
@@ -25,7 +26,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import mul
 
-from .reductions import ReducedHamiltonian, SolverConfig, _pair_moment, natural_units
+from .reductions import ReducedHamiltonian, SolverConfig, _pair_moment
 
 #: Least ratio r_{i+1}/r_i of neighbouring Gaussian radii.  Closer Gaussians
 #: make the overlap worse conditioned without representing more.
@@ -171,12 +172,10 @@ def _with_potential(canonical: ReducedHamiltonian, out: float, a: float) -> floa
 
 
 def pure_pair_expectation(canonical: ReducedHamiltonian, a: float, c: float) -> float:
-    """``solver.pair_expectation`` for one pair: <sqrt(p^2 + mu^2) - mu> + <V>
-    in the Gaussian pair density of coordinate exponent a and momentum
-    exponent c."""
-    if canonical.mass == 0.0:
-        return _with_potential(canonical, _MOMENT_1 / math.sqrt(c), a)
-    return _with_potential(canonical, _kinetic_matrix(canonical.mass, [c])[0][0], a)
+    """``solver.pair_expectation`` for one pair of a massless canonical
+    operator: <|p|> + <V> in the Gaussian pair density of coordinate
+    exponent a and momentum exponent c."""
+    return _with_potential(canonical, _MOMENT_1 / math.sqrt(c), a)
 
 
 def _matrices(canonical: ReducedHamiltonian, radii: list[float]):
@@ -380,25 +379,25 @@ def _lowest(overlap, matrix):
     return energy, vector, weights
 
 
-def pure_ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
-    """``solver.ground_energy`` without numpy.
+def pure_ground_energy(canonical: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
+    """``solver._canonical_ground_energy`` without numpy: the bottom of the
+    spectrum of a canonical operator, in its natural units.
 
     The same basis, the same steps and the same diagnostics; the energies
     agree to roundoff.  ``coefficients`` is a tuple.
     """
     cfg = config if config is not None else SolverConfig()
-    h, energy, length = natural_units(h)
-    radii = basis_radii(h, cfg.basis_size)
-    overlap, matrix = _matrices(h, radii)
+    radii = basis_radii(canonical, cfg.basis_size)
+    overlap, matrix = _matrices(canonical, radii)
     lowest, vector, weights = _lowest(overlap, matrix)
     block = centred_half(cfg.basis_size)
     estimate = abs(_lowest(*([row[block] for row in m[block]] for m in (overlap, matrix)))[0] - lowest)
     if sum(_dot(row, vector) for row in overlap) < 0.0:
         vector = [-x for x in vector]
     return SpectrumResult(
-        ground_energy=h.mass + lowest,
+        ground_energy=canonical.mass + lowest,
         basis_range=(radii[0], radii[-1]),
         coefficients=tuple(vector),
         convergence_estimate=estimate,
         warnings=range_warnings(weights),
-    ).dilated(energy, length)
+    )

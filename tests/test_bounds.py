@@ -403,6 +403,30 @@ def test_first_zoom_grid_table_is_built_once_and_read_only():
         table[0, 0] = 0.0
 
 
+def test_real_zooms_never_leave_the_first_grid_window(monkeypatch):
+    # every later grid of a zoom reads a slice of the first grid's weights;
+    # the fallback to pair_expectation, for a grid beyond the first window,
+    # costs a zoom 7-11%, so no real zoom may take it: the five shapes,
+    # Coulomb at half its critical effective coupling, n from 2 to 1000
+    # and m from 1e-6 to 1e9
+    from salbound import solver
+
+    calls, zooms = [], []
+    monkeypatch.setattr(solver, "pair_expectation", lambda *args: calls.append(args) or pair_expectation(*args))
+    objective = solver._zoom_objective
+    monkeypatch.setattr(solver, "_zoom_objective", lambda canonical: zooms.append(1) or objective(canonical))
+    for n in (2, 3, 5, 10, 100, 1000):
+        # v with (n-1)/2 v / sqrt(lam) = 1/pi for the model operator's lam
+        v = COULOMB_CRITICAL_COUPLING * math.sqrt(2.0 * (n - 1) / n) / (n - 1)
+        shapes = [Linear(1.0), Harmonic(1.0), PowerLaw(1.0, 0.5), PowerLaw(1.0, 2.5), Coulomb(v),
+                  CoulombPlusLinear(v, 1.0)]
+        for mass in (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9):
+            for potential in shapes:
+                gaussian_upper(ProblemSpec(n, mass, potential))
+    assert len(zooms) == 216
+    assert calls == []
+
+
 # --- scale search against a reference golden section ----------------------------
 
 
@@ -515,6 +539,55 @@ def test_massive_solve_count_is_one_per_distinct_mu(monkeypatch, potential, n, m
     # rows with equal lam share it and its solve
     calls, _ = count_solves(monkeypatch, ProblemSpec(n, mass, parse_potential(potential)), solves)
     assert len({h.mass for h in calls}) == solves
+
+
+def count_mappings(monkeypatch) -> dict:
+    """Counts of natural_units calls, under every name the package binds it
+    to, and of SpectrumResult.dilated calls, from here on."""
+    import sys
+
+    from salbound import reductions
+    from salbound.spectrum import SpectrumResult
+
+    counts = {"natural_units": 0, "dilated": 0}
+    mapping, dilated = reductions.natural_units, SpectrumResult.dilated
+
+    def counted(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("salbound") and getattr(module, "natural_units", None) is mapping:
+            monkeypatch.setattr(module, "natural_units", counted("natural_units", mapping))
+    monkeypatch.setattr(SpectrumResult, "dilated", counted("dilated", dilated))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "potential, n, mass, rows",
+    [("linear:1", 2, 0.0, 2), ("linear:1", 5, 0.0, 4), ("coulomb+linear:0.3,1", 4, 0.0, 4),
+     ("harmonic:0.8", 4, 0.5, 3), ("coulomb:0.1", 3, 1.0, 3)],
+)
+@pytest.mark.parametrize("kernel", ["default", "cli", "any-operator"])
+def test_compute_bounds_maps_each_operator_once(monkeypatch, potential, n, mass, rows, kernel):
+    # one natural_units per applicable row and one for the upper bound, and
+    # each row's spectrum is scaled back once, on every kernel; the
+    # any-operator solver.ground_energy maps again, but its values are the same
+    from salbound import cli
+
+    spec, cfg = ProblemSpec(n, mass, parse_potential(potential)), SolverConfig(basis_size=16)
+    solve = {"default": None, "cli": cli.ground_energy, "any-operator": ground_energy}[kernel]
+    expected = compute_bounds(spec, cfg).lower_values()
+    solves = len({natural_units(row.operator(n, mass, spec.potential))[0] for row in REDUCTIONS
+                  if row.missing(n, mass) is None})
+    counts = count_mappings(monkeypatch)
+    bounds = compute_bounds(spec, cfg, solve)
+    extra = solves if kernel == "any-operator" else 0
+    assert counts == {"natural_units": rows + 1 + extra, "dilated": rows + extra}
+    # the command line's pure-Python kernel agrees to roundoff, the others bit for bit
+    assert bounds.lower_values() == (pytest.approx(expected, rel=1e-12) if kernel == "cli" else expected)
 
 
 @pytest.mark.parametrize(

@@ -221,9 +221,10 @@ def test_basis_size_above_the_cap_exits_2_before_numpy(size):
     ids=["massless-at-the-crossover", "massless-above-it", "massive"],
 )
 def test_every_cli_solve_is_one_kernel_choice(monkeypatch, command, mass, above, kernels):
-    # cli.ground_energy picks the kernel of every solve of both commands: the
-    # pure-Python one up to the crossover basis size, else numpy's, and
-    # numpy's for bounds at m > 0, whose upper bound loads numpy anyway
+    # cli.ground_energy picks the kernel of every canonical solve of both
+    # commands: the pure-Python one up to the crossover basis size, else
+    # numpy's, and numpy's for bounds at m > 0, whose upper bound loads numpy
+    # anyway
     import salbound.solver
     import salbound.spectrum
     from salbound import cli
@@ -238,14 +239,40 @@ def test_every_cli_solve_is_one_kernel_choice(monkeypatch, command, mass, above,
     monkeypatch.setattr(cli, "ground_energy", counted(chosen, "cli", cli.ground_energy))
     monkeypatch.setattr(salbound.spectrum, "pure_ground_energy", counted(
         ran, "spectrum", salbound.spectrum.pure_ground_energy))
-    monkeypatch.setattr(salbound.solver, "ground_energy", counted(
-        ran, "solver", salbound.solver.ground_energy))
+    monkeypatch.setattr(salbound.solver, "_canonical_ground_energy", counted(
+        ran, "solver", salbound.solver._canonical_ground_energy))
     argv = [command, "--mass", mass, "--potential", "coulomb+linear:0.3,1", "--basis-size", size]
     if command == "bounds":
         argv += ["--n", "5"]
     assert cli.main(argv) == 0
     assert len(chosen) >= 1
     assert ran == [kernel] * len(chosen)
+
+
+@pytest.mark.parametrize("above", [0, 1], ids=["pure", "numpy"])
+def test_solve_maps_its_operator_once(monkeypatch, capsys, above):
+    # cmd_solve's one natural_units both refuses an operator before numpy
+    # loads and maps it for the canonical solve, which it scales back once
+    import salbound.solver
+    from salbound import cli, reductions
+    from salbound.spectrum import SpectrumResult
+
+    calls = []
+    mapping, dilated = reductions.natural_units, SpectrumResult.dilated
+    for module in (cli, reductions, salbound.solver):
+        monkeypatch.setattr(module, "natural_units", lambda h: calls.append("map") or mapping(h))
+    monkeypatch.setattr(SpectrumResult, "dilated", lambda *args: calls.append("dilated") or dilated(*args))
+    size = str(cli.PURE_PYTHON_MAX_BASIS + above)
+    assert cli.main(["solve", "--beta", "2", "--lambda", "3", "--gamma", "0.5", "--mass", "0.7",
+                     "--potential", "coulomb+linear:0.3,1", "--basis-size", size, "--format", "json"]) == 0
+    assert calls == ["map", "dilated"]
+    # the energy of the operator itself, as the library's any-operator solve gives it
+    from salbound.potentials import CoulombPlusLinear
+    from salbound.reductions import ReducedHamiltonian, SolverConfig
+
+    h = ReducedHamiltonian(2.0, 3.0, 0.5, 0.7, CoulombPlusLinear(0.3, 1.0))
+    expected = salbound.solver.ground_energy(h, SolverConfig(basis_size=int(size))).ground_energy
+    assert json.loads(capsys.readouterr().out)["result"]["ground_energy"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_unknown_flag_exits_2():
@@ -705,6 +732,13 @@ def test_config_keys_must_name_a_flag_and_integers_must_parse(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["n"] == 3
     assert main(["bounds", "--n", "1e3"]) == 2
     assert capsys.readouterr().err == "error: --n expects an integer, got '1e3'\n"
+    # but not both spellings of one flag, whichever would win
+    config.write_text(json.dumps({"basis-size": 24, "basis_size": 40}))
+    for command in ("solve", "linear-table"):
+        assert main([command, "--config", str(config), "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --config {config}: --basis-size is given twice, with - and with _\n"
 
 
 @pytest.mark.parametrize("out", [True, 2], ids=["true", "two"])
@@ -858,7 +892,7 @@ def test_bad_config_format_exits_2_before_the_command_runs(tmp_path, monkeypatch
 
     # cli.ground_energy also stands for the pure-Python kernel of a massless solve
     monkeypatch.setattr(cli, "ground_energy", never)
-    monkeypatch.setattr(salbound.solver, "ground_energy", never)
+    monkeypatch.setattr(salbound.solver, "_canonical_ground_energy", never)
     monkeypatch.setattr(salbound.bounds, "ground_energy", never)
     monkeypatch.setattr(salbound.delta, "expectation_delta", never)
     monkeypatch.setattr(salbound.delta, "sample_momenta", never)

@@ -276,13 +276,15 @@ def test_natural_units_is_idempotent():
     ids=["power-m0", "power-m2.5", "coulomb+linear", "coulomb-m0", "coulomb-bohr"],
 )
 def test_natural_units_returns_a_canonical_operator_unchanged(canonical):
+    # an equal operator, with energy and length exactly 1, so a solve of it
+    # gives the same bits as a solve of the canonical operator itself
     got, energy, length = natural_units(canonical)
-    assert got is canonical
+    assert got == canonical
     assert (energy, length) == (1.0, 1.0)
 
 
 def test_natural_units_refuses_canonical_operators_out_of_range():
-    # a canonical operator is returned as it is only after every refusal
+    # a canonical operator meets every refusal too
     with pytest.raises(StabilityError):
         natural_units(ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Coulomb(0.7)))
     with pytest.raises(StabilityError):

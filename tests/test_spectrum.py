@@ -9,10 +9,18 @@ import pytest
 from salbound import solver, spectrum
 from salbound.cli import PURE_PYTHON_MAX_BASIS
 from salbound.potentials import Linear, parse_potential
-from salbound.reductions import ReducedHamiltonian, SolverConfig
+from salbound.reductions import ReducedHamiltonian, SolverConfig, natural_units
 from salbound.spectrum import basis_radii, centred_half, pure_ground_energy
 
 EPS = np.finfo(float).eps
+
+
+def pure(h, config):
+    """The pure-Python kernel on any operator, mapped to its canonical one and
+    scaled back as ``solver.ground_energy`` does for numpy's."""
+    canonical, energy, length = natural_units(h)
+    return pure_ground_energy(canonical, config).dilated(energy, length)
+
 
 SHAPES = [
     "linear:1",
@@ -59,19 +67,19 @@ def test_kernels_agree_up_to_the_crossover(shape):
     for mass, size in cases:
         h = ReducedHamiltonian(1.0, 1.0, 1.0, mass, parse_potential(shape))
         cfg = SolverConfig(basis_size=size)
-        pure, numpy = pure_ground_energy(h, cfg), solver.ground_energy(h, cfg)
+        result, numpy = pure(h, cfg), solver.ground_energy(h, cfg)
         overlap, matrix = solver._matrices(h, solver._basis(tuple(basis_radii(h, size))))
         block = centred_half(size)
         full = roundoff(overlap, matrix, mass)
         half = roundoff(overlap[block, block], matrix[block, block], mass)
         energy = numpy.ground_energy
-        assert pure.ground_energy == pytest.approx(energy, rel=max(1e-13, full), abs=0.0), (mass, size)
-        assert abs(pure.convergence_estimate - numpy.convergence_estimate) <= max(
+        assert result.ground_energy == pytest.approx(energy, rel=max(1e-13, full), abs=0.0), (mass, size)
+        assert abs(result.convergence_estimate - numpy.convergence_estimate) <= max(
             1e-12, full + half
         ) * abs(energy), (mass, size)
-        assert pure.basis_range == numpy.basis_range
-        assert pure.warnings == numpy.warnings, (mass, size)
-        x, y = np.array(pure.coefficients), numpy.coefficients
+        assert result.basis_range == numpy.basis_range
+        assert result.warnings == numpy.warnings, (mass, size)
+        x, y = np.array(result.coefficients), numpy.coefficients
         assert np.array_equal(x, signed(x, overlap)) and np.array_equal(y, signed(y, overlap))
         assert math.sqrt((x - y) @ overlap @ (x - y)) <= 1e-6, (mass, size)
 
@@ -79,7 +87,7 @@ def test_kernels_agree_up_to_the_crossover(shape):
 def test_pure_result_is_read_only_at_every_mass():
     for mass in (0.0, 0.5):
         h = ReducedHamiltonian(2.0, 1.5, 0.7, mass, Linear(1.3))
-        result = pure_ground_energy(h, SolverConfig(basis_size=12))
+        result = pure(h, SolverConfig(basis_size=12))
         assert isinstance(result.coefficients, tuple) and len(result.coefficients) == 12
         # the same dilation back to the operator's own units as the numpy
         # solve, and the same rest mass added

@@ -44,7 +44,7 @@ import numpy as np
 from salbound import cli, solver, spectrum
 from salbound.bounds import ProblemSpec, compute_bounds
 from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
-from salbound.reductions import COULOMB_CRITICAL_COUPLING, ReducedHamiltonian, SolverConfig
+from salbound.reductions import COULOMB_CRITICAL_COUPLING, ReducedHamiltonian, SolverConfig, natural_units
 
 LEDGER = Path(__file__).resolve().parent / "golden" / "ledger.json"
 
@@ -138,8 +138,13 @@ def _bounds(n: int, mass: float, potential, basis_size: int, kernel: str):
 
 
 def _solve(beta, lam, gamma, mass, potential, basis_size: int, kernel: str):
-    solve = solver.ground_energy if kernel == "numpy" else spectrum.pure_ground_energy
-    result = solve(ReducedHamiltonian(beta, lam, gamma, mass, potential), SolverConfig(basis_size=basis_size))
+    h, config = ReducedHamiltonian(beta, lam, gamma, mass, potential), SolverConfig(basis_size=basis_size)
+    if kernel == "numpy":
+        result = solver.ground_energy(h, config)
+    else:
+        # the pure-Python kernel solves the canonical operator, as `salbound solve` runs it
+        canonical, energy, length = natural_units(h)
+        result = spectrum.pure_ground_energy(canonical, config).dilated(energy, length)
     values, texts = {}, []
     _spectrum(values, texts, "solve", result)
     return values, texts
