@@ -18,18 +18,18 @@ quadrature of its own, and loads numpy and ``solver`` only where it uses
 them, so a massless bound solved by ``spectrum.pure_ground_energy`` loads
 neither.
 
-Rows with the same canonical operator share one solve.  A massless
-single-term potential c r^k with k > 0 (linear, harmonic, power law) has
-the canonical operator |p| + r^k for every row at every N, so it needs one
-solve in all (the dilation law E(a|p| + b r^k) = a^(k/(k+1)) b^(1/(k+1)) E_k).
+The distinct canonical operators of one problem are solved in one call, as
+one stack on their shared basis.  A massless single-term potential c r^k
+with k > 0 (linear, harmonic, power law) has the canonical operator
+|p| + r^k for every row at every N, so it needs one solve in all (the
+dilation law E(a|p| + b r^k) = a^(k/(k+1)) b^(1/(k+1)) E_k).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .potentials import Coulomb, Harmonic, PairPotential, require_finite
 from .reductions import (
@@ -100,37 +100,42 @@ class UpperBoundResult:
     warnings: list[str]
 
 
-def ground_energy(canonical: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
-    """``solver._canonical_ground_energy``, the default solve of
+def ground_energy(canonicals: tuple[ReducedHamiltonian, ...],
+                  config: SolverConfig | None = None) -> tuple[SpectrumResult, ...]:
+    """``solver._canonical_ground_energies``, the default solve of
     :func:`compute_bounds`, imported on its first call."""
-    from .solver import _canonical_ground_energy
+    from .solver import _canonical_ground_energies
 
-    return _canonical_ground_energy(canonical, config)
+    return _canonical_ground_energies(canonicals, config)
 
 
-def _bounds(spec: ProblemSpec, config, solve) -> Callable[[Reduction], BoundResult]:
-    """row -> lower bound of ``spec`` from that reduction, by ``solve``.
+def _bounds(spec: ProblemSpec, config, solve):
+    """(lower bounds by reduction name, reasons for the absent ones) of
+    ``spec``, by ``solve``.
 
-    Each row's reduced operator sqrt(lam p^2 + m^2) + (N-1)/2 V
+    Each applicable row's reduced operator sqrt(lam p^2 + m^2) + (N-1)/2 V
     (``Reduction.operator``) is energy times its canonical operator dilated
-    by a length (``reductions.natural_units``), its one mapping; rows with
-    the same canonical operator share one solve in natural units, scaled
-    back once with their own energy and length.
+    by a length (``reductions.natural_units``), its one mapping.  The
+    distinct canonical operators, in row order, go to ``solve`` in one call,
+    and each row scales its operator's spectrum back once with its own
+    energy and length.
     """
-    solved = functools.cache(lambda canonical: solve(canonical, config))
 
-    def bound(row: Reduction) -> BoundResult:
+    solves = {}  # distinct canonical operator -> its place in the one call
+
+    def mapped(row: Reduction):
         h = row.operator(spec.n, spec.mass, spec.potential)
         canonical, energy, length = natural_units(h)
-        spectrum = solved(canonical).dilated(energy, length)
-        return BoundResult(
-            value=spec.n * spectrum.ground_energy,
-            kinetic_factor=h.lam,
-            derivation=row.derivation,
-            spectrum=spectrum,
-        )
+        return row, h, solves.setdefault(canonical, len(solves)), energy, length
 
-    return bound
+    rows, reasons = _table(spec.n, spec.mass, mapped)
+    spectra = solve(tuple(solves), config)
+
+    def bound(row: Reduction, h: ReducedHamiltonian, solved: int, energy: float, length: float) -> BoundResult:
+        spectrum = spectra[solved].dilated(energy, length)
+        return BoundResult(spec.n * spectrum.ground_energy, h.lam, row.derivation, spectrum)
+
+    return {name: None if m is None else bound(*m) for name, m in rows.items()}, reasons
 
 
 def zoom_log_minimum(f, lo: float, hi: float):
@@ -241,21 +246,21 @@ class BoundSet:
 def compute_bounds(
     spec: ProblemSpec,
     config: SolverConfig | None = None,
-    solve: Callable[[ReducedHamiltonian, SolverConfig | None], SpectrumResult] | None = None,
+    solve: Callable[[tuple[ReducedHamiltonian, ...], SolverConfig | None], Sequence[SpectrumResult]] | None = None,
 ) -> BoundSet:
     """Evaluate every applicable bound and validate the sandwich.
 
-    ``solve`` maps a canonical operator of ``reductions.natural_units`` to
-    its spectrum in natural units, which each row scales back once:
-    :func:`ground_energy` by default, or the command line's kernel choice
-    ``cli.ground_energy``.  The any-operator ``solver.ground_energy`` gives
-    the same values.  Reductions with the same canonical operator share one
+    ``solve`` maps a problem's distinct canonical operators of
+    ``reductions.natural_units``, as one tuple, to their spectra in natural
+    units, which each row scales back once: :func:`ground_energy` by
+    default, one stacked solve, or the command line's kernel choice
+    ``cli.ground_energy``.  Rows with the same canonical operator share one
     solve, and a massless single-term power law needs one solve for all of
     them (see :func:`_bounds`).  The Gaussian upper bound
     must dominate every lower bound; a violation beyond the solver's own
     convergence scale indicates an internal error and raises RuntimeError.
     """
-    lower, reasons = _table(spec.n, spec.mass, _bounds(spec, config, solve or ground_energy))
+    lower, reasons = _bounds(spec, config, solve or ground_energy)
     upper = gaussian_upper(spec)
 
     bounds = BoundSet(spec, **lower, status=conjecture_status(spec), upper=upper, reasons=reasons)

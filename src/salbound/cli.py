@@ -192,17 +192,19 @@ def _solver_config(opt: _Options) -> SolverConfig:
     return SolverConfig(basis_size=opt["basis-size"])
 
 
-def ground_energy(canonical: ReducedHamiltonian, config: SolverConfig, numpy_follows: bool = False):
-    """The command line's one kernel choice for the spectrum of a canonical
-    operator in natural units, which the caller scales back:
-    ``spectrum.pure_ground_energy`` on at most ``PURE_PYTHON_MAX_BASIS``
+def ground_energy(canonicals: tuple[ReducedHamiltonian, ...], config: SolverConfig, numpy_follows: bool = False):
+    """The command line's one kernel choice for the spectra of a tuple of
+    canonical operators in natural units, which the caller scales back:
+    ``spectrum.pure_ground_energy`` of each on at most ``PURE_PYTHON_MAX_BASIS``
     Gaussians unless the caller loads numpy after the solve anyway
-    (``numpy_follows``), else numpy's faster ``solver._canonical_ground_energy``."""
+    (``numpy_follows``), else numpy's faster stacked ``solver._canonical_ground_energies``."""
     if config.basis_size <= PURE_PYTHON_MAX_BASIS and not numpy_follows:
-        from .spectrum import pure_ground_energy as solve
-    else:
-        from .solver import _canonical_ground_energy as solve
-    return solve(canonical, config)
+        from .spectrum import pure_ground_energy
+
+        return tuple(pure_ground_energy(canonical, config) for canonical in canonicals)
+    from .solver import _canonical_ground_energies
+
+    return _canonical_ground_energies(canonicals, config)
 
 
 # --- solve -----------------------------------------------------------------
@@ -215,7 +217,7 @@ def cmd_solve(opt: _Options) -> tuple[dict, int]:
     config = _solver_config(opt)
     # refuses an unbounded or out-of-range operator before numpy loads
     canonical, energy, length = natural_units(hamiltonian)
-    result = ground_energy(canonical, config).dilated(energy, length)
+    result = ground_energy((canonical,), config)[0].dilated(energy, length)
     return {
         "problem": {
             "beta": hamiltonian.beta,

@@ -8,7 +8,7 @@ Every operator is solved in its natural units (``reductions.natural_units``,
 which also refuses operators that are unbounded below): a dilation r -> s r
 maps H to beta sqrt(lam)/s times the canonical operator
 sqrt(p^2 + mu^2) + r^k - v'/r, solved in natural units by
-:func:`_canonical_ground_energy`; :func:`ground_energy` maps any H and
+:func:`_canonical_ground_energies`; :func:`ground_energy` maps any H and
 scales the result back.
 
 The Rayleigh-Ritz basis is a fixed geometric set of unit-normalised s-wave
@@ -34,8 +34,10 @@ cancel: against a 50-digit solve of the same matrices it is 8.4e-13 off for
 ``power:1,0.5`` at K = 9 and 3.4e-12 off for ``coulomb:0.3`` at K = 60, where
 the compensated quotient of ``spectrum`` is 8e-14 and 8.5e-16 off (ROADMAP
 item 4).  The convergence estimate is the same solve on the centred half of
-the Gaussians, a principal submatrix that needs no new matrix elements.  The
-overlap, its full and centred-half factors and the momentum table depend
+the Gaussians, a principal submatrix that needs no new matrix elements.
+Operators on one basis, such as the rows of one bounds problem, are solved
+as one stack of matrices, with each operator's own bits (:func:`_lowest`).
+The overlap, its full and centred-half factors and the momentum table depend
 only on the radii, so they are built once per basis and shared read-only by
 every solve on it (:func:`_basis`); the cache holds at most 8 bases, about
 1 MB each at K = 120, 0.31 MB of it the momentum table.
@@ -251,63 +253,75 @@ def _matrices(canonical: ReducedHamiltonian, basis: _Basis):
     return basis.overlap, basis.symmetric(basis.kinetic(canonical.mass) + basis.overlap_values * potential)
 
 
-def _lowest(factor, matrix: np.ndarray):
-    """(energy, x, edge weights) of the lowest solution of matrix x = E overlap x
-    on the overlap's :func:`_factor`.
+def _lowest(factor, matrices: np.ndarray) -> list:
+    """(energy, x) of the lowest solution of matrix x = E overlap x for each
+    matrix of a (R, K, K) stack, on the overlap's :func:`_factor`.
 
-    ``eigvalsh`` of the Cholesky-reduced matrix, one step of inverse
-    iteration next to its lowest eigenvalue, and the Rayleigh quotient of the
-    back-transformed vector x, which is normalised to x.S x = 1.  The weight
-    of Gaussian i is x_i^2/(S^-1)_ii, the squared norm of the part of the
-    state that no other Gaussian supplies; it is given for the first and the
-    last.
+    ``eigvalsh`` of the Cholesky-reduced matrices, one step of inverse
+    iteration next to each lowest eigenvalue, and the Rayleigh quotient of
+    the back-transformed vector x, which is normalised to x.S x = 1.  The
+    reduction, ``eigvalsh`` and ``solve`` run on the whole stack, which
+    LAPACK solves item by item, so each item has its own solve's bits.
     """
-    overlap, inverse, norms = factor
-    reduced = inverse @ matrix @ inverse.T
-    size = len(reduced)
+    overlap, inverse, _ = factor
+    reduced = inverse @ matrices @ inverse.T
+    depth, size, _ = reduced.shape
     eigenvalues = np.linalg.eigvalsh(reduced)
     # a shift below the lowest eigenvalue by 1e-10 of the gap keeps the
     # solve nonsingular and still suppresses every other component
-    gap = eigenvalues[1] - eigenvalues[0] if size > 1 else 1.0
-    reduced.flat[:: size + 1] -= eigenvalues[0] - 1e-10 * gap
-    vector = inverse.T @ np.linalg.solve(reduced, np.ones(size))
-    norm = vector @ overlap @ vector
-    energy = float(vector @ matrix @ vector / norm)
-    vector /= math.sqrt(norm)
-    weights = vector[[0, -1]] ** 2 / norms
-    return energy, vector, weights
+    reduced.reshape(depth, -1)[:, :: size + 1] -= [
+        [low[0] - 1e-10 * (low[1] - low[0] if size > 1 else 1.0)] for low in eigenvalues[:, :2].tolist()
+    ]
+    # b as (R, K, 1), which numpy 1 and 2 both read as R right-hand sides;
+    # they read a (R, K) b differently
+    solutions = np.linalg.solve(reduced, np.ones((depth, size, 1)))[:, :, 0]
+    lowest = []
+    for matrix, solution in zip(matrices, solutions):
+        vector = inverse.T @ solution
+        norm = vector @ overlap @ vector
+        energy = float(vector @ matrix @ vector / norm)
+        vector /= math.sqrt(norm)
+        lowest.append((energy, vector))
+    return lowest
 
 
-def _canonical_ground_energy(canonical: ReducedHamiltonian,
-                             config: SolverConfig | None = None) -> SpectrumResult:
-    """Bottom of the spectrum of a canonical operator, in its natural units,
-    by Rayleigh-Ritz on ``config.basis_size`` geometric Gaussians: a
+def _canonical_ground_energies(canonicals: tuple[ReducedHamiltonian, ...],
+                               config: SolverConfig | None = None) -> tuple[SpectrumResult, ...]:
+    """Bottom of the spectrum of each canonical operator, in its natural
+    units, by Rayleigh-Ritz on ``config.basis_size`` geometric Gaussians: a
     variational upper bound on it.  ``convergence_estimate`` is its
     difference against the solve on the centred ``basis_size // 2``
     Gaussians and bounds the plausible remaining truncation error.  The
-    warnings come from the weight of the edge Gaussians."""
+    warnings come from the weight of the edge Gaussians: that of Gaussian i
+    is x_i^2/(S^-1)_ii, the squared norm of the part of the state that no
+    other Gaussian supplies.  The operators share one basis, as the rows of
+    one bounds problem do, and are solved as one stack."""
     cfg = config if config is not None else SolverConfig()
-    basis = _basis(tuple(basis_radii(canonical, cfg.basis_size)))
-    radii = basis.radii
-    overlap, matrix = _matrices(canonical, basis)
-    lowest, vector, weights = _lowest(basis.full, matrix)
-    block = centred_half(cfg.basis_size)
-    estimate = abs(_lowest(basis.half, matrix[block, block])[0] - lowest)
-    if (overlap @ vector).sum() < 0.0:
-        vector = -vector
-    vector.setflags(write=False)
-    return SpectrumResult(
-        ground_energy=canonical.mass + lowest,
-        basis_range=(float(radii[0]), float(radii[-1])),
-        coefficients=vector,
-        convergence_estimate=estimate,
-        warnings=range_warnings(weights),
-    )
+    radii, *others = {tuple(basis_radii(canonical, cfg.basis_size)) for canonical in canonicals}
+    if others:
+        raise ValueError("canonical operators solved together must share one basis")
+    basis, block = _basis(radii), centred_half(cfg.basis_size)
+    matrices = np.array([_matrices(canonical, basis)[1] for canonical in canonicals])
+    full, halves = _lowest(basis.full, matrices), _lowest(basis.half, matrices[:, block, block])
+    results = []
+    for canonical, (lowest, vector), (rough, _) in zip(canonicals, full, halves):
+        weights = vector[[0, -1]] ** 2 / basis.full[2]
+        if (basis.overlap @ vector).sum() < 0.0:
+            vector = -vector
+        vector.setflags(write=False)
+        results.append(SpectrumResult(
+            ground_energy=canonical.mass + lowest,
+            basis_range=(float(basis.radii[0]), float(basis.radii[-1])),
+            coefficients=vector,
+            convergence_estimate=abs(rough - lowest),
+            warnings=range_warnings(weights),
+        ))
+    return tuple(results)
 
 
 def ground_energy(h: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
     """Bottom of the spectrum of any reduced operator H: its canonical operator
     (``reductions.natural_units``, which refuses an unbounded or out-of-range
-    H) solved by :func:`_canonical_ground_energy` and scaled back to H."""
+    H) solved by :func:`_canonical_ground_energies` and scaled back to H."""
     canonical, energy, length = natural_units(h)
-    return _canonical_ground_energy(canonical, config).dilated(energy, length)
+    return _canonical_ground_energies((canonical,), config)[0].dilated(energy, length)

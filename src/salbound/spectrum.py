@@ -1,8 +1,8 @@
 """The geometric Gaussian basis, its spectrum result, and the Rayleigh-Ritz
 solve in pure Python.
 
-``solver._canonical_ground_energy`` solves a canonical operator on numpy and
-returns its spectrum in natural units.  This module holds what that solve
+``solver._canonical_ground_energies`` solves canonical operators on numpy
+and returns their spectra in natural units.  This module holds what that solve
 shares with the one here: :class:`SpectrumResult`, the basis rule
 :func:`basis_radii`, the centred half basis of the convergence estimate and
 the range warnings.  :func:`pure_ground_energy` runs the same steps as the
@@ -380,8 +380,8 @@ def _lowest(overlap, matrix):
 
 
 def pure_ground_energy(canonical: ReducedHamiltonian, config: SolverConfig | None = None) -> SpectrumResult:
-    """``solver._canonical_ground_energy`` without numpy: the bottom of the
-    spectrum of a canonical operator, in its natural units.
+    """``solver._canonical_ground_energies`` of one operator without numpy:
+    the bottom of the spectrum of a canonical operator, in its natural units.
 
     The same basis, the same steps and the same diagnostics; the energies
     agree to roundoff.  ``coefficients`` is a tuple.

@@ -482,27 +482,31 @@ def test_compute_bounds_reasons_and_ordering():
 
 
 def count_solves(monkeypatch, spec, solves):
-    """compute_bounds(spec) after checking its ground_energy calls, each on a
-    distinct canonical operator, and that every row equals N times an unshared
-    solve of its own reduced operator."""
+    """compute_bounds(spec) after checking that its default solve gets all of
+    the problem's distinct canonical operators, ``solves`` of them, in one
+    call, and that every row equals N times an unshared solve of its own
+    reduced operator.  Returns those operators and the bounds."""
     calls = []
+    default = salbound.bounds.ground_energy
 
-    def counting(hamiltonian, config=None):
-        calls.append(hamiltonian)
-        return ground_energy(hamiltonian, config)
+    def counting(canonicals, config=None):
+        calls.append(canonicals)
+        return default(canonicals, config)
 
     monkeypatch.setattr(salbound.bounds, "ground_energy", counting)
     cfg = SolverConfig(basis_size=16)
     bounds = compute_bounds(spec, cfg)
-    assert len(calls) == solves
-    assert len(set(calls)) == solves
+    assert len(calls) == 1
+    (canonicals,) = calls
+    assert len(canonicals) == solves
+    assert len(set(canonicals)) == solves
     gamma = (spec.n - 1) / 2.0
     for row in REDUCTIONS:
         result = bounds.lower_results()[row.name]
         if result is not None:
             reduced = ReducedHamiltonian(1.0, row.lam(spec.n), gamma, spec.mass, spec.potential)
             assert result.value == spec.n * ground_energy(reduced, cfg).ground_energy, row.name
-    return calls, bounds
+    return canonicals, bounds
 
 
 @pytest.mark.parametrize(
@@ -537,8 +541,8 @@ def test_compute_bounds_solve_count_by_shape(monkeypatch, potential, n, solves):
 def test_massive_solve_count_is_one_per_distinct_mu(monkeypatch, potential, n, mass, solves):
     # at m > 0 each row's canonical operator has its own mu = m s/sqrt(lam);
     # rows with equal lam share it and its solve
-    calls, _ = count_solves(monkeypatch, ProblemSpec(n, mass, parse_potential(potential)), solves)
-    assert len({h.mass for h in calls}) == solves
+    canonicals, _ = count_solves(monkeypatch, ProblemSpec(n, mass, parse_potential(potential)), solves)
+    assert len({h.mass for h in canonicals}) == solves
 
 
 def count_mappings(monkeypatch) -> dict:
@@ -578,7 +582,8 @@ def test_compute_bounds_maps_each_operator_once(monkeypatch, potential, n, mass,
     from salbound import cli
 
     spec, cfg = ProblemSpec(n, mass, parse_potential(potential)), SolverConfig(basis_size=16)
-    solve = {"default": None, "cli": cli.ground_energy, "any-operator": ground_energy}[kernel]
+    any_operator = lambda canonicals, config: tuple(ground_energy(h, config) for h in canonicals)
+    solve = {"default": None, "cli": cli.ground_energy, "any-operator": any_operator}[kernel]
     expected = compute_bounds(spec, cfg).lower_values()
     solves = len({natural_units(row.operator(n, mass, spec.potential))[0] for row in REDUCTIONS
                   if row.missing(n, mass) is None})

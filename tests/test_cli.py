@@ -224,7 +224,8 @@ def test_every_cli_solve_is_one_kernel_choice(monkeypatch, command, mass, above,
     # cli.ground_energy picks the kernel of every canonical solve of both
     # commands: the pure-Python one up to the crossover basis size, else
     # numpy's, and numpy's for bounds at m > 0, whose upper bound loads numpy
-    # anyway
+    # anyway.  It and numpy's kernel take a tuple of operators, so both
+    # logs count operators
     import salbound.solver
     import salbound.spectrum
     from salbound import cli
@@ -233,14 +234,15 @@ def test_every_cli_solve_is_one_kernel_choice(monkeypatch, command, mass, above,
     kernel = dict(zip(("solve", "bounds"), kernels))[command]
     chosen, ran = [], []
 
-    def counted(log, name, function):
-        return lambda *args: log.append(name) or function(*args)
+    def counted(log, name, function, operators=lambda args: 1):
+        return lambda *args: log.extend([name] * operators(args)) or function(*args)
 
-    monkeypatch.setattr(cli, "ground_energy", counted(chosen, "cli", cli.ground_energy))
+    each = lambda args: len(args[0])
+    monkeypatch.setattr(cli, "ground_energy", counted(chosen, "cli", cli.ground_energy, each))
     monkeypatch.setattr(salbound.spectrum, "pure_ground_energy", counted(
         ran, "spectrum", salbound.spectrum.pure_ground_energy))
-    monkeypatch.setattr(salbound.solver, "_canonical_ground_energy", counted(
-        ran, "solver", salbound.solver._canonical_ground_energy))
+    monkeypatch.setattr(salbound.solver, "_canonical_ground_energies", counted(
+        ran, "solver", salbound.solver._canonical_ground_energies, each))
     argv = [command, "--mass", mass, "--potential", "coulomb+linear:0.3,1", "--basis-size", size]
     if command == "bounds":
         argv += ["--n", "5"]
@@ -892,7 +894,7 @@ def test_bad_config_format_exits_2_before_the_command_runs(tmp_path, monkeypatch
 
     # cli.ground_energy also stands for the pure-Python kernel of a massless solve
     monkeypatch.setattr(cli, "ground_energy", never)
-    monkeypatch.setattr(salbound.solver, "_canonical_ground_energy", never)
+    monkeypatch.setattr(salbound.solver, "_canonical_ground_energies", never)
     monkeypatch.setattr(salbound.bounds, "ground_energy", never)
     monkeypatch.setattr(salbound.delta, "expectation_delta", never)
     monkeypatch.setattr(salbound.delta, "sample_momenta", never)

@@ -631,6 +631,52 @@ def test_one_bounds_problem_factors_its_basis_once(monkeypatch):
     assert calls == [(40, 40), (20, 20)]
 
 
+def test_one_bounds_problem_solves_its_rows_as_one_stack(monkeypatch):
+    # the three rows of an m = 1 linear problem, each with its own mu, go
+    # through one eigvalsh and one solve on the full basis and one of each on
+    # its centred half; the Cholesky count is the test above
+    from salbound.bounds import ProblemSpec, compute_bounds
+
+    calls = {"eigvalsh": [], "solve": []}
+    for name, log in calls.items():
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *rest, f=original, log=log: log.append(a.shape) or f(a, *rest))
+    compute_bounds(ProblemSpec(5, 1.0, Linear(1.0)))
+    assert calls == {"eigvalsh": [(3, 40, 40), (3, 20, 20)], "solve": [(3, 40, 40), (3, 20, 20)]}
+
+
+#: One potential of each of the five shapes; the Coulomb couplings stay
+#: subcritical in natural units down to lam = 0.3.
+SHAPES = (Linear(1.3), Harmonic(0.8), PowerLaw(1.1, 0.5), Coulomb(0.3), CoulombPlusLinear(0.3, 1.2))
+
+
+@pytest.mark.parametrize("basis_size", [2, 3, 24, 40])
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+def test_stacked_solve_gives_each_operator_the_bits_of_its_own_solve(mass, basis_size):
+    # the canonical operators of sqrt(lam p^2 + m^2) + V over the five shapes
+    # and four lam, grouped by basis: each item of a group's stacked solve
+    # equals that operator's R = 1 solve bit for bit.  K = 2 and 3 have a
+    # one-Gaussian centred half.  Operators on different bases are refused
+    cfg = SolverConfig(basis_size=basis_size)
+    groups = {}
+    for potential in SHAPES:
+        for lam in (1.0, 0.75, 0.5, 0.3):
+            canonical = natural_units(ReducedHamiltonian(1.0, lam, 1.0, mass, potential))[0]
+            groups.setdefault(tuple(basis_radii(canonical, basis_size)), {})[canonical] = None
+    assert len(groups) == len(GRID_KINDS)
+    stacks = [tuple(group) for group in groups.values()]
+    assert min(map(len, stacks)) >= 3
+    with pytest.raises(ValueError, match="share one basis"):
+        solver._canonical_ground_energies(sum(stacks, ()), cfg)
+    for stack in stacks:
+        for canonical, stacked in zip(stack, solver._canonical_ground_energies(stack, cfg), strict=True):
+            (alone,) = solver._canonical_ground_energies((canonical,), cfg)
+            assert stacked.ground_energy.hex() == alone.ground_energy.hex(), canonical
+            assert stacked.convergence_estimate.hex() == alone.convergence_estimate.hex(), canonical
+            assert np.array_equal(stacked.coefficients, alone.coefficients), canonical
+            assert stacked.warnings == alone.warnings, canonical
+
+
 # --- the Gaussian basis -------------------------------------------------------------
 
 

@@ -43,7 +43,7 @@ def roundoff(overlap, matrix, mass=0.0) -> float:
     quotient of its vector x carries from cancellation between coefficients
     of opposite sign, or that one-ulp changes of the matrix elements move
     the energy by."""
-    energy, x, _ = solver._lowest(solver._factor(overlap), matrix)
+    (energy, x), = solver._lowest(solver._factor(overlap), matrix[None])
     return EPS * (np.abs(x) @ np.abs(matrix) @ np.abs(x)) / abs(mass + energy)
 
 

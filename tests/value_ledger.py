@@ -8,9 +8,10 @@ are stored with their inputs as ``float.hex``, so the comparison does not
 depend on how they were drawn.  They cover:
 
 - ``compute_bounds`` on the five shapes, N from 2 to 1000, m = 0 and m > 0,
-  K = 24 and 40, on the numpy kernel (``solver.ground_energy``) and, at
-  m = 0, on the command line's kernel (``cli.ground_energy``, the pure-Python
-  solve up to its crossover basis size);
+  K = 24 and 40, on the numpy kernel (the default solve, which stacks a
+  problem's distinct canonical operators) and, at m = 0, on the command
+  line's kernel (``cli.ground_energy``, the pure-Python solve up to its
+  crossover basis size);
 - single solves of reduced operators with beta, lam and gamma away from 1,
   on both kernels;
 - the known-defect inputs, so that a fix shows as a stated move.
@@ -122,7 +123,7 @@ def _spectrum(out: dict, texts: list, name: str, result) -> None:
 
 def _bounds(n: int, mass: float, potential, basis_size: int, kernel: str):
     config = SolverConfig(basis_size=basis_size)
-    solve = solver.ground_energy if kernel == "numpy" else lambda h, c: cli.ground_energy(h, c, mass > 0.0)
+    solve = None if kernel == "numpy" else lambda canonicals, c: cli.ground_energy(canonicals, c, mass > 0.0)
     result = compute_bounds(ProblemSpec(n, mass, potential), config, solve)
     values, texts = {}, []
     for name, row in result.lower_results().items():
