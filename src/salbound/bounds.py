@@ -13,10 +13,10 @@ in log s, over momentum widths s = 1/sigma, of ``solver.pair_expectation``,
 which reuses its first grid's node weights on every later grid.
 ``reductions`` also holds the proof status of the model-operator bound and
 the closed forms for the massless linear potential; here the model-operator
-bound is also proved for harmonic pair potentials.  This module runs no
-quadrature of its own, and loads numpy and ``solver`` only where it uses
-them, so a massless bound solved by ``spectrum.pure_ground_energy`` loads
-neither.
+bound is also proved wherever V is one harmonic term c r^2.  This module
+runs no quadrature of its own, and loads numpy and ``solver`` only where it
+uses them, so a massless bound solved by ``spectrum.pure_ground_energy``
+loads neither.
 
 The distinct canonical operators of one problem are solved in one call, as
 one stack on their shared basis.  A massless single-term potential c r^k
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .potentials import Coulomb, Harmonic, PairPotential, require_finite
+from .potentials import PairPotential, require_finite
 from .reductions import (
     _MODEL,
     REDUCTIONS,
@@ -67,16 +67,17 @@ class ProblemSpec:
     potential: PairPotential
 
     def __post_init__(self):
-        require_finite(self, "mass")
+        require_finite(mass=self.mass)
         require_particle_count(self.n)
         if self.mass < 0.0:
             raise ValueError("mass must be nonnegative")
 
 
 def conjecture_status(spec: ProblemSpec) -> ConjectureStatus:
-    """Proof status of the model-operator lower bound for this problem."""
+    """Proof status of the model-operator lower bound for this problem: also
+    proved wherever V is one harmonic term c r^2, however it is spelled."""
     status = model_status(spec.n, spec.mass)
-    if not status.proven and isinstance(spec.potential, Harmonic):
+    if not status.proven and [k for _, k in spec.potential.terms()] == [2.0]:
         return ConjectureStatus(True, "proved for harmonic pair potentials")
     return status
 
@@ -189,9 +190,9 @@ def gaussian_upper(spec: ProblemSpec) -> UpperBoundResult:
     - at m = 0 with a confining term, the closed form
       (M_1 - v' M_-1)/sigma + M_k sigma^k of ``reductions._massless_optimum``
       (its k = 1 case is ``reductions.upper_gaussian_linear``);
-    - for massless pure Coulomb, whose (M_1 - v' M_-1)/sigma falls towards 0
-      at ever larger lengths, the widest Gaussian of
-      ``GAUSSIAN_SCALE_INTERVAL``, with a warning
+    - at m = 0 with no confining term (pure Coulomb), whose
+      (M_1 - v' M_-1)/sigma falls towards 0 at ever larger lengths, the
+      widest Gaussian of ``GAUSSIAN_SCALE_INTERVAL``, with a warning
       (``spectrum.pure_pair_expectation``);
     - at m > 0, mu plus the least of ``solver.pair_expectation`` at
       a = s^2 and c = 1/s^2 over the momentum widths s = 1/sigma of
@@ -208,7 +209,7 @@ def gaussian_upper(spec: ProblemSpec) -> UpperBoundResult:
 
         s, least, at_lower, at_upper = zoom_log_minimum(_zoom_objective(canonical), *GAUSSIAN_SCALE_INTERVAL)
         least, sigma, pinned = canonical.mass + least, 1.0 / s, (at_lower, at_upper)
-    elif isinstance(canonical.potential, Coulomb):
+    elif not any(k > 0.0 for _, k in canonical.potential.terms()):
         s = GAUSSIAN_SCALE_INTERVAL[0]
         least, sigma = pure_pair_expectation(canonical, s * s, 1.0 / (s * s)), 1.0 / s
         pinned = (True, False)

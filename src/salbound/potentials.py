@@ -1,35 +1,24 @@
-"""Attractive radial pair potentials.
+"""Attractive radial pair potentials, as one value type.
 
-The solver and the bound formulas dispatch on a closed family of potential
-shapes rather than accepting arbitrary callables.  Every shape is a sum of
-power terms c r^k, listed by ``terms()``: the solver assembles its matrices
-from them, and reads off them the confining term that sets an operator's
-natural length and the Coulomb strength behind the stability guard.
+A :class:`PairPotential` is V as its power terms c r^k (``terms()``): the
+solver builds its matrices from them, and every decision about V reads them.
+The five spellings are parse forms and constructors of that one type, so
+potentials with equal terms are equal; each keeps its spelling for ``spec()``.
 """
-
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from functools import cache
-from typing import ClassVar
+from dataclasses import dataclass, field
 
 
 class PotentialParseError(ValueError):
     """A textual potential spec could not be parsed."""
 
 
-@cache
-def _parameters(cls) -> tuple[str, ...]:
-    """The field names of a potential class, in order, looked up once."""
-    return tuple(f.name for f in fields(cls))
-
-
-def require_finite(obj, *names: str) -> None:
-    """Raise ValueError naming the first of the attributes ``names`` of
-    ``obj`` that is infinite, NaN or an integer too large for a float."""
-    for name in names:
-        value = getattr(obj, name)
+def require_finite(**values: float) -> None:
+    """Raise ValueError naming the first of ``values`` that is infinite, NaN
+    or an integer too large for a float."""
+    for name, value in values.items():
         try:
             finite = math.isfinite(value)
         except OverflowError:
@@ -40,141 +29,84 @@ def require_finite(obj, *names: str) -> None:
 
 @dataclass(frozen=True)
 class PairPotential:
-    """Base class of the potential family.
+    """V(r) = sum c r^k, an immutable value that compares and hashes by its
+    power terms alone.  ``spelling`` is (form, *parameters) as written, kept
+    for :meth:`spec`; a potential built from its terms alone has none."""
 
-    Subclasses are immutable value objects, safe to share between threads.
-    ``terms()`` gives V as its power terms, and ``form`` names the shape in
-    the textual spec, whose parameters are the fields in order.  Every
-    parameter must be finite.
-    """
-
-    form: ClassVar[str]
-
-    def __post_init__(self):
-        require_finite(self, *_parameters(type(self)))
+    power_terms: tuple[tuple[float, float], ...]
+    spelling: tuple = field(default=(), compare=False)
 
     def terms(self) -> tuple[tuple[float, float], ...]:
         """V as a sum of power terms: ((c, k), ...) with V(r) = sum c r^k."""
-        raise NotImplementedError
+        return self.power_terms
 
     def coulomb_strength(self) -> float:
         """Coefficient v of an attractive -v/r component (0 if absent)."""
-        return sum((-c for c, k in self.terms() if k == -1.0), 0.0)
+        return sum((-c for c, k in self.power_terms if k == -1.0), 0.0)
 
     def spec(self) -> str:
-        """Textual form accepted by :func:`parse_potential`."""
-        values = (format(float(getattr(self, name)), "g") for name in _parameters(type(self)))
-        return f"{self.form}:" + ",".join(values)
+        """Textual form accepted by :func:`parse_potential`, as spelled."""
+        form, *parameters = self.spelling
+        return f"{form}:" + ",".join(format(float(x), "g") for x in parameters)
 
 
-@dataclass(frozen=True)
-class Linear(PairPotential):
+#: Each form's terms builder, then each of its parameters in order as
+#: (name, what it is, "positive" or "nonnegative"): the form's one rule.
+_FORMS = {
+    "linear": (lambda b: ((b, 1.0),), ("slope", "linear slope", "positive")),
+    "coulomb": (lambda v: ((-v, -1.0),), ("strength", "coulomb strength", "positive")),
+    "harmonic": (lambda v: ((v, 2.0),), ("strength", "harmonic strength", "positive")),
+    "coulomb+linear": (lambda v, b: ((b, 1.0), (-v, -1.0)) if v else ((b, 1.0),),
+                       ("coulomb", "coulomb part", "nonnegative"), ("slope", "linear slope", "positive")),
+    "power": (lambda c, k: ((c, k),), ("coefficient", "power-law coefficient", "positive"),
+              ("exponent", "power-law exponent", "positive")),
+}
+
+
+def _spelled(form: str, *parameters: float) -> PairPotential:
+    """The potential written ``form`` with ``parameters``; ValueError for the
+    first parameter not finite, else for the first that breaks its rule."""
+    terms, *rules = _FORMS[form]
+    require_finite(**{name: x for (name, _, _), x in zip(rules, parameters)})
+    for (_, what, sign), x in zip(rules, parameters):
+        if not (x > 0.0 or (x == 0.0 and sign == "nonnegative")):
+            raise ValueError(f"{what} must be {sign}")
+    return PairPotential(terms(*parameters), (form, *parameters))
+
+
+def Linear(slope: float) -> PairPotential:
     """V(r) = b r with slope b > 0 (energy per length)."""
-
-    form = "linear"
-
-    slope: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.slope > 0.0:
-            raise ValueError("linear slope must be positive")
-
-    def terms(self):
-        return ((self.slope, 1.0),)
+    return _spelled("linear", slope)
 
 
-@dataclass(frozen=True)
-class Coulomb(PairPotential):
+def Coulomb(strength: float) -> PairPotential:
     """V(r) = -v/r with strength v > 0 (energy times length); always attractive."""
-
-    form = "coulomb"
-
-    strength: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.strength > 0.0:
-            raise ValueError("coulomb strength must be positive")
-
-    def terms(self):
-        return ((-self.strength, -1.0),)
+    return _spelled("coulomb", strength)
 
 
-@dataclass(frozen=True)
-class Harmonic(PairPotential):
+def Harmonic(strength: float) -> PairPotential:
     """V(r) = v r^2 with v > 0 (energy per length squared)."""
-
-    form = "harmonic"
-
-    strength: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.strength > 0.0:
-            raise ValueError("harmonic strength must be positive")
-
-    def terms(self):
-        return ((self.strength, 2.0),)
+    return _spelled("harmonic", strength)
 
 
-@dataclass(frozen=True)
-class CoulombPlusLinear(PairPotential):
+def CoulombPlusLinear(coulomb: float, slope: float) -> PairPotential:
     """V(r) = -v/r + b r with v >= 0 and b > 0."""
-
-    form = "coulomb+linear"
-
-    coulomb: float
-    slope: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.coulomb < 0.0:
-            raise ValueError("coulomb part must be nonnegative")
-        if not self.slope > 0.0:
-            raise ValueError("linear slope must be positive")
-
-    def terms(self):
-        if self.coulomb == 0.0:
-            return ((self.slope, 1.0),)
-        return ((self.slope, 1.0), (-self.coulomb, -1.0))
+    return _spelled("coulomb+linear", coulomb, slope)
 
 
-@dataclass(frozen=True)
-class PowerLaw(PairPotential):
+def PowerLaw(coefficient: float, exponent: float) -> PairPotential:
     """V(r) = c r^k with c > 0 and k > 0."""
-
-    form = "power"
-
-    coefficient: float
-    exponent: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.coefficient > 0.0:
-            raise ValueError("power-law coefficient must be positive")
-        if not self.exponent > 0.0:
-            raise ValueError("power-law exponent must be positive")
-
-    def terms(self):
-        return ((self.coefficient, self.exponent),)
-
-
-_FORMS = {cls.form: cls for cls in (Linear, Coulomb, Harmonic, CoulombPlusLinear, PowerLaw)}
+    return _spelled("power", coefficient, exponent)
 
 
 def parse_potential(text: str) -> PairPotential:
-    """Parse a potential spec such as ``linear:1`` or ``coulomb+linear:0.5,1``.
-
-    Recognized forms: ``linear:<b>``, ``coulomb:<v>``, ``harmonic:<v>``,
-    ``coulomb+linear:<v>,<b>``, ``power:<c>,<k>``.
-    """
+    """Parse a spec ``linear:<b>``, ``coulomb:<v>``, ``harmonic:<v>``,
+    ``coulomb+linear:<v>,<b>`` or ``power:<c>,<k>``, such as ``linear:1``."""
     name, sep, rest = text.partition(":")
     name = name.strip().lower()
     if name not in _FORMS:
         raise PotentialParseError(f"unknown potential form {name!r} in {text!r}")
-    cls = _FORMS[name]
-    nargs = len(_parameters(cls))
+    nargs = len(_FORMS[name]) - 1  # a terms builder, then one rule per parameter
     if not sep:
         raise PotentialParseError(f"missing parameters after {name!r} in {text!r}")
     tokens = [tok.strip() for tok in rest.split(",")]
@@ -192,6 +124,6 @@ def parse_potential(text: str) -> PairPotential:
             raise PotentialParseError(f"non-finite number {tok!r} in {text!r}")
         values.append(value)
     try:
-        return cls(*values)
+        return _spelled(name, *values)
     except ValueError as exc:
         raise PotentialParseError(f"invalid parameters in {text!r}: {exc}") from None

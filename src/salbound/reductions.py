@@ -35,14 +35,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .potentials import (
-    Coulomb,
-    CoulombPlusLinear,
-    Linear,
-    PairPotential,
-    PowerLaw,
-    require_finite,
-)
+from .potentials import Linear, PairPotential, require_finite
 
 #: Ground energy of H = ||p|| + r in three dimensions
 #: (Boukraa and Basdevant 1989).
@@ -85,7 +78,7 @@ class ReducedHamiltonian:
     potential: PairPotential
 
     def __post_init__(self):
-        require_finite(self, "beta", "lam", "gamma", "mass")
+        require_finite(beta=self.beta, lam=self.lam, gamma=self.gamma, mass=self.mass)
         if not self.beta > 0.0:
             raise ValueError("beta must be positive")
         if not self.lam > 0.0:
@@ -112,7 +105,7 @@ class SolverConfig:
     basis_size: int = 40
 
     def __post_init__(self):
-        require_finite(self, "basis_size")
+        require_finite(basis_size=self.basis_size)
         # it sets array sizes, so a whole float such as 40.0 is refused too
         try:
             operator.index(self.basis_size)
@@ -191,8 +184,7 @@ def natural_units(h: ReducedHamiltonian) -> tuple[ReducedHamiltonian, float, flo
         strength = _in_range("confining coefficient gamma c", h.gamma * c)
         length = (kinetic / strength) ** (1.0 / (k + 1.0))
         mu = h.mass * length / root
-        # the family's only shape with a confining and a Coulomb term has k = 1
-        form = (CoulombPlusLinear, coupling, 1.0) if coupling > 0.0 else (PowerLaw, 1.0, k)
+        terms = ((1.0, k),)
     else:
         _in_range("effective Coulomb coupling", coupling)
         if h.mass > 0.0:
@@ -201,13 +193,13 @@ def natural_units(h: ReducedHamiltonian) -> tuple[ReducedHamiltonian, float, flo
             length = root * mu / h.mass
         else:
             mu, length = 0.0, 1.0
-        form = (Coulomb, coupling)
+        terms = ()
     _in_range("natural length", length)
     if h.mass > 0.0:
         _in_range("natural mass mu", mu, _MU_MAX)
     energy = _in_range("energy factor", kinetic / length)
-    cls, *parameters = form
-    return ReducedHamiltonian(1.0, 1.0, 1.0, mu, cls(*parameters)), energy, length
+    coulomb = ((-coupling, -1.0),) if coupling > 0.0 else ()
+    return ReducedHamiltonian(1.0, 1.0, 1.0, mu, PairPotential(terms + coulomb)), energy, length
 
 
 # --- the reduction table ------------------------------------------------------

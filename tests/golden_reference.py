@@ -6,8 +6,9 @@ end.  Run at a tight tolerance it locates the scale optimum independently of
 the grid zoom of ``salbound.bounds``, for the Gaussian upper bound and for
 the oscillator-basis oracle (``oscillator_reference``).
 
-``potential_value`` evaluates V(r) of each shape from its named fields, so
-that it stays independent of the power terms the solver assembles from.
+``potential_value`` evaluates V(r) of each form from a potential's spelling
+(form and parameters), so that it stays independent of the power terms the
+solver assembles from.
 ``gaussian_overlap`` is the overlap matrix of a solve's Gaussians, from the
 closed form (2 r_i r_j/(r_i^2 + r_j^2))^(3/2) of unit-normalised ones.
 """
@@ -18,8 +19,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-
-from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
 
 from oscillator_reference import kinetic_matrix, potential_matrix
 
@@ -34,19 +33,21 @@ class GoldenResult(NamedTuple):
     at_lower: bool
     at_upper: bool
 
+#: V(r, *parameters) of each spelling's form.
 _V = {
-    Linear: lambda v, r: v.slope * r,
-    Coulomb: lambda v, r: -v.strength / r,
-    Harmonic: lambda v, r: v.strength * r * r,
+    "linear": lambda r, b: b * r,
+    "coulomb": lambda r, v: -v / r,
+    "harmonic": lambda r, v: v * r * r,
     # a vanishing Coulomb part is finite at the origin
-    CoulombPlusLinear: lambda v, r: v.slope * r - v.coulomb / r if v.coulomb else v.slope * r,
-    PowerLaw: lambda v, r: v.coefficient * r**v.exponent,
+    "coulomb+linear": lambda r, v, b: b * r - v / r if v else b * r,
+    "power": lambda r, c, k: c * r**k,
 }
 
 
 def potential_value(potential, r):
-    """V(r) of ``potential`` for scalar or array r > 0."""
-    return _V[type(potential)](potential, np.asarray(r, dtype=float))
+    """V(r) of ``potential`` for scalar or array r > 0, from its spelling."""
+    form, *parameters = potential.spelling
+    return _V[form](np.asarray(r, dtype=float), *parameters)
 
 
 def gaussian_overlap(result) -> np.ndarray:

@@ -153,6 +153,9 @@ def test_conjecture_status_rules():
     assert not conjecture_status(ProblemSpec(4, 1.0, Linear(1.0))).proven
     assert not conjecture_status(ProblemSpec(10, 0.0, Linear(1.0))).proven
     assert conjecture_status(ProblemSpec(10, 3.0, Harmonic(1.0))).proven
+    # the harmonic proof reads V's one r^2 term, however it is spelled
+    assert conjecture_status(ProblemSpec(10, 3.0, PowerLaw(1.0, 2.0))).proven
+    assert not conjecture_status(ProblemSpec(10, 3.0, PowerLaw(1.0, 2.5))).proven
     assert conjecture_status(ProblemSpec(5, 0.0, Linear(1.0))).label == "conjectured"
 
 

@@ -324,6 +324,30 @@ def test_bounds_absent_entries_are_null_with_reason():
     assert report["status"] == "conjectured"
 
 
+#: Spellings of one V each: every report decision reads V's terms.
+SPELLINGS = {
+    "linear": ("linear:1.3", "power:1.3,1", "coulomb+linear:0,1.3"),
+    "harmonic": ("harmonic:0.7", "power:0.7,2"),
+}
+
+
+@pytest.mark.parametrize("mass", ["0", "1"])
+@pytest.mark.parametrize("shape", sorted(SPELLINGS))
+def test_one_potential_gives_one_report_however_it_is_spelled(capsys, shape, mass):
+    from salbound.cli import main
+
+    runs = [["solve", "--mass", mass]] + [["bounds", "--n", str(n), "--mass", mass] for n in range(2, 7)]
+    for argv in runs:
+        reports = []
+        for spelling in SPELLINGS[shape]:
+            code = main([*argv, "--potential", spelling, "--format", "json"])
+            report = json.loads(capsys.readouterr().out)
+            # the one field that differs: the spec, echoed as given
+            assert (report["problem"] if argv[0] == "solve" else report).pop("potential") == spelling
+            reports.append((code, report))
+        assert all(r == reports[0] for r in reports[1:]), (argv, shape)
+
+
 def test_bounds_two_body_values():
     proc = run_cli(
         "bounds", "--n", "2", "--mass", "0", "--potential", "linear:1", "--format", "json",

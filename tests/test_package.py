@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 import subprocess
@@ -284,27 +285,57 @@ VALID = (
     ReducedHamiltonian(1.0, 1.0, 1.0, 0.5, Linear(1.0)),
     ProblemSpec(3, 0.5, Linear(1.0)),
     SolverConfig(),
-    Linear(1.0),
-    Coulomb(0.5),
-    Harmonic(1.0),
-    CoulombPlusLinear(0.5, 1.0),
-    PowerLaw(1.0, 1.5),
 )
 
+#: Each potential constructor with valid parameters.
+POTENTIALS = (
+    (Linear, (1.0,)),
+    (Coulomb, (0.5,)),
+    (Harmonic, (1.0,)),
+    (CoulombPlusLinear, (0.5, 1.0)),
+    (PowerLaw, (1.0, 1.5)),
+)
+
+
+def _replaced(obj, field):
+    return lambda value: dataclasses.replace(obj, **{field: value})
+
+
+def _at_position(constructor, valid, position):
+    return lambda value: constructor(*valid[:position], value, *valid[position + 1:])
+
+
+# every numeric dataclass field of VALID, and every parameter position of each
+# potential constructor, by the name in its signature
 NUMERIC_FIELDS = [
-    pytest.param(obj, field.name, id=f"{type(obj).__name__}.{field.name}")
-    for obj in VALID
-    for field in dataclasses.fields(obj)
-    # the potential and the scale interval are checked by their own tests
-    if isinstance(getattr(obj, field.name), (int, float))
+    *(
+        pytest.param(_replaced(obj, field.name), field.name, id=f"{type(obj).__name__}.{field.name}")
+        for obj in VALID
+        for field in dataclasses.fields(obj)
+        # the potential is checked by its constructor's cases below
+        if isinstance(getattr(obj, field.name), (int, float))
+    ),
+    *(
+        pytest.param(_at_position(constructor, valid, i), name, id=f"{constructor.__name__}.{name}")
+        for constructor, valid in POTENTIALS
+        for i, name in enumerate(inspect.signature(constructor).parameters)
+    ),
 ]
 
 
-@pytest.mark.parametrize("obj, field", NUMERIC_FIELDS)
+@pytest.mark.parametrize("build, field", NUMERIC_FIELDS)
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-def test_constructors_reject_non_finite_numbers(obj, field, value):
+def test_constructors_reject_non_finite_numbers(build, field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        dataclasses.replace(obj, **{field: value})
+        build(value)
+
+
+def test_every_potential_parameter_is_covered():
+    # a constructor whose signature lost a parameter name would drop its cases silently
+    assert [p.id for p in NUMERIC_FIELDS[-7:]] == [
+        "Linear.slope", "Coulomb.strength", "Harmonic.strength", "CoulombPlusLinear.coulomb",
+        "CoulombPlusLinear.slope", "PowerLaw.coefficient", "PowerLaw.exponent",
+    ]
 
 
 STATE = SymmetrizedGaussianState(np.ones(1), np.zeros((1, 2, 3)), np.ones((1, 2, 3)))

@@ -38,6 +38,9 @@ def test_parameter_validation():
         PowerLaw(0.0, 1.0)
     # boundary case allowed: zero Coulomb part
     CoulombPlusLinear(0.0, 1.0)
+    # a non-finite parameter is refused by its name
+    with pytest.raises(ValueError, match="slope must be finite"):
+        Linear(float("inf"))
 
 
 @pytest.mark.parametrize(
@@ -69,24 +72,16 @@ def test_parse_round_trip():
         assert parse_potential(potential.spec()) == potential
 
 
-def test_field_names_are_looked_up_once_per_class(monkeypatch):
-    # construction, spec() and the parser's arity check read each class's
-    # field names from a cache filled at its first use
-    import salbound.potentials
-
-    for text in ("linear:1", "coulomb:0.5", "harmonic:2", "coulomb+linear:0.5,1", "power:2,0.5"):
-        parse_potential(text).spec()
-
-    def never(cls):
-        raise AssertionError(f"dataclasses.fields({cls}) called again")
-
-    monkeypatch.setattr(salbound.potentials, "fields", never)
+def test_spellings_with_equal_terms_are_one_value():
+    # equal and equally hashed by their terms, each echoing its own spec
+    for b in (0.4, 1.0, 2.5):
+        spellings = (Linear(b), PowerLaw(b, 1.0), CoulombPlusLinear(0.0, b))
+        assert Linear(b) == PowerLaw(b, 1.0) == CoulombPlusLinear(0.0, b)
+        assert len({hash(v) for v in spellings}) == 1
+        assert [v.spec() for v in spellings] == [f"linear:{b:g}", f"power:{b:g},1", f"coulomb+linear:0,{b:g}"]
+    assert Harmonic(0.7) == PowerLaw(0.7, 2.0) and Harmonic(0.7) != PowerLaw(0.7, 2.5)
     for text in ("linear:3", "coulomb:0.2", "harmonic:1", "coulomb+linear:0.1,2", "power:1,1.5"):
         assert parse_potential(text).spec() == text
-    with pytest.raises(ValueError, match="slope must be finite"):
-        Linear(float("inf"))
-    with pytest.raises(PotentialParseError, match="2 parameter"):
-        parse_potential("power:1")
 
 
 def test_parse_errors_name_the_token():

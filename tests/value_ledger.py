@@ -32,7 +32,6 @@ Without ``--write`` it compares and prints the counts.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import re
@@ -55,7 +54,9 @@ RTOL = 1e-10
 #: Relative tolerance of an optimal scale.
 SCALE_RTOL = 1e-5
 
-_FORMS = {cls.form: cls for cls in (Linear, Coulomb, Harmonic, CoulombPlusLinear, PowerLaw)}
+#: The constructor of each spelling's form, as records name it.
+_FORMS = {"linear": Linear, "coulomb": Coulomb, "harmonic": Harmonic, "coulomb+linear": CoulombPlusLinear,
+          "power": PowerLaw}
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 _KNOWN_DEFECTS = (
@@ -153,11 +154,11 @@ def _solve(beta, lam, gamma, mass, potential, basis_size: int, kernel: str):
 
 def _encode(kind: str, args: tuple, basis_size: int, kernel: str) -> dict:
     *numbers, potential = args
-    params = [getattr(potential, f.name) for f in dataclasses.fields(potential)]
+    form, *params = potential.spelling
     return {
         "kind": kind,
         "args": [x if isinstance(x, int) else float.hex(x) for x in numbers],
-        "potential": [potential.form, *map(float.hex, params)],
+        "potential": [form, *map(float.hex, params)],
         "basis_size": basis_size,
         "kernel": kernel,
     }
