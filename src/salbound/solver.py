@@ -14,8 +14,9 @@ scales the result back.
 The Rayleigh-Ritz basis is a fixed geometric set of unit-normalised s-wave
 Gaussians exp(-r^2/r_i^2), the Gaussian expansion method of Hiyama, Kino and
 Kamimura (Prog. Part. Nucl. Phys. 51 (2003) 223).  ``spectrum.basis_radii``
-places them by one rule, so nothing is searched.  The product of two of them
-is a Gaussian, so each matrix element is their overlap times the expectation
+places them by one rule from the operator's ``spectrum.grid_kind`` and the
+basis size, so nothing is searched.  The product of two of them is a
+Gaussian, so each matrix element is their overlap times the expectation
 of the operator in a Gaussian pair density (:func:`pair_expectation`): with
 the coordinate exponent a = 1/r_i^2 + 1/r_j^2 and the momentum exponent
 c = (r_i^2 + r_j^2)/4, <r^k> = M_k a^(-k/2) and <|p|> = M_1 c^(-1/2), where
@@ -38,9 +39,9 @@ the Gaussians, a principal submatrix that needs no new matrix elements.
 Operators on one basis, such as the rows of one bounds problem, are solved
 as one stack of matrices, with each operator's own bits (:func:`_lowest`).
 The overlap, its full and centred-half factors and the momentum table depend
-only on the radii, so they are built once per basis and shared read-only by
-every solve on it (:func:`_basis`); the cache holds at most 8 bases, about
-1 MB each at K = 120, 0.31 MB of it the momentum table.
+only on the grid kind and K, so they are built once per (kind, K) and shared
+read-only by every solve on it (:func:`_basis`); the cache holds at most 8
+bases, about 1 MB each at K = 120, 0.31 MB of it the momentum table.
 
 The Gaussian upper bound of ``bounds`` evaluates its one-Gaussian trial
 states at m > 0 as :func:`pair_expectation` does, through
@@ -60,7 +61,7 @@ import numpy as np
 
 from . import quadrature
 from .reductions import ReducedHamiltonian, SolverConfig, _pair_moment, natural_units
-from .spectrum import _MOMENT_1, SpectrumResult, basis_radii, centred_half, range_warnings
+from .spectrum import _MOMENT_1, SpectrumResult, basis_radii, centred_half, grid_kind, range_warnings
 
 
 @functools.lru_cache(maxsize=64)
@@ -175,32 +176,23 @@ def _factor(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 class _Basis:
     """What the unit-normalised Gaussians of some radii share whatever the
-    operator: the upper-triangle indices (i, j), the overlap values on them
-    and its symmetric matrix, the pair exponents a and c, the momentum table
-    of the m > 0 kinetic elements, and the factors of the overlap and of its
+    operator: the overlap and the pair exponents a and c, K x K and exactly
+    symmetric (commutative in r_i and r_j), the momentum table of the m > 0
+    kinetic elements, and the factors of the overlap and of its
     :func:`centred_half` block.  Every array is read-only.  The table and
     the factors are built at their first read, since only a solve at m > 0
     reads the table and a factor needs K >= 2 distinct radii."""
 
     def __init__(self, radii: tuple[float, ...]):
         r = np.array(radii)
-        i, j = np.triu_indices(r.size)
         r2 = r * r
-        width = r2[i] + r2[j]
-        self.radii, self.i, self.j = r, i, j
-        self.overlap_values = (2.0 * r[i] * r[j] / width) ** 1.5
-        self.overlap = self.symmetric(self.overlap_values)
-        self.a = width / (r2[i] * r2[j])
+        width = np.add.outer(r2, r2)
+        self.radii = r
+        self.overlap = (2.0 * np.multiply.outer(r, r) / width) ** 1.5
+        self.a = width / np.multiply.outer(r2, r2)
         self.c = width / 4.0
         for array in vars(self).values():
             array.setflags(write=False)
-
-    def symmetric(self, values: np.ndarray) -> np.ndarray:
-        """The symmetric matrix with ``values`` on the upper triangle."""
-        mat = np.empty((self.radii.size,) * 2)
-        mat[self.i, self.j] = values
-        mat[self.j, self.i] = values
-        return mat
 
     @functools.cached_property
     def momenta(self):
@@ -216,12 +208,12 @@ class _Basis:
         return square, fifth, phi
 
     def kinetic(self, mu: float) -> np.ndarray:
-        """The m > 0 kinetic elements on the upper triangle: Phi^T diag(g) Phi
-        on :attr:`momenta`, as one syrk of sqrt(g) Phi; a gemm left the
-        massless solves after it 5% slower on AVX-512 OpenBLAS (2 vCPU)."""
+        """The m > 0 kinetic matrix Phi^T diag(g) Phi on :attr:`momenta`: one
+        syrk of sqrt(g) Phi, whose triangle numpy mirrors exactly; a gemm left
+        the massless solves after it 5% slower on AVX-512 OpenBLAS (2 vCPU)."""
         square, fifth, phi = self.momenta
         root = np.sqrt(_weights(mu, square, fifth))[:, None] * phi
-        return (root.T @ root)[self.i, self.j]
+        return root.T @ root
 
     @functools.cached_property
     def full(self):
@@ -234,23 +226,22 @@ class _Basis:
 
 
 @functools.lru_cache(maxsize=8)
-def _basis(radii: tuple[float, ...]) -> _Basis:
-    """The shared :class:`_Basis` of ``radii``.  The key is the radii
-    themselves, so no entry goes stale; the largest, at K = 120, holds about
-    1 MB."""
-    return _Basis(radii)
+def _basis(kind: str, basis_size: int) -> _Basis:
+    """The shared :class:`_Basis` of the grid of a kind and size, the only
+    inputs of ``spectrum.basis_radii``, so no entry goes stale; the largest,
+    at K = 120, holds about 1 MB."""
+    return _Basis(tuple(basis_radii(kind, basis_size)))
 
 
 def _matrices(canonical: ReducedHamiltonian, basis: _Basis):
     """Overlap and Rayleigh-Ritz matrix less the rest mass of the
-    unit-normalised Gaussians of a :class:`_Basis`, built on the upper
-    triangle.  The overlap is the basis's read-only one; at m > 0 the
+    unit-normalised Gaussians of a :class:`_Basis`, both K x K and exactly
+    symmetric.  The overlap is the basis's read-only one; at m > 0 the
     kinetic elements are :meth:`_Basis.kinetic`."""
     if canonical.mass == 0.0:
-        energy = pair_expectation(canonical, basis.a, basis.c)
-        return basis.overlap, basis.symmetric(basis.overlap_values * energy)
-    potential = _with_potential(canonical, np.zeros(basis.a.size), basis.a)
-    return basis.overlap, basis.symmetric(basis.kinetic(canonical.mass) + basis.overlap_values * potential)
+        return basis.overlap, basis.overlap * pair_expectation(canonical, basis.a, basis.c)
+    potential = _with_potential(canonical, np.zeros(basis.a.shape), basis.a)
+    return basis.overlap, basis.kinetic(canonical.mass) + basis.overlap * potential
 
 
 def _lowest(factor, matrices: np.ndarray) -> list:
@@ -297,10 +288,10 @@ def _canonical_ground_energies(canonicals: tuple[ReducedHamiltonian, ...],
     other Gaussian supplies.  The operators share one basis, as the rows of
     one bounds problem do, and are solved as one stack."""
     cfg = config if config is not None else SolverConfig()
-    radii, *others = {tuple(basis_radii(canonical, cfg.basis_size)) for canonical in canonicals}
+    kind, *others = {grid_kind(canonical) for canonical in canonicals}
     if others:
         raise ValueError("canonical operators solved together must share one basis")
-    basis, block = _basis(radii), centred_half(cfg.basis_size)
+    basis, block = _basis(kind, cfg.basis_size), centred_half(cfg.basis_size)
     matrices = np.array([_matrices(canonical, basis)[1] for canonical in canonicals])
     full, halves = _lowest(basis.full, matrices), _lowest(basis.half, matrices[:, block, block])
     results = []

@@ -4,16 +4,17 @@ solve in pure Python.
 ``solver._canonical_ground_energies`` solves canonical operators on numpy
 and returns their spectra in natural units.  This module holds what that solve
 shares with the one here: :class:`SpectrumResult`, the basis rule
-:func:`basis_radii`, the centred half basis of the convergence estimate and
-the range warnings.  :func:`pure_ground_energy` runs the same steps as the
-numpy solve without numpy: the matrix elements in ``math`` (at m > 0 the
-kinetic elements are Phi^T diag(g) Phi on the nodes of ``quadrature``,
-which needs no numpy either), a Cholesky of the overlap, the reduced
-matrix, a Householder tridiagonalisation with Sturm bisection for its two
-lowest eigenvalues, one shifted inverse-iteration step, and the Rayleigh
-quotient in the original basis.  Its cost grows as K^3 in Python
-arithmetic, so it pays only up to a moderate basis size; the command line
-takes it there (``cli.PURE_PYTHON_MAX_BASIS``), and the library keeps numpy.
+:func:`basis_radii` of a :func:`grid_kind` and size, the centred half basis
+of the convergence estimate and the range warnings.
+:func:`pure_ground_energy` runs the same steps as the numpy solve without
+numpy: the matrix elements in ``math`` (at m > 0 the kinetic elements are
+Phi^T diag(g) Phi on the nodes of ``quadrature``, which needs no numpy
+either), a Cholesky of the overlap, the reduced matrix, a Householder
+tridiagonalisation with Sturm bisection for its two lowest eigenvalues, one
+shifted inverse-iteration step, and the Rayleigh quotient in the original
+basis.  Its cost grows as K^3 in Python arithmetic, so it pays only up to a
+moderate basis size; the command line takes it there
+(``cli.PURE_PYTHON_MAX_BASIS``), and the library keeps numpy.
 
 This module needs only the standard library.
 """
@@ -38,12 +39,10 @@ MIN_RADIUS_RATIO = 1.19
 #: above the oscillator basis).
 MAX_RADIUS_RATIO = 1.5
 
-#: Radius span (r_lo, r_hi) in natural units of the grid of a canonical
-#: operator with a Coulomb term, with a linear term and without one: the
+#: Radius span (r_lo, r_hi) in natural units of each Coulomb grid kind: the
 #: small radii resolve the Coulomb cusp, and a pure Coulomb state reaches
 #: further out.
-_COULOMB_SPAN = (1e-4, 20.0)
-_PURE_COULOMB_SPAN = (1e-4, 40.0)
+_COULOMB_SPANS = {"coulomb+confining": (1e-4, 20.0), "coulomb": (1e-4, 40.0)}
 
 #: Weight of the ground state on the first or the last Gaussian (the part of
 #: the state that only that Gaussian supplies) above which a range warning is
@@ -101,22 +100,30 @@ class SpectrumResult:
         )
 
 
-def basis_radii(canonical: ReducedHamiltonian, basis_size: int) -> list[float]:
-    """Radii r_i of the basis Gaussians exp(-r^2/r_i^2) of a canonical
-    operator, ascending and in natural units, in geometric progression.
+def grid_kind(canonical: ReducedHamiltonian) -> str:
+    """The grid of a canonical operator, read from its terms: ``"confining"``
+    without a Coulomb term, ``"coulomb"`` with one alone, and
+    ``"coulomb+confining"`` with one and a confining term."""
+    if canonical.potential.coulomb_strength() == 0.0:
+        return "confining"
+    return "coulomb" if len(canonical.potential.terms()) == 1 else "coulomb+confining"
 
-    A confining term alone gets the ratio :data:`MIN_RADIUS_RATIO`, centred
-    in log on radius 1, the natural length.  A Coulomb term gets the span
-    (r_lo, r_hi) of ``_COULOMB_SPAN`` or, alone, ``_PURE_COULOMB_SPAN``: the
-    widest Gaussian sits at r_hi, and the ratio (r_hi/r_lo)^(1/(K-1)) is kept
-    from :data:`MIN_RADIUS_RATIO` to :data:`MAX_RADIUS_RATIO`, so the
-    narrowest reaches r_lo from K = 32 (33 alone) and goes below it beyond
-    K = 71 (75).
+
+def basis_radii(kind: str, basis_size: int) -> list[float]:
+    """Radii r_i of the basis Gaussians exp(-r^2/r_i^2) of a :func:`grid_kind`
+    grid, ascending and in natural units, in geometric progression.
+
+    The confining grid gets the ratio :data:`MIN_RADIUS_RATIO`, centred in
+    log on radius 1, the natural length.  A Coulomb grid gets its span
+    (r_lo, r_hi) of ``_COULOMB_SPANS``: the widest Gaussian sits at r_hi, and
+    the ratio (r_hi/r_lo)^(1/(K-1)) is kept from :data:`MIN_RADIUS_RATIO` to
+    :data:`MAX_RADIUS_RATIO`, so the narrowest reaches r_lo from K = 32 (33
+    for ``"coulomb"``) and goes below it beyond K = 71 (75).
     """
     steps = [i - (basis_size - 1.0) for i in range(basis_size)]
-    if canonical.potential.coulomb_strength() == 0.0:
+    if kind == "confining":
         return [MIN_RADIUS_RATIO ** (s + (basis_size - 1) / 2.0) for s in steps]
-    lo, hi = _PURE_COULOMB_SPAN if len(canonical.potential.terms()) == 1 else _COULOMB_SPAN
+    lo, hi = _COULOMB_SPANS[kind]
     ratio = min(MAX_RADIUS_RATIO, max(MIN_RADIUS_RATIO, (hi / lo) ** (1.0 / (basis_size - 1))))
     return [hi * ratio**s for s in steps]
 
@@ -387,7 +394,7 @@ def pure_ground_energy(canonical: ReducedHamiltonian, config: SolverConfig | Non
     agree to roundoff.  ``coefficients`` is a tuple.
     """
     cfg = config if config is not None else SolverConfig()
-    radii = basis_radii(canonical, cfg.basis_size)
+    radii = basis_radii(grid_kind(canonical), cfg.basis_size)
     overlap, matrix = _matrices(canonical, radii)
     lowest, vector, weights = _lowest(overlap, matrix)
     block = centred_half(cfg.basis_size)

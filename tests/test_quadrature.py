@@ -70,7 +70,7 @@ def test_momentum_rule_gives_the_massless_kinetic_moment():
     for mu in (0.0, 5e-324, 1e-300):
         (value,) = solver._kinetic(mu, np.ones(1))
         assert value == pytest.approx(moment, rel=1e-14)
-        (value,) = solver._Basis((math.sqrt(2.0),)).kinetic(mu)
+        ((value,),) = solver._Basis((math.sqrt(2.0),)).kinetic(mu)
         assert value == pytest.approx(moment, rel=1e-14)
 
 

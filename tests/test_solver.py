@@ -19,7 +19,7 @@ from salbound.reductions import (
     natural_units,
 )
 from salbound.solver import ground_energy, pair_expectation
-from salbound.spectrum import EDGE_WEIGHT_TOL, SpectrumResult, basis_radii
+from salbound.spectrum import EDGE_WEIGHT_TOL, SpectrumResult, basis_radii, grid_kind
 
 from golden_reference import gaussian_overlap, potential_value, reference_ground_energy
 from legendre_reference import semi_infinite_rule, unit_rule
@@ -530,9 +530,9 @@ def test_reported_energy_is_the_rayleigh_ritz_value_at_the_reported_scale(h, bas
     assert natural_units(canonical)[1:] == (1.0, 1.0)
     result = ground_energy(canonical, SolverConfig(basis_size=basis_size))
     x = result.coefficients
-    radii = np.array(basis_radii(canonical, basis_size))
+    radii = np.array(basis_radii(grid_kind(canonical), basis_size))
     assert result.basis_range == (radii[0], radii[-1])
-    overlap, matrix = solver._matrices(canonical, solver._basis(tuple(radii.tolist())))
+    overlap, matrix = solver._matrices(canonical, solver._basis(grid_kind(canonical), basis_size))
     np.testing.assert_allclose(overlap, gaussian_overlap(result), rtol=1e-13)
     assert np.array_equal(matrix, matrix.T) and np.array_equal(overlap, overlap.T)
     assert np.array_equal(np.diag(overlap), np.ones(basis_size))
@@ -572,8 +572,8 @@ def _bits(result):
     return [float(x).hex() for x in (*numbers, *result.coefficients)] + result.warnings
 
 
-#: One canonical operator of each grid kind of ``spectrum.basis_radii``:
-#: confining, Coulomb+linear and pure Coulomb.
+#: One canonical operator of each ``spectrum.grid_kind``: confining,
+#: Coulomb+linear and pure Coulomb.
 GRID_KINDS = (
     ReducedHamiltonian(1.0, 1.0, 1.0, 1.0, Linear(1.0)),
     ReducedHamiltonian(1.0, 1.0, 1.0, 1.0, CoulombPlusLinear(0.3, 1.0)),
@@ -608,8 +608,8 @@ def test_every_cached_array_is_read_only():
     solver._basis.cache_clear()
     h = GRID_KINDS[0]
     ground_energy(h, SolverConfig(basis_size=12))
-    basis = solver._basis(tuple(basis_radii(h, 12)))
-    names = ["radii", "i", "j", "overlap_values", "overlap", "a", "c"]
+    basis = solver._basis(grid_kind(h), 12)
+    names = ["radii", "overlap", "a", "c"]
     assert sorted(vars(basis)) == sorted(names + ["momenta", "full", "half"])
     arrays = [getattr(basis, name) for name in names] + [*basis.momenta, *basis.full, *basis.half]
     assert all(isinstance(x, np.ndarray) for x in arrays)
@@ -662,7 +662,7 @@ def test_stacked_solve_gives_each_operator_the_bits_of_its_own_solve(mass, basis
     for potential in SHAPES:
         for lam in (1.0, 0.75, 0.5, 0.3):
             canonical = natural_units(ReducedHamiltonian(1.0, lam, 1.0, mass, potential))[0]
-            groups.setdefault(tuple(basis_radii(canonical, basis_size)), {})[canonical] = None
+            groups.setdefault(grid_kind(canonical), {})[canonical] = None
     assert len(groups) == len(GRID_KINDS)
     stacks = [tuple(group) for group in groups.values()]
     assert min(map(len, stacks)) >= 3
@@ -675,6 +675,51 @@ def test_stacked_solve_gives_each_operator_the_bits_of_its_own_solve(mass, basis
             assert stacked.convergence_estimate.hex() == alone.convergence_estimate.hex(), canonical
             assert np.array_equal(stacked.coefficients, alone.coefficients), canonical
             assert stacked.warnings == alone.warnings, canonical
+
+
+def test_a_cached_basis_is_reused_without_building_its_radii(monkeypatch):
+    # the cache key is (grid kind, K): once a problem's basis is cached,
+    # solving it again builds no radii
+    from salbound.bounds import ProblemSpec, compute_bounds
+
+    specs = [ProblemSpec(4, mass, potential) for potential in SHAPES for mass in (0.0, 1.0)]
+    for spec in specs:
+        compute_bounds(spec)
+    calls = []
+    for module in (spectrum, solver):
+        monkeypatch.setattr(module, "basis_radii", lambda *args: calls.append(args))
+    for spec in specs:
+        compute_bounds(spec)
+    assert calls == []
+
+
+def test_five_shapes_share_six_bases():
+    # one basis per grid kind and size, whatever the shape, mass or row
+    from salbound.bounds import ProblemSpec, compute_bounds
+
+    solver._basis.cache_clear()
+    for potential in SHAPES:
+        for basis_size in (24, 40):
+            for mass in (0.0, 1.0):
+                compute_bounds(ProblemSpec(4, mass, potential), SolverConfig(basis_size=basis_size))
+    # three grid kinds times two sizes, each built once
+    info = solver._basis.cache_info()
+    assert info.currsize == info.misses == 6
+
+
+@pytest.mark.parametrize("basis_size", [2, 24, 40, MAX_BASIS_SIZE])
+@pytest.mark.parametrize("mass", [0.0, 1.0, 1e5])
+def test_every_assembled_matrix_is_exactly_symmetric(mass, basis_size):
+    # each element is built from r_i and r_j by commutative operations, and
+    # the m > 0 kinetic matrix is numpy's mirrored syrk A.T @ A, on every
+    # numpy the package supports
+    for h in GRID_KINDS:
+        canonical = natural_units(dataclasses.replace(h, mass=mass))[0]
+        basis = solver._basis(grid_kind(canonical), basis_size)
+        overlap, matrix = solver._matrices(canonical, basis)
+        for array in (overlap, matrix, basis.a, basis.c):
+            assert array.shape == (basis_size, basis_size)
+            assert np.array_equal(array, array.T), (canonical, basis_size)
 
 
 # --- the Gaussian basis -------------------------------------------------------------
@@ -705,7 +750,7 @@ def test_gaussian_matrix_elements_against_quadrature(ri, rj, mu):
     overlap = _radial(lambda r: gi(r) * gj(r))
     for potential in (PowerLaw(1.0, 0.5), PowerLaw(1.0, 2.5), Coulomb(0.3), CoulombPlusLinear(0.3, 1.0)):
         h = ReducedHamiltonian(1.0, 1.0, 1.0, mu, potential)
-        s, mat = solver._matrices(h, solver._basis((ri, rj)))
+        s, mat = solver._matrices(h, solver._Basis((ri, rj)))
         assert s[0, 1] == pytest.approx(overlap, rel=1e-12)
         kinetic = _radial(lambda p: pi_(p) * pj(p) * p * p / (math.sqrt(p * p + mu * mu) + mu))
         pot = _radial(lambda r: gi(r) * gj(r) * float(potential_value(potential, r)))
@@ -722,7 +767,7 @@ def test_gaussian_energy_is_the_one_gaussian_matrix():
               ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Harmonic(1.0))):
         energies = pair_expectation(h, sigma * sigma, 1.0 / (sigma * sigma))
         for s, energy in zip(sigma, energies):
-            _, mat = solver._matrices(h, solver._basis((math.sqrt(2.0) / s,)))
+            _, mat = solver._matrices(h, solver._Basis((math.sqrt(2.0) / s,)))
             assert energy == pytest.approx(mat[0, 0], rel=1e-15)
 
 
@@ -840,7 +885,7 @@ def _reference_kinetic(mu, c):
     keep = weight != 0.0
     root = np.sqrt(c)
     nu = mu * root
-    return (1.0 / (np.sqrt((nu * nu)[:, None] + (y * y)[keep]) + nu[:, None])) @ weight[keep] / root
+    return (1.0 / (np.sqrt((nu * nu)[..., None] + (y * y)[keep]) + nu[..., None])) @ weight[keep] / root
 
 
 def test_fixed_kinetic_rule_holds_over_its_whole_domain(monkeypatch):
@@ -860,13 +905,13 @@ def test_fixed_kinetic_rule_holds_over_its_whole_domain(monkeypatch):
         solver._nodes.cache_clear()
         solver._basis.cache_clear()
         gaps = []
-        for potential in (Linear(1.0), CoulombPlusLinear(0.2, 1.0), Coulomb(0.2)):
+        for kind in ("confining", "coulomb+confining", "coulomb"):
             for size in (2, 24, 40, MAX_BASIS_SIZE):
-                basis = solver._basis(tuple(basis_radii(ReducedHamiltonian(1.0, 1.0, 1.0, 1.0, potential), size)))
+                basis = solver._basis(kind, size)
                 for mu in masses:
-                    key = potential, size, mu
+                    key = kind, size, mu
                     if key not in references:
-                        references[key] = basis.overlap_values * _reference_kinetic(mu, basis.c)
+                        references[key] = basis.overlap * _reference_kinetic(mu, basis.c)
                     gaps.append(np.max(np.abs(basis.kinetic(mu) / references[key] - 1.0)))
         for mu in masses:
             if mu not in references:
@@ -892,7 +937,7 @@ def test_massless_solve_loads_no_rule(monkeypatch):
     solver._basis.cache_clear()
     ground_energy(h)
     spectrum.pure_ground_energy(h)
-    assert "momenta" not in vars(solver._basis(tuple(basis_radii(h, 40))))
+    assert "momenta" not in vars(solver._basis(grid_kind(h), 40))
     assert solver._basis.cache_info().misses == 1  # the solve's own basis
 
 
@@ -910,16 +955,15 @@ def test_largest_confining_exponent_keeps_a_small_estimate(mass):
 
 
 def test_basis_radii_rule():
-    linear = ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, Linear(1.0))
-    radii = np.array(basis_radii(linear, 40))
+    assert [grid_kind(h) for h in GRID_KINDS] == ["confining", "coulomb+confining", "coulomb"]
+    radii = np.array(basis_radii("confining", 40))
     np.testing.assert_allclose(radii[1:] / radii[:-1], 1.19, rtol=1e-14)
     assert radii[0] * radii[-1] == pytest.approx(1.0, rel=1e-14)
-    for potential, span in ((CoulombPlusLinear(0.2, 1.0), (1e-4, 20.0)), (Coulomb(0.2), (1e-4, 40.0))):
-        h = ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, potential)
-        radii = np.array(basis_radii(h, 40))
+    for kind, span in (("coulomb+confining", (1e-4, 20.0)), ("coulomb", (1e-4, 40.0))):
+        radii = np.array(basis_radii(kind, 40))
         np.testing.assert_allclose((radii[0], radii[-1]), span, rtol=1e-13)
         # the ratio stays within 1.19..1.5, with the widest Gaussian at r_hi
         for size, ratio in ((24, 1.5), (120, 1.19)):
-            radii = np.array(basis_radii(h, size))
+            radii = np.array(basis_radii(kind, size))
             np.testing.assert_allclose(radii[1:] / radii[:-1], ratio, rtol=1e-14)
             assert radii[-1] == span[1]

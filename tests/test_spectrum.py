@@ -10,7 +10,7 @@ from salbound import solver, spectrum
 from salbound.cli import PURE_PYTHON_MAX_BASIS
 from salbound.potentials import Linear, parse_potential
 from salbound.reductions import ReducedHamiltonian, SolverConfig, natural_units
-from salbound.spectrum import basis_radii, centred_half, pure_ground_energy
+from salbound.spectrum import basis_radii, centred_half, grid_kind, pure_ground_energy
 
 EPS = np.finfo(float).eps
 
@@ -68,7 +68,7 @@ def test_kernels_agree_up_to_the_crossover(shape):
         h = ReducedHamiltonian(1.0, 1.0, 1.0, mass, parse_potential(shape))
         cfg = SolverConfig(basis_size=size)
         result, numpy = pure(h, cfg), solver.ground_energy(h, cfg)
-        overlap, matrix = solver._matrices(h, solver._basis(tuple(basis_radii(h, size))))
+        overlap, matrix = solver._matrices(h, solver._basis(grid_kind(h), size))
         block = centred_half(size)
         full = roundoff(overlap, matrix, mass)
         half = roundoff(overlap[block, block], matrix[block, block], mass)
@@ -103,7 +103,7 @@ def test_pure_energy_is_the_rayleigh_quotient_of_its_coefficients(shape):
     h = ReducedHamiltonian(1.0, 1.0, 1.0, 0.0, parse_potential(shape))
     result = pure_ground_energy(h, SolverConfig(basis_size=24))
     x = np.array(result.coefficients)
-    overlap, matrix = map(np.array, spectrum._matrices(h, basis_radii(h, 24)))
+    overlap, matrix = map(np.array, spectrum._matrices(h, basis_radii(grid_kind(h), 24)))
     assert x @ overlap @ x == pytest.approx(1.0, rel=1e-12)
     assert (overlap @ x).sum() > 0.0
     assert result.ground_energy == pytest.approx(x @ matrix @ x, rel=1e-12)
