@@ -8,15 +8,15 @@ the canonical operator sqrt(p^2 + mu^2) + r^k - v'/r.  The canonical number
 of a lower bound is that operator's spectral bottom, solved numerically;
 that of the upper bound, from a product Gaussian trial state in relative
 coordinates (:func:`gaussian_upper`), is the canonical model operator's
-least one-Gaussian energy: a closed form at m = 0 and at m > 0 a grid zoom
-in log s, over momentum widths s = 1/sigma, of ``solver.pair_expectation``,
-which reuses its first grid's node weights on every later grid.
-``reductions`` also holds the proof status of the model-operator bound and
-the closed forms for the massless linear potential; here the model-operator
-bound is also proved wherever V is one harmonic term c r^2.  This module
-runs no quadrature of its own, and loads numpy and ``solver`` only where it
-uses them, so a massless bound solved by ``spectrum.pure_ground_energy``
-loads neither.
+least one-Gaussian energy: a closed form at m = 0 and at m > 0
+``solver.zoom_log_minimum``, a grid zoom in log s over momentum widths
+s = 1/sigma of ``solver.pair_expectation``.  ``reductions`` also holds the
+proof status of the model-operator bound and the closed forms for the
+massless linear potential; here the model-operator bound is also proved
+wherever V is one harmonic term c r^2.  This module imports no numpy and
+runs no quadrature of its own.  It loads ``solver``, and with it numpy,
+only for the default solve and the m > 0 upper bound, so a massless bound
+solved by ``spectrum.pure_ground_energy`` loads neither.
 
 The distinct canonical operators of one problem are solved in one call, as
 one stack on their shared basis.  A massless single-term potential c r^k
@@ -27,7 +27,6 @@ dilation law E(a|p| + b r^k) = a^(k/(k+1)) b^(1/(k+1)) E_k).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -49,11 +48,6 @@ from .spectrum import SpectrumResult, pure_pair_expectation
 
 #: Interval of the Gaussian's momentum width s = 1/sigma searched in natural units.
 GAUSSIAN_SCALE_INTERVAL = (0.05, 20.0)
-
-#: Points of each grid of the zoom in log s, and the grid spacing at
-#: which it stops: 6 grids across ``GAUSSIAN_SCALE_INTERVAL``.
-ZOOM_POINTS = 33
-ZOOM_SPACING = 1e-6
 
 _PINNED = "Gaussian scale optimum sits at the {end} endpoint of its search interval"
 
@@ -139,42 +133,6 @@ def _bounds(spec: ProblemSpec, config, solve):
     return {name: None if m is None else bound(*m) for name, m in rows.items()}, reasons
 
 
-def zoom_log_minimum(f, lo: float, hi: float):
-    """(x, f(x), at_lower, at_upper) at the least of f over [lo, hi], for a
-    unimodal f that takes and returns arrays.
-
-    f is evaluated on :data:`ZOOM_POINTS` points evenly spaced in log x, and
-    the grid shrinks to the neighbours of its least point until its spacing
-    is at most :data:`ZOOM_SPACING`: the minimum always lies between those
-    neighbours, so the returned log x is within the final spacing of it.  A
-    grid that still reaches an end of [lo, hi] holds that end itself, and a
-    flag is set where the least point is that end.
-    """
-    import numpy as np
-
-    ends = math.log(lo), math.log(hi)
-    a, b = ends
-    steps = np.arange(ZOOM_POINTS, dtype=float)
-    while True:
-        # np.linspace(a, b, ZOOM_POINTS) written out, without its per-call
-        # overhead, on Python floats a and b
-        t = steps * ((b - a) / (ZOOM_POINTS - 1)) + a
-        t[-1] = b
-        reach = a == ends[0], b == ends[1]
-        x = np.exp(t)
-        # exp(log(lo)) need not be lo: a grid that reaches an end holds the end
-        if reach[0]:
-            x[0] = lo
-        if reach[1]:
-            x[-1] = hi
-        values = f(x)
-        i = int(values.argmin())
-        t0, t1 = t[:2].tolist()
-        if t1 - t0 <= ZOOM_SPACING:
-            return float(x[i]), float(values[i]), reach[0] and i == 0, reach[1] and i == ZOOM_POINTS - 1
-        a, b = t[[max(i - 1, 0), min(i + 1, ZOOM_POINTS - 1)]].tolist()
-
-
 def gaussian_upper(spec: ProblemSpec) -> UpperBoundResult:
     """Variational upper bound from a product Gaussian in relative coordinates.
 
@@ -196,19 +154,20 @@ def gaussian_upper(spec: ProblemSpec) -> UpperBoundResult:
       (``spectrum.pure_pair_expectation``);
     - at m > 0, mu plus the least of ``solver.pair_expectation`` at
       a = s^2 and c = 1/s^2 over the momentum widths s = 1/sigma of
-      ``GAUSSIAN_SCALE_INTERVAL``, zoomed in on by :func:`zoom_log_minimum`.
+      ``GAUSSIAN_SCALE_INTERVAL``, zoomed in on by ``solver.zoom_log_minimum``
+      on ``solver._zoom_objective``, its bits from one set of node weights.
       The zoom leaves mu out: at mu near 1e9 the grid's differences fall
-      below one ulp of mu.  Its objective, ``solver._zoom_objective``,
-      gives ``pair_expectation`` bit for bit from the first grid's weights.
+      below one ulp of mu.
     """
     # refuses a collapsing or out-of-range operator
     canonical, energy, length = natural_units(_MODEL.operator(spec.n, spec.mass, spec.potential))
     pinned = (False, False)
     if spec.mass > 0.0:
-        from .solver import _zoom_objective
+        from .solver import _zoom_objective, zoom_log_minimum
 
-        s, least, at_lower, at_upper = zoom_log_minimum(_zoom_objective(canonical), *GAUSSIAN_SCALE_INTERVAL)
-        least, sigma, pinned = canonical.mass + least, 1.0 / s, (at_lower, at_upper)
+        lo, hi = GAUSSIAN_SCALE_INTERVAL
+        s, least, *pinned = zoom_log_minimum(_zoom_objective(canonical, lo, hi), lo, hi)
+        least, sigma = canonical.mass + least, 1.0 / s
     elif not any(k > 0.0 for _, k in canonical.potential.terms()):
         s = GAUSSIAN_SCALE_INTERVAL[0]
         least, sigma = pure_pair_expectation(canonical, s * s, 1.0 / (s * s)), 1.0 / s

@@ -271,7 +271,7 @@ def cmd_bounds(opt: _Options) -> tuple[dict, int]:
     try:
         # the spec refuses a particle count, and the n2 row, solved first, an
         # unbounded or out-of-range operator, before numpy's solve loads; at
-        # m > 0 the upper bound's zoom (bounds.zoom_log_minimum) loads numpy
+        # m > 0 the upper bound's zoom (solver.zoom_log_minimum) loads numpy
         bounds = compute_bounds(spec, config, lambda h, c: ground_energy(h, c, mass > 0.0))
     except RuntimeError as exc:
         raise InternalError(str(exc)) from None

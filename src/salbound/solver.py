@@ -43,13 +43,13 @@ only on the grid kind and K, so they are built once per (kind, K) and shared
 read-only by every solve on it (:func:`_basis`); the cache holds at most 8
 bases, about 1 MB each at K = 120, 0.31 MB of it the momentum table.
 
-The Gaussian upper bound of ``bounds`` evaluates its one-Gaussian trial
-states at m > 0 as :func:`pair_expectation` does, through
-:func:`_zoom_objective`, which reuses its first grid's node weights.  The
+At m > 0 the Gaussian upper bound of ``bounds`` zooms in on its least
+one-Gaussian energy here (:func:`zoom_log_minimum`), on grids that
+:func:`_zoom_objective` evaluates as :func:`pair_expectation` does.  The
 operator, the basis size and the closed forms of the massless linear case
 are in ``reductions``; the basis rule, the result type and the range
 warnings are in ``spectrum``, which also runs this solve without numpy.
-This module holds the numpy solve.
+This module holds the numpy solve; only it and ``delta`` import numpy.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def pair_expectation(canonical: ReducedHamiltonian, a: np.ndarray, c: np.ndarray
     The density of r is r^2 e^(-a r^2) and that of p is p^2 e^(-c p^2), so
     <r^k> = M_k a^(-k/2) with M_k = Γ((3+k)/2)/Γ(3/2), and <|p|> =
     M_1 c^(-1/2) at m = 0, where no node is built; at m > 0 the kinetic term
-    is :func:`_kinetic`.
+    is :func:`_kinetic`, and :func:`_zoom_objective` gives the same bits.
     """
     out = _MOMENT_1 / np.sqrt(c) if canonical.mass == 0.0 else _kinetic(canonical.mass, c)
     return _with_potential(canonical, out, a)
@@ -128,38 +128,76 @@ def _first_exponentials(widths: bytes, lo: int, hi: int) -> np.ndarray:
     return table
 
 
-def _zoom_objective(canonical: ReducedHamiltonian):
+def _zoom_objective(canonical: ReducedHamiltonian, lo: float, hi: float):
     """s -> ``pair_expectation(canonical, s * s, 1 / (s * s))`` at m > 0, bit
-    for bit, for the grids of momentum widths s of one zoom in turn.
+    for bit, for grids of momentum widths s in [lo, hi].
 
-    The first grid fixes a window of nodes and computes their
-    :func:`_weights` once; every later grid of a zoom lies inside the first,
-    so its window does too, and it reads a slice of them: the same nodes,
-    since all lie on one integer lattice.  The first grid's table of
-    exponentials is the same for every zoom (:func:`_first_exponentials`).
-    A grid whose window leaves the first one gets :func:`pair_expectation`
-    itself.
+    The window of nodes of [lo, hi] and its :func:`_weights` are built once,
+    and every grid reads a slice of them: the same nodes, since all lie on
+    one integer lattice.  The one grid that holds both ends, the first of
+    every zoom, reads the table of exponentials that every zoom shares
+    (:func:`_first_exponentials`).  A grid outside [lo, hi] raises ValueError.
     """
-    first = None  # (lo, hi, p^2, weights) of the first grid's window
+    start, stop = quadrature.window(1.0 / (hi * hi), 1.0 / (lo * lo))
+    square, fifth = _nodes(start, stop)
+    weights = _weights(canonical.mass, square, fifth)
 
     def objective(s: np.ndarray) -> np.ndarray:
-        nonlocal first
+        low, high = float(s.min()), float(s.max())
+        if not lo <= low <= high <= hi:
+            raise ValueError(f"momentum widths {low!r}..{high!r} leave the zoom's interval [{lo!r}, {hi!r}]")
         a = s * s
         c = 1.0 / a
-        lo, hi = quadrature.window(c.min(), c.max())
-        if first is None:
-            square, fifth = _nodes(lo, hi)
-            first = lo, hi, square, _weights(canonical.mass, square, fifth)
-            table = _first_exponentials(s.tobytes(), lo, hi)
-            return _with_potential(canonical, _moment(c, table, first[3]), a)
-        start, stop, square, weights = first
-        if not start <= lo <= hi <= stop:
-            return pair_expectation(canonical, a, c)
-        part = slice(lo - start, hi - start + 1)
-        table = np.exp(np.multiply.outer(-c, square[part]))
+        if low == lo and high == hi:
+            part, table = slice(None), _first_exponentials(s.tobytes(), start, stop)
+        else:
+            # c.max() and c.min(), at the narrowest and the widest s
+            first, last = quadrature.window(1.0 / (high * high), 1.0 / (low * low))
+            part = slice(first - start, last - start + 1)
+            table = np.exp(np.multiply.outer(-c, square[part]))
         return _with_potential(canonical, _moment(c, table, weights[part]), a)
 
     return objective
+
+
+#: Points of each grid of the zoom in log s, and the grid spacing at
+#: which it stops: 6 grids across ``bounds.GAUSSIAN_SCALE_INTERVAL``.
+ZOOM_POINTS = 33
+ZOOM_SPACING = 1e-6
+
+
+def zoom_log_minimum(f, lo: float, hi: float):
+    """(x, f(x), at_lower, at_upper) at the least of f over [lo, hi], for a
+    unimodal f that takes and returns arrays.
+
+    f is evaluated on :data:`ZOOM_POINTS` points evenly spaced in log x, and
+    the grid shrinks to the neighbours of its least point until its spacing
+    is at most :data:`ZOOM_SPACING`: the minimum always lies between those
+    neighbours, so the returned log x is within the final spacing of it.  A
+    grid that still reaches an end of [lo, hi] holds that end itself, and a
+    flag is set where the least point is that end.
+    """
+    ends = math.log(lo), math.log(hi)
+    a, b = ends
+    steps = np.arange(ZOOM_POINTS, dtype=float)
+    while True:
+        # np.linspace(a, b, ZOOM_POINTS) written out, without its per-call
+        # overhead, on Python floats a and b
+        t = steps * ((b - a) / (ZOOM_POINTS - 1)) + a
+        t[-1] = b
+        reach = a == ends[0], b == ends[1]
+        x = np.exp(t)
+        # exp(log(lo)) need not be lo: a grid that reaches an end holds the end
+        if reach[0]:
+            x[0] = lo
+        if reach[1]:
+            x[-1] = hi
+        values = f(x)
+        i = int(values.argmin())
+        t0, t1 = t[:2].tolist()
+        if t1 - t0 <= ZOOM_SPACING:
+            return float(x[i]), float(values[i]), reach[0] and i == 0, reach[1] and i == ZOOM_POINTS - 1
+        a, b = t[[max(i - 1, 0), min(i + 1, ZOOM_POINTS - 1)]].tolist()
 
 
 def _factor(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

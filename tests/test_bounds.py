@@ -6,11 +6,11 @@ from scipy import integrate
 
 import salbound.bounds
 from salbound.bounds import (
+    GAUSSIAN_SCALE_INTERVAL,
     ProblemSpec,
     compute_bounds,
     conjecture_status,
     gaussian_upper,
-    zoom_log_minimum,
 )
 from salbound.potentials import (
     Coulomb,
@@ -31,7 +31,7 @@ from salbound.reductions import (
     ratio_table,
     upper_gaussian_linear,
 )
-from salbound.solver import ground_energy, pair_expectation
+from salbound.solver import ground_energy, pair_expectation, zoom_log_minimum
 
 from golden_reference import (
     potential_value,
@@ -373,21 +373,22 @@ def zoom_grids(objective):
     ids=["linear", "harmonic", "power-0.5", "power-2.5", "coulomb", "coulomb+linear"],
 )
 def test_zoom_objective_is_the_pair_expectation_on_every_grid(potential, mu):
-    # the objective reuses its first grid's weights and a shared table of
-    # exponentials, and still gives pair_expectation bit for bit
+    # the objective reads slices of its interval's weights and, on the first
+    # grid, a shared table of exponentials, and still gives pair_expectation
+    # bit for bit
     from salbound import solver
 
     canonical = ReducedHamiltonian(1.0, 1.0, 1.0, mu, potential)
-    objective = solver._zoom_objective(canonical)
+    objective = solver._zoom_objective(canonical, 0.05, 20.0)
     grids = zoom_grids(objective)
-    # 6 grids, 5 where the zoom closes in on an end; all but the first read
-    # slices of the first grid's weights
+    # 6 grids, 5 where the zoom closes in on an end
     assert len(grids) >= 5
     for s, values in grids:
         assert np.array_equal(values, pair_expectation(canonical, s * s, 1.0 / (s * s)))
-    # a later grid beyond the first one's window is computed afresh
-    s = np.geomspace(0.01, 100.0, 33)
-    assert np.array_equal(objective(s), pair_expectation(canonical, s * s, 1.0 / (s * s)))
+    # a grid beyond the interval, at either end or both, is refused
+    for s in (np.geomspace(0.01, 100.0, 33), np.geomspace(0.01, 1.0, 33), np.geomspace(1.0, 100.0, 33)):
+        with pytest.raises(ValueError, match="leave the zoom's interval"):
+            objective(s)
 
 
 def test_first_zoom_grid_table_is_built_once_and_read_only():
@@ -407,17 +408,15 @@ def test_first_zoom_grid_table_is_built_once_and_read_only():
 
 
 def test_real_zooms_never_leave_the_first_grid_window(monkeypatch):
-    # every later grid of a zoom reads a slice of the first grid's weights;
-    # the fallback to pair_expectation, for a grid beyond the first window,
-    # costs a zoom 7-11%, so no real zoom may take it: the five shapes,
-    # Coulomb at half its critical effective coupling, n from 2 to 1000
-    # and m from 1e-6 to 1e9
+    # every grid of a zoom reads a slice of its interval's weights, and the
+    # objective refuses a grid outside the interval with ValueError: no real
+    # zoom may meet that refusal over the five shapes, Coulomb at half its
+    # critical effective coupling, n from 2 to 1000 and m from 1e-6 to 1e9
     from salbound import solver
 
-    calls, zooms = [], []
-    monkeypatch.setattr(solver, "pair_expectation", lambda *args: calls.append(args) or pair_expectation(*args))
+    zooms = []
     objective = solver._zoom_objective
-    monkeypatch.setattr(solver, "_zoom_objective", lambda canonical: zooms.append(1) or objective(canonical))
+    monkeypatch.setattr(solver, "_zoom_objective", lambda *args: zooms.append(args[1:]) or objective(*args))
     for n in (2, 3, 5, 10, 100, 1000):
         # v with (n-1)/2 v / sqrt(lam) = 1/pi for the model operator's lam
         v = COULOMB_CRITICAL_COUPLING * math.sqrt(2.0 * (n - 1) / n) / (n - 1)
@@ -426,8 +425,7 @@ def test_real_zooms_never_leave_the_first_grid_window(monkeypatch):
         for mass in (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9):
             for potential in shapes:
                 gaussian_upper(ProblemSpec(n, mass, potential))
-    assert len(zooms) == 216
-    assert calls == []
+    assert zooms == [GAUSSIAN_SCALE_INTERVAL] * 216
 
 
 # --- scale search against a reference golden section ----------------------------

@@ -1,10 +1,12 @@
 """The package surface: lazy exports, import footprint, constructor domains."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -250,6 +252,24 @@ def test_potentials_run_without_numpy():
     )
     loaded = new_modules(statement)
     assert {m for m in loaded if m.startswith("salbound")} == {"salbound", "salbound.potentials"}
+
+
+def test_only_solver_and_delta_import_numpy():
+    # every import statement of every module, at any level: the run-time
+    # checks above block numpy for a few commands, and this one also sees a
+    # lazy import in a function that none of them runs
+    importers = set()
+    for path in pathlib.Path(salbound.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"solver.py", "delta.py"}
 
 
 # --- public API -----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from salbound import quadrature, solver, spectrum
-from salbound.bounds import GAUSSIAN_SCALE_INTERVAL, ZOOM_POINTS, ZOOM_SPACING, zoom_log_minimum
+from salbound.bounds import GAUSSIAN_SCALE_INTERVAL
 from salbound.potentials import Coulomb, CoulombPlusLinear, Harmonic, Linear, PowerLaw
 from salbound.reductions import (
     COULOMB_CRITICAL_COUPLING,
@@ -18,7 +18,7 @@ from salbound.reductions import (
     _MU_MAX,
     natural_units,
 )
-from salbound.solver import ground_energy, pair_expectation
+from salbound.solver import ZOOM_POINTS, ZOOM_SPACING, ground_energy, pair_expectation, zoom_log_minimum
 from salbound.spectrum import EDGE_WEIGHT_TOL, SpectrumResult, basis_radii, grid_kind
 
 from golden_reference import gaussian_overlap, potential_value, reference_ground_energy
@@ -348,12 +348,14 @@ def test_natural_units_solve_matches_direct_solve(h):
     assert result.ground_energy == pytest.approx(reference.fx, rel=1e-4)
 
 
-# --- the Gaussian upper bound's grid zoom (bounds.zoom_log_minimum) -------------
+# --- the Gaussian upper bound's grid zoom (solver.zoom_log_minimum) ------------
 
 
 def _zoom_contract(shape, lo, hi, t):
     """Run the zoom on f(x) = shape(log x - t), unimodal with its minimum at
-    log x = t, and check its contract: the returned log-abscissa lies within
+    log x = t, and check its contract: every grid lies in [lo, hi], and one
+    that reaches an end holds that end exactly, as the zoom's objective
+    ``solver._zoom_objective`` requires; the returned log-abscissa lies within
     the final grid spacing of the minimum (clamped to [lo, hi]), an end is
     flagged exactly where it is returned, and it is returned exactly."""
     a, b = math.log(lo), math.log(hi)
@@ -362,6 +364,12 @@ def _zoom_contract(shape, lo, hi, t):
     def f(x):
         values = shape(np.log(x) - t)
         grids.append((np.log(x), values))
+        assert lo <= x.min() and x.max() <= hi, t
+        # a grid short of an end stops a whole step of the previous grid,
+        # 16 of its own, inside it
+        step = (grids[-1][0][-1] - grids[-1][0][0]) / (ZOOM_POINTS - 1)
+        assert x[0] == lo or grids[-1][0][0] - a > step, t
+        assert x[-1] == hi or b - grids[-1][0][-1] > step, t
         return values
 
     x, fx, at_lower, at_upper = zoom_log_minimum(f, lo, hi)
